@@ -1,9 +1,12 @@
 """Configuration, edge, and trajectory collision predicates.
 
 Checks are vectorized over batches of configurations: link rectangles are
-never materialized as polygon objects on the hot path. The boolean tests and
-the signed distances share one projection scheme, so ``config_in_collision``
-and ``min_clearance`` agree exactly about the zero crossing.
+never materialized as polygon objects on the hot path. One separating-axis
+kernel, ``_sat``, decides overlap for both the boolean checks and the signed
+distances, so ``config_in_collision`` and ``min_clearance`` agree exactly
+about the zero crossing. One segment sampler, ``segments_in_collision``,
+checks straight joint-space segments in a single batch; edge and trajectory
+checks are built on it.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ class _SceneGeom:
 
     Obstacle edge normals are deduplicated into unique axis directions (sign
     canonicalized); projections onto a negated axis are exact negations, so
-    the grouped tests agree bit-for-bit with the dense per-normal ones.
+    the grouped tests agree bit-for-bit with dense per-normal ones.
     """
 
     __slots__ = (
-        "n_obstacles", "verts", "vert_list", "vert_starts", "normals", "norm_starts",
+        "n_obstacles", "vert_list", "normals", "norm_starts",
         "own_min", "own_max", "aabbs", "axes", "axis_groups",
     )
 
@@ -41,9 +44,7 @@ class _SceneGeom:
             return
         verts = [ob.vertices for ob in obstacles]
         normals = [ob.edge_normals() for ob in obstacles]
-        self.verts = np.vstack(verts)
         self.vert_list = verts
-        self.vert_starts = np.cumsum([0] + [len(v) for v in verts])
         self.normals = np.vstack(normals)
         self.norm_starts = np.cumsum([0] + [len(n) for n in normals])
         own = [v @ n.T for v, n in zip(verts, normals)]
@@ -133,44 +134,6 @@ class _RectBatch:
         return base + along + across
 
 
-def _reduceat_any(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    return np.logical_or.reduceat(a, starts, axis=-1)
-
-
-def _obstacle_projections(geom: _SceneGeom, rb: _RectBatch):
-    """Projection extents needed by both the boolean test and signed distances."""
-    # rectangle extents on every obstacle edge normal
-    Pn_all = rb.P @ geom.normals.T                       # (M, K, Nt)
-    du = rb.u @ geom.normals.T
-    dn = np.abs(rb.n @ geom.normals.T) * rb.W[..., None]
-    Ldu = rb.L[..., None] * du
-    rmin = Pn_all + np.minimum(0.0, Ldu) - dn
-    rmax = Pn_all + np.maximum(0.0, Ldu) + dn
-    # obstacle extents on both rectangle axes
-    vu = rb.u @ geom.verts.T                             # (M, K, Vt)
-    vn = rb.n @ geom.verts.T
-    starts = geom.vert_starts[:-1]
-    vu_min = np.minimum.reduceat(vu, starts, axis=-1)    # (M, K, O)
-    vu_max = np.maximum.reduceat(vu, starts, axis=-1)
-    vn_min = np.minimum.reduceat(vn, starts, axis=-1)
-    vn_max = np.maximum.reduceat(vn, starts, axis=-1)
-    return rmin, rmax, vu_min, vu_max, vn_min, vn_max
-
-
-def _hit_mask(geom: _SceneGeom, rb: _RectBatch, proj) -> np.ndarray:
-    """(M, K, O) boolean: link rectangle overlaps or touches obstacle."""
-    rmin, rmax, vu_min, vu_max, vn_min, vn_max = proj
-    sep_norm = (rmin > geom.own_max) | (rmax < geom.own_min)
-    sep = _reduceat_any(sep_norm, geom.norm_starts[:-1])
-    Pu = rb.Pu[..., None]
-    Pn = rb.Pn[..., None]
-    L = rb.L[..., None]
-    W = rb.W[..., None]
-    sep |= (vu_max < Pu) | (vu_min > Pu + L)
-    sep |= (vn_max < Pn - W) | (vn_min > Pn + W)
-    return ~sep
-
-
 def _bounds_margins(scene: Scene, rb: _RectBatch) -> np.ndarray:
     """Per-configuration containment margin; negative means outside bounds."""
     if scene.workspace_bounds is None:
@@ -182,10 +145,16 @@ def _bounds_margins(scene: Scene, rb: _RectBatch) -> np.ndarray:
     return m.min(axis=1)
 
 
-def _hit_mask_fast(geom: _SceneGeom, rb: _RectBatch) -> np.ndarray:
-    """(M, K, O) overlap flags, bit-identical to :func:`_hit_mask` but cheaper:
-    obstacle-normal axes are tested via the deduplicated direction set and the
-    rectangle-axis test runs only on pairs the first test leaves unseparated."""
+def _sat(geom: _SceneGeom, rb: _RectBatch, penetration: bool = False):
+    """Separating-axis test of every (configuration, link, obstacle) pair.
+
+    Returns ``(hit, pen)``: (M, K, O) flags, true where a link rectangle
+    overlaps or touches an obstacle, and, when ``penetration`` is set, the
+    (M, K, O) minimum translation magnitudes, meaningful only where hit
+    (None otherwise). Obstacle-normal axes are tested through the
+    deduplicated direction set, and the rectangle axes, like the penetration
+    depths, only on the pairs the first test leaves unseparated.
+    """
     m, k = rb.Pu.shape
     nt = len(geom.normals)
     pa = rb.P @ geom.axes.T                                  # (M, K, A)
@@ -195,32 +164,44 @@ def _hit_mask_fast(geom: _SceneGeom, rb: _RectBatch) -> np.ndarray:
     rmin_a = pa + np.minimum(0.0, ldu) - dn
     rmax_a = pa + np.maximum(0.0, ldu) + dn
     sep_norm = np.empty((m, k, nt), dtype=bool)
+    # rectangle minimum on each obstacle normal, kept for the push-out depth
+    rmin = np.empty((m, k, nt)) if penetration else None
     for aid, sign, idx in geom.axis_groups:
         if sign > 0:
             lo, hi = rmin_a[:, :, aid, None], rmax_a[:, :, aid, None]
         else:
             lo, hi = -rmax_a[:, :, aid, None], -rmin_a[:, :, aid, None]
         sep_norm[:, :, idx] = (lo > geom.own_max[idx]) | (hi < geom.own_min[idx])
-    sep = _reduceat_any(sep_norm, geom.norm_starts[:-1])     # (M, K, O)
+        if penetration:
+            rmin[:, :, idx] = lo
+    sep = np.logical_or.reduceat(sep_norm, geom.norm_starts[:-1], axis=-1)  # (M, K, O)
 
     hit = np.zeros((m, k, geom.n_obstacles), dtype=bool)
+    pen = np.zeros(hit.shape) if penetration else None
     for o in range(geom.n_obstacles):
         mi, ki = np.nonzero(~sep[:, :, o])
         if len(mi) == 0:
             continue
-        vo = geom.vert_list[o]
-        u_sel = rb.u[mi, ki]
-        n_sel = rb.n[mi, ki]
-        vu = u_sel @ vo.T
-        vn = n_sel @ vo.T
+        # one product for both rectangle axes keeps it a matrix-matrix product
+        # whatever the pair count, so every pair is projected alike
+        vuv = np.concatenate([rb.u[mi, ki], rb.n[mi, ki]]) @ geom.vert_list[o].T
+        vu, vn = vuv[:len(mi)], vuv[len(mi):]
+        vu_min, vu_max = vu.min(axis=1), vu.max(axis=1)
+        vn_min, vn_max = vn.min(axis=1), vn.max(axis=1)
         pu = rb.Pu[mi, ki]
         pn = rb.Pn[mi, ki]
         ln = rb.L[0, ki]
         w = rb.W[0, ki]
-        sep2 = (vu.max(axis=1) < pu) | (vu.min(axis=1) > pu + ln)
-        sep2 |= (vn.max(axis=1) < pn - w) | (vn.min(axis=1) > pn + w)
+        sep2 = (vu_max < pu) | (vu_min > pu + ln)
+        sep2 |= (vn_max < pn - w) | (vn_min > pn + w)
         hit[mi, ki, o] = ~sep2
-    return hit
+        if penetration:
+            s0, s1 = geom.norm_starts[o], geom.norm_starts[o + 1]
+            push = (geom.own_max[s0:s1] - rmin[mi, ki, s0:s1]).min(axis=1)
+            pen[mi, ki, o] = np.minimum.reduce([
+                push, vu_max - pu, (pu + ln) - vu_min, vn_max - (pn - w), (pn + w) - vn_min,
+            ])
+    return hit, pen
 
 
 def configs_in_collision(arm: ArmModel, scene: Scene, Q) -> np.ndarray:
@@ -230,30 +211,12 @@ def configs_in_collision(arm: ArmModel, scene: Scene, Q) -> np.ndarray:
     out = _bounds_margins(scene, rb) <= 0.0
     geom = scene._geom
     if geom.n_obstacles:
-        out |= _hit_mask_fast(geom, rb).any(axis=(1, 2))
+        out |= _sat(geom, rb)[0].any(axis=(1, 2))
     return out
 
 
 def config_in_collision(arm: ArmModel, scene: Scene, q) -> bool:
     return bool(configs_in_collision(arm, scene, q)[0])
-
-
-def _penetrations(geom: _SceneGeom, rb: _RectBatch, proj) -> np.ndarray:
-    """(M, K, O) minimum translation magnitudes; only meaningful where hit."""
-    rmin, _, vu_min, vu_max, vn_min, vn_max = proj
-    push_norm = np.minimum.reduceat(geom.own_max - rmin, geom.norm_starts[:-1], axis=-1)
-    Pu = rb.Pu[..., None]
-    Pn = rb.Pn[..., None]
-    L = rb.L[..., None]
-    W = rb.W[..., None]
-    pen = np.minimum.reduce([
-        push_norm,
-        vu_max - Pu,
-        (Pu + L) - vu_min,
-        vn_max - (Pn - W),
-        (Pn + W) - vn_min,
-    ])
-    return pen
 
 
 def _aabb_gap_lower_bound(geom: _SceneGeom, rb: _RectBatch) -> np.ndarray:
@@ -287,15 +250,13 @@ def pair_signed_distances(
     if geom.n_obstacles == 0:
         return np.full((Q.shape[0], arm.dof, 0), np.inf)
     rb = _RectBatch(arm, Q)
-    proj = _obstacle_projections(geom, rb)
-    hit = _hit_mask(geom, rb, proj)
-    pen = _penetrations(geom, rb, proj)
-    sd = np.where(hit, np.where(pen > 0.0, -pen, 0.0), 0.0)
+    hit, pen = _sat(geom, rb, penetration=True)
+    # entries of pairs that are not hit are all overwritten below
+    sd = np.where(pen > 0.0, -pen, 0.0)
 
     lower = _aabb_gap_lower_bound(geom, rb)
     if far_cutoff is None:
         need_exact = ~hit
-        sd = np.where(need_exact, 0.0, sd)
     else:
         far = ~hit & (lower >= far_cutoff)
         sd = np.where(far, lower, sd)
@@ -307,7 +268,7 @@ def pair_signed_distances(
             mask = need_exact[:, :, o]
             if not mask.any():
                 continue
-            vo = geom.verts[geom.vert_starts[o]:geom.vert_starts[o + 1]]
+            vo = geom.vert_list[o]
             sel = corners[mask]                       # (S, 4, 2)
             b0 = vo
             b1 = np.roll(vo, -1, axis=0)
@@ -344,10 +305,28 @@ def interpolate_configs(q1, q2, n_interp: int) -> np.ndarray:
     return q1[None, :] + t[:, None] * (q2 - q1)[None, :]
 
 
+def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
+    """Flag per straight joint-space segment from ``A[i]`` to ``B[i]``.
+
+    A segment is flagged when any configuration ``A[i] + t_j (B[i] - A[i])``
+    is in collision; ``t`` holds the sample fractions (0 and 1 check the
+    endpoints). ``A`` and ``B`` are (..., K) and broadcast against each
+    other; the flags have their broadcast leading shape. Every sample of
+    every segment goes through one collision batch.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    t = np.asarray(t, dtype=float)
+    samples = A[..., None, :] + t[:, None] * (B - A)[..., None, :]
+    flags = configs_in_collision(arm, scene, samples.reshape(-1, samples.shape[-1]))
+    return flags.reshape(samples.shape[:-1]).any(axis=-1)
+
+
 def edge_in_collision(arm: ArmModel, scene: Scene, q1, q2, n_interp: int = DEFAULT_EDGE_INTERP) -> bool:
     """True when any of the interpolated configurations along the straight
     joint-space segment (endpoints included) is in collision."""
-    return bool(configs_in_collision(arm, scene, interpolate_configs(q1, q2, n_interp)).any())
+    t = np.linspace(0.0, 1.0, n_interp + 2)
+    return bool(segments_in_collision(arm, scene, q1, q2, t))
 
 
 def trajectory_in_collision(
@@ -362,11 +341,7 @@ def trajectory_in_collision(
     if traj.ndim != 2 or traj.shape[0] < 2:
         raise ValueError("trajectory needs at least 2 waypoints")
     t = np.linspace(0.0, 1.0, n_interp + 2)
-    starts = traj[:-1]
-    deltas = np.diff(traj, axis=0)
-    samples = starts[:, None, :] + t[None, :, None] * deltas[:, None, :]
-    flags = configs_in_collision(arm, scene, samples.reshape(-1, traj.shape[1]))
+    flags = segments_in_collision(arm, scene, traj[:-1], traj[1:], t)
     if not flags.any():
         return False, None
-    first = int(np.flatnonzero(flags)[0])
-    return True, first // (n_interp + 2)
+    return True, int(np.argmax(flags))

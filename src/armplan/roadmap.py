@@ -22,7 +22,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
-from .collision import Scene, config_in_collision, configs_in_collision, edge_in_collision
+from .collision import (
+    Scene, config_in_collision, configs_in_collision, edge_in_collision, segments_in_collision,
+)
 from .geometry import wrap_angles
 from .robot import ArmModel, EEPose, chain_points, goal_seed, solve_ik
 
@@ -104,10 +106,6 @@ class Roadmap:
             node = int(self.apsp_next[node, v])
             path.append(node)
         return path
-
-    def path_length(self, node_path) -> float:
-        pts = self.nodes[list(node_path)]
-        return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
 
     def node_tip_poses(self, arm: ArmModel) -> tuple[np.ndarray, np.ndarray]:
         """Tip positions (N, 2) and headings (N,) of all nodes, cached per arm."""
@@ -378,62 +376,29 @@ _CONNECT_INTERP = 100
 _COARSE_IDX = np.array(list(range(0, _CONNECT_INTERP + 2, 6)) + [_CONNECT_INTERP + 1])
 
 
-def _nearest_connectable_many(
-    roadmap: Roadmap, arm: ArmModel, scene: Scene, qs: np.ndarray
-) -> list[int | None]:
-    """Nearest connectable node for each query configuration.
+def _nearest_connectable(roadmap: Roadmap, arm: ArmModel, scene: Scene, q) -> int | None:
+    """Nearest roadmap node joined to ``q`` by a collision-free straight edge.
 
-    Candidates are scanned in increasing joint-space distance. Every scan
-    round prescreens a chunk of candidate edges for all unresolved queries in
-    one coarse collision batch; surviving candidates are then verified at
-    full edge density, nearest first.
+    Candidates are scanned in increasing joint-space distance. The very
+    nearest node usually connects, so it is tried at full edge density first.
+    Otherwise each chunk of candidate edges is prescreened in one coarse
+    collision batch, and surviving candidates are verified at full edge
+    density, nearest first.
     """
-    m, k = qs.shape
-    dist = np.linalg.norm(roadmap.nodes[None, :, :] - qs[:, None, :], axis=2)
-    order = np.argsort(dist, axis=1, kind="stable")[:, : roadmap.params.connect_scan_limit]
+    q = np.asarray(q, dtype=float)
+    dist = np.linalg.norm(roadmap.nodes - q[None, :], axis=1)
+    order = np.argsort(dist, kind="stable")[: roadmap.params.connect_scan_limit]
     t_fine = np.linspace(0.0, 1.0, _CONNECT_INTERP + 2)
+    if not segments_in_collision(arm, scene, q, roadmap.nodes[order[0]], t_fine):
+        return int(order[0])
     t_coarse = t_fine[_COARSE_IDX]
-    result: list[int | None] = [None] * m
-    # the very nearest node usually connects: try it at full density first
-    nearest = order[:, 0]
-    deltas0 = roadmap.nodes[nearest] - qs
-    samples0 = qs[:, None, :] + t_fine[None, :, None] * deltas0[:, None, :]
-    flags0 = configs_in_collision(arm, scene, samples0.reshape(-1, k))
-    blocked0 = flags0.reshape(m, len(t_fine)).any(axis=1)
-    for qi in np.flatnonzero(~blocked0):
-        result[qi] = int(nearest[qi])
-    unresolved = [qi for qi in range(m) if result[qi] is None]
-    n_rounds = (order.shape[1] + _CONNECT_CHUNK - 1) // _CONNECT_CHUNK
-    for r in range(n_rounds):
-        if not unresolved:
-            break
-        lo = r * _CONNECT_CHUNK
-        cand = order[unresolved, lo:lo + _CONNECT_CHUNK]          # (U, C)
-        u, c = cand.shape
-        if c == 0:
-            break
-        deltas = roadmap.nodes[cand] - qs[unresolved][:, None, :]  # (U, C, K)
-        samples = (
-            qs[unresolved][:, None, None, :]
-            + t_coarse[None, None, :, None] * deltas[:, :, None, :]
-        )
-        flags = configs_in_collision(arm, scene, samples.reshape(-1, k))
-        blocked = flags.reshape(u, c, len(t_coarse)).any(axis=2)
-        still = []
-        for row, qi in enumerate(unresolved):
-            for col in np.flatnonzero(~blocked[row]):
-                node = int(cand[row, col])
-                if not edge_in_collision(arm, scene, qs[qi], roadmap.nodes[node]):
-                    result[qi] = node
-                    break
-            if result[qi] is None:
-                still.append(qi)
-        unresolved = still
-    return result
-
-
-def _nearest_connectable(roadmap: Roadmap, arm: ArmModel, scene: Scene, q: np.ndarray) -> int | None:
-    return _nearest_connectable_many(roadmap, arm, scene, np.asarray(q, dtype=float)[None, :])[0]
+    for lo in range(0, len(order), _CONNECT_CHUNK):
+        cand = order[lo:lo + _CONNECT_CHUNK]
+        blocked = segments_in_collision(arm, scene, q, roadmap.nodes[cand], t_coarse)
+        for node in cand[~blocked]:
+            if not edge_in_collision(arm, scene, q, roadmap.nodes[node]):
+                return int(node)
+    return None
 
 
 def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) -> QueryResult:

@@ -156,17 +156,6 @@ def ee_jacobian(arm: ArmModel, q) -> np.ndarray:
     return np.vstack([jx, jy, np.ones(arm.dof)])
 
 
-def _batch_jacobians(arm: ArmModel, headings: np.ndarray, with_heading: bool) -> np.ndarray:
-    lsin = arm.lengths[None, :] * np.sin(headings)
-    lcos = arm.lengths[None, :] * np.cos(headings)
-    jx = -np.cumsum(lsin[:, ::-1], axis=1)[:, ::-1]
-    jy = np.cumsum(lcos[:, ::-1], axis=1)[:, ::-1]
-    rows = [jx, jy]
-    if with_heading:
-        rows.append(np.ones_like(jx))
-    return np.stack(rows, axis=1)  # (M, d, K)
-
-
 def goal_seed(target: EEPose) -> int:
     """Stable 32-bit seed derived from a goal pose, independent of PYTHONHASHSEED."""
     raw = np.array([target.x, target.y, target.heading], dtype=np.float64).tobytes()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -168,13 +168,7 @@ def generate_test_suite(
         goal_cfgs = ik_goal_configs(arm, scene, goal, restarts=ik_restarts)
         if not goal_cfgs:
             continue
-        seeded = RRTParams(
-            step=rrt_params.step,
-            goal_bias=rrt_params.goal_bias,
-            max_iters=rrt_params.max_iters,
-            rng_seed=(rng_seed * 1_000_003 + attempt) & 0x7FFFFFFF,
-            edge_spacing=rrt_params.edge_spacing,
-        )
+        seeded = replace(rrt_params, rng_seed=(rng_seed * 1_000_003 + attempt) & 0x7FFFFFFF)
         if rrt_plan(scene, arm, start, goal_cfgs, seeded) is None:
             continue
         cid = f"{scene.name}-{rng_seed}-{len(cases):04d}"

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from armplan.collision import (
     Scene, config_in_collision, configs_in_collision, edge_in_collision,
     interpolate_configs, min_clearance, pair_signed_distances,
-    trajectory_in_collision,
+    segments_in_collision, trajectory_in_collision,
 )
 from armplan.geometry import ConvexShape, Pose2, signed_distance
 from armplan.robot import ArmModel, link_shapes
@@ -203,15 +204,62 @@ def test_collision_iff_nonpositive_clearance(arm, pole_scene):
     assert 0 < hits < 300
 
 
+def _random_convex_scene(rng, n_obstacles):
+    """Random convex polygons around the default arm's reach, inside the
+    authored scenes' workspace bounds."""
+    obstacles = tuple(
+        random_convex_polygon(rng, radius=0.25, center=rng.uniform((-1.0, -0.2), (1.0, 1.2)))
+        for _ in range(n_obstacles)
+    )
+    return Scene("random_convex", obstacles, workspace_bounds=(-1.6, -0.6, 1.6, 1.6))
+
+
+def _assert_signed_distances_match_reference(arm, scene, Q, far_cutoff=0.05):
+    """Batched signed distances, exact and with ``far_cutoff``, against the
+    per-pair ``geometry.signed_distance`` reference. Returns the reference."""
+    exact = pair_signed_distances(arm, scene, Q)
+    cut = pair_signed_distances(arm, scene, Q, far_cutoff=far_cutoff)
+    ref = np.array([
+        [[signed_distance(sh, ob) for ob in scene.obstacles] for sh in link_shapes(arm, q)]
+        for q in Q
+    ])
+    assert exact == pytest.approx(ref, abs=1e-12)
+    near = ref < far_cutoff
+    assert cut[near] == pytest.approx(ref[near], abs=1e-12)
+    assert (cut[~near] >= far_cutoff - 1e-12).all()
+    assert (cut[~near] <= ref[~near] + 1e-12).all()
+    return ref
+
+
 def test_pair_signed_distances_match_reference(arm, shelf_scene):
     rng = np.random.default_rng(15)
-    for _ in range(25):
-        q = rng.uniform(arm.lower, arm.upper)
-        sd = pair_signed_distances(arm, shelf_scene, q[None])[0]
-        shapes = link_shapes(arm, q)
-        for i, sh in enumerate(shapes):
-            for j, ob in enumerate(shelf_scene.obstacles):
-                assert sd[i, j] == pytest.approx(signed_distance(sh, ob), abs=1e-12)
+    Q = rng.uniform(arm.lower, arm.upper, size=(25, arm.dof))
+    _assert_signed_distances_match_reference(arm, shelf_scene, Q)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_pair_signed_distances_match_reference_random_convex(arm, seed):
+    # unlike the shelf boxes, whose edge normals collapse into two axes,
+    # random polygons give the kernel one axis per edge
+    rng = np.random.default_rng(seed)
+    scene = _random_convex_scene(rng, 3)
+    Q = rng.uniform(arm.lower, arm.upper, size=(40, arm.dof))
+    ref = _assert_signed_distances_match_reference(arm, scene, Q)
+    assert (ref < 0.0).any() and (ref > 0.0).any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batched_checks_agree_on_random_convex_scenes(arm, seed):
+    rng = np.random.default_rng(seed)
+    scene = _random_convex_scene(rng, int(rng.integers(1, 5)))
+    Q = rng.uniform(arm.lower, arm.upper, size=(16, arm.dof))
+    flags = configs_in_collision(arm, scene, Q).tolist()
+    assert flags == [config_in_collision(arm, scene, q) for q in Q]
+    assert flags == [min_clearance(arm, scene, q) <= 0.0 for q in Q]
+    A, B = Q[:8], Q[8:]
+    segs = segments_in_collision(arm, scene, A, B, np.linspace(0.0, 1.0, 22)).tolist()
+    assert segs == [edge_in_collision(arm, scene, a, b, n_interp=20) for a, b in zip(A, B)]
 
 
 def test_far_cutoff_short_circuit(arm, shelf_scene):

@@ -10,6 +10,7 @@ from armplan.roadmap import (
     k_shortest_paths, load_roadmap, query, save_roadmap, _dijkstra_path, _yen,
 )
 from armplan.scenarios import build_scene
+from armplan.seedprep import path_length
 
 
 def graph_roadmap(n, edges, weights, k_paths=3):
@@ -113,7 +114,7 @@ def test_next_hop_reconstruction_matches_distances(small_pole_roadmap):
         path = rm.shortest_node_path(int(u), int(v))
         assert path[0] == u and path[-1] == v
         assert len(path) == len(set(path))
-        assert rm.path_length(path) == pytest.approx(float(rm.apsp_dist[u, v]), abs=1e-9)
+        assert path_length(rm.nodes[path]) == pytest.approx(float(rm.apsp_dist[u, v]), abs=1e-9)
 
 
 def test_build_deterministic_and_serialization_roundtrip(pole_scene, arm, tmp_path):
@@ -172,7 +173,7 @@ def test_ksp_lengths_nondecreasing_and_first_matches_apsp(small_pole_roadmap):
         if u == v:
             continue
         paths = k_shortest_paths(rm, u, v, 3)
-        lengths = [rm.path_length(p) for p in paths]
+        lengths = [path_length(rm.nodes[p]) for p in paths]
         assert all(a <= b + 1e-12 for a, b in zip(lengths, lengths[1:]))
         assert all(len(p) == len(set(p)) for p in paths)
         assert lengths[0] == pytest.approx(float(rm.apsp_dist[u, v]), abs=1e-9)
