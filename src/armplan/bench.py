@@ -174,13 +174,18 @@ def run_benchmark(
     """Run one planner pipeline over every case of a suite.
 
     Cases are independent and seeded per index, so any parallelism degree
-    produces the same records (timings aside).
+    produces the same records (timings aside). The suite and the roadmap, if
+    given, must belong to the scene by name.
     """
     if planner_spec not in PLANNERS:
         raise ValueError(f"unknown planner {planner_spec!r}; expected one of {PLANNERS}")
     if planner_spec in ("roadmap", "roadmap+opt") and roadmap is None:
         raise ValueError(f"planner {planner_spec!r} requires a roadmap")
     scene = scene or build_scene(suite.scene_name)
+    if suite.scene_name != scene.name:
+        raise ValueError(f"suite is for scene {suite.scene_name!r}, not {scene.name!r}")
+    if roadmap is not None and roadmap.scene_name != scene.name:
+        raise ValueError(f"roadmap is for scene {roadmap.scene_name!r}, not {scene.name!r}")
     arm = suite.arm
     items = list(enumerate(suite.cases))
     if parallelism <= 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import io
+import itertools
 import json
 import zipfile
 from dataclasses import dataclass, asdict
@@ -23,7 +24,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
 from .collision import (
-    Scene, config_in_collision, configs_in_collision, edge_in_collision, segments_in_collision,
+    DEFAULT_EDGE_INTERP, Scene, config_in_collision, configs_in_collision, edge_in_collision,
+    segments_in_collision,
 )
 from .geometry import wrap_angles
 from .robot import ArmModel, EEPose, chain_points, goal_seed, solve_ik
@@ -32,6 +34,18 @@ SAMPLED_JOINTS = 4
 _SAMPLE_BATCH = 1024
 _GOAL_MATCH_POS_TOL = 1e-4
 _GOAL_MATCH_HEADING_TOL = 1e-3
+
+# Edge sample fractions, endpoints included. The coarse ones are a strict
+# subset of the fine ones: a segment blocked at a coarse sample is also
+# blocked at full density, so a coarse prescreen can only reject safely,
+# and a segment free at the coarse samples is free at full density when it
+# is free at the rest.
+_T_FINE = np.linspace(0.0, 1.0, DEFAULT_EDGE_INTERP + 2)
+_COARSE_IDX = list(range(0, DEFAULT_EDGE_INTERP + 2, 6)) + [DEFAULT_EDGE_INTERP + 1]
+_T_COARSE = _T_FINE[_COARSE_IDX]
+_T_REST = np.delete(_T_FINE, _COARSE_IDX)
+# Fewest candidate edges a roadmap node prescreens in one batch.
+_KNN_CHUNK_MIN = 8
 
 
 class RoadmapBuildError(RuntimeError):
@@ -148,33 +162,57 @@ def _sample_nodes(scene: Scene, arm: ArmModel, params: RoadmapParams) -> np.ndar
 
 def _connect_knn(scene: Scene, arm: ArmModel, nodes: np.ndarray, k: int):
     """Connect each node to its k nearest neighbors reachable by a
-    collision-free straight edge. Edge results are cached symmetrically."""
+    collision-free straight edge.
+
+    Nodes take turns in index order. Each scans the others nearest first,
+    skips pairs already decided from either side, and accepts free edges
+    until its degree reaches k. Candidates are checked in batches: a chunk
+    is prescreened on the coarse samples, and its survivors are checked on
+    the rest of the fine samples, as many at a time as edges are still
+    needed. Only the verdicts this scan reaches are kept, so the edges and
+    weights are those of checking each edge in turn with
+    ``edge_in_collision``: a verdict kept beyond that would spare the later
+    scan from ``j`` its own check of the edge, whose samples
+    ``j + t (i - j)`` can differ from ``i + t (j - i)`` in the last bit.
+    """
     n = len(nodes)
-    diffs = nodes[:, None, :] - nodes[None, :, :]
-    dist = np.linalg.norm(diffs, axis=2)
-    order = np.argsort(dist, axis=1, kind="stable")
     status: dict[tuple[int, int], bool] = {}
     degree = np.zeros(n, dtype=int)
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
     for i in range(n):
-        for j in order[i]:
-            if degree[i] >= k:
+        if degree[i] >= k:
+            continue
+        dist = np.linalg.norm(nodes[i] - nodes, axis=1)
+        unknown = (
+            j for j in np.argsort(dist, kind="stable").tolist()
+            if j != i and _edge_key(i, j) not in status
+        )
+        while degree[i] < k:
+            chunk = list(itertools.islice(unknown, max(2 * (k - degree[i]), _KNN_CHUNK_MIN)))
+            if not chunk:
                 break
-            j = int(j)
-            if j == i:
-                continue
-            key = _edge_key(i, j)
-            known = status.get(key)
-            if known is not None:
-                continue  # already connected (counted at creation) or known blocked
-            ok = not edge_in_collision(arm, scene, nodes[i], nodes[j])
-            status[key] = ok
-            if ok:
-                edges.append(key)
-                weights.append(float(dist[i, j]))
-                degree[i] += 1
-                degree[j] += 1
+            coarse_hit = segments_in_collision(arm, scene, nodes[i], nodes[chunk], _T_COARSE)
+            survivors = [j for j, hit in zip(chunk, coarse_hit) if not hit]
+            fine_hit: list[bool] = []  # fine verdicts of the first survivors
+            walked = 0                 # survivors reached so far
+            for j, hit in zip(chunk, coarse_hit):
+                if not hit:
+                    if walked == len(fine_hit):
+                        batch = survivors[walked:walked + k - degree[i]]
+                        fine_hit += segments_in_collision(
+                            arm, scene, nodes[i], nodes[batch], _T_REST).tolist()
+                    hit = fine_hit[walked]
+                    walked += 1
+                key = _edge_key(i, j)
+                status[key] = not hit
+                if not hit:
+                    edges.append(key)
+                    weights.append(float(dist[j]))
+                    degree[i] += 1
+                    degree[j] += 1
+                    if degree[i] >= k:
+                        break
     return edges, weights
 
 
@@ -370,10 +408,6 @@ class QueryResult:
 
 
 _CONNECT_CHUNK = 10
-_CONNECT_INTERP = 100
-# strict subset of the fine interpolation points: a sample blocked here is
-# also blocked at full density, so the prescreen can only reject safely
-_COARSE_IDX = np.array(list(range(0, _CONNECT_INTERP + 2, 6)) + [_CONNECT_INTERP + 1])
 
 
 def _nearest_connectable(roadmap: Roadmap, arm: ArmModel, scene: Scene, q) -> int | None:
@@ -388,13 +422,11 @@ def _nearest_connectable(roadmap: Roadmap, arm: ArmModel, scene: Scene, q) -> in
     q = np.asarray(q, dtype=float)
     dist = np.linalg.norm(roadmap.nodes - q[None, :], axis=1)
     order = np.argsort(dist, kind="stable")[: roadmap.params.connect_scan_limit]
-    t_fine = np.linspace(0.0, 1.0, _CONNECT_INTERP + 2)
-    if not segments_in_collision(arm, scene, q, roadmap.nodes[order[0]], t_fine):
+    if not segments_in_collision(arm, scene, q, roadmap.nodes[order[0]], _T_FINE):
         return int(order[0])
-    t_coarse = t_fine[_COARSE_IDX]
     for lo in range(0, len(order), _CONNECT_CHUNK):
         cand = order[lo:lo + _CONNECT_CHUNK]
-        blocked = segments_in_collision(arm, scene, q, roadmap.nodes[cand], t_coarse)
+        blocked = segments_in_collision(arm, scene, q, roadmap.nodes[cand], _T_COARSE)
         for node in cand[~blocked]:
             if not edge_in_collision(arm, scene, q, roadmap.nodes[node]):
                 return int(node)

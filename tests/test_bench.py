@@ -6,6 +6,7 @@ from armplan.bench import (
     summarize, write_records, OUTCOME_COLLISION_FAILURE, OUTCOME_OK,
     OUTCOME_PLANNER_FAILURE,
 )
+from armplan.collision import Scene
 from armplan.roadmap import RoadmapParams, build_roadmap
 from armplan.scenarios import generate_test_suite
 
@@ -96,7 +97,6 @@ def tiny_suite(empty_scene, arm):
 
 
 def _empty_scene_of(suite):
-    from armplan.collision import Scene
     return Scene(suite.scene_name, (), workspace_bounds=(-3.0, -3.0, 3.0, 3.0))
 
 
@@ -115,6 +115,20 @@ def test_roadmap_planner_requires_roadmap(tiny_suite):
         run_benchmark(tiny_suite, "roadmap+opt", scene=_empty_scene_of(tiny_suite))
     with pytest.raises(ValueError):
         run_benchmark(tiny_suite, "warp-drive", scene=_empty_scene_of(tiny_suite))
+
+
+def test_run_benchmark_rejects_suite_of_another_scene(tiny_suite):
+    other = Scene("other", (), workspace_bounds=(-3.0, -3.0, 3.0, 3.0))
+    with pytest.raises(ValueError, match="suite is for scene 'empty'"):
+        run_benchmark(tiny_suite, "straightline+opt", scene=other)
+
+
+def test_run_benchmark_rejects_roadmap_of_another_scene(tiny_suite, arm):
+    other = Scene("other", (), workspace_bounds=(-3.0, -3.0, 3.0, 3.0))
+    rm = build_roadmap(other, arm, RoadmapParams(n_nodes=30, k_neighbors=4, rng_seed=1))
+    for planner in ("roadmap", "roadmap+opt", "rrt"):
+        with pytest.raises(ValueError, match="roadmap is for scene 'other'"):
+            run_benchmark(tiny_suite, planner, scene=_empty_scene_of(tiny_suite), roadmap=rm)
 
 
 def test_record_determinism_and_parallel_equivalence(tiny_suite, arm):

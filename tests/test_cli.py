@@ -72,3 +72,24 @@ def test_bench_run_needs_scene_or_suite(tmp_path, capsys):
         "bench", "run", "--planner", "rrt", "--out", str(tmp_path / "r.csv"),
     ])
     assert rc == 2
+
+
+def test_bench_run_rejects_roadmap_of_another_scene(tmp_path, capsys):
+    suite_path = tmp_path / "suite.json"
+    rm_path = tmp_path / "roadmap.npz"
+    assert main([
+        "bench", "gen-cases", "--scene", "tabletop_pole",
+        "--count", "2", "--seed", "3", "--out", str(suite_path),
+    ]) == 0
+    assert main([
+        "roadmap", "build", "--scene", "kitchen", "--nodes", "40",
+        "--k", "4", "--seed", "5", "--out", str(rm_path),
+    ]) == 0
+    capsys.readouterr()
+    rc = main([
+        "bench", "run", "--suite", str(suite_path), "--planner", "roadmap",
+        "--roadmap", str(rm_path), "--out", str(tmp_path / "r.csv"),
+    ])
+    assert rc == 1
+    assert "roadmap is for scene 'kitchen'" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
