@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import Scene, config_in_collision, edge_in_collision
-from .robot import ArmModel
+from .robot import ArmModel, within_limits
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,16 @@ def rrt_plan(
     Standard goal-biased single-tree RRT. Extensions are validated with
     interpolation scaled to the segment length (at least 10 points). Returns
     the waypoint path on success, None after max_iters without reaching a goal.
+    Raises ValueError when the start or a goal is outside the joint limits.
     """
     start = np.asarray(start, dtype=float)
     goals = [np.asarray(g, dtype=float) for g in goal_configs]
     if not goals:
         raise ValueError("at least one goal configuration is required")
+    if not within_limits(arm, start):
+        raise ValueError("start configuration is outside the joint limits")
+    if not all(within_limits(arm, g) for g in goals):
+        raise ValueError("goal configuration is outside the joint limits")
     if config_in_collision(arm, scene, start):
         raise ValueError("start configuration is in collision")
     for g in goals:

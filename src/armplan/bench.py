@@ -13,17 +13,17 @@ import csv
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import RRTParams, rrt_plan
 from .collision import Scene, trajectory_in_collision
-from .optimizer import OptParams, optimize
+from .optimizer import optimize
 from .roadmap import Roadmap, query
 from .robot import ArmModel
-from .scenarios import TestCase, TestSuite, build_scene, ik_goal_configs
+from .scenarios import RRT_MAX_ITERS, TestCase, TestSuite, build_scene, ik_goal_configs
 from .seedprep import path_length, resample_path, straight_line_seed
 
 PLANNERS = ("rrt", "roadmap", "straightline+opt", "rrt+opt", "roadmap+opt")
@@ -42,11 +42,11 @@ REPORT_HEADER = "scene,planner,cases,failure_rate,avg_runtime_s,avg_seed_len_rad
 
 @dataclass(frozen=True)
 class BenchParams:
-    t_waypoints: int = 30
-    resample_spacing: float = 0.16
-    ik_restarts: int = 10
-    rrt: RRTParams = RRTParams(max_iters=20_000)
-    opt: OptParams = OptParams()
+    """Benchmark seed. Every other pipeline setting is its module's default:
+    IK restarts (``solve_ik``), the RRT budget (``RRT_MAX_ITERS``), the
+    straight-line seed and its resampling (``seedprep``) and the optimizer
+    (``OptParams``)."""
+
     rng_seed: int = 0
 
 
@@ -74,17 +74,6 @@ class SummaryRow:
     collision_rate: float
 
 
-def _case_rrt_params(base: RRTParams, bench_seed: int, case_index: int) -> RRTParams:
-    return replace(base, rng_seed=(bench_seed * 1_000_003 + case_index) & 0x7FFFFFFF)
-
-
-def _validated_outcome(arm, scene, path) -> tuple[str, float | None]:
-    flag, _ = trajectory_in_collision(arm, scene, np.asarray(path))
-    if flag:
-        return OUTCOME_COLLISION_FAILURE, None
-    return OUTCOME_OK, path_length(path)
-
-
 def run_case(
     arm: ArmModel,
     scene: Scene,
@@ -94,9 +83,18 @@ def run_case(
     params: BenchParams,
     roadmap: Roadmap | None = None,
 ) -> RunRecord:
-    """Execute one planner pipeline on one test case."""
+    """Execute one planner pipeline on one test case.
+
+    The seed planner is a roadmap query, or IK goals followed by an RRT or a
+    straight line. No seed path is a planner failure. Plain planners
+    validate the seed with the independent trajectory check; ``+opt``
+    pipelines resample and optimize it instead.
+    """
     if planner not in PLANNERS:
         raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
+    seed_planner, _, opt = planner.partition("+")
+    if seed_planner == "roadmap" and roadmap is None:
+        raise ValueError(f"planner {planner!r} requires a roadmap")
     start = case.start_config
 
     def record(outcome, planner_time, opt_time=0.0, seed_len=None, final_len=None):
@@ -108,42 +106,29 @@ def run_case(
 
     t0 = time.perf_counter()
     seed_path = None
-
-    if planner in ("rrt", "rrt+opt"):
-        goals = ik_goal_configs(arm, scene, case.goal, restarts=params.ik_restarts)
-        if not goals:
-            return record(OUTCOME_PLANNER_FAILURE, time.perf_counter() - t0)
-        rrt_params = _case_rrt_params(params.rrt, params.rng_seed, case_index)
-        path = rrt_plan(scene, arm, start, goals, rrt_params)
-        planner_time = time.perf_counter() - t0
-        if path is None:
-            return record(OUTCOME_PLANNER_FAILURE, planner_time)
-        seed_path = np.array(path)
-    elif planner in ("roadmap", "roadmap+opt"):
-        if roadmap is None:
-            raise ValueError(f"planner {planner!r} requires a roadmap")
-        res = query(roadmap, arm, scene, start, case.goal)
-        planner_time = time.perf_counter() - t0
-        if not res.ok:
-            return record(OUTCOME_PLANNER_FAILURE, planner_time)
-        seed_path = res.path
-    else:  # straightline+opt
-        goals = ik_goal_configs(arm, scene, case.goal, restarts=params.ik_restarts)
-        if not goals:
-            return record(OUTCOME_PLANNER_FAILURE, time.perf_counter() - t0)
-        dists = [float(np.linalg.norm(g - start)) for g in goals]
-        best = goals[int(np.argmin(dists))]
-        seed_path = straight_line_seed(start, best, params.t_waypoints)
-        planner_time = time.perf_counter() - t0
-
+    if seed_planner == "roadmap":
+        seed_path = query(roadmap, arm, scene, start, case.goal).path
+    else:
+        goals = ik_goal_configs(arm, scene, case.goal)
+        if goals and seed_planner == "rrt":
+            rrt_seed = (params.rng_seed * 1_000_003 + case_index) & 0x7FFFFFFF
+            rrt_params = RRTParams(max_iters=RRT_MAX_ITERS, rng_seed=rrt_seed)
+            seed_path = rrt_plan(scene, arm, start, goals, rrt_params)
+        elif goals:
+            best = min(goals, key=lambda g: float(np.linalg.norm(g - start)))
+            seed_path = straight_line_seed(start, best)
+    planner_time = time.perf_counter() - t0
+    if seed_path is None:
+        return record(OUTCOME_PLANNER_FAILURE, planner_time)
+    seed_path = np.asarray(seed_path)
     seed_len = path_length(seed_path)
-    if planner in ("rrt", "roadmap"):
-        outcome, final_len = _validated_outcome(arm, scene, seed_path)
-        return record(outcome, planner_time, seed_len=seed_len, final_len=final_len)
+    if not opt:
+        if trajectory_in_collision(arm, scene, seed_path)[0]:
+            return record(OUTCOME_COLLISION_FAILURE, planner_time, seed_len=seed_len)
+        return record(OUTCOME_OK, planner_time, seed_len=seed_len, final_len=seed_len)
 
     t1 = time.perf_counter()
-    seed = resample_path(seed_path, params.resample_spacing)
-    result = optimize(seed, arm, scene, params.opt)
+    result = optimize(resample_path(seed_path), arm, scene)
     opt_time = time.perf_counter() - t1
     if result.collision_free:
         return record(OUTCOME_OK, planner_time, opt_time, seed_len, path_length(result.trajectory))

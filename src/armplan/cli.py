@@ -16,7 +16,9 @@ from pathlib import Path
 from .baselines import RRTParams
 from .bench import BenchParams, emit_report, read_records, run_benchmark, summarize, write_records, PLANNERS
 from .roadmap import RoadmapParams, build_roadmap, load_roadmap, save_roadmap
-from .scenarios import SCENE_NAMES, build_scene, default_arm, generate_test_suite, load_suite, save_suite
+from .scenarios import (
+    RRT_MAX_ITERS, SCENE_NAMES, build_scene, default_arm, generate_test_suite, load_suite, save_suite,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=int, default=200)
     gen.add_argument("--seed", type=int, default=7)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--rrt-iters", type=int, default=20_000,
+    gen.add_argument("--rrt-iters", type=int, default=RRT_MAX_ITERS,
                      help="iteration budget of the feasibility-checking RRT")
 
     run = bench_sub.add_parser("run", help="run a planner pipeline over a suite")
@@ -89,18 +91,19 @@ def _cmd_gen_cases(args) -> int:
 
 
 def _cmd_bench_run(args) -> int:
+    scene = build_scene(args.scene) if args.scene else None
     if args.suite:
         suite = load_suite(args.suite)
+    elif scene is None:
+        print("bench run: either --suite or --scene is required", file=sys.stderr)
+        return 2
     else:
-        if not args.scene:
-            print("bench run: either --suite or --scene is required", file=sys.stderr)
-            return 2
-        scene = build_scene(args.scene)
         suite = generate_test_suite(scene, default_arm(), args.cases, args.seed)
     roadmap = load_roadmap(args.roadmap) if args.roadmap else None
     params = BenchParams(rng_seed=args.seed)
     records = run_benchmark(
-        suite, args.planner, params=params, parallelism=args.workers, roadmap=roadmap
+        suite, args.planner, params=params, parallelism=args.workers,
+        scene=scene, roadmap=roadmap,
     )
     write_records(records, args.out)
     print(emit_report(summarize(records), format="markdown"), end="")

@@ -21,14 +21,15 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra as _sparse_dijkstra
 
 from .collision import (
     DEFAULT_EDGE_INTERP, Scene, config_in_collision, configs_in_collision, edge_in_collision,
     segments_in_collision,
 )
 from .geometry import wrap_angles
-from .robot import ArmModel, EEPose, chain_points, goal_seed, solve_ik
+from .robot import ArmModel, EEPose, chain_points, within_limits
+from .scenarios import ik_goal_configs
 
 SAMPLED_JOINTS = 4
 _SAMPLE_BATCH = 1024
@@ -217,39 +218,25 @@ def _connect_knn(scene: Scene, arm: ArmModel, nodes: np.ndarray, k: int):
 
 
 def _largest_component(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = np.full(n, -1, dtype=int)
-    comp = 0
-    for root in range(n):
-        if seen[root] >= 0:
-            continue
-        stack = [root]
-        seen[root] = comp
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if seen[y] < 0:
-                    seen[y] = comp
-                    stack.append(y)
-        comp += 1
-    sizes = np.bincount(seen, minlength=comp)
-    best = int(np.argmax(sizes))  # first max wins: lowest-indexed component on ties
-    return np.flatnonzero(seen == best)
+    """Nodes of the largest connected component. Components are labelled in
+    order of their lowest node, so on a tie the lowest-indexed one wins."""
+    us, vs = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    graph = csr_matrix((np.ones(len(us)), (us, vs)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    return np.flatnonzero(labels == np.argmax(np.bincount(labels)))
 
 
-def _apsp_tables(n: int, edges, weights, adjacency) -> tuple[np.ndarray, np.ndarray]:
+def _apsp_tables(n: int, edges, weights) -> tuple[np.ndarray, np.ndarray]:
     us = np.array([u for u, _ in edges] + [v for _, v in edges], dtype=np.int64)
     vs = np.array([v for _, v in edges] + [u for u, _ in edges], dtype=np.int64)
     ws = np.concatenate([weights, weights])
     graph = csr_matrix((ws, (us, vs)), shape=(n, n))
+    graph.sort_indices()  # each row's neighbours ascending, as in Roadmap.adjacency()
     dist = _sparse_dijkstra(graph, directed=True)
     nxt = np.full((n, n), -1, dtype=np.int32)
     for u in range(n):
-        nbrs = np.array([j for j, _ in adjacency[u]], dtype=np.int64)
-        w = np.array([w for _, w in adjacency[u]])
+        row = slice(graph.indptr[u], graph.indptr[u + 1])
+        nbrs, w = graph.indices[row], graph.data[row]
         cand = w[:, None] + dist[nbrs]          # (deg, n)
         nxt[u] = nbrs[np.argmin(cand, axis=0)]  # first minimum: lexicographic tie-break
         nxt[u, u] = u
@@ -275,19 +262,9 @@ def build_roadmap(scene: Scene, arm: ArmModel, params: RoadmapParams = RoadmapPa
         if remap[u] >= 0 and remap[v] >= 0:
             kept_edges.append(_edge_key(int(remap[u]), int(remap[v])))
             kept_weights.append(w)
-    rm = Roadmap(
-        nodes=nodes,
-        edge_list=kept_edges,
-        edge_weights=np.array(kept_weights),
-        apsp_dist=np.zeros((len(nodes), len(nodes))),
-        apsp_next=np.zeros((len(nodes), len(nodes)), dtype=np.int32),
-        scene_name=scene.name,
-        params=params,
-    )
-    dist, nxt = _apsp_tables(len(nodes), kept_edges, np.array(kept_weights), rm.adjacency())
-    rm.apsp_dist = dist
-    rm.apsp_next = nxt
-    return rm
+    kept_weights = np.array(kept_weights)
+    dist, nxt = _apsp_tables(len(nodes), kept_edges, kept_weights)
+    return Roadmap(nodes, kept_edges, kept_weights, dist, nxt, scene.name, params)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +345,9 @@ def k_shortest_paths(roadmap: Roadmap, u: int, v: int, k_paths: int | None = Non
     key = (u, v)
     if key not in roadmap.ksp_cache or roadmap._ksp_kmax.get(key, 0) < k:
         adjacency = roadmap.adjacency()
-        wmap = {edge: float(w) for edge, w in zip(roadmap.edge_list, roadmap.edge_weights)}
 
         def weight_of(a: int, b: int) -> float:
-            return wmap[_edge_key(a, b)]
+            return next(w for j, w in adjacency[a] if j == b)
 
         roadmap.ksp_cache[key] = [tuple(p) for p in _yen(adjacency, weight_of, u, v, k)]
         roadmap._ksp_kmax[key] = k
@@ -436,22 +412,21 @@ def _nearest_connectable(roadmap: Roadmap, arm: ArmModel, scene: Scene, q) -> in
 def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) -> QueryResult:
     """Plan through the roadmap from a start configuration to a tip-pose goal.
 
-    The goal resolves to candidate configurations through IK (collision-free
-    solutions only); roadmap nodes whose tip pose already matches the goal
-    join the candidate set. Start and each goal candidate connect to the
+    The goal resolves to candidate configurations through
+    :func:`ik_goal_configs`; roadmap nodes whose tip pose already matches the
+    goal join the candidate set. Start and each goal candidate connect to the
     nearest node reachable by a collision-free straight edge, and the result
     is start + cached shortest node path + goal for the goal candidate with
-    the smallest total length.
+    the smallest total length. Raises ValueError when the start is outside
+    the joint limits or in collision.
     """
     start = np.asarray(start, dtype=float)
+    if not within_limits(arm, start):
+        raise ValueError("start configuration is outside the joint limits")
     if config_in_collision(arm, scene, start):
         raise ValueError("start configuration is in collision")
 
-    sols = solve_ik(arm, goal, restarts=10, rng_seed=goal_seed(goal))
-    candidates = list(sols)
-    if candidates:
-        flags = configs_in_collision(arm, scene, np.array(candidates))
-        candidates = [q for q, bad in zip(candidates, flags) if not bad]
+    candidates = ik_goal_configs(arm, scene, goal)
     tip_pos, tip_heading = roadmap.node_tip_poses(arm)
     pos_err = np.linalg.norm(tip_pos - np.array([goal.x, goal.y])[None, :], axis=1)
     matched = pos_err < _GOAL_MATCH_POS_TOL

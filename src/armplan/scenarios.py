@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import RRTParams, rrt_plan
-from .collision import Scene, config_in_collision
+from .collision import Scene, config_in_collision, configs_in_collision
 from .geometry import ConvexShape, Pose2
 from .robot import ArmModel, EEPose, forward_kinematics, goal_seed, solve_ik
 
@@ -24,6 +24,9 @@ FORMAT_VERSION = 1
 SCENE_NAMES = ("tabletop_pole", "tabletop_container", "kitchen", "shelf_boxes")
 
 MAX_SAMPLE_ATTEMPTS = 1_000_000
+# Iteration budget of every benchmark RRT: the suite feasibility check and
+# the rrt and rrt+opt pipelines.
+RRT_MAX_ITERS = 20_000
 
 DEFAULT_BASE = Pose2(0.0, 0.0, math.pi / 2)
 DEFAULT_LINKS = ((0.50, 0.040), (0.40, 0.035), (0.30, 0.030), (0.20, 0.025))
@@ -114,11 +117,14 @@ class TestSuite:
         return len(self.cases)
 
 
-def ik_goal_configs(arm: ArmModel, scene: Scene, goal: EEPose, restarts: int = 10) -> list[np.ndarray]:
+def ik_goal_configs(arm: ArmModel, scene: Scene, goal: EEPose) -> list[np.ndarray]:
     """Collision-free IK solutions for a goal pose, with the package-wide
-    deterministic seed convention."""
-    sols = solve_ik(arm, goal, restarts=restarts, rng_seed=goal_seed(goal))
-    return [q for q in sols if not config_in_collision(arm, scene, q)]
+    deterministic seed convention and ``solve_ik``'s default restarts."""
+    sols = solve_ik(arm, goal, rng_seed=goal_seed(goal))
+    if not sols:
+        return []
+    hit = configs_in_collision(arm, scene, np.array(sols))
+    return [q for q, bad in zip(sols, hit) if not bad]
 
 
 def generate_test_suite(
@@ -127,7 +133,6 @@ def generate_test_suite(
     count: int,
     rng_seed: int,
     rrt_params: RRTParams | None = None,
-    ik_restarts: int = 10,
 ) -> TestSuite:
     """Rejection-sample feasible test cases for a scene.
 
@@ -140,7 +145,7 @@ def generate_test_suite(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rrt_params = rrt_params or RRTParams(max_iters=20_000)
+    rrt_params = rrt_params or RRTParams(max_iters=RRT_MAX_ITERS)
     rng = np.random.default_rng(rng_seed)
     cases: list[TestCase] = []
     samples = 0
@@ -165,7 +170,7 @@ def generate_test_suite(
         goal_q = sample_free_config()
         _, ee = forward_kinematics(arm, goal_q)
         goal = EEPose(ee.x, ee.y, ee.heading, heading_matters=False)
-        goal_cfgs = ik_goal_configs(arm, scene, goal, restarts=ik_restarts)
+        goal_cfgs = ik_goal_configs(arm, scene, goal)
         if not goal_cfgs:
             continue
         seeded = replace(rrt_params, rng_seed=(rng_seed * 1_000_003 + attempt) & 0x7FFFFFFF)

@@ -18,6 +18,18 @@ def test_colliding_start_rejected(arm, pole_scene):
         rrt_plan(pole_scene, arm, bad, [np.zeros(arm.dof)])
 
 
+def test_configs_outside_limits_rejected(arm, empty_scene):
+    q = np.zeros(arm.dof)
+    assert rrt_plan(empty_scene, arm, q, [np.full(arm.dof, 0.3)]) is not None
+    for bad in (2.7, -2.7, np.nan, np.inf):  # joint 1 limits are +-2.53
+        off = q.copy()
+        off[1] = bad
+        with pytest.raises(ValueError, match="start .* joint limits"):
+            rrt_plan(empty_scene, arm, off, [q])
+        with pytest.raises(ValueError, match="goal .* joint limits"):
+            rrt_plan(empty_scene, arm, q, [np.full(arm.dof, 0.3), off])
+
+
 def test_requires_goal(arm, empty_scene):
     with pytest.raises(ValueError):
         rrt_plan(empty_scene, arm, np.zeros(arm.dof), [])

@@ -93,3 +93,19 @@ def test_bench_run_rejects_roadmap_of_another_scene(tmp_path, capsys):
     assert rc == 1
     assert "roadmap is for scene 'kitchen'" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_bench_run_rejects_scene_other_than_the_suites(tmp_path, capsys):
+    suite_path = tmp_path / "suite.json"
+    assert main([
+        "bench", "gen-cases", "--scene", "tabletop_pole",
+        "--count", "2", "--seed", "3", "--out", str(suite_path),
+    ]) == 0
+    capsys.readouterr()
+    rc = main([
+        "bench", "run", "--suite", str(suite_path), "--scene", "kitchen",
+        "--planner", "rrt", "--out", str(tmp_path / "r.csv"),
+    ])
+    assert rc == 1
+    assert "suite is for scene 'tabletop_pole', not 'kitchen'" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()

@@ -9,7 +9,7 @@ from armplan.robot import EEPose, forward_kinematics
 from armplan.roadmap import (
     Roadmap, RoadmapParams, build_roadmap, invalidate_and_requery,
     k_shortest_paths, load_roadmap, query, save_roadmap, _connect_knn, _dijkstra_path,
-    _edge_key, _sample_nodes, _yen,
+    _edge_key, _largest_component, _sample_nodes, _yen,
 )
 from armplan.scenarios import build_scene
 from armplan.seedprep import path_length
@@ -201,6 +201,16 @@ def test_connect_knn_memory_is_per_row(unbounded_scene, arm):
     assert peak < 16 * 2**20
 
 
+def test_largest_component_prunes_and_breaks_ties_low():
+    # components {0, 1}, {2, 3, 4} and the isolated node 5
+    assert _largest_component(6, [(0, 1), (2, 3), (4, 3)]).tolist() == [2, 3, 4]
+    # {1, 4, 5} and {0, 2, 3} tie at three nodes; the one holding node 0
+    # wins although its edges come last
+    edges = [(1, 4), (4, 5), (2, 3), (0, 3)]
+    assert _largest_component(7, edges).tolist() == [0, 2, 3]
+    assert _largest_component(3, []).tolist() == [0]
+
+
 # ---------------------------------------------------------------------------
 # k shortest paths
 
@@ -328,6 +338,18 @@ def test_query_rejects_colliding_start(small_pole_roadmap, arm, pole_scene):
     assert config_in_collision(arm, pole_scene, bad)
     with pytest.raises(ValueError):
         query(small_pole_roadmap, arm, pole_scene, bad, EEPose(0.5, 0.5))
+
+
+def test_query_rejects_start_outside_limits(empty_scene, arm):
+    rm = build_roadmap(empty_scene, arm, RoadmapParams(n_nodes=40, k_neighbors=5, rng_seed=2))
+    _, ee = forward_kinematics(arm, rm.nodes[17])
+    goal = EEPose(ee.x, ee.y)
+    assert query(rm, arm, empty_scene, rm.nodes[3], goal).ok
+    for bad in (2.7, -2.7, np.nan, np.inf):  # joint 1 limits are +-2.53
+        start = rm.nodes[3].copy()
+        start[1] = bad
+        with pytest.raises(ValueError, match="joint limits"):
+            query(rm, arm, empty_scene, start, goal)
 
 
 def test_query_paths_validate(small_pole_roadmap, small_pole_suite, arm, pole_scene):
