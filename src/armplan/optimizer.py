@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import Scene, config_in_collision, pair_signed_distances, trajectory_in_collision
-from .robot import ArmModel
+from .robot import ArmModel, within_limits
 
 _FD_STEP = 1e-6
 
@@ -130,13 +130,16 @@ def optimize(seed, arm: ArmModel, scene: Scene, params: OptParams = OptParams())
     strictly decreases the merit (and never worsens a velocity-bound
     violation when vmax is set), so accepted merits are non-increasing
     within a round. The optimizer always returns its best iterate; converged
-    is True only when progress stalled with zero penalty.
+    is True only when progress stalled with zero penalty. Raises ValueError
+    when an endpoint is outside the joint limits, non-finite or in collision.
     """
     t0 = time.perf_counter()
     X = np.array(seed, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] != arm.dof:
         raise ValueError(f"seed must be a (T, {arm.dof}) waypoint matrix with T >= 2")
     for endpoint in (X[0], X[-1]):
+        if not within_limits(arm, endpoint):
+            raise ValueError("seed endpoints must be finite and within the joint limits")
         if config_in_collision(arm, scene, endpoint):
             raise ValueError("seed endpoints must be collision-free")
     X[1:-1] = np.clip(X[1:-1], arm.lower, arm.upper)

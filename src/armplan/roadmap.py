@@ -7,10 +7,13 @@ everything outside the largest connected component, and caches an
 all-pairs-shortest-paths solution set (per-source distance and next-hop
 tables). Loopless alternate paths between node pairs are computed with
 Yen's algorithm and memoized, which is what edge invalidation falls back on.
+Every path search orders paths by length first and, among equal lengths,
+by the lexicographically smallest node sequence.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import io
 import itertools
@@ -91,7 +94,6 @@ class Roadmap:
         self.params = params
         self.ksp_cache: dict[tuple[int, int], list[tuple[int, ...]]] = ksp_cache or {}
         self._ksp_kmax: dict[tuple[int, int], int] = ksp_kmax or {}
-        self._adj: list[list[tuple[int, float]]] | None = None
         self._node_ee: tuple[tuple, np.ndarray, np.ndarray] | None = None
 
     @property
@@ -102,16 +104,10 @@ class Roadmap:
     def n_edges(self) -> int:
         return len(self.edge_list)
 
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        if self._adj is None:
-            adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n_nodes)]
-            for (u, v), w in zip(self.edge_list, self.edge_weights):
-                adj[u].append((v, float(w)))
-                adj[v].append((u, float(w)))
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
-        return self._adj
+    @functools.cached_property
+    def graph(self) -> csr_matrix:
+        """The edges as a symmetric CSR matrix, the alternate-path searches' graph."""
+        return _csr_graph(self.n_nodes, self.edge_list, self.edge_weights)
 
     def shortest_node_path(self, u: int, v: int) -> list[int]:
         """Reconstruct the cached shortest path by walking next-hop entries."""
@@ -226,12 +222,17 @@ def _largest_component(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
     return np.flatnonzero(labels == np.argmax(np.bincount(labels)))
 
 
-def _apsp_tables(n: int, edges, weights) -> tuple[np.ndarray, np.ndarray]:
-    us = np.array([u for u, _ in edges] + [v for _, v in edges], dtype=np.int64)
-    vs = np.array([v for _, v in edges] + [u for u, _ in edges], dtype=np.int64)
-    ws = np.concatenate([weights, weights])
-    graph = csr_matrix((ws, (us, vs)), shape=(n, n))
-    graph.sort_indices()  # each row's neighbours ascending, as in Roadmap.adjacency()
+def _csr_graph(n: int, edges, weights) -> csr_matrix:
+    """Symmetric weighted adjacency, each row's neighbours ascending."""
+    us, vs = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    ws = np.asarray(weights, dtype=float)
+    graph = csr_matrix((np.concatenate([ws, ws]), (np.r_[us, vs], np.r_[vs, us])), shape=(n, n))
+    graph.sort_indices()
+    return graph
+
+
+def _apsp_tables(graph: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    n = graph.shape[0]
     dist = _sparse_dijkstra(graph, directed=True)
     nxt = np.full((n, n), -1, dtype=np.int32)
     for u in range(n):
@@ -263,37 +264,49 @@ def build_roadmap(scene: Scene, arm: ArmModel, params: RoadmapParams = RoadmapPa
             kept_edges.append(_edge_key(int(remap[u]), int(remap[v])))
             kept_weights.append(w)
     kept_weights = np.array(kept_weights)
-    dist, nxt = _apsp_tables(len(nodes), kept_edges, kept_weights)
+    dist, nxt = _apsp_tables(_csr_graph(len(nodes), kept_edges, kept_weights))
     return Roadmap(nodes, kept_edges, kept_weights, dist, nxt, scene.name, params)
 
 
 # ---------------------------------------------------------------------------
 # k shortest loopless paths (Yen)
 
-def _dijkstra_path(adjacency, src: int, dst: int, banned_nodes: set, banned_edges: set):
-    """Shortest path carrying the partial path in the heap so that ties break
-    on the lexicographically smallest node sequence."""
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
-    done: set[int] = set()
-    while heap:
-        d, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in done:
-            continue
-        if node == dst:
-            return d, list(path)
-        done.add(node)
-        for nbr, w in adjacency[node]:
-            if nbr in done or nbr in banned_nodes:
-                continue
-            if _edge_key(node, nbr) in banned_edges:
-                continue
-            heapq.heappush(heap, (d + w, path + (nbr,)))
-    return float("inf"), None
+def _edge_index(graph: csr_matrix, a: int, b: int) -> int:
+    """Position of edge a -> b in ``graph.data``."""
+    lo, hi = graph.indptr[a], graph.indptr[a + 1]
+    return int(lo + np.searchsorted(graph.indices[lo:hi], b))
 
 
-def _yen(adjacency, weights_of, src: int, dst: int, k: int) -> list[tuple[int, ...]]:
-    d0, p0 = _dijkstra_path(adjacency, src, dst, set(), set())
+def _dijkstra_path(graph: csr_matrix, src: int, dst: int, banned_nodes: set, banned_edges: set):
+    """(length, node list) of the shortest src -> dst path avoiding the banned
+    nodes and edges, or (inf, None). Distances to dst come from one scipy
+    Dijkstra run with those rows and edges at inf; the walk from src then
+    takes the lowest-indexed neighbour on a shortest path at each node (the
+    lexicographically smallest shortest path) and sums its length forward.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    data = graph.data.copy()
+    for b in banned_nodes:
+        data[indptr[b]:indptr[b + 1]] = np.inf
+    for a, b in banned_edges:
+        data[[_edge_index(graph, a, b), _edge_index(graph, b, a)]] = np.inf
+    to_dst = _sparse_dijkstra(csr_matrix((data, indices, indptr), shape=graph.shape),
+                              directed=True, indices=dst)
+    to_dst[list(banned_nodes)] = np.inf
+    if not np.isfinite(to_dst[src]):
+        return float("inf"), None
+    node, path, length = src, [src], 0.0
+    while node != dst:
+        row = slice(indptr[node], indptr[node + 1])
+        step = int(np.argmax(to_dst[indices[row]] + data[row] == to_dst[node]))
+        length += float(data[row][step])
+        node = int(indices[row][step])
+        path.append(node)
+    return length, path
+
+
+def _yen(graph: csr_matrix, src: int, dst: int, k: int) -> list[tuple[int, ...]]:
+    d0, p0 = _dijkstra_path(graph, src, dst, set(), set())
     if p0 is None:
         return []
     paths: list[tuple[float, tuple[int, ...]]] = [(d0, tuple(p0))]
@@ -312,13 +325,13 @@ def _yen(adjacency, weights_of, src: int, dst: int, k: int) -> list[tuple[int, .
                 if len(p) > i + 1 and p[: i + 1] == root
             }
             banned_nodes = set(root[:-1])
-            ds, ps = _dijkstra_path(adjacency, spur, dst, banned_nodes, banned_edges)
+            ds, ps = _dijkstra_path(graph, spur, dst, banned_nodes, banned_edges)
             if ps is not None:
                 cand = root[:-1] + tuple(ps)
                 if cand not in in_candidates and cand not in accepted:
                     heapq.heappush(candidates, (root_len + ds, cand))
                     in_candidates.add(cand)
-            root_len += weights_of(prev[i], prev[i + 1])
+            root_len += float(graph.data[_edge_index(graph, prev[i], prev[i + 1])])
         if not candidates:
             break
         length, best = heapq.heappop(candidates)
@@ -331,8 +344,9 @@ def _yen(adjacency, weights_of, src: int, dst: int, k: int) -> list[tuple[int, .
 def k_shortest_paths(roadmap: Roadmap, u: int, v: int, k_paths: int | None = None) -> list[list[int]]:
     """Up to k loopless node paths from u to v in non-decreasing length.
 
-    Results are memoized on the roadmap. Ties break on the lexicographically
-    smallest node sequence.
+    Results are memoized on the roadmap. Paths are ordered by length, and
+    paths of equal length by their node sequences, lexicographically
+    smallest first. Runs Yen's algorithm on ``roadmap.graph``.
     """
     k = roadmap.params.k_paths if k_paths is None else int(k_paths)
     if k < 1:
@@ -344,12 +358,7 @@ def k_shortest_paths(roadmap: Roadmap, u: int, v: int, k_paths: int | None = Non
         return [[u]]
     key = (u, v)
     if key not in roadmap.ksp_cache or roadmap._ksp_kmax.get(key, 0) < k:
-        adjacency = roadmap.adjacency()
-
-        def weight_of(a: int, b: int) -> float:
-            return next(w for j, w in adjacency[a] if j == b)
-
-        roadmap.ksp_cache[key] = [tuple(p) for p in _yen(adjacency, weight_of, u, v, k)]
+        roadmap.ksp_cache[key] = _yen(roadmap.graph, u, v, k)
         roadmap._ksp_kmax[key] = k
     return [list(p) for p in roadmap.ksp_cache[key][:k]]
 
@@ -503,17 +512,7 @@ def save_roadmap(roadmap: Roadmap, path) -> None:
         "params": asdict(roadmap.params),
     }
     keys = sorted(roadmap.ksp_cache)
-    flat_nodes: list[int] = []
-    path_lens: list[int] = []
-    path_counts: list[int] = []
-    kmaxes: list[int] = []
-    for key in keys:
-        paths = roadmap.ksp_cache[key]
-        path_counts.append(len(paths))
-        kmaxes.append(roadmap._ksp_kmax.get(key, len(paths)))
-        for p in paths:
-            path_lens.append(len(p))
-            flat_nodes.extend(p)
+    paths = [p for key in keys for p in roadmap.ksp_cache[key]]
     edge_arr = np.array(roadmap.edge_list, dtype=np.int32).reshape(-1, 2)
     arrays = {
         "meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
@@ -523,10 +522,11 @@ def save_roadmap(roadmap: Roadmap, path) -> None:
         "apsp_dist": roadmap.apsp_dist,
         "apsp_next": roadmap.apsp_next,
         "ksp_keys": np.array(keys, dtype=np.int32).reshape(-1, 2),
-        "ksp_kmax": np.array(kmaxes, dtype=np.int32),
-        "ksp_path_counts": np.array(path_counts, dtype=np.int32),
-        "ksp_path_lens": np.array(path_lens, dtype=np.int32),
-        "ksp_flat": np.array(flat_nodes, dtype=np.int32),
+        "ksp_kmax": np.array([roadmap._ksp_kmax.get(key, len(roadmap.ksp_cache[key]))
+                              for key in keys], dtype=np.int32),
+        "ksp_path_counts": np.array([len(roadmap.ksp_cache[key]) for key in keys], dtype=np.int32),
+        "ksp_path_lens": np.array([len(p) for p in paths], dtype=np.int32),
+        "ksp_flat": np.array([x for p in paths for x in p], dtype=np.int32),
     }
     _write_deterministic_zip(Path(path), arrays)
 
@@ -540,23 +540,12 @@ def load_roadmap(path) -> Roadmap:
         if pdata.get("distal_values") is not None:
             pdata["distal_values"] = tuple(pdata["distal_values"])
         params = RoadmapParams(**pdata)
-        ksp_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        ksp_kmax: dict[tuple[int, int], int] = {}
-        keys = data["ksp_keys"].reshape(-1, 2)
-        counts = data["ksp_path_counts"]
-        lens = data["ksp_path_lens"]
-        flat = data["ksp_flat"]
-        li = 0
-        fi = 0
-        for (u, v), cnt, kmax in zip(keys, counts, data["ksp_kmax"]):
-            paths = []
-            for _ in range(int(cnt)):
-                ln = int(lens[li])
-                li += 1
-                paths.append(tuple(int(x) for x in flat[fi:fi + ln]))
-                fi += ln
-            ksp_cache[(int(u), int(v))] = paths
-            ksp_kmax[(int(u), int(v))] = int(kmax)
+        flat, path_ends = data["ksp_flat"].tolist(), np.cumsum(data["ksp_path_lens"]).tolist()
+        paths = [tuple(flat[a:b]) for a, b in zip([0] + path_ends, path_ends)]
+        keys = [(int(u), int(v)) for u, v in data["ksp_keys"].reshape(-1, 2)]
+        key_ends = np.cumsum(data["ksp_path_counts"]).tolist()
+        ksp_cache = {key: paths[a:b] for key, a, b in zip(keys, [0] + key_ends, key_ends)}
+        ksp_kmax = dict(zip(keys, data["ksp_kmax"].tolist()))
         return Roadmap(
             nodes=data["nodes"],
             edge_list=[(int(u), int(v)) for u, v in data["edges"].reshape(-1, 2)],

@@ -18,7 +18,7 @@ import numpy as np
 from .baselines import RRTParams, rrt_plan
 from .collision import Scene, config_in_collision, configs_in_collision
 from .geometry import ConvexShape, Pose2
-from .robot import ArmModel, EEPose, forward_kinematics, goal_seed, solve_ik
+from .robot import ArmModel, EEPose, forward_kinematics, goal_seed, solve_ik, within_limits
 
 FORMAT_VERSION = 1
 SCENE_NAMES = ("tabletop_pole", "tabletop_container", "kitchen", "shelf_boxes")
@@ -261,6 +261,10 @@ def suite_from_dict(data: dict) -> TestSuite:
     ids = [c.id for c in cases]
     if len(set(ids)) != len(ids):
         raise ValueError("test case ids must be unique")
+    for c in cases:
+        if len(c.start) != arm.dof or not within_limits(arm, c.start):
+            raise ValueError(f"case {c.id!r}: start must be {arm.dof} finite joint angles "
+                             "within the arm's joint limits")
     return TestSuite(scene_name=scene_name, rng_seed=data["rng_seed"], arm=arm, cases=cases)
 
 

@@ -32,7 +32,7 @@ from armplan.seedprep import resample_path, straight_line_seed
 from conftest import random_convex_polygon
 from test_geometry import oracle_signed_distance
 from test_robot import complex_fk_oracle
-from test_roadmap import all_simple_paths_sorted, floyd_warshall, graph_roadmap
+from test_roadmap import adjacency_lists, all_simple_paths_sorted, floyd_warshall, graph_roadmap
 
 _T0 = time.perf_counter()
 
@@ -181,10 +181,9 @@ def test_criterion_2_graph_oracles(scenes, the_arm):
                 edges.append((i, j))
                 weights.append(float(rng.integers(1, 6)))
         rm = graph_roadmap(n, edges, weights)
-        adj = rm.adjacency()
-        wmap = {tuple(sorted(e)): w for e, w in zip(rm.edge_list, rm.edge_weights)}
+        adj = adjacency_lists(n, rm.edge_list, rm.edge_weights)
         want = all_simple_paths_sorted(adj, 0, n - 1)
-        got = _yen(adj, lambda a, b: wmap[tuple(sorted((a, b)))], 0, n - 1, 5)
+        got = _yen(rm.graph, 0, n - 1, 5)
         yen_ok &= [tuple(p) for p in got] == [p for _, p in want[:5]]
         n_graphs += 1
 

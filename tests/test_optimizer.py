@@ -102,6 +102,17 @@ def test_rejects_bad_seeds(arm, empty_scene, pole_scene):
         optimize(seed, arm, pole_scene)
 
 
+def test_rejects_endpoints_outside_limits(arm, empty_scene):
+    inside = straight_line_seed(np.zeros(arm.dof), 0.4 * np.ones(arm.dof), 5)
+    assert optimize(inside, arm, empty_scene).collision_free
+    for end in (0, -1):
+        for bad in (2.7, -2.7, np.nan, np.inf):  # joint 1 limits are +-2.53
+            seed = inside.copy()
+            seed[end, 1] = bad
+            with pytest.raises(ValueError, match="joint limits"):
+                optimize(seed, arm, empty_scene)
+
+
 def test_endpoint_shape_and_limit_preservation(arm, pole_scene):
     rng = np.random.default_rng(1)
     from armplan.collision import config_in_collision

@@ -1,8 +1,10 @@
+import heapq
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from armplan.collision import config_in_collision, configs_in_collision, edge_in_collision
 from armplan.robot import EEPose, forward_kinematics
@@ -70,6 +72,67 @@ def floyd_warshall(n, edges, weights):
     for k in range(n):
         d = np.minimum(d, d[:, k, None] + d[None, k, :])
     return d
+
+
+def adjacency_lists(n, edges, weights):
+    """Per-node (neighbour, weight) lists, neighbours ascending."""
+    adj = [[] for _ in range(n)]
+    for (u, v), w in zip(edges, weights):
+        adj[u].append((v, float(w)))
+        adj[v].append((u, float(w)))
+    return [sorted(lst) for lst in adj]
+
+
+def reference_dijkstra_path(adj, src, dst, banned_nodes, banned_edges):
+    """Reference spur search: Dijkstra carrying the partial path in the heap,
+    so that ties break on the lexicographically smallest node sequence."""
+    heap = [(0.0, (src,))]
+    done = set()
+    while heap:
+        d, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in done:
+            continue
+        if node == dst:
+            return d, list(path)
+        done.add(node)
+        for nbr, w in adj[node]:
+            if nbr in done or nbr in banned_nodes or _edge_key(node, nbr) in banned_edges:
+                continue
+            heapq.heappush(heap, (d + w, path + (nbr,)))
+    return float("inf"), None
+
+
+def reference_yen(adj, src, dst, k):
+    """Reference Yen's algorithm over ``reference_dijkstra_path``."""
+    weight = {(a, b): w for a in range(len(adj)) for b, w in adj[a]}
+    d0, p0 = reference_dijkstra_path(adj, src, dst, set(), set())
+    if p0 is None:
+        return []
+    paths = [(d0, tuple(p0))]
+    candidates, in_candidates, accepted = [], set(), {tuple(p0)}
+    while len(paths) < k:
+        _, prev = paths[-1]
+        root_len = 0.0
+        for i in range(len(prev) - 1):
+            root = prev[: i + 1]
+            banned_edges = {
+                _edge_key(p[i], p[i + 1]) for _, p in paths if len(p) > i + 1 and p[: i + 1] == root
+            }
+            ds, ps = reference_dijkstra_path(adj, prev[i], dst, set(root[:-1]), banned_edges)
+            if ps is not None:
+                cand = root[:-1] + tuple(ps)
+                if cand not in in_candidates and cand not in accepted:
+                    heapq.heappush(candidates, (root_len + ds, cand))
+                    in_candidates.add(cand)
+            root_len += weight[prev[i], prev[i + 1]]
+        if not candidates:
+            break
+        length, best = heapq.heappop(candidates)
+        in_candidates.discard(best)
+        paths.append((length, best))
+        accepted.add(best)
+    return [p for _, p in paths]
 
 
 def all_simple_paths_sorted(adj, u, v):
@@ -230,13 +293,83 @@ def test_ksp_matches_exhaustive_enumeration():
                 # integer weights make length ties common, exercising tie-breaks
                 weights.append(float(rng.integers(1, 6)))
         rm = graph_roadmap(n, edges, weights)
-        adj = rm.adjacency()
-        wmap = {tuple(sorted(e)): w for e, w in zip(rm.edge_list, rm.edge_weights)}
+        adj = adjacency_lists(n, rm.edge_list, rm.edge_weights)
         u, v = 0, n - 1
         want = all_simple_paths_sorted(adj, u, v)
         for k in (1, 3, 6):
-            got = _yen(adj, lambda a, b: wmap[tuple(sorted((a, b)))], u, v, k)
+            got = _yen(rm.graph, u, v, k)
             assert [tuple(p) for p in got] == [p for _, p in want[:k]], (trial, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_yen_matches_enumeration_for_every_pair(data):
+    # integer weights make length ties common; isolated nodes and split
+    # components make disconnected pairs, whose enumeration is empty
+    n = data.draw(st.integers(2, 6), label="n")
+    pairs = list(itertools.combinations(range(n), 2))
+    present = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, keep in zip(pairs, present) if keep]
+    weights = data.draw(st.lists(st.integers(1, 5), min_size=len(edges), max_size=len(edges)))
+    rm = graph_roadmap(n, edges, weights)
+    adj = adjacency_lists(n, rm.edge_list, rm.edge_weights)
+    for u, v in itertools.product(range(n), repeat=2):
+        want = [p for _, p in all_simple_paths_sorted(adj, u, v)]
+        for k in range(1, 7):
+            assert _yen(rm.graph, u, v, k) == want[:k], (u, v, k)
+
+
+def test_spur_search_avoids_banned_nodes_and_edges():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(60):
+        n = int(rng.integers(4, 9))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        weights = rng.integers(1, 4, size=len(edges)).astype(float)
+        rm = graph_roadmap(n, edges, weights)
+        adj = adjacency_lists(n, rm.edge_list, rm.edge_weights)
+        src, dst = 0, n - 1
+        banned_nodes = {int(x) for x in rng.choice(np.arange(1, n - 1), size=2, replace=False)}
+        banned_edges = {rm.edge_list[i] for i in rng.choice(len(edges), size=min(2, len(edges)),
+                                                             replace=False)} if edges else set()
+        d, p = _dijkstra_path(rm.graph, src, dst, banned_nodes, banned_edges)
+        assert (d, p) == reference_dijkstra_path(adj, src, dst, banned_nodes, banned_edges)
+        if p is None:
+            assert d == float("inf")
+            continue
+        assert p[0] == src and p[-1] == dst
+        assert not banned_nodes & set(p)
+        assert not banned_edges & {_edge_key(a, b) for a, b in zip(p[:-1], p[1:])}
+        checked += 1
+    assert checked > 20
+    # 0 -1- 1 -1- 3 is the shortest route; banning node 1 or edge (1, 3)
+    # leaves 0 -2- 2 -2- 3, and banning both detours leaves no route
+    rm = graph_roadmap(4, [(0, 1), (1, 3), (0, 2), (2, 3)], [1.0, 1.0, 2.0, 2.0])
+    assert _dijkstra_path(rm.graph, 0, 3, set(), set()) == (2.0, [0, 1, 3])
+    assert _dijkstra_path(rm.graph, 0, 3, {1}, set()) == (4.0, [0, 2, 3])
+    assert _dijkstra_path(rm.graph, 0, 3, set(), {(1, 3)}) == (4.0, [0, 2, 3])
+    assert _dijkstra_path(rm.graph, 0, 3, {1}, {(0, 2)}) == (float("inf"), None)
+    # node 4 has no edges at all
+    rm = graph_roadmap(5, [(0, 1), (1, 2)], [1.0, 1.0])
+    assert _dijkstra_path(rm.graph, 0, 4, set(), set()) == (float("inf"), None)
+    assert _yen(rm.graph, 0, 4, 3) == []
+
+
+def test_ksp_matches_reference_yen_and_cache_bytes(pole_scene, arm, tmp_path):
+    rm = build_roadmap(pole_scene, arm, RoadmapParams(n_nodes=300, rng_seed=4))
+    save_roadmap(rm, tmp_path / "empty.rm")
+    ref = load_roadmap(tmp_path / "empty.rm")
+    adj = adjacency_lists(rm.n_nodes, rm.edge_list, rm.edge_weights)
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        u, v = (int(x) for x in rng.choice(rm.n_nodes, size=2, replace=False))
+        want = reference_yen(adj, u, v, 5)
+        assert k_shortest_paths(rm, u, v, 5) == [list(p) for p in want], (u, v)
+        ref.ksp_cache[(u, v)] = want
+        ref._ksp_kmax[(u, v)] = 5
+    save_roadmap(rm, tmp_path / "a.rm")
+    save_roadmap(ref, tmp_path / "b.rm")
+    assert (tmp_path / "a.rm").read_bytes() == (tmp_path / "b.rm").read_bytes()
 
 
 def test_ksp_lengths_nondecreasing_and_first_matches_apsp(small_pole_roadmap):
@@ -257,7 +390,7 @@ def test_dijkstra_lexicographic_tie_break():
     #   0 -1- 1 -1- 3    two equal-length routes 0-1-3 and 0-2-3
     #   0 -1- 2 -1- 3
     rm = graph_roadmap(4, [(0, 1), (1, 3), (0, 2), (2, 3)], [1.0, 1.0, 1.0, 1.0])
-    d, p = _dijkstra_path(rm.adjacency(), 0, 3, set(), set())
+    d, p = _dijkstra_path(rm.graph, 0, 3, set(), set())
     assert d == 2.0 and p == [0, 1, 3]
 
 

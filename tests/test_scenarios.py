@@ -102,6 +102,23 @@ def test_suite_roundtrip_and_invariants(small_pole_suite, arm, pole_scene, tmp_p
         assert ik_goal_configs(loaded.arm, pole_scene, case.goal)
 
 
+@pytest.mark.parametrize("edit", ["above", "below", "nan", "inf", "short", "long"])
+def test_suite_load_rejects_bad_start(small_pole_suite, tmp_path, edit):
+    p = tmp_path / "suite.json"
+    save_suite(small_pole_suite, p)
+    data = json.loads(p.read_text())
+    start = data["cases"][3]["start"]
+    if edit == "short":
+        start.pop()
+    elif edit == "long":
+        start.append(0.0)
+    else:  # joint 1 limits are +-2.53
+        start[1] = {"above": 2.7, "below": -2.7, "nan": float("nan"), "inf": float("inf")}[edit]
+    p.write_text(json.dumps(data))  # NaN and Infinity as Python's json writes them
+    with pytest.raises(ValueError, match="joint limits"):
+        load_suite(p)
+
+
 def test_suite_file_schema(small_pole_suite, tmp_path):
     p = tmp_path / "suite.json"
     save_suite(small_pole_suite, p)
