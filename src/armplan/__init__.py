@@ -19,10 +19,7 @@ from .roadmap import (
 )
 from .baselines import RRTParams, rrt_plan
 from .seedprep import path_length, resample_path, straight_line_seed
-from .optimizer import (
-    OptParams, OptResult, collision_penalty, optimize, smoothness_cost,
-    velocity_limit_satisfied,
-)
+from .optimizer import OptParams, OptResult, collision_penalty, optimize, smoothness_cost
 from .bench import (
     BenchParams, RunRecord, SummaryRow, emit_report, run_benchmark, summarize,
 )

@@ -159,8 +159,8 @@ def run_benchmark(
     """Run one planner pipeline over every case of a suite.
 
     Cases are independent and seeded per index, so any parallelism degree
-    produces the same records (timings aside). The suite and the roadmap, if
-    given, must belong to the scene by name.
+    produces the same records (timings aside). The suite must belong to the
+    scene by name, and the roadmap, if given, to the scene and the suite's arm.
     """
     if planner_spec not in PLANNERS:
         raise ValueError(f"unknown planner {planner_spec!r}; expected one of {PLANNERS}")
@@ -169,9 +169,9 @@ def run_benchmark(
     scene = scene or build_scene(suite.scene_name)
     if suite.scene_name != scene.name:
         raise ValueError(f"suite is for scene {suite.scene_name!r}, not {scene.name!r}")
-    if roadmap is not None and roadmap.scene_name != scene.name:
-        raise ValueError(f"roadmap is for scene {roadmap.scene_name!r}, not {scene.name!r}")
     arm = suite.arm
+    if roadmap is not None:
+        roadmap.check_binding(scene, arm)
     items = list(enumerate(suite.cases))
     if parallelism <= 1:
         _worker_init(arm, scene, planner_spec, params, roadmap)

@@ -297,14 +297,6 @@ def min_clearance(arm: ArmModel, scene: Scene, q) -> float:
     return min(float(sd.min()), margin)
 
 
-def interpolate_configs(q1, q2, n_interp: int) -> np.ndarray:
-    """Endpoints plus n_interp uniformly spaced intermediate configurations."""
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    t = np.linspace(0.0, 1.0, n_interp + 2)
-    return q1[None, :] + t[:, None] * (q2 - q1)[None, :]
-
-
 def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
     """Flag per straight joint-space segment from ``A[i]`` to ``B[i]``.
 

@@ -78,10 +78,6 @@ class ConvexShape:
     def box(cls, xmin: float, ymin: float, xmax: float, ymax: float) -> "ConvexShape":
         return cls([(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)])
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
     def centroid(self) -> np.ndarray:
         v = self.vertices
         w = np.roll(v, -1, axis=0)
@@ -94,11 +90,6 @@ class ConvexShape:
         e = np.roll(self.vertices, -1, axis=0) - self.vertices
         n = np.stack([e[:, 1], -e[:, 0]], axis=1)
         return n / np.linalg.norm(n, axis=1, keepdims=True)
-
-    def scaled(self, factor: float) -> "ConvexShape":
-        """Shrink or grow the shape about its centroid."""
-        c = self.centroid()
-        return ConvexShape(c + factor * (self.vertices - c))
 
     def __repr__(self) -> str:
         return f"ConvexShape({self.vertices.tolist()})"

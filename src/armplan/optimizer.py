@@ -34,7 +34,6 @@ class OptParams:
     trust_min: float = 1e-4
     convergence_tol: float = 1e-4    # stop when merit decrease falls below this
     max_inner_iters: int = 50
-    vmax: float | None = None        # optional per-step displacement bound, rad
 
     def __post_init__(self):
         positive = (
@@ -44,8 +43,6 @@ class OptParams:
         )
         if any(v <= 0 for v in positive) or self.mu_growth <= 1.0:
             raise ValueError("optimizer parameters must be positive with mu_growth > 1")
-        if self.vmax is not None and self.vmax <= 0.0:
-            raise ValueError("vmax must be positive when set")
 
 
 @dataclass
@@ -76,23 +73,6 @@ def collision_penalty(traj, arm: ArmModel, scene: Scene, d_safe: float) -> float
     """Sum over waypoints and (link, obstacle) pairs of max(0, d_safe - sd)."""
     t = np.atleast_2d(np.asarray(traj, dtype=float))
     return float(_hinge_sums(arm, scene, t, d_safe).sum())
-
-
-def velocity_limit_satisfied(traj, vmax: float) -> bool:
-    """True when every per-step displacement satisfies the infinity-norm bound."""
-    if vmax <= 0.0:
-        raise ValueError("vmax must be positive")
-    t = np.asarray(traj, dtype=float)
-    if len(t) < 2:
-        return True
-    return bool(np.abs(np.diff(t, axis=0)).max() <= vmax)
-
-
-def _velocity_violation(traj: np.ndarray, vmax: float | None) -> float:
-    if vmax is None or len(traj) < 2:
-        return 0.0
-    steps = np.abs(np.diff(traj, axis=0)).max(axis=1)
-    return float(np.maximum(0.0, steps - vmax).sum())
 
 
 def _smoothness_gradient_interior(traj: np.ndarray) -> np.ndarray:
@@ -127,8 +107,7 @@ def optimize(seed, arm: ArmModel, scene: Scene, params: OptParams = OptParams())
     round budget runs out. Inner loop: steepest descent on the merit with a
     backtracking line search inside a shrinking/expanding trust-region box
     intersected with the joint limits. A candidate is accepted only if it
-    strictly decreases the merit (and never worsens a velocity-bound
-    violation when vmax is set), so accepted merits are non-increasing
+    strictly decreases the merit, so accepted merits are non-increasing
     within a round. The optimizer always returns its best iterate; converged
     is True only when progress stalled with zero penalty. Raises ValueError
     when an endpoint is outside the joint limits, non-finite or in collision.
@@ -162,7 +141,6 @@ def optimize(seed, arm: ArmModel, scene: Scene, params: OptParams = OptParams())
         for _ in range(params.max_penalty_rounds):
             trust = params.trust_region_init
             m_cur = merit(X, mu)
-            v_cur = _velocity_violation(X, params.vmax)
             round_merits = [m_cur]
             stalled = False
             for _ in range(params.max_inner_iters):
@@ -178,10 +156,6 @@ def optimize(seed, arm: ArmModel, scene: Scene, params: OptParams = OptParams())
                     cand = X.copy()
                     step = np.clip(-alpha * g, -trust, trust)
                     cand[1:-1] = np.clip(X[1:-1] + step, arm.lower, arm.upper)
-                    if params.vmax is not None:
-                        if _velocity_violation(cand, params.vmax) > v_cur + 1e-12:
-                            alpha *= 0.5
-                            continue
                     m_cand = merit(cand, mu)
                     if m_cand < m_cur - 1e-12:
                         accepted = (cand, m_cand)
@@ -196,14 +170,13 @@ def optimize(seed, arm: ArmModel, scene: Scene, params: OptParams = OptParams())
                 X, m_new = accepted
                 decrease = m_cur - m_new
                 m_cur = m_new
-                v_cur = _velocity_violation(X, params.vmax)
                 round_merits.append(m_cur)
                 trust = min(trust * params.trust_expand, 10.0 * params.trust_region_init)
                 if decrease < params.convergence_tol:
                     stalled = True
                     break
             merit_log.append(tuple(round_merits))
-            if interior_penalty(X) <= 0.0 and _velocity_violation(X, params.vmax) <= 0.0:
+            if interior_penalty(X) <= 0.0:
                 converged = stalled
                 break
             mu *= params.mu_growth

@@ -9,11 +9,17 @@ tables). Loopless alternate paths between node pairs are computed with
 Yen's algorithm and memoized, which is what edge invalidation falls back on.
 Every path search orders paths by length first and, among equal lengths,
 by the lexicographically smallest node sequence.
+
+A saved roadmap holds only what the build decided: nodes, edges, weights,
+parameters, the memoized alternate paths, and the scene and arm it is bound
+to (a sha256 of the scene's JSON form and the arm's fingerprint). The APSP
+cache is not stored; every ``Roadmap`` rebuilds it from its edges when it is
+constructed, so a loaded roadmap recomputes it.
 """
 
 from __future__ import annotations
 
-import functools
+import hashlib
 import heapq
 import io
 import itertools
@@ -32,8 +38,9 @@ from .collision import (
 )
 from .geometry import wrap_angles
 from .robot import ArmModel, EEPose, chain_points, within_limits
-from .scenarios import ik_goal_configs
+from .scenarios import ik_goal_configs, scene_to_dict
 
+FORMAT_VERSION = 2
 SAMPLED_JOINTS = 4
 _SAMPLE_BATCH = 1024
 _GOAL_MATCH_POS_TOL = 1e-4
@@ -79,22 +86,34 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-class Roadmap:
-    """Immutable-after-build roadmap: nodes, weighted edges and path caches."""
+def _binding(scene: Scene, arm: ArmModel) -> dict:
+    """The scene and arm a roadmap belongs to, in the JSON form its file stores."""
+    scene_json = json.dumps(scene_to_dict(scene), sort_keys=True)
+    return {
+        "scene_name": scene.name,
+        "scene_sha256": hashlib.sha256(scene_json.encode()).hexdigest(),
+        "arm_fingerprint": json.loads(json.dumps(arm.fingerprint())),
+    }
 
-    def __init__(self, nodes, edge_list, edge_weights, apsp_dist, apsp_next,
-                 scene_name: str, params: RoadmapParams,
+
+class Roadmap:
+    """Immutable-after-build roadmap: nodes, weighted edges and path caches,
+    bound to the scene and arm it was built for. The APSP tables are built
+    from the edges here, once."""
+
+    def __init__(self, nodes, edge_list, edge_weights, params: RoadmapParams, binding: dict,
                  ksp_cache: dict | None = None, ksp_kmax: dict | None = None):
         self.nodes = np.asarray(nodes, dtype=float)
         self.edge_list = [(int(u), int(v)) for u, v in edge_list]
         self.edge_weights = np.asarray(edge_weights, dtype=float)
-        self.apsp_dist = np.asarray(apsp_dist, dtype=float)
-        self.apsp_next = np.asarray(apsp_next, dtype=np.int32)
-        self.scene_name = scene_name
         self.params = params
+        self.binding = binding
         self.ksp_cache: dict[tuple[int, int], list[tuple[int, ...]]] = ksp_cache or {}
         self._ksp_kmax: dict[tuple[int, int], int] = ksp_kmax or {}
-        self._node_ee: tuple[tuple, np.ndarray, np.ndarray] | None = None
+        self._node_ee: tuple[np.ndarray, np.ndarray] | None = None
+        # the edges as a symmetric CSR matrix, the alternate-path searches' graph
+        self.graph = _csr_graph(len(self.nodes), self.edge_list, self.edge_weights)
+        self.apsp_dist, self.apsp_next = _apsp_tables(self.graph)
 
     @property
     def n_nodes(self) -> int:
@@ -103,11 +122,6 @@ class Roadmap:
     @property
     def n_edges(self) -> int:
         return len(self.edge_list)
-
-    @functools.cached_property
-    def graph(self) -> csr_matrix:
-        """The edges as a symmetric CSR matrix, the alternate-path searches' graph."""
-        return _csr_graph(self.n_nodes, self.edge_list, self.edge_weights)
 
     def shortest_node_path(self, u: int, v: int) -> list[int]:
         """Reconstruct the cached shortest path by walking next-hop entries."""
@@ -119,12 +133,24 @@ class Roadmap:
         return path
 
     def node_tip_poses(self, arm: ArmModel) -> tuple[np.ndarray, np.ndarray]:
-        """Tip positions (N, 2) and headings (N,) of all nodes, cached per arm."""
-        fp = arm.fingerprint()
-        if self._node_ee is None or self._node_ee[0] != fp:
+        """Tip positions (N, 2) and headings (N,) of all nodes for the
+        roadmap's own arm, computed once."""
+        if self._node_ee is None:
             origins, headings = chain_points(arm, self.nodes)
-            self._node_ee = (fp, origins[:, -1].copy(), wrap_angles(headings[:, -1]))
-        return self._node_ee[1], self._node_ee[2]
+            self._node_ee = (origins[:, -1].copy(), wrap_angles(headings[:, -1]))
+        return self._node_ee
+
+    def check_binding(self, scene: Scene, arm: ArmModel) -> None:
+        """Raise ValueError unless the roadmap was built for this scene (name,
+        bounds and obstacles) and this arm."""
+        want, have = _binding(scene, arm), self.binding
+        if want["scene_sha256"] != have["scene_sha256"]:
+            raise ValueError(
+                f"roadmap is for scene {have['scene_name']!r} (sha256 {have['scene_sha256'][:12]}), "
+                f"not {scene.name!r} (sha256 {want['scene_sha256'][:12]}); rebuild it for this scene")
+        if want["arm_fingerprint"] != have["arm_fingerprint"]:
+            raise ValueError(f"roadmap is for arm {have['arm_fingerprint']}, "
+                             f"not {want['arm_fingerprint']}; rebuild it for this arm")
 
 
 def _sample_nodes(scene: Scene, arm: ArmModel, params: RoadmapParams) -> np.ndarray:
@@ -238,8 +264,9 @@ def _apsp_tables(graph: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     for u in range(n):
         row = slice(graph.indptr[u], graph.indptr[u + 1])
         nbrs, w = graph.indices[row], graph.data[row]
-        cand = w[:, None] + dist[nbrs]          # (deg, n)
-        nxt[u] = nbrs[np.argmin(cand, axis=0)]  # first minimum: lexicographic tie-break
+        if len(nbrs):  # a node without edges reaches nothing but itself
+            cand = w[:, None] + dist[nbrs]          # (deg, n)
+            nxt[u] = nbrs[np.argmin(cand, axis=0)]  # first minimum: lexicographic tie-break
         nxt[u, u] = u
     return dist, nxt
 
@@ -248,8 +275,9 @@ def build_roadmap(scene: Scene, arm: ArmModel, params: RoadmapParams = RoadmapPa
     """Build the roadmap for a static scene.
 
     Sampling, connection, pruning, and the APSP cache are all deterministic
-    given (scene, arm, params). Alternate-path entries are memoized on demand
-    by :func:`k_shortest_paths` rather than precomputed for every pair.
+    given (scene, arm, params), and the roadmap is bound to the scene and the
+    arm. Alternate-path entries are memoized on demand by
+    :func:`k_shortest_paths` rather than precomputed for every pair.
     """
     nodes = _sample_nodes(scene, arm, params)
     edges, weights = _connect_knn(scene, arm, nodes, params.k_neighbors)
@@ -263,9 +291,7 @@ def build_roadmap(scene: Scene, arm: ArmModel, params: RoadmapParams = RoadmapPa
         if remap[u] >= 0 and remap[v] >= 0:
             kept_edges.append(_edge_key(int(remap[u]), int(remap[v])))
             kept_weights.append(w)
-    kept_weights = np.array(kept_weights)
-    dist, nxt = _apsp_tables(_csr_graph(len(nodes), kept_edges, kept_weights))
-    return Roadmap(nodes, kept_edges, kept_weights, dist, nxt, scene.name, params)
+    return Roadmap(nodes, kept_edges, kept_weights, params, _binding(scene, arm))
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +452,11 @@ def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) ->
     goal join the candidate set. Start and each goal candidate connect to the
     nearest node reachable by a collision-free straight edge, and the result
     is start + cached shortest node path + goal for the goal candidate with
-    the smallest total length. Raises ValueError when the start is outside
-    the joint limits or in collision.
+    the smallest total length. Raises ValueError when the roadmap was built
+    for another scene or arm, or the start is outside the joint limits or in
+    collision.
     """
+    roadmap.check_binding(scene, arm)
     start = np.asarray(start, dtype=float)
     if not within_limits(arm, start):
         raise ValueError("start configuration is outside the joint limits")
@@ -507,8 +535,8 @@ def _write_deterministic_zip(path, arrays: dict[str, np.ndarray]) -> None:
 
 def save_roadmap(roadmap: Roadmap, path) -> None:
     meta = {
-        "format_version": 1,
-        "scene_name": roadmap.scene_name,
+        "format_version": FORMAT_VERSION,
+        "binding": roadmap.binding,
         "params": asdict(roadmap.params),
     }
     keys = sorted(roadmap.ksp_cache)
@@ -519,8 +547,6 @@ def save_roadmap(roadmap: Roadmap, path) -> None:
         "nodes": roadmap.nodes,
         "edges": edge_arr,
         "edge_weights": roadmap.edge_weights,
-        "apsp_dist": roadmap.apsp_dist,
-        "apsp_next": roadmap.apsp_next,
         "ksp_keys": np.array(keys, dtype=np.int32).reshape(-1, 2),
         "ksp_kmax": np.array([roadmap._ksp_kmax.get(key, len(roadmap.ksp_cache[key]))
                               for key in keys], dtype=np.int32),
@@ -534,8 +560,10 @@ def save_roadmap(roadmap: Roadmap, path) -> None:
 def load_roadmap(path) -> Roadmap:
     with np.load(Path(path)) as data:
         meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format_version") != 1:
-            raise ValueError(f"unsupported roadmap format version {meta.get('format_version')!r}")
+        version = meta.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ValueError(f"roadmap file {path} has format version {version!r}, not "
+                             f"{FORMAT_VERSION}; rebuild it with `armplan roadmap build`")
         pdata = meta["params"]
         if pdata.get("distal_values") is not None:
             pdata["distal_values"] = tuple(pdata["distal_values"])
@@ -550,10 +578,8 @@ def load_roadmap(path) -> Roadmap:
             nodes=data["nodes"],
             edge_list=[(int(u), int(v)) for u, v in data["edges"].reshape(-1, 2)],
             edge_weights=data["edge_weights"],
-            apsp_dist=data["apsp_dist"],
-            apsp_next=data["apsp_next"],
-            scene_name=meta["scene_name"],
             params=params,
+            binding=meta["binding"],
             ksp_cache=ksp_cache,
             ksp_kmax=ksp_kmax,
         )

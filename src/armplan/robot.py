@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import ConvexShape, Pose2, normalize_angle, wrap_angles
+from .geometry import ConvexShape, Pose2, normalize_angle, transform, wrap_angles
 
 IK_POSITION_TOL = 1e-4   # meters
 IK_HEADING_TOL = 1e-3    # radians
@@ -137,9 +137,7 @@ def link_shapes(arm: ArmModel, q) -> list[ConvexShape]:
     shapes = []
     for (length, hw), pose in zip(arm.links, link_poses):
         local = ConvexShape([(0.0, -hw), (length, -hw), (length, hw), (0.0, hw)])
-        c, s = math.cos(pose.heading), math.sin(pose.heading)
-        rot = np.array([[c, -s], [s, c]])
-        shapes.append(ConvexShape(local.vertices @ rot.T + np.array([pose.x, pose.y])))
+        shapes.append(transform(local, pose))
     return shapes
 
 

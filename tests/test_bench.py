@@ -7,6 +7,7 @@ from armplan.bench import (
     OUTCOME_PLANNER_FAILURE,
 )
 from armplan.collision import Scene
+from armplan.geometry import ConvexShape
 from armplan.roadmap import RoadmapParams, build_roadmap
 from armplan.scenarios import generate_test_suite
 
@@ -129,6 +130,19 @@ def test_run_benchmark_rejects_roadmap_of_another_scene(tiny_suite, arm):
     for planner in ("roadmap", "roadmap+opt", "rrt"):
         with pytest.raises(ValueError, match="roadmap is for scene 'other'"):
             run_benchmark(tiny_suite, planner, scene=_empty_scene_of(tiny_suite), roadmap=rm)
+
+
+def test_run_benchmark_rejects_roadmap_of_same_name_scene_with_moved_obstacle(tiny_suite, arm):
+    # one box out of the arm's reach, so only the binding can tell the scenes apart
+    def scene_with_box(x):
+        box = ConvexShape.box(x, 2.5, x + 0.2, 2.7)
+        return Scene(tiny_suite.scene_name, (box,), workspace_bounds=(-3.0, -3.0, 3.0, 3.0))
+
+    rm = build_roadmap(scene_with_box(2.6), arm, RoadmapParams(n_nodes=30, k_neighbors=4, rng_seed=1))
+    assert run_benchmark(tiny_suite, "roadmap", scene=scene_with_box(2.6), roadmap=rm)
+    for planner in ("roadmap", "roadmap+opt"):
+        with pytest.raises(ValueError, match="roadmap is for scene 'empty'"):
+            run_benchmark(tiny_suite, planner, scene=scene_with_box(2.5), roadmap=rm)
 
 
 def test_record_determinism_and_parallel_equivalence(tiny_suite, arm):

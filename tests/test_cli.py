@@ -1,8 +1,8 @@
 import pytest
 
 from armplan.cli import main
-from armplan.roadmap import load_roadmap
-from armplan.scenarios import load_suite
+from armplan.roadmap import RoadmapParams, build_roadmap, load_roadmap, save_roadmap
+from armplan.scenarios import build_scene, default_arm, load_suite, scene_from_dict, scene_to_dict
 
 
 def test_gen_cases_and_reload(tmp_path):
@@ -32,7 +32,7 @@ def test_roadmap_build_and_bench_run_and_report(tmp_path, capsys):
         "--k", "6", "--kpaths", "3", "--seed", "5", "--out", str(rm_path),
     ]) == 0
     rm = load_roadmap(rm_path)
-    assert rm.scene_name == "tabletop_pole"
+    assert rm.binding["scene_name"] == "tabletop_pole"
     assert rm.params.k_paths == 3
 
     assert main([
@@ -92,6 +92,28 @@ def test_bench_run_rejects_roadmap_of_another_scene(tmp_path, capsys):
     ])
     assert rc == 1
     assert "roadmap is for scene 'kitchen'" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_bench_run_rejects_roadmap_of_moved_obstacle_scene(tmp_path, capsys):
+    suite_path = tmp_path / "suite.json"
+    rm_path = tmp_path / "roadmap.npz"
+    assert main([
+        "bench", "gen-cases", "--scene", "tabletop_pole",
+        "--count", "2", "--seed", "3", "--out", str(suite_path),
+    ]) == 0
+    data = scene_to_dict(build_scene("tabletop_pole"))
+    data["obstacles"][2]["vertices"] = [[x + 0.1, y] for x, y in data["obstacles"][2]["vertices"]]
+    moved = scene_from_dict(data)
+    rm = build_roadmap(moved, default_arm(), RoadmapParams(n_nodes=40, k_neighbors=4, rng_seed=5))
+    save_roadmap(rm, rm_path)
+    capsys.readouterr()
+    rc = main([
+        "bench", "run", "--suite", str(suite_path), "--planner", "roadmap",
+        "--roadmap", str(rm_path), "--out", str(tmp_path / "r.csv"),
+    ])
+    assert rc == 1
+    assert "roadmap is for scene 'tabletop_pole'" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from armplan.collision import (
     Scene, config_in_collision, configs_in_collision, edge_in_collision,
-    interpolate_configs, min_clearance, pair_signed_distances,
+    min_clearance, pair_signed_distances,
     segments_in_collision, trajectory_in_collision,
 )
 from armplan.geometry import ConvexShape, Pose2, signed_distance
@@ -111,8 +111,10 @@ def test_edge_catches_mid_sweep_collision():
     assert not config_in_collision(arm, scene, q1)
     assert not config_in_collision(arm, scene, q2)
     assert edge_in_collision(arm, scene, q1, q2)
-    # dense oracle: 10^4 interpolated points, checked one by one
-    dense = configs_in_collision(arm, scene, interpolate_configs(q1, q2, 10_000))
+    # dense oracle: 10^4 interpolated points plus the endpoints, built here
+    # so that no segment sampler stands between the oracle and the kernel
+    t = np.linspace(0.0, 1.0, 10_002)
+    dense = configs_in_collision(arm, scene, q1[None, :] + t[:, None] * (q2 - q1)[None, :])
     assert dense.any()
 
 

@@ -212,7 +212,9 @@ def test_shrinking_never_decreases_distance():
         b = random_convex_polygon(rng, center=rng.uniform(-1.2, 1.2, 2))
         d0 = signed_distance(a, b)
         s = rng.uniform(0.1, 0.95)
-        assert signed_distance(a.scaled(s), b) >= d0 - 1e-12
+        c = a.centroid()
+        shrunk = ConvexShape(c + s * (a.vertices - c))
+        assert signed_distance(shrunk, b) >= d0 - 1e-12
 
 
 def test_normalize_angle_range():

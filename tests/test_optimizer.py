@@ -4,8 +4,7 @@ import pytest
 from armplan.collision import Scene, trajectory_in_collision
 from armplan.geometry import ConvexShape, Pose2
 from armplan.optimizer import (
-    OptParams, collision_penalty, merit_gradient, optimize, smoothness_cost,
-    velocity_limit_satisfied,
+    collision_penalty, merit_gradient, optimize, smoothness_cost,
 )
 from armplan.robot import ArmModel
 from armplan.seedprep import resample_path, straight_line_seed
@@ -73,14 +72,6 @@ def test_penalty_matches_naive_recomputation(arm, shelf_scene):
                     naive += max(0.0, d_safe - signed_distance(link, ob))
         got = collision_penalty(traj, arm, shelf_scene, d_safe)
         assert got == pytest.approx(naive, abs=1e-12)
-
-
-def test_velocity_limit_flag():
-    assert velocity_limit_satisfied(np.tile([0.5, 0.5], (4, 1)), 0.2)
-    traj = np.array([[0.0, 0.0], [0.3, 0.0]])
-    assert not velocity_limit_satisfied(traj, 0.2)
-    with pytest.raises(ValueError):
-        velocity_limit_satisfied(traj, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,23 +154,6 @@ def test_collision_free_flag_matches_independent_checker(arm, pole_scene):
         res = optimize(resample_path(straight_line_seed(a, b, 30)), arm, pole_scene)
         flag, _ = trajectory_in_collision(arm, pole_scene, res.trajectory)
         assert res.collision_free == (not flag)
-        done += 1
-
-
-def test_vmax_respected_on_seeded_runs(arm, pole_scene):
-    rng = np.random.default_rng(4)
-    from armplan.collision import config_in_collision
-
-    params = OptParams(vmax=0.2)
-    done = 0
-    while done < 10:
-        a = rng.uniform(arm.lower, arm.upper)
-        b = rng.uniform(arm.lower, arm.upper)
-        if config_in_collision(arm, pole_scene, a) or config_in_collision(arm, pole_scene, b):
-            continue
-        seed = resample_path(straight_line_seed(a, b, 30))  # spacing <= 0.16 < vmax
-        res = optimize(seed, arm, pole_scene, params)
-        assert velocity_limit_satisfied(res.trajectory, 0.2)
         done += 1
 
 

@@ -1,19 +1,22 @@
 import heapq
 import itertools
+import json
 import tracemalloc
+import zipfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from armplan.collision import config_in_collision, configs_in_collision, edge_in_collision
-from armplan.robot import EEPose, forward_kinematics
+from armplan.robot import ArmModel, EEPose, forward_kinematics
 from armplan.roadmap import (
     Roadmap, RoadmapParams, build_roadmap, invalidate_and_requery,
     k_shortest_paths, load_roadmap, query, save_roadmap, _connect_knn, _dijkstra_path,
     _edge_key, _largest_component, _sample_nodes, _yen,
 )
-from armplan.scenarios import build_scene
+from armplan.scenarios import build_scene, load_scene, save_scene, scene_to_dict
 from armplan.seedprep import path_length
 
 
@@ -23,10 +26,8 @@ def graph_roadmap(n, edges, weights, k_paths=3):
         nodes=np.zeros((n, 3)),
         edge_list=[tuple(sorted(e)) for e in edges],
         edge_weights=np.asarray(weights, dtype=float),
-        apsp_dist=np.zeros((n, n)),
-        apsp_next=np.zeros((n, n), dtype=np.int32),
-        scene_name="graph",
         params=RoadmapParams(n_nodes=max(2, n), k_paths=k_paths),
+        binding={},
     )
 
 
@@ -232,7 +233,32 @@ def test_build_deterministic_and_serialization_roundtrip(pole_scene, arm, tmp_pa
     assert np.array_equal(c.apsp_next, a.apsp_next)
     assert c.ksp_cache == a.ksp_cache
     assert c.params == a.params
-    assert c.scene_name == a.scene_name
+    assert c.binding == a.binding
+    assert c.binding["scene_name"] == "tabletop_pole"
+
+
+def test_saved_file_holds_no_apsp_tables(small_pole_roadmap, tmp_path):
+    save_roadmap(small_pole_roadmap, tmp_path / "rm.npz")
+    with zipfile.ZipFile(tmp_path / "rm.npz") as zf:
+        names = zf.namelist()
+    assert "nodes.npy" in names and "edges.npy" in names
+    assert not [name for name in names if name.startswith("apsp")]
+
+
+def test_load_rejects_format_version_1(small_pole_roadmap, tmp_path):
+    rm = small_pole_roadmap
+    meta = {"format_version": 1, "scene_name": "tabletop_pole", "params": asdict(rm.params)}
+    empty = np.zeros(0, dtype=np.int32)
+    np.savez(
+        tmp_path / "v1.npz",
+        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        nodes=rm.nodes, edges=np.array(rm.edge_list, dtype=np.int32),
+        edge_weights=rm.edge_weights, apsp_dist=rm.apsp_dist, apsp_next=rm.apsp_next,
+        ksp_keys=empty.reshape(0, 2), ksp_kmax=empty, ksp_path_counts=empty,
+        ksp_path_lens=empty, ksp_flat=empty,
+    )
+    with pytest.raises(ValueError, match="format version 1, not 2; rebuild it"):
+        load_roadmap(tmp_path / "v1.npz")
 
 
 @pytest.mark.parametrize("scene_fixture", ["pole_scene", "shelf_scene"])
@@ -483,6 +509,37 @@ def test_query_rejects_start_outside_limits(empty_scene, arm):
         start[1] = bad
         with pytest.raises(ValueError, match="joint limits"):
             query(rm, arm, empty_scene, start, goal)
+
+
+def _moved_obstacle_scene(scene, tmp_path):
+    """The scene under its own name, loaded from JSON with obstacle 1 moved."""
+    data = scene_to_dict(scene)
+    data["obstacles"][1]["vertices"] = (np.array(data["obstacles"][1]["vertices"]) + [0.05, 0.0]).tolist()
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(data))
+    return load_scene(path)
+
+
+def _node_query(rm, arm):
+    _, ee = forward_kinematics(arm, rm.nodes[17])
+    return rm.nodes[3].copy(), EEPose(ee.x, ee.y)
+
+
+def test_query_rejects_same_name_scene_with_moved_obstacle(small_pole_roadmap, arm, pole_scene, tmp_path):
+    start, goal = _node_query(small_pole_roadmap, arm)
+    save_scene(pole_scene, tmp_path / "same.json")
+    assert query(small_pole_roadmap, arm, load_scene(tmp_path / "same.json"), start, goal).ok
+    moved = _moved_obstacle_scene(pole_scene, tmp_path)
+    assert moved.name == pole_scene.name
+    with pytest.raises(ValueError, match="roadmap is for scene 'tabletop_pole'"):
+        query(small_pole_roadmap, arm, moved, start, goal)
+
+
+def test_query_rejects_other_arm(small_pole_roadmap, arm, pole_scene):
+    start, goal = _node_query(small_pole_roadmap, arm)
+    longer = ArmModel(arm.base, arm.links[:-1] + ((0.25, arm.links[-1][1]),), arm.joint_limits)
+    with pytest.raises(ValueError, match="roadmap is for arm"):
+        query(small_pole_roadmap, longer, pole_scene, start, goal)
 
 
 def test_query_paths_validate(small_pole_roadmap, small_pole_suite, arm, pole_scene):
