@@ -4,9 +4,12 @@ Checks are vectorized over batches of configurations: link rectangles are
 never materialized as polygon objects on the hot path. One separating-axis
 kernel, ``_sat``, decides overlap for both the boolean checks and the signed
 distances, so ``config_in_collision`` and ``min_clearance`` agree exactly
-about the zero crossing. One segment sampler, ``segments_in_collision``,
-checks straight joint-space segments in a single batch; edge and trajectory
-checks are built on it.
+about the zero crossing. A scene's obstacles are held in one padded layout
+(``_SceneGeom``): every obstacle has the same number of vertices and of axis
+entries, so the kernel and the signed distances gather all (configuration,
+link, obstacle) triples at once, with no loop over obstacles. One segment
+sampler, ``segments_in_collision``, checks straight joint-space segments in
+a single batch; edge and trajectory checks are built on it.
 """
 
 from __future__ import annotations
@@ -26,48 +29,55 @@ NO_OBSTACLE_CLEARANCE = float("inf")
 
 
 class _SceneGeom:
-    """Flattened obstacle arrays for batched projection queries.
+    """A scene's obstacles in one padded layout for batched projections.
 
-    Obstacle edge normals are deduplicated into unique axis directions (sign
-    canonicalized); projections onto a negated axis are exact negations, so
-    the grouped tests agree bit-for-bit with dense per-normal ones.
+    ``verts`` (O, V, 2): a polygon with fewer than V vertices repeats its
+    last one, which changes no projection range, bounding box or distance.
+    ``axes`` (A, 2): the distinct edge-normal directions, sign-canonicalized.
+    Each obstacle has P entries, one per axis of its own: ``axis`` (O, P)
+    indexes ``axes``, and ``lo``/``hi`` bound the obstacle's projection. A
+    normal and its negation test that one interval, and a projection onto a
+    negated axis is an exact negation, so one test per axis agrees
+    bit-for-bit with one per normal. For the penetration depth, ``push_hi``
+    is the projection's upper end where the obstacle has the normal +axis,
+    and ``push_lo`` its lower end where it has -axis. Missing signs and
+    padding entries are infinite, so they neither separate nor push.
     """
 
-    __slots__ = (
-        "n_obstacles", "vert_list", "normals", "norm_starts",
-        "own_min", "own_max", "aabbs", "axes", "axis_groups",
-    )
+    __slots__ = ("n_obstacles", "verts", "aabbs", "axes", "axis", "lo", "hi", "push_hi", "push_lo")
 
     def __init__(self, obstacles: tuple[ConvexShape, ...]):
         self.n_obstacles = len(obstacles)
         if self.n_obstacles == 0:
             return
-        verts = [ob.vertices for ob in obstacles]
-        normals = [ob.edge_normals() for ob in obstacles]
-        self.vert_list = verts
-        self.normals = np.vstack(normals)
-        self.norm_starts = np.cumsum([0] + [len(n) for n in normals])
-        own = [v @ n.T for v, n in zip(verts, normals)]
-        self.own_min = np.concatenate([o.min(axis=0) for o in own])
-        self.own_max = np.concatenate([o.max(axis=0) for o in own])
-        self.aabbs = np.array([
-            [v[:, 0].min(), v[:, 1].min(), v[:, 0].max(), v[:, 1].max()] for v in verts
+        n_verts = max(len(ob.vertices) for ob in obstacles)
+        self.verts = np.array([
+            np.pad(ob.vertices, ((0, n_verts - len(ob.vertices)), (0, 0)), mode="edge")
+            for ob in obstacles
         ])
+        self.aabbs = np.concatenate([self.verts.min(axis=1), self.verts.max(axis=1)], axis=1)
+        none = [-np.inf, np.inf, np.inf, -np.inf]     # lo, hi, push_hi, push_lo
         axis_ids: dict[bytes, int] = {}
-        axes: list[np.ndarray] = []
-        assign: dict[tuple[int, int], list[int]] = {}
-        for i, nrm in enumerate(self.normals):
-            sign = 1 if (nrm[0] > 0.0 or (nrm[0] == 0.0 and nrm[1] > 0.0)) else -1
-            canon = sign * nrm
-            key = canon.tobytes()
-            if key not in axis_ids:
-                axis_ids[key] = len(axes)
-                axes.append(canon)
-            assign.setdefault((axis_ids[key], sign), []).append(i)
-        self.axes = np.array(axes)
-        self.axis_groups = [
-            (aid, sign, np.array(idx)) for (aid, sign), idx in sorted(assign.items())
-        ]
+        entries = []  # per obstacle, one [axis id, lo, hi, push_hi, push_lo] per axis
+        for ob in obstacles:
+            normals = ob.edge_normals()
+            own = ob.vertices @ normals.T
+            rows: dict[int, list] = {}
+            for nrm, own_min, own_max in zip(normals, own.min(axis=0), own.max(axis=0)):
+                positive = nrm[0] > 0.0 or (nrm[0] == 0.0 and nrm[1] > 0.0)
+                canon = (nrm if positive else -nrm) + 0.0    # + 0.0 turns -0.0 into 0.0
+                aid = axis_ids.setdefault(canon.tobytes(), len(axis_ids))
+                row = rows.setdefault(aid, [aid, *none])
+                if positive:
+                    row[1], row[2], row[3] = max(row[1], own_min), min(row[2], own_max), own_max
+                else:
+                    row[1], row[2], row[4] = max(row[1], -own_max), min(row[2], -own_min), -own_max
+            entries.append(list(rows.values()))
+        n_entries = max(len(rows) for rows in entries)
+        table = np.array([rows + [[0, *none]] * (n_entries - len(rows)) for rows in entries])
+        self.axes = np.frombuffer(b"".join(axis_ids), dtype=float).reshape(-1, 2)
+        self.axis = table[:, :, 0].astype(np.intp)
+        self.lo, self.hi, self.push_hi, self.push_lo = np.moveaxis(table[:, :, 1:], 2, 0)
 
 
 @dataclass(frozen=True)
@@ -151,56 +161,46 @@ def _sat(geom: _SceneGeom, rb: _RectBatch, penetration: bool = False):
     Returns ``(hit, pen)``: (M, K, O) flags, true where a link rectangle
     overlaps or touches an obstacle, and, when ``penetration`` is set, the
     (M, K, O) minimum translation magnitudes, meaningful only where hit
-    (None otherwise). Obstacle-normal axes are tested through the
-    deduplicated direction set, and the rectangle axes, like the penetration
-    depths, only on the pairs the first test leaves unseparated.
+    (None otherwise). The obstacle axes are tested on every pair, and the
+    rectangle axes, like the penetration depths, only on the pairs the first
+    test leaves unseparated.
     """
-    m, k = rb.Pu.shape
-    nt = len(geom.normals)
     pa = rb.P @ geom.axes.T                                  # (M, K, A)
     du = rb.u @ geom.axes.T
     dn = np.abs(rb.n @ geom.axes.T) * rb.W[..., None]
     ldu = rb.L[..., None] * du
-    rmin_a = pa + np.minimum(0.0, ldu) - dn
-    rmax_a = pa + np.maximum(0.0, ldu) + dn
-    sep_norm = np.empty((m, k, nt), dtype=bool)
-    # rectangle minimum on each obstacle normal, kept for the push-out depth
-    rmin = np.empty((m, k, nt)) if penetration else None
-    for aid, sign, idx in geom.axis_groups:
-        if sign > 0:
-            lo, hi = rmin_a[:, :, aid, None], rmax_a[:, :, aid, None]
-        else:
-            lo, hi = -rmax_a[:, :, aid, None], -rmin_a[:, :, aid, None]
-        sep_norm[:, :, idx] = (lo > geom.own_max[idx]) | (hi < geom.own_min[idx])
-        if penetration:
-            rmin[:, :, idx] = lo
-    sep = np.logical_or.reduceat(sep_norm, geom.norm_starts[:-1], axis=-1)  # (M, K, O)
-
-    hit = np.zeros((m, k, geom.n_obstacles), dtype=bool)
-    pen = np.zeros(hit.shape) if penetration else None
-    for o in range(geom.n_obstacles):
-        mi, ki = np.nonzero(~sep[:, :, o])
-        if len(mi) == 0:
-            continue
-        # one product for both rectangle axes keeps it a matrix-matrix product
-        # whatever the pair count, so every pair is projected alike
-        vuv = np.concatenate([rb.u[mi, ki], rb.n[mi, ki]]) @ geom.vert_list[o].T
-        vu, vn = vuv[:len(mi)], vuv[len(mi):]
-        vu_min, vu_max = vu.min(axis=1), vu.max(axis=1)
-        vn_min, vn_max = vn.min(axis=1), vn.max(axis=1)
-        pu = rb.Pu[mi, ki]
-        pn = rb.Pn[mi, ki]
-        ln = rb.L[0, ki]
-        w = rb.W[0, ki]
-        sep2 = (vu_max < pu) | (vu_min > pu + ln)
-        sep2 |= (vn_max < pn - w) | (vn_min > pn + w)
-        hit[mi, ki, o] = ~sep2
-        if penetration:
-            s0, s1 = geom.norm_starts[o], geom.norm_starts[o + 1]
-            push = (geom.own_max[s0:s1] - rmin[mi, ki, s0:s1]).min(axis=1)
-            pen[mi, ki, o] = np.minimum.reduce([
-                push, vu_max - pu, (pu + ln) - vu_min, vn_max - (pn - w), (pn + w) - vn_min,
-            ])
+    rmin = pa + np.minimum(0.0, ldu) - dn
+    rmax = pa + np.maximum(0.0, ldu) + dn
+    sep = (
+        (np.take(rmin, geom.axis, axis=2) > geom.hi) | (np.take(rmax, geom.axis, axis=2) < geom.lo)
+    ).any(axis=3)                                            # (M, K, O)
+    hit = np.zeros(sep.shape, dtype=bool)
+    pen = np.zeros(sep.shape) if penetration else None
+    mi, ki, oi = np.nonzero(~sep)
+    s = len(mi)
+    if s == 0:
+        return hit, pen
+    # one product of both rectangle axes against every obstacle vertex keeps
+    # it a matrix-matrix product whatever the pair count, so every pair is
+    # projected alike; each pair then keeps its own obstacle's columns
+    vuv = np.concatenate([rb.u[mi, ki], rb.n[mi, ki]]) @ geom.verts.reshape(-1, 2).T
+    vuv = vuv.reshape(2 * s, geom.n_obstacles, -1)[np.arange(2 * s), np.concatenate([oi, oi])]
+    vu, vn = vuv[:s], vuv[s:]
+    vu_min, vu_max = vu.min(axis=1), vu.max(axis=1)
+    vn_min, vn_max = vn.min(axis=1), vn.max(axis=1)
+    pu = rb.Pu[mi, ki]
+    pn = rb.Pn[mi, ki]
+    ln = rb.L[0, ki]
+    w = rb.W[0, ki]
+    sep2 = (vu_max < pu) | (vu_min > pu + ln)
+    sep2 |= (vn_max < pn - w) | (vn_min > pn + w)
+    hit[mi, ki, oi] = ~sep2
+    if penetration:
+        mk = mi[:, None], ki[:, None], geom.axis[oi]         # (S, P) each
+        push = np.minimum(geom.push_hi[oi] - rmin[mk], rmax[mk] - geom.push_lo[oi]).min(axis=1)
+        pen[mi, ki, oi] = np.minimum.reduce([
+            push, vu_max - pu, (pu + ln) - vu_min, vn_max - (pn - w), (pn + w) - vn_min,
+        ])
     return hit, pen
 
 
@@ -263,24 +263,18 @@ def pair_signed_distances(
         need_exact = ~hit & ~far
 
     if need_exact.any():
-        corners = rb.corners()
-        for o in range(geom.n_obstacles):
-            mask = need_exact[:, :, o]
-            if not mask.any():
-                continue
-            vo = geom.vert_list[o]
-            sel = corners[mask]                       # (S, 4, 2)
-            b0 = vo
-            b1 = np.roll(vo, -1, axis=0)
-            d1 = _point_segment_distance(
-                sel[:, :, None, :], b0[None, None, :, :], b1[None, None, :, :]
-            ).min(axis=(1, 2))
-            a0 = sel
-            a1 = np.roll(sel, -1, axis=1)
-            d2 = _point_segment_distance(
-                vo[None, :, None, :], a0[:, None, :, :], a1[:, None, :, :]
-            ).min(axis=(1, 2))
-            sd[:, :, o][mask] = np.minimum(d1, d2)
+        mi, ki, oi = np.nonzero(need_exact)
+        a0 = rb.corners()[mi, ki]                    # (S, 4, 2)
+        a1 = np.roll(a0, -1, axis=1)
+        b0 = geom.verts[oi]                          # (S, V, 2)
+        b1 = np.roll(b0, -1, axis=1)
+        d1 = _point_segment_distance(
+            a0[:, :, None, :], b0[:, None, :, :], b1[:, None, :, :]
+        ).min(axis=(1, 2))
+        d2 = _point_segment_distance(
+            b0[:, :, None, :], a0[:, None, :, :], a1[:, None, :, :]
+        ).min(axis=(1, 2))
+        sd[mi, ki, oi] = np.minimum(d1, d2)
     return sd
 
 

@@ -33,8 +33,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as _sparse_dijkstra
 
 from .collision import (
-    DEFAULT_EDGE_INTERP, Scene, config_in_collision, configs_in_collision, edge_in_collision,
-    segments_in_collision,
+    DEFAULT_EDGE_INTERP, Scene, config_in_collision, configs_in_collision, segments_in_collision,
 )
 from .geometry import wrap_angles
 from .robot import ArmModel, EEPose, chain_points, within_limits
@@ -427,8 +426,8 @@ def _nearest_connectable(roadmap: Roadmap, arm: ArmModel, scene: Scene, q) -> in
     Candidates are scanned in increasing joint-space distance. The very
     nearest node usually connects, so it is tried at full edge density first.
     Otherwise each chunk of candidate edges is prescreened in one coarse
-    collision batch, and surviving candidates are verified at full edge
-    density, nearest first.
+    collision batch, and surviving candidates are verified on the rest of
+    the fine samples, nearest first.
     """
     q = np.asarray(q, dtype=float)
     dist = np.linalg.norm(roadmap.nodes - q[None, :], axis=1)
@@ -439,7 +438,7 @@ def _nearest_connectable(roadmap: Roadmap, arm: ArmModel, scene: Scene, q) -> in
         cand = order[lo:lo + _CONNECT_CHUNK]
         blocked = segments_in_collision(arm, scene, q, roadmap.nodes[cand], _T_COARSE)
         for node in cand[~blocked]:
-            if not edge_in_collision(arm, scene, q, roadmap.nodes[node]):
+            if not segments_in_collision(arm, scene, q, roadmap.nodes[node], _T_REST):
                 return int(node)
     return None
 

@@ -213,6 +213,8 @@ def load_scene(path) -> Scene:
 
 
 def suite_to_dict(suite: TestSuite) -> dict:
+    if suite.arm.base != DEFAULT_BASE:  # the format stores no base pose
+        raise ValueError(f"a suite file holds only arms based at {DEFAULT_BASE}, not {suite.arm.base}")
     return {
         "format_version": FORMAT_VERSION,
         "scene_name": suite.scene_name,

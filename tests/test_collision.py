@@ -11,6 +11,7 @@ from armplan.collision import (
 )
 from armplan.geometry import ConvexShape, Pose2, signed_distance
 from armplan.robot import ArmModel, link_shapes
+from armplan.scenarios import SCENE_NAMES, build_scene
 
 from conftest import random_convex_polygon
 
@@ -250,18 +251,51 @@ def test_pair_signed_distances_match_reference_random_convex(arm, seed):
     assert (ref < 0.0).any() and (ref > 0.0).any()
 
 
+def _assert_batched_checks_agree(arm, scene, Q):
+    """Batched flags against single-configuration checks and clearances,
+    and batched segments (first half of ``Q`` to second half) against
+    single edge checks."""
+    flags = configs_in_collision(arm, scene, Q).tolist()
+    assert flags == [config_in_collision(arm, scene, q) for q in Q]
+    assert flags == [min_clearance(arm, scene, q) <= 0.0 for q in Q]
+    A, B = np.split(Q, 2)
+    segs = segments_in_collision(arm, scene, A, B, np.linspace(0.0, 1.0, 22)).tolist()
+    assert segs == [edge_in_collision(arm, scene, a, b, n_interp=20) for a, b in zip(A, B)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_batched_checks_agree_on_random_convex_scenes(arm, seed):
     rng = np.random.default_rng(seed)
     scene = _random_convex_scene(rng, int(rng.integers(1, 5)))
     Q = rng.uniform(arm.lower, arm.upper, size=(16, arm.dof))
-    flags = configs_in_collision(arm, scene, Q).tolist()
-    assert flags == [config_in_collision(arm, scene, q) for q in Q]
-    assert flags == [min_clearance(arm, scene, q) <= 0.0 for q in Q]
-    A, B = Q[:8], Q[8:]
-    segs = segments_in_collision(arm, scene, A, B, np.linspace(0.0, 1.0, 22)).tolist()
-    assert segs == [edge_in_collision(arm, scene, a, b, n_interp=20) for a, b in zip(A, B)]
+    _assert_batched_checks_agree(arm, scene, Q)
+
+
+def test_padded_obstacles_match_reference(arm):
+    # a triangle, a box and a hexagon: the kernel pads the triangle and the
+    # box to six vertices, and the box's two axes to three. The triangle's
+    # normals have no negated partner, so it can be pushed out along one
+    # sign of each axis only; the box's and the hexagon's come in pairs.
+    hexagon = [(0.125, 1.0), (0.0625, 1.125), (-0.0625, 1.125),
+               (-0.125, 1.0), (-0.0625, 0.875), (0.0625, 0.875)]
+    scene = Scene("triangle_box_hexagon", (
+        ConvexShape([(0.25, 0.45), (0.6, 0.4), (0.4, 0.8)]),
+        ConvexShape.box(-0.7, 0.3, -0.4, 0.6),
+        ConvexShape(hexagon),
+    ), workspace_bounds=(-1.6, -0.6, 1.6, 1.6))
+    Q = np.random.default_rng(5).uniform(arm.lower, arm.upper, size=(40, arm.dof))
+    ref = _assert_signed_distances_match_reference(arm, scene, Q)
+    assert (ref < 0.0).any(axis=(0, 1)).all()    # each obstacle is penetrated
+    assert (ref > 0.0).any(axis=(0, 1)).all()
+    _assert_batched_checks_agree(arm, scene, Q)
+
+
+@pytest.mark.parametrize("name", SCENE_NAMES)
+def test_authored_box_normals_share_two_axes(name):
+    # a box's four normals lie on two directions; negating a zero component
+    # gives -0.0, which must not make a third and a fourth
+    assert len(build_scene(name)._geom.axes) == 2
 
 
 def test_far_cutoff_short_circuit(arm, shelf_scene):

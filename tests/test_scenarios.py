@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from armplan.baselines import RRTParams, rrt_plan
 from armplan.collision import config_in_collision
-from armplan.geometry import signed_distance
+from armplan.geometry import Pose2, signed_distance
 from armplan.robot import within_limits
 from armplan.scenarios import (
     SCENE_NAMES, build_scene, default_arm, generate_test_suite, ik_goal_configs,
@@ -100,6 +101,15 @@ def test_suite_roundtrip_and_invariants(small_pole_suite, arm, pole_scene, tmp_p
     for case in loaded.cases:
         assert not config_in_collision(loaded.arm, pole_scene, case.start_config)
         assert ik_goal_configs(loaded.arm, pole_scene, case.goal)
+
+
+def test_suite_save_rejects_arm_with_other_base(small_pole_suite, tmp_path):
+    # the file stores no base pose: saved, this suite would reload as another arm
+    arm = dataclasses.replace(small_pole_suite.arm, base=Pose2(0.3, 0.0, 1.0))
+    moved = dataclasses.replace(small_pole_suite, arm=arm)
+    with pytest.raises(ValueError, match="based at"):
+        save_suite(moved, tmp_path / "suite.json")
+    assert not (tmp_path / "suite.json").exists()
 
 
 @pytest.mark.parametrize("edit", ["above", "below", "nan", "inf", "short", "long"])
