@@ -17,9 +17,9 @@ from .roadmap import (
     QueryResult, Roadmap, RoadmapBuildError, RoadmapParams, build_roadmap,
     invalidate_and_requery, k_shortest_paths, load_roadmap, query, save_roadmap,
 )
-from .baselines import RRTParams, rrt_plan
+from .baselines import rrt_plan
 from .seedprep import path_length, resample_path, straight_line_seed
-from .optimizer import OptParams, OptResult, collision_penalty, optimize, smoothness_cost
+from .optimizer import OptResult, collision_penalty, optimize, smoothness_cost
 from .bench import (
     BenchParams, RunRecord, SummaryRow, emit_report, run_benchmark, summarize,
 )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,22 +10,23 @@ from .collision import Scene, config_in_collision, edge_in_collision
 from .robot import ArmModel, within_limits
 
 
-@dataclass(frozen=True)
-class RRTParams:
-    step: float = 0.2            # rad, maximum extension length
-    goal_bias: float = 0.1
-    max_iters: int = 50_000
-    rng_seed: int = 0
-    edge_spacing: float = 0.005  # rad between interpolated checks on an extension
-
-    def __post_init__(self):
-        if self.step <= 0.0 or not 0.0 <= self.goal_bias <= 1.0 or self.max_iters < 1:
-            raise ValueError("invalid RRT parameters")
+# Iteration budget of every benchmark RRT: the suite feasibility check and
+# the rrt and rrt+opt pipelines.
+RRT_MAX_ITERS = 20_000
+_STEP = 0.2            # rad, maximum extension length
+_GOAL_BIAS = 0.1
+_EDGE_SPACING = 0.005  # rad between interpolated checks on an extension
 
 
-def _edge_free(arm, scene, q1, q2, params) -> bool:
+def rrt_seed(base_seed: int, index: int) -> int:
+    """RNG seed of the RRT run for the index-th case (or attempt) of a
+    benchmark or suite seeded with ``base_seed``."""
+    return (base_seed * 1_000_003 + index) & 0x7FFFFFFF
+
+
+def _edge_free(arm, scene, q1, q2) -> bool:
     dist = float(np.linalg.norm(q2 - q1))
-    n_interp = max(10, int(math.ceil(dist / params.edge_spacing)))
+    n_interp = max(10, int(math.ceil(dist / _EDGE_SPACING)))
     return not edge_in_collision(arm, scene, q1, q2, n_interp)
 
 
@@ -35,15 +35,19 @@ def rrt_plan(
     arm: ArmModel,
     start,
     goal_configs,
-    params: RRTParams = RRTParams(),
+    rng_seed: int = 0,
+    max_iters: int = RRT_MAX_ITERS,
 ) -> list[np.ndarray] | None:
     """Plan a collision-free joint-space path from start to any goal configuration.
 
     Standard goal-biased single-tree RRT. Extensions are validated with
     interpolation scaled to the segment length (at least 10 points). Returns
     the waypoint path on success, None after max_iters without reaching a goal.
-    Raises ValueError when the start or a goal is outside the joint limits.
+    Raises ValueError when max_iters < 1, or the start or a goal is outside
+    the joint limits.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     start = np.asarray(start, dtype=float)
     goals = [np.asarray(g, dtype=float) for g in goal_configs]
     if not goals:
@@ -58,7 +62,7 @@ def rrt_plan(
         if np.linalg.norm(g - start) < 1e-12:
             return [start.copy()]
 
-    rng = np.random.default_rng(params.rng_seed)
+    rng = np.random.default_rng(rng_seed)
     cap = 4096
     nodes = np.empty((cap, arm.dof))
     parents = np.full(cap, -1, dtype=np.int64)
@@ -73,8 +77,8 @@ def rrt_plan(
         path.reverse()
         return path
 
-    for _ in range(params.max_iters):
-        if rng.random() < params.goal_bias:
+    for _ in range(max_iters):
+        if rng.random() < _GOAL_BIAS:
             target = goals[int(rng.integers(len(goals)))]
         else:
             target = rng.uniform(arm.lower, arm.upper)
@@ -85,8 +89,8 @@ def rrt_plan(
         dist = float(np.linalg.norm(delta))
         if dist < 1e-12:
             continue
-        q_new = target if dist <= params.step else q_near + (params.step / dist) * delta
-        if not _edge_free(arm, scene, q_near, q_new, params):
+        q_new = target if dist <= _STEP else q_near + (_STEP / dist) * delta
+        if not _edge_free(arm, scene, q_near, q_new):
             continue
         if count == cap:
             cap *= 2
@@ -99,7 +103,7 @@ def rrt_plan(
             gap = float(np.linalg.norm(g - q_new))
             if gap < 1e-12:
                 return extract(count - 1)
-            if gap <= params.step and _edge_free(arm, scene, q_new, g, params):
+            if gap <= _STEP and _edge_free(arm, scene, q_new, g):
                 path = extract(count - 1)
                 path.append(g.copy())
                 return path

@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import RRTParams, rrt_plan
+from .baselines import rrt_plan, rrt_seed
 from .collision import Scene, trajectory_in_collision
 from .optimizer import optimize
 from .roadmap import Roadmap, query
 from .robot import ArmModel
-from .scenarios import RRT_MAX_ITERS, TestCase, TestSuite, build_scene, ik_goal_configs
+from .scenarios import TestCase, TestSuite, build_scene, ik_goal_configs
 from .seedprep import path_length, resample_path, straight_line_seed
 
 PLANNERS = ("rrt", "roadmap", "straightline+opt", "rrt+opt", "roadmap+opt")
@@ -42,10 +42,11 @@ REPORT_HEADER = "scene,planner,cases,failure_rate,avg_runtime_s,avg_seed_len_rad
 
 @dataclass(frozen=True)
 class BenchParams:
-    """Benchmark seed. Every other pipeline setting is its module's default:
-    IK restarts (``solve_ik``), the RRT budget (``RRT_MAX_ITERS``), the
-    straight-line seed and its resampling (``seedprep``) and the optimizer
-    (``OptParams``)."""
+    """Benchmark seed. Every other pipeline setting is its module's default
+    or constant: IK restarts (``solve_ik``), the RRT budget
+    (``baselines.RRT_MAX_ITERS``), the straight-line seed and its resampling
+    (``seedprep``) and the optimizer's constants (``optimizer.D_SAFE`` and
+    the rest)."""
 
     rng_seed: int = 0
 
@@ -111,9 +112,7 @@ def run_case(
     else:
         goals = ik_goal_configs(arm, scene, case.goal)
         if goals and seed_planner == "rrt":
-            rrt_seed = (params.rng_seed * 1_000_003 + case_index) & 0x7FFFFFFF
-            rrt_params = RRTParams(max_iters=RRT_MAX_ITERS, rng_seed=rrt_seed)
-            seed_path = rrt_plan(scene, arm, start, goals, rrt_params)
+            seed_path = rrt_plan(scene, arm, start, goals, rrt_seed(params.rng_seed, case_index))
         elif goals:
             best = min(goals, key=lambda g: float(np.linalg.norm(g - start)))
             seed_path = straight_line_seed(start, best)

@@ -13,11 +13,11 @@ import sys
 import time
 from pathlib import Path
 
-from .baselines import RRTParams
+from .baselines import RRT_MAX_ITERS
 from .bench import BenchParams, emit_report, read_records, run_benchmark, summarize, write_records, PLANNERS
 from .roadmap import RoadmapParams, build_roadmap, load_roadmap, save_roadmap
 from .scenarios import (
-    RRT_MAX_ITERS, SCENE_NAMES, build_scene, default_arm, generate_test_suite, load_suite, save_suite,
+    SCENE_NAMES, build_scene, default_arm, generate_test_suite, load_suite, save_suite,
 )
 
 
@@ -82,9 +82,7 @@ def _cmd_roadmap_build(args) -> int:
 def _cmd_gen_cases(args) -> int:
     scene = build_scene(args.scene)
     suite = generate_test_suite(
-        scene, default_arm(), args.count, args.seed,
-        rrt_params=RRTParams(max_iters=args.rrt_iters),
-    )
+        scene, default_arm(), args.count, args.seed, rrt_max_iters=args.rrt_iters)
     save_suite(suite, args.out)
     print(f"generated {len(suite)} cases for {args.scene} -> {args.out}")
     return 0

@@ -48,11 +48,6 @@ class Pose2:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-
 class ConvexShape:
     """Strictly convex polygon with vertices in counter-clockwise order."""
 

@@ -20,29 +20,16 @@ from .collision import Scene, config_in_collision, pair_signed_distances, trajec
 from .robot import ArmModel, within_limits
 
 _FD_STEP = 1e-6
-
-
-@dataclass(frozen=True)
-class OptParams:
-    d_safe: float = 0.05             # clearance margin for the hinge penalty, meters
-    mu0: float = 10.0                # initial penalty coefficient
-    mu_growth: float = 10.0
-    max_penalty_rounds: int = 5
-    trust_region_init: float = 0.1   # rad, box radius on waypoint updates
-    trust_shrink: float = 0.5
-    trust_expand: float = 1.5
-    trust_min: float = 1e-4
-    convergence_tol: float = 1e-4    # stop when merit decrease falls below this
-    max_inner_iters: int = 50
-
-    def __post_init__(self):
-        positive = (
-            self.d_safe, self.mu0, self.max_penalty_rounds, self.trust_region_init,
-            self.trust_shrink, self.trust_expand, self.trust_min,
-            self.convergence_tol, self.max_inner_iters,
-        )
-        if any(v <= 0 for v in positive) or self.mu_growth <= 1.0:
-            raise ValueError("optimizer parameters must be positive with mu_growth > 1")
+D_SAFE = 0.05               # clearance margin for the hinge penalty, meters
+_MU0 = 10.0                 # initial penalty coefficient
+_MU_GROWTH = 10.0
+_MAX_PENALTY_ROUNDS = 5
+_TRUST_REGION_INIT = 0.1    # rad, box radius on waypoint updates
+_TRUST_SHRINK = 0.5
+_TRUST_EXPAND = 1.5
+_TRUST_MIN = 1e-4
+_CONVERGENCE_TOL = 1e-4     # stop when merit decrease falls below this
+_MAX_INNER_ITERS = 50
 
 
 @dataclass
@@ -100,7 +87,7 @@ def merit_gradient(traj, arm: ArmModel, scene: Scene, mu: float, d_safe: float) 
     return _smoothness_gradient_interior(t) + mu * _penalty_gradient_interior(arm, scene, t, d_safe)
 
 
-def optimize(seed, arm: ArmModel, scene: Scene, params: OptParams = OptParams()) -> OptResult:
+def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
     """Optimize a seed trajectory with fixed endpoints and waypoint count.
 
     Outer loop: penalty escalation until the hinge penalty is zero or the
@@ -127,25 +114,25 @@ def optimize(seed, arm: ArmModel, scene: Scene, params: OptParams = OptParams())
         # endpoint hinge terms are constants of the optimization; keeping them
         # out lets the penalty reach zero even when a fixed endpoint sits
         # inside the safety margin
-        return float(_hinge_sums(arm, scene, traj[1:-1], params.d_safe).sum())
+        return float(_hinge_sums(arm, scene, traj[1:-1], D_SAFE).sum())
 
     def merit(traj: np.ndarray, mu: float) -> float:
         return smoothness_cost(traj) + mu * interior_penalty(traj)
 
-    mu = params.mu0
+    mu = _MU0
     iterations = 0
     merit_log: list[tuple[float, ...]] = []
     converged = False
 
     if X.shape[0] > 2:
-        for _ in range(params.max_penalty_rounds):
-            trust = params.trust_region_init
+        for _ in range(_MAX_PENALTY_ROUNDS):
+            trust = _TRUST_REGION_INIT
             m_cur = merit(X, mu)
             round_merits = [m_cur]
             stalled = False
-            for _ in range(params.max_inner_iters):
+            for _ in range(_MAX_INNER_ITERS):
                 iterations += 1
-                g = merit_gradient(X, arm, scene, mu, params.d_safe)
+                g = merit_gradient(X, arm, scene, mu, D_SAFE)
                 gmax = float(np.abs(g).max())
                 if gmax < 1e-12:
                     stalled = True
@@ -162,8 +149,8 @@ def optimize(seed, arm: ArmModel, scene: Scene, params: OptParams = OptParams())
                         break
                     alpha *= 0.5
                 if accepted is None:
-                    trust *= params.trust_shrink
-                    if trust < params.trust_min:
+                    trust *= _TRUST_SHRINK
+                    if trust < _TRUST_MIN:
                         stalled = True
                         break
                     continue
@@ -171,15 +158,15 @@ def optimize(seed, arm: ArmModel, scene: Scene, params: OptParams = OptParams())
                 decrease = m_cur - m_new
                 m_cur = m_new
                 round_merits.append(m_cur)
-                trust = min(trust * params.trust_expand, 10.0 * params.trust_region_init)
-                if decrease < params.convergence_tol:
+                trust = min(trust * _TRUST_EXPAND, 10.0 * _TRUST_REGION_INIT)
+                if decrease < _CONVERGENCE_TOL:
                     stalled = True
                     break
             merit_log.append(tuple(round_merits))
             if interior_penalty(X) <= 0.0:
                 converged = stalled
                 break
-            mu *= params.mu_growth
+            mu *= _MU_GROWTH
     else:
         converged = True  # nothing to optimize with only fixed endpoints
 

@@ -3,12 +3,13 @@
 Construction samples collision-free configurations (uniform over the four
 most proximal joints, remaining joints held fixed), connects each node to
 its nearest neighbors through collision-checked straight edges, prunes
-everything outside the largest connected component, and caches an
-all-pairs-shortest-paths solution set (per-source distance and next-hop
-tables). Loopless alternate paths between node pairs are computed with
-Yen's algorithm and memoized, which is what edge invalidation falls back on.
-Every path search orders paths by length first and, among equal lengths,
-by the lexicographically smallest node sequence.
+everything outside the largest connected component, and caches the
+all-pairs shortest-path distances. A shortest path is read off those
+distances by walking from its source towards its target. Loopless
+alternate paths between node pairs are computed with Yen's algorithm and
+memoized, which is what edge invalidation falls back on. Every path search
+orders paths by length first and, among equal lengths, by the
+lexicographically smallest node sequence.
 
 A saved roadmap holds only what the build decided: nodes, edges, weights,
 parameters, the memoized alternate paths, and the scene and arm it is bound
@@ -36,14 +37,12 @@ from .collision import (
     DEFAULT_EDGE_INTERP, Scene, config_in_collision, configs_in_collision, segments_in_collision,
 )
 from .geometry import wrap_angles
-from .robot import ArmModel, EEPose, chain_points, within_limits
+from .robot import IK_HEADING_TOL, IK_POSITION_TOL, ArmModel, EEPose, chain_points, within_limits
 from .scenarios import ik_goal_configs, scene_to_dict
 
 FORMAT_VERSION = 2
 SAMPLED_JOINTS = 4
 _SAMPLE_BATCH = 1024
-_GOAL_MATCH_POS_TOL = 1e-4
-_GOAL_MATCH_HEADING_TOL = 1e-3
 
 # Edge sample fractions, endpoints included. The coarse ones are a strict
 # subset of the fine ones: a segment blocked at a coarse sample is also
@@ -97,8 +96,8 @@ def _binding(scene: Scene, arm: ArmModel) -> dict:
 
 class Roadmap:
     """Immutable-after-build roadmap: nodes, weighted edges and path caches,
-    bound to the scene and arm it was built for. The APSP tables are built
-    from the edges here, once."""
+    bound to the scene and arm it was built for. The APSP distances are
+    computed from the edges here, once."""
 
     def __init__(self, nodes, edge_list, edge_weights, params: RoadmapParams, binding: dict,
                  ksp_cache: dict | None = None, ksp_kmax: dict | None = None):
@@ -112,7 +111,7 @@ class Roadmap:
         self._node_ee: tuple[np.ndarray, np.ndarray] | None = None
         # the edges as a symmetric CSR matrix, the alternate-path searches' graph
         self.graph = _csr_graph(len(self.nodes), self.edge_list, self.edge_weights)
-        self.apsp_dist, self.apsp_next = _apsp_tables(self.graph)
+        self.apsp_dist = _sparse_dijkstra(self.graph, directed=True)
 
     @property
     def n_nodes(self) -> int:
@@ -123,13 +122,9 @@ class Roadmap:
         return len(self.edge_list)
 
     def shortest_node_path(self, u: int, v: int) -> list[int]:
-        """Reconstruct the cached shortest path by walking next-hop entries."""
-        path = [u]
-        node = u
-        while node != v:
-            node = int(self.apsp_next[node, v])
-            path.append(node)
-        return path
+        """The lexicographically smallest shortest path from u to v, walked
+        over the cached distances from v (the graph is symmetric)."""
+        return _walk_to(self.graph, self.graph.data, self.apsp_dist[v], u, v)[1]
 
     def node_tip_poses(self, arm: ArmModel) -> tuple[np.ndarray, np.ndarray]:
         """Tip positions (N, 2) and headings (N,) of all nodes for the
@@ -256,18 +251,22 @@ def _csr_graph(n: int, edges, weights) -> csr_matrix:
     return graph
 
 
-def _apsp_tables(graph: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    n = graph.shape[0]
-    dist = _sparse_dijkstra(graph, directed=True)
-    nxt = np.full((n, n), -1, dtype=np.int32)
-    for u in range(n):
-        row = slice(graph.indptr[u], graph.indptr[u + 1])
-        nbrs, w = graph.indices[row], graph.data[row]
-        if len(nbrs):  # a node without edges reaches nothing but itself
-            cand = w[:, None] + dist[nbrs]          # (deg, n)
-            nxt[u] = nbrs[np.argmin(cand, axis=0)]  # first minimum: lexicographic tie-break
-        nxt[u, u] = u
-    return dist, nxt
+def _walk_to(graph: csr_matrix, data: np.ndarray, to_dst: np.ndarray, src: int, dst: int):
+    """(length, node list) of the lexicographically smallest shortest path
+    from src to dst, given each node's distance ``to_dst`` to dst over the
+    edge weights ``data`` (``graph``'s structure). At each node the walk
+    takes the lowest-indexed neighbour on a shortest path, and it sums the
+    length forward. src must reach dst.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    node, path, length = src, [src], 0.0
+    while node != dst:
+        row = slice(indptr[node], indptr[node + 1])
+        step = int(np.argmax(to_dst[indices[row]] + data[row] == to_dst[node]))
+        length += float(data[row][step])
+        node = int(indices[row][step])
+        path.append(node)
+    return length, path
 
 
 def build_roadmap(scene: Scene, arm: ArmModel, params: RoadmapParams = RoadmapParams()) -> Roadmap:
@@ -304,10 +303,8 @@ def _edge_index(graph: csr_matrix, a: int, b: int) -> int:
 
 def _dijkstra_path(graph: csr_matrix, src: int, dst: int, banned_nodes: set, banned_edges: set):
     """(length, node list) of the shortest src -> dst path avoiding the banned
-    nodes and edges, or (inf, None). Distances to dst come from one scipy
-    Dijkstra run with those rows and edges at inf; the walk from src then
-    takes the lowest-indexed neighbour on a shortest path at each node (the
-    lexicographically smallest shortest path) and sums its length forward.
+    nodes and edges, or (inf, None): distances to dst from one scipy Dijkstra
+    run with those rows and edges at inf, then :func:`_walk_to` from src.
     """
     indptr, indices = graph.indptr, graph.indices
     data = graph.data.copy()
@@ -320,14 +317,7 @@ def _dijkstra_path(graph: csr_matrix, src: int, dst: int, banned_nodes: set, ban
     to_dst[list(banned_nodes)] = np.inf
     if not np.isfinite(to_dst[src]):
         return float("inf"), None
-    node, path, length = src, [src], 0.0
-    while node != dst:
-        row = slice(indptr[node], indptr[node + 1])
-        step = int(np.argmax(to_dst[indices[row]] + data[row] == to_dst[node]))
-        length += float(data[row][step])
-        node = int(indices[row][step])
-        path.append(node)
-    return length, path
+    return _walk_to(graph, data, to_dst, src, dst)
 
 
 def _yen(graph: csr_matrix, src: int, dst: int, k: int) -> list[tuple[int, ...]]:
@@ -465,10 +455,10 @@ def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) ->
     candidates = ik_goal_configs(arm, scene, goal)
     tip_pos, tip_heading = roadmap.node_tip_poses(arm)
     pos_err = np.linalg.norm(tip_pos - np.array([goal.x, goal.y])[None, :], axis=1)
-    matched = pos_err < _GOAL_MATCH_POS_TOL
+    matched = pos_err < IK_POSITION_TOL
     if goal.heading_matters:
         dh = np.abs(wrap_angles(tip_heading - goal.heading))
-        matched &= dh < _GOAL_MATCH_HEADING_TOL
+        matched &= dh < IK_HEADING_TOL
     candidates.extend(roadmap.nodes[i].copy() for i in np.flatnonzero(matched))
     if not candidates:
         return QueryResult(None, failure="no_ik")

@@ -13,6 +13,8 @@ from .geometry import ConvexShape, Pose2, normalize_angle, transform, wrap_angle
 
 IK_POSITION_TOL = 1e-4   # meters
 IK_HEADING_TOL = 1e-3    # radians
+_IK_MAX_ITERS = 200
+_IK_DAMPING = 1e-3       # damped-least-squares lambda
 
 
 @dataclass(frozen=True)
@@ -29,10 +31,6 @@ class EEPose:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "heading", normalize_angle(float(self.heading)))
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 @dataclass(frozen=True)
@@ -166,8 +164,6 @@ def solve_ik(
     target: EEPose,
     restarts: int = 10,
     rng_seed: int = 0,
-    max_iters: int = 200,
-    damping: float = 1e-3,
 ) -> list[np.ndarray]:
     """Damped-least-squares IK with random restarts uniform in the joint limits.
 
@@ -185,8 +181,6 @@ def solve_ik(
     rng = np.random.default_rng(rng_seed)
     Q = rng.uniform(arm.lower, arm.upper, size=(restarts, arm.dof))
     goal_xy = np.array([target.x, target.y])
-    d = 3 if target.heading_matters else 2
-    damp = damping * damping * np.eye(d)
 
     converged = np.zeros(restarts, dtype=bool)
     active = np.arange(restarts)
@@ -194,9 +188,9 @@ def solve_ik(
     stall_window = 25
     lengths = arm.lengths
     base_heading = arm.base.heading
-    lam2 = damping * damping
+    lam2 = _IK_DAMPING * _IK_DAMPING
 
-    for it in range(max_iters):
+    for it in range(_IK_MAX_ITERS):
         ang = base_heading + np.cumsum(Q[active], axis=1)     # (A, K)
         lc = lengths * np.cos(ang)
         ls = lengths * np.sin(ang)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import RRTParams, rrt_plan
+from .baselines import RRT_MAX_ITERS, rrt_plan, rrt_seed
 from .collision import Scene, config_in_collision, configs_in_collision
 from .geometry import ConvexShape, Pose2
 from .robot import ArmModel, EEPose, forward_kinematics, goal_seed, solve_ik, within_limits
@@ -24,9 +24,6 @@ FORMAT_VERSION = 1
 SCENE_NAMES = ("tabletop_pole", "tabletop_container", "kitchen", "shelf_boxes")
 
 MAX_SAMPLE_ATTEMPTS = 1_000_000
-# Iteration budget of every benchmark RRT: the suite feasibility check and
-# the rrt and rrt+opt pipelines.
-RRT_MAX_ITERS = 20_000
 
 DEFAULT_BASE = Pose2(0.0, 0.0, math.pi / 2)
 DEFAULT_LINKS = ((0.50, 0.040), (0.40, 0.035), (0.30, 0.030), (0.20, 0.025))
@@ -132,7 +129,7 @@ def generate_test_suite(
     arm: ArmModel,
     count: int,
     rng_seed: int,
-    rrt_params: RRTParams | None = None,
+    rrt_max_iters: int = RRT_MAX_ITERS,
 ) -> TestSuite:
     """Rejection-sample feasible test cases for a scene.
 
@@ -142,10 +139,12 @@ def generate_test_suite(
     only when the goal pose admits a collision-free IK solution under the
     standard seed convention and the RRT baseline solves the query within a
     generous budget, so every stored case is known to have a solution.
+    Raises ValueError when count or rrt_max_iters is below 1.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rrt_params = rrt_params or RRTParams(max_iters=RRT_MAX_ITERS)
+    if rrt_max_iters < 1:
+        raise ValueError("rrt_max_iters must be >= 1")
     rng = np.random.default_rng(rng_seed)
     cases: list[TestCase] = []
     samples = 0
@@ -173,8 +172,7 @@ def generate_test_suite(
         goal_cfgs = ik_goal_configs(arm, scene, goal)
         if not goal_cfgs:
             continue
-        seeded = replace(rrt_params, rng_seed=(rng_seed * 1_000_003 + attempt) & 0x7FFFFFFF)
-        if rrt_plan(scene, arm, start, goal_cfgs, seeded) is None:
+        if rrt_plan(scene, arm, start, goal_cfgs, rrt_seed(rng_seed, attempt), rrt_max_iters) is None:
             continue
         cid = f"{scene.name}-{rng_seed}-{len(cases):04d}"
         cases.append(TestCase(id=cid, start=tuple(start.tolist()), goal=goal, scene_name=scene.name))

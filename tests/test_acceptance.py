@@ -18,7 +18,7 @@ from armplan.bench import (
 from armplan.collision import pair_signed_distances
 from armplan.geometry import Pose2, signed_distance
 from armplan.optimizer import (
-    OptParams, collision_penalty, merit_gradient, optimize, smoothness_cost,
+    D_SAFE, collision_penalty, merit_gradient, optimize, smoothness_cost,
 )
 from armplan.roadmap import (
     RoadmapParams, build_roadmap, k_shortest_paths, save_roadmap,
@@ -283,7 +283,6 @@ def test_criterion_8_redundancy_monotone(scenes, the_arm):
 def test_criterion_9_optimizer_numerics(scenes, suites, the_arm):
     scene = scenes["tabletop_pole"]
     suite = suites["tabletop_pole"]
-    params = OptParams()
     from armplan.scenarios import ik_goal_configs
 
     n_runs = 0
@@ -297,7 +296,7 @@ def test_criterion_9_optimizer_numerics(scenes, suites, the_arm):
             continue
         nearest = goals[int(np.argmin([np.linalg.norm(g - case.start_config) for g in goals]))]
         seed = resample_path(straight_line_seed(case.start_config, nearest, 30))
-        res = optimize(seed, the_arm, scene, params)
+        res = optimize(seed, the_arm, scene)
         n_runs += 1
         for merits in res.merit_log:
             monotone &= bool((np.diff(np.array(merits)) <= 1e-12).all())
@@ -307,7 +306,7 @@ def test_criterion_9_optimizer_numerics(scenes, suites, the_arm):
 
     # gradient check away from hinge kinks
     rng = np.random.default_rng(9)
-    mu, d_safe, h = 10.0, params.d_safe, 1e-6
+    mu, d_safe, h = 10.0, D_SAFE, 1e-6
     grad_ok = True
     checked = 0
     while checked < 5:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from armplan.baselines import RRTParams, rrt_plan
+from armplan.baselines import rrt_plan
 from armplan.collision import config_in_collision, edge_in_collision
 
 
@@ -40,10 +40,7 @@ def test_quick_success_on_near_goals(arm, empty_scene):
     for trial in range(100):
         start = rng.uniform(arm.lower * 0.8, arm.upper * 0.8)
         goal = np.clip(start + rng.uniform(-0.4, 0.4, arm.dof), arm.lower, arm.upper)
-        path = rrt_plan(
-            empty_scene, arm, start, [goal],
-            RRTParams(max_iters=1000, rng_seed=trial),
-        )
+        path = rrt_plan(empty_scene, arm, start, [goal], rng_seed=trial, max_iters=1000)
         assert path is not None, trial
 
 
@@ -53,10 +50,7 @@ def test_path_invariants(arm, pole_scene, small_pole_suite):
     checked = 0
     for i, case in enumerate(small_pole_suite.cases[:5]):
         goals = ik_goal_configs(arm, pole_scene, case.goal)
-        path = rrt_plan(
-            pole_scene, arm, case.start_config, goals,
-            RRTParams(max_iters=20_000, rng_seed=100 + i),
-        )
+        path = rrt_plan(pole_scene, arm, case.start_config, goals, rng_seed=100 + i)
         if path is None:
             continue
         checked += 1
@@ -70,9 +64,15 @@ def test_path_invariants(arm, pole_scene, small_pole_suite):
 def test_deterministic(arm, pole_scene):
     start = np.zeros(arm.dof)
     goal = np.array([1.0, 0.5, -0.4, 0.3])
-    params = RRTParams(max_iters=5000, rng_seed=77)
-    p1 = rrt_plan(pole_scene, arm, start, [goal], params)
-    p2 = rrt_plan(pole_scene, arm, start, [goal], params)
+    p1 = rrt_plan(pole_scene, arm, start, [goal], rng_seed=77, max_iters=5000)
+    p2 = rrt_plan(pole_scene, arm, start, [goal], rng_seed=77, max_iters=5000)
     assert p1 is not None and len(p1) == len(p2)
     for a, b in zip(p1, p2):
         assert np.array_equal(a, b)
+
+
+def test_rejects_iteration_budget_below_one(arm, empty_scene):
+    q = np.zeros(arm.dof)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_iters"):
+            rrt_plan(empty_scene, arm, q, [np.full(arm.dof, 0.3)], max_iters=bad)

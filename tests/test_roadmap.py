@@ -136,6 +136,27 @@ def reference_yen(adj, src, dst, k):
     return [p for _, p in paths]
 
 
+def reference_next_hop_table(graph, dist):
+    """Reference next-hop table: for every pair (u, v), the lowest-indexed
+    neighbour of u that minimizes its edge weight plus its distance to v."""
+    n = graph.shape[0]
+    nxt = np.full((n, n), -1, dtype=np.int32)
+    for u in range(n):
+        row = slice(graph.indptr[u], graph.indptr[u + 1])
+        nbrs, w = graph.indices[row], graph.data[row]
+        if len(nbrs):
+            nxt[u] = nbrs[np.argmin(w[:, None] + dist[nbrs], axis=0)]
+        nxt[u, u] = u
+    return nxt
+
+
+def reference_next_hop_path(nxt, u, v):
+    path = [u]
+    while path[-1] != v:
+        path.append(int(nxt[path[-1], v]))
+    return path
+
+
 def all_simple_paths_sorted(adj, u, v):
     """Exhaustive enumeration of loopless paths sorted by (length, sequence)."""
     out = []
@@ -216,6 +237,31 @@ def test_next_hop_reconstruction_matches_distances(small_pole_roadmap):
         assert path_length(rm.nodes[path]) == pytest.approx(float(rm.apsp_dist[u, v]), abs=1e-9)
 
 
+def test_shortest_node_path_matches_next_hop_reference(small_pole_roadmap):
+    rm = small_pole_roadmap
+    nxt = reference_next_hop_table(rm.graph, rm.apsp_dist)
+    for u, v in itertools.product(range(rm.n_nodes), repeat=2):
+        assert rm.shortest_node_path(u, v) == reference_next_hop_path(nxt, u, v), (u, v)
+
+
+def test_shortest_node_path_breaks_ties_like_next_hop_reference():
+    # integer weights make length ties common; pairs in different
+    # components have no path and are skipped
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n = int(rng.integers(3, 10))
+        edges, weights = [], []
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < 0.5:
+                edges.append((i, j))
+                weights.append(float(rng.integers(1, 4)))
+        rm = graph_roadmap(n, edges, weights)
+        nxt = reference_next_hop_table(rm.graph, rm.apsp_dist)
+        for u, v in itertools.product(range(n), repeat=2):
+            if np.isfinite(rm.apsp_dist[u, v]):
+                assert rm.shortest_node_path(u, v) == reference_next_hop_path(nxt, u, v), (trial, u, v)
+
+
 def test_build_deterministic_and_serialization_roundtrip(pole_scene, arm, tmp_path):
     params = RoadmapParams(n_nodes=60, k_neighbors=6, rng_seed=3)
     a = build_roadmap(pole_scene, arm, params)
@@ -230,7 +276,8 @@ def test_build_deterministic_and_serialization_roundtrip(pole_scene, arm, tmp_pa
     assert np.array_equal(c.nodes, a.nodes)
     assert c.edge_list == a.edge_list
     assert np.array_equal(c.apsp_dist, a.apsp_dist)
-    assert np.array_equal(c.apsp_next, a.apsp_next)
+    for u, v in itertools.product(range(a.n_nodes), repeat=2):
+        assert c.shortest_node_path(u, v) == a.shortest_node_path(u, v)
     assert c.ksp_cache == a.ksp_cache
     assert c.params == a.params
     assert c.binding == a.binding
@@ -253,7 +300,8 @@ def test_load_rejects_format_version_1(small_pole_roadmap, tmp_path):
         tmp_path / "v1.npz",
         meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         nodes=rm.nodes, edges=np.array(rm.edge_list, dtype=np.int32),
-        edge_weights=rm.edge_weights, apsp_dist=rm.apsp_dist, apsp_next=rm.apsp_next,
+        edge_weights=rm.edge_weights, apsp_dist=rm.apsp_dist,
+        apsp_next=np.zeros((rm.n_nodes, rm.n_nodes), dtype=np.int32),
         ksp_keys=empty.reshape(0, 2), ksp_kmax=empty, ksp_path_counts=empty,
         ksp_path_lens=empty, ksp_flat=empty,
     )

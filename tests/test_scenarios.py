@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from armplan.baselines import RRTParams, rrt_plan
+from armplan.baselines import rrt_plan
 from armplan.collision import config_in_collision
 from armplan.geometry import Pose2, signed_distance
 from armplan.robot import within_limits
@@ -92,6 +92,16 @@ def test_generate_count_validation(pole_scene, arm):
         generate_test_suite(pole_scene, arm, 0, rng_seed=1)
 
 
+def test_generate_rejects_rrt_budget_below_one_before_sampling(pole_scene, arm, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the RRT budget")
+
+    monkeypatch.setattr("armplan.scenarios.config_in_collision", no_sampling)
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="rrt_max_iters"):
+            generate_test_suite(pole_scene, arm, 3, rng_seed=1, rrt_max_iters=bad)
+
+
 def test_suite_roundtrip_and_invariants(small_pole_suite, arm, pole_scene, tmp_path):
     p = tmp_path / "suite.json"
     save_suite(small_pole_suite, p)
@@ -145,8 +155,5 @@ def test_kept_cases_solvable_by_rrt(small_pole_suite, arm, pole_scene):
     for case in small_pole_suite.cases[:4]:
         goals = ik_goal_configs(arm, pole_scene, case.goal)
         assert goals
-        path = rrt_plan(
-            pole_scene, arm, case.start_config, goals,
-            RRTParams(max_iters=20_000, rng_seed=1234),
-        )
+        path = rrt_plan(pole_scene, arm, case.start_config, goals, rng_seed=1234)
         assert path is not None
