@@ -7,6 +7,11 @@ gradient of the linearized merit function. Endpoints stay fixed, joint
 limits hold at every accepted iterate, and accepted steps never increase
 the merit. Whether the result is actually collision-free is decided by the
 independent trajectory checker, never by inspecting cost values.
+
+No signed distance is computed twice: the line search evaluates all of its
+trial points in one batch, the gradient is kept across rejected steps (they
+leave the iterate and the penalty coefficient unchanged), and the penalty of
+the current iterate is carried from the batch that accepted it.
 """
 
 from __future__ import annotations
@@ -93,11 +98,15 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
     Outer loop: penalty escalation until the hinge penalty is zero or the
     round budget runs out. Inner loop: steepest descent on the merit with a
     backtracking line search inside a shrinking/expanding trust-region box
-    intersected with the joint limits. A candidate is accepted only if it
-    strictly decreases the merit, so accepted merits are non-increasing
-    within a round. The optimizer always returns its best iterate; converged
-    is True only when progress stalled with zero penalty. Raises ValueError
-    when an endpoint is outside the joint limits, non-finite or in collision.
+    intersected with the joint limits. The line search's six trial points
+    (the step length halved five times) are evaluated in one signed-distance
+    batch, and the first that strictly decreases the merit is accepted, so
+    accepted merits are non-increasing within a round. A rejected step only
+    shrinks the trust region, so the gradient is computed once per round
+    start and once per accepted step. The optimizer always returns its best
+    iterate; converged is True only when progress stalled with zero penalty.
+    Raises ValueError when an endpoint is outside the joint limits,
+    non-finite or in collision.
     """
     t0 = time.perf_counter()
     X = np.array(seed, dtype=float)
@@ -110,51 +119,53 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
             raise ValueError("seed endpoints must be collision-free")
     X[1:-1] = np.clip(X[1:-1], arm.lower, arm.upper)
 
-    def interior_penalty(traj: np.ndarray) -> float:
-        # endpoint hinge terms are constants of the optimization; keeping them
-        # out lets the penalty reach zero even when a fixed endpoint sits
-        # inside the safety margin
-        return float(_hinge_sums(arm, scene, traj[1:-1], D_SAFE).sum())
-
-    def merit(traj: np.ndarray, mu: float) -> float:
-        return smoothness_cost(traj) + mu * interior_penalty(traj)
-
     mu = _MU0
     iterations = 0
     merit_log: list[tuple[float, ...]] = []
     converged = False
+    # the interior penalty of X: endpoint hinge terms are constants of the
+    # optimization; keeping them out lets the penalty reach zero even when a
+    # fixed endpoint sits inside the safety margin
+    penalty = float(_hinge_sums(arm, scene, X[1:-1], D_SAFE).sum())
 
     if X.shape[0] > 2:
         for _ in range(_MAX_PENALTY_ROUNDS):
             trust = _TRUST_REGION_INIT
-            m_cur = merit(X, mu)
+            m_cur = smoothness_cost(X) + mu * penalty
             round_merits = [m_cur]
             stalled = False
+            g = None
             for _ in range(_MAX_INNER_ITERS):
                 iterations += 1
-                g = merit_gradient(X, arm, scene, mu, D_SAFE)
-                gmax = float(np.abs(g).max())
+                if g is None:
+                    g = merit_gradient(X, arm, scene, mu, D_SAFE)
+                    gmax = float(np.abs(g).max())
                 if gmax < 1e-12:
                     stalled = True
                     break
+                # the line search's trial points, the step length halved five
+                # times, in one batch
+                alpha = np.ldexp(trust / gmax, -np.arange(6))
+                cands = np.repeat(X[None], len(alpha), axis=0)
+                step = np.clip(-alpha[:, None, None] * g, -trust, trust)
+                cands[:, 1:-1] = np.clip(X[1:-1] + step, arm.lower, arm.upper)
+                sums = _hinge_sums(arm, scene, cands[:, 1:-1].reshape(-1, arm.dof), D_SAFE)
+                sums = sums.reshape(len(alpha), -1)
                 accepted = None
-                alpha = trust / gmax
-                for _ in range(6):
-                    cand = X.copy()
-                    step = np.clip(-alpha * g, -trust, trust)
-                    cand[1:-1] = np.clip(X[1:-1] + step, arm.lower, arm.upper)
-                    m_cand = merit(cand, mu)
+                for j in range(len(alpha)):
+                    cand_penalty = float(sums[j].sum())
+                    m_cand = smoothness_cost(cands[j]) + mu * cand_penalty
                     if m_cand < m_cur - 1e-12:
-                        accepted = (cand, m_cand)
+                        accepted = (cands[j].copy(), cand_penalty, m_cand)
                         break
-                    alpha *= 0.5
                 if accepted is None:
                     trust *= _TRUST_SHRINK
                     if trust < _TRUST_MIN:
                         stalled = True
                         break
-                    continue
-                X, m_new = accepted
+                    continue  # X and mu are unchanged, and so is g
+                X, penalty, m_new = accepted
+                g = None
                 decrease = m_cur - m_new
                 m_cur = m_new
                 round_merits.append(m_cur)
@@ -163,7 +174,7 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
                     stalled = True
                     break
             merit_log.append(tuple(round_merits))
-            if interior_penalty(X) <= 0.0:
+            if penalty <= 0.0:
                 converged = stalled
                 break
             mu *= _MU_GROWTH
@@ -176,7 +187,7 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
         trajectory=X,
         converged=converged,
         collision_free=not in_collision,
-        final_cost=merit(X, mu),
+        final_cost=smoothness_cost(X) + mu * penalty,
         iterations=iterations,
         wall_time=wall,
         merit_log=tuple(merit_log),

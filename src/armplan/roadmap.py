@@ -123,7 +123,10 @@ class Roadmap:
 
     def shortest_node_path(self, u: int, v: int) -> list[int]:
         """The lexicographically smallest shortest path from u to v, walked
-        over the cached distances from v (the graph is symmetric)."""
+        over the cached distances from v (the graph is symmetric). Raises
+        ValueError when v is not reachable from u."""
+        if not np.isfinite(self.apsp_dist[v, u]):
+            raise ValueError(f"node {v} is not reachable from node {u}")
         return _walk_to(self.graph, self.graph.data, self.apsp_dist[v], u, v)[1]
 
     def node_tip_poses(self, arm: ArmModel) -> tuple[np.ndarray, np.ndarray]:

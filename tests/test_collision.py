@@ -10,6 +10,7 @@ from armplan.collision import (
     segments_in_collision, trajectory_in_collision,
 )
 from armplan.geometry import ConvexShape, Pose2, signed_distance
+from armplan.optimizer import D_SAFE, _hinge_sums
 from armplan.robot import ArmModel, link_shapes
 from armplan.scenarios import SCENE_NAMES, build_scene
 
@@ -270,6 +271,37 @@ def test_batched_checks_agree_on_random_convex_scenes(arm, seed):
     scene = _random_convex_scene(rng, int(rng.integers(1, 5)))
     Q = rng.uniform(arm.lower, arm.upper, size=(16, arm.dof))
     _assert_batched_checks_agree(arm, scene, Q)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from(["shelf_boxes", "tabletop_pole"]),
+    chunks=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+)
+def test_signed_distances_are_batch_invariant(arm, seed, name, chunks):
+    """Each row's signed distances and hinge sum are bitwise the same whether
+    the row is evaluated alone, in any chunk, or in one concatenated batch:
+    the optimizer's batched line search relies on it to keep its records."""
+    scene = build_scene(name)
+    rng = np.random.default_rng(seed)
+    # uniform rows, and rows close to one configuration as a line search
+    # and a finite-difference gradient make them, so some pairs are near
+    m = sum(chunks)
+    base = rng.uniform(arm.lower, arm.upper)
+    near = np.clip(base + rng.normal(scale=0.05, size=(m, arm.dof)), arm.lower, arm.upper)
+    far = rng.uniform(arm.lower, arm.upper, size=(m, arm.dof))
+    Q = np.where(rng.random((m, 1)) < 0.5, near, far)
+    whole_sd = pair_signed_distances(arm, scene, Q, far_cutoff=D_SAFE)
+    whole_sums = _hinge_sums(arm, scene, Q, D_SAFE)
+    bounds = np.cumsum([0] + chunks)
+    splits = [(bounds[i], bounds[i + 1]) for i in range(len(chunks))]
+    splits += [(i, i + 1) for i in range(m)]        # every row alone
+    for lo, hi in splits:
+        part_sd = pair_signed_distances(arm, scene, Q[lo:hi], far_cutoff=D_SAFE)
+        part_sums = _hinge_sums(arm, scene, Q[lo:hi], D_SAFE)
+        assert np.array_equal(part_sd, whole_sd[lo:hi]), (lo, hi)
+        assert np.array_equal(part_sums, whole_sums[lo:hi]), (lo, hi)
 
 
 def test_padded_obstacles_match_reference(arm):

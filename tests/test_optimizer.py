@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from armplan.collision import Scene, trajectory_in_collision
+import armplan.optimizer as opt
+from armplan.collision import (
+    Scene, config_in_collision, pair_signed_distances, trajectory_in_collision,
+)
 from armplan.geometry import ConvexShape, Pose2
 from armplan.optimizer import (
     collision_penalty, merit_gradient, optimize, smoothness_cost,
@@ -16,6 +19,77 @@ def flat_arm():
         links=((0.5, 0.04), (0.4, 0.04), (0.3, 0.04), (0.2, 0.04)),
         joint_limits=((-2.9, 2.9),) + ((-2.5, 2.5),) * 3,
     )
+
+
+def sequential_optimize(seed, arm, scene):
+    """Reference optimizer: the inner loop with one penalty evaluation per
+    trial step and a gradient every iteration, as ``optimize`` ran before
+    its line search was batched. Returns (trajectory, merit_log,
+    iterations, final_cost, converged, collision_free)."""
+    X = np.array(seed, dtype=float)
+    X[1:-1] = np.clip(X[1:-1], arm.lower, arm.upper)
+
+    def penalty(traj):
+        return collision_penalty(traj[1:-1], arm, scene, opt.D_SAFE)
+
+    def merit(traj, mu):
+        return smoothness_cost(traj) + mu * penalty(traj)
+
+    mu, iterations, merit_log, converged = opt._MU0, 0, [], False
+    for _ in range(opt._MAX_PENALTY_ROUNDS):
+        trust = opt._TRUST_REGION_INIT
+        m_cur = merit(X, mu)
+        round_merits, stalled = [m_cur], False
+        for _ in range(opt._MAX_INNER_ITERS):
+            iterations += 1
+            g = merit_gradient(X, arm, scene, mu, opt.D_SAFE)
+            gmax = float(np.abs(g).max())
+            if gmax < 1e-12:
+                stalled = True
+                break
+            accepted, alpha = None, trust / gmax
+            for _ in range(6):
+                cand = X.copy()
+                step = np.clip(-alpha * g, -trust, trust)
+                cand[1:-1] = np.clip(X[1:-1] + step, arm.lower, arm.upper)
+                m_cand = merit(cand, mu)
+                if m_cand < m_cur - 1e-12:
+                    accepted = (cand, m_cand)
+                    break
+                alpha *= 0.5
+            if accepted is None:
+                trust *= opt._TRUST_SHRINK
+                if trust < opt._TRUST_MIN:
+                    stalled = True
+                    break
+                continue
+            X, m_new = accepted
+            decrease, m_cur = m_cur - m_new, m_new
+            round_merits.append(m_cur)
+            trust = min(trust * opt._TRUST_EXPAND, 10.0 * opt._TRUST_REGION_INIT)
+            if decrease < opt._CONVERGENCE_TOL:
+                stalled = True
+                break
+        merit_log.append(tuple(round_merits))
+        if penalty(X) <= 0.0:
+            converged = stalled
+            break
+        mu *= opt._MU_GROWTH
+    free = not trajectory_in_collision(arm, scene, X)[0]
+    return X, tuple(merit_log), iterations, merit(X, mu), converged, free
+
+
+def straight_line_cases(arm, scene, count, rng_seed):
+    """Resampled straight-line seeds between random collision-free
+    configurations."""
+    rng = np.random.default_rng(rng_seed)
+    seeds = []
+    while len(seeds) < count:
+        a = rng.uniform(arm.lower, arm.upper)
+        b = rng.uniform(arm.lower, arm.upper)
+        if not (config_in_collision(arm, scene, a) or config_in_collision(arm, scene, b)):
+            seeds.append(resample_path(straight_line_seed(a, b, 30)))
+    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -191,3 +265,56 @@ def test_two_waypoint_seed_passthrough(arm, empty_scene):
     res = optimize(seed, arm, empty_scene)
     assert np.array_equal(res.trajectory, seed)
     assert res.converged and res.collision_free
+
+
+@pytest.mark.parametrize("scene_fixture", ["pole_scene", "shelf_scene"])
+def test_matches_sequential_reference(request, arm, scene_fixture):
+    scene = request.getfixturevalue(scene_fixture)
+    rounds = []
+    for seed in straight_line_cases(arm, scene, 6, rng_seed=32):
+        X, merit_log, iterations, final_cost, converged, free = sequential_optimize(seed, arm, scene)
+        res = optimize(seed, arm, scene)
+        assert np.array_equal(res.trajectory, X)
+        assert res.merit_log == merit_log
+        assert res.iterations == iterations
+        assert res.final_cost == final_cost
+        assert res.converged == converged
+        assert res.collision_free == free
+        rounds.append(len(merit_log))
+    assert max(rounds) > 1       # a case that escalates the penalty coefficient
+
+
+@pytest.mark.parametrize("scene_fixture", ["pole_scene", "shelf_scene"])
+def test_signed_distance_calls_per_iteration(request, arm, scene_fixture, monkeypatch):
+    """One call for the seed's penalty, one gradient per round start and per
+    accepted step, and one batched line search per iteration."""
+    scene = request.getfixturevalue(scene_fixture)
+    rows = []
+
+    def counting(arm_, scene_, Q, far_cutoff=None):
+        rows.append(len(Q))
+        return pair_signed_distances(arm_, scene_, Q, far_cutoff=far_cutoff)
+
+    monkeypatch.setattr(opt, "pair_signed_distances", counting)
+    rejected_total = 0
+    for seed in straight_line_cases(arm, scene, 4, rng_seed=36):
+        rows.clear()
+        res = optimize(seed, arm, scene)
+        n = len(seed) - 2
+        penalty_rows, search_rows, gradient_rows = n, 6 * n, 2 * n * arm.dof
+        assert len({penalty_rows, search_rows, gradient_rows}) == 3
+        assert set(rows) <= {penalty_rows, search_rows, gradient_rows}
+        rounds = len(res.merit_log)
+        accepted = sum(len(r) - 1 for r in res.merit_log)
+        rejected = res.iterations - accepted
+        searches = rows.count(search_rows)
+        gradients = rows.count(gradient_rows)
+        assert rows[0] == penalty_rows and rows.count(penalty_rows) == 1
+        assert searches <= res.iterations
+        assert gradients <= rounds + accepted
+        # calls made by iterations: at most 2 for an accepted step, 1 for a
+        # rejected one (which keeps the gradient)
+        assert searches + gradients - rounds <= 2 * accepted + rejected
+        assert len(rows) <= 2 * res.iterations + rounds + 1
+        rejected_total += rejected
+    assert rejected_total > 0

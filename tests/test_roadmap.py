@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import json
+import signal
 import tracemalloc
 import zipfile
 from dataclasses import asdict
@@ -260,6 +261,25 @@ def test_shortest_node_path_breaks_ties_like_next_hop_reference():
         for u, v in itertools.product(range(n), repeat=2):
             if np.isfinite(rm.apsp_dist[u, v]):
                 assert rm.shortest_node_path(u, v) == reference_next_hop_path(nxt, u, v), (trial, u, v)
+
+
+def test_shortest_node_path_rejects_disconnected_pair():
+    rm = graph_roadmap(4, [(0, 1), (2, 3)], [1.0, 1.0])
+
+    def timeout(signum, frame):
+        raise TimeoutError("shortest_node_path did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        for u, v in ((0, 3), (3, 0), (1, 2)):
+            with pytest.raises(ValueError, match="not reachable"):
+                rm.shortest_node_path(u, v)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rm.shortest_node_path(0, 1) == [0, 1]
+    assert rm.shortest_node_path(3, 3) == [3]
 
 
 def test_build_deterministic_and_serialization_roundtrip(pole_scene, arm, tmp_path):
