@@ -1,21 +1,22 @@
 """Sparse probabilistic roadmap with cached shortest-path and alternate-path queries.
 
 Construction samples collision-free configurations (uniform over the four
-most proximal joints, remaining joints held fixed), connects each node to
-its nearest neighbors through collision-checked straight edges, prunes
-everything outside the largest connected component, and caches the
-all-pairs shortest-path distances. A shortest path is read off those
-distances by walking from its source towards its target. Loopless
+most proximal joints, the others held at the midpoint of their limits),
+connects each node to its nearest neighbors through collision-checked
+straight edges, prunes everything outside the largest connected component,
+and caches the all-pairs shortest-path distances. A shortest path is read
+off those distances by walking from its source towards its target. Loopless
 alternate paths between node pairs are computed with Yen's algorithm and
 memoized, which is what edge invalidation falls back on. Every path search
 orders paths by length first and, among equal lengths, by the
 lexicographically smallest node sequence.
 
-A saved roadmap holds only what the build decided: nodes, edges, weights,
-parameters, the memoized alternate paths, and the scene and arm it is bound
-to (a sha256 of the scene's JSON form and the arm's fingerprint). The APSP
-cache is not stored; every ``Roadmap`` rebuilds it from its edges when it is
-constructed, so a loaded roadmap recomputes it.
+A saved roadmap (format 3) holds only what the build decided: nodes, edges,
+weights, the four ``RoadmapParams`` values, and the scene and arm it is
+bound to (a sha256 of the scene's JSON form and the arm's fingerprint). The
+path caches are not stored: every ``Roadmap`` rebuilds the APSP distances
+from its edges when it is constructed, and memoizes alternate paths again on
+demand. Files of formats 1 and 2 are rejected.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from .collision import (
 )
 from .geometry import wrap_angles
 from .robot import IK_HEADING_TOL, IK_POSITION_TOL, ArmModel, EEPose, chain_points, within_limits
+from . import scenarios
 from .scenarios import ik_goal_configs, scene_to_dict
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 SAMPLED_JOINTS = 4
 _SAMPLE_BATCH = 1024
 
@@ -67,17 +69,10 @@ class RoadmapParams:
     k_neighbors: int = 10
     k_paths: int = 3
     rng_seed: int = 0
-    # values held by joints beyond the four most proximal while sampling;
-    # None means the midpoint of each joint's limits
-    distal_values: tuple[float, ...] | None = None
-    max_sample_attempts: int = 1_000_000
-    connect_scan_limit: int = 50
 
     def __post_init__(self):
         if self.n_nodes < 2 or self.k_neighbors < 1 or self.k_paths < 1:
             raise ValueError("n_nodes >= 2, k_neighbors >= 1 and k_paths >= 1 required")
-        if self.distal_values is not None:
-            object.__setattr__(self, "distal_values", tuple(float(v) for v in self.distal_values))
 
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:
@@ -97,17 +92,18 @@ def _binding(scene: Scene, arm: ArmModel) -> dict:
 class Roadmap:
     """Immutable-after-build roadmap: nodes, weighted edges and path caches,
     bound to the scene and arm it was built for. The APSP distances are
-    computed from the edges here, once."""
+    computed from the edges here, once; a malformed graph raises ValueError
+    first."""
 
-    def __init__(self, nodes, edge_list, edge_weights, params: RoadmapParams, binding: dict,
-                 ksp_cache: dict | None = None, ksp_kmax: dict | None = None):
+    def __init__(self, nodes, edge_list, edge_weights, params: RoadmapParams, binding: dict):
         self.nodes = np.asarray(nodes, dtype=float)
         self.edge_list = [(int(u), int(v)) for u, v in edge_list]
         self.edge_weights = np.asarray(edge_weights, dtype=float)
+        _check_graph(self.nodes, self.edge_list, self.edge_weights)
         self.params = params
         self.binding = binding
-        self.ksp_cache: dict[tuple[int, int], list[tuple[int, ...]]] = ksp_cache or {}
-        self._ksp_kmax: dict[tuple[int, int], int] = ksp_kmax or {}
+        # Yen memo: (u, v) -> (the k it ran for, its paths)
+        self._ksp: dict[tuple[int, int], tuple[int, list[tuple[int, ...]]]] = {}
         self._node_ee: tuple[np.ndarray, np.ndarray] | None = None
         # the edges as a symmetric CSR matrix, the alternate-path searches' graph
         self.graph = _csr_graph(len(self.nodes), self.edge_list, self.edge_weights)
@@ -150,23 +146,36 @@ class Roadmap:
                              f"not {want['arm_fingerprint']}; rebuild it for this arm")
 
 
+def _check_graph(nodes: np.ndarray, edges: list[tuple[int, int]], weights: np.ndarray) -> None:
+    """Raise ValueError unless the nodes are finite, every edge joins two
+    distinct nodes at most once, and each edge has one finite, non-negative
+    weight."""
+    n = len(nodes)
+    if not np.isfinite(nodes).all():
+        raise ValueError("roadmap nodes must be finite")
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    if ((ends < 0) | (ends >= n)).any() or (ends[:, 0] == ends[:, 1]).any():
+        raise ValueError(f"every roadmap edge must join two distinct nodes of 0..{n - 1}")
+    if len(np.unique(np.sort(ends, axis=1), axis=0)) != len(ends):
+        raise ValueError("a roadmap edge is listed twice")
+    if weights.shape != (len(edges),):
+        raise ValueError(f"{weights.size} edge weights for {len(edges)} edges")
+    if not (np.isfinite(weights) & (weights >= 0)).all():
+        raise ValueError("roadmap edge weights must be finite and non-negative")
+
+
 def _sample_nodes(scene: Scene, arm: ArmModel, params: RoadmapParams) -> np.ndarray:
     rng = np.random.default_rng(params.rng_seed)
     n_sampled = min(SAMPLED_JOINTS, arm.dof)
-    if params.distal_values is not None:
-        distal = np.asarray(params.distal_values, dtype=float)
-        if len(distal) != arm.dof - n_sampled:
-            raise ValueError("distal_values must cover every non-sampled joint")
-    else:
-        distal = (arm.lower[n_sampled:] + arm.upper[n_sampled:]) / 2.0
+    distal = (arm.lower[n_sampled:] + arm.upper[n_sampled:]) / 2.0
 
     collected: list[np.ndarray] = []
     attempts = 0
     while sum(len(c) for c in collected) < params.n_nodes:
-        if attempts >= params.max_sample_attempts:
+        if attempts >= scenarios.MAX_SAMPLE_ATTEMPTS:
             raise RoadmapBuildError(
                 f"could not sample {params.n_nodes} collision-free nodes for scene "
-                f"{scene.name!r} within {params.max_sample_attempts} attempts"
+                f"{scene.name!r} within {scenarios.MAX_SAMPLE_ATTEMPTS} attempts"
             )
         batch = np.empty((_SAMPLE_BATCH, arm.dof))
         batch[:, :n_sampled] = rng.uniform(
@@ -374,11 +383,10 @@ def k_shortest_paths(roadmap: Roadmap, u: int, v: int, k_paths: int | None = Non
         raise ValueError("nodes out of range")
     if u == v:
         return [[u]]
-    key = (u, v)
-    if key not in roadmap.ksp_cache or roadmap._ksp_kmax.get(key, 0) < k:
-        roadmap.ksp_cache[key] = _yen(roadmap.graph, u, v, k)
-        roadmap._ksp_kmax[key] = k
-    return [list(p) for p in roadmap.ksp_cache[key][:k]]
+    memo = roadmap._ksp.get((u, v))
+    if memo is None or memo[0] < k:
+        memo = roadmap._ksp[(u, v)] = (k, _yen(roadmap.graph, u, v, k))
+    return [list(p) for p in memo[1][:k]]
 
 
 def invalidate_and_requery(roadmap: Roadmap, blocked_edges, u: int, v: int) -> list[int] | None:
@@ -411,6 +419,8 @@ class QueryResult:
 
 
 _CONNECT_CHUNK = 10
+# Most candidate nodes a start or goal tries to connect to, nearest first.
+_CONNECT_SCAN_LIMIT = 50
 
 
 def _nearest_connectable(roadmap: Roadmap, arm: ArmModel, scene: Scene, q) -> int | None:
@@ -424,7 +434,7 @@ def _nearest_connectable(roadmap: Roadmap, arm: ArmModel, scene: Scene, q) -> in
     """
     q = np.asarray(q, dtype=float)
     dist = np.linalg.norm(roadmap.nodes - q[None, :], axis=1)
-    order = np.argsort(dist, kind="stable")[: roadmap.params.connect_scan_limit]
+    order = np.argsort(dist, kind="stable")[:_CONNECT_SCAN_LIMIT]
     if not segments_in_collision(arm, scene, q, roadmap.nodes[order[0]], _T_FINE):
         return int(order[0])
     for lo in range(0, len(order), _CONNECT_CHUNK):
@@ -531,47 +541,32 @@ def save_roadmap(roadmap: Roadmap, path) -> None:
         "binding": roadmap.binding,
         "params": asdict(roadmap.params),
     }
-    keys = sorted(roadmap.ksp_cache)
-    paths = [p for key in keys for p in roadmap.ksp_cache[key]]
-    edge_arr = np.array(roadmap.edge_list, dtype=np.int32).reshape(-1, 2)
     arrays = {
         "meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
         "nodes": roadmap.nodes,
-        "edges": edge_arr,
+        "edges": np.array(roadmap.edge_list, dtype=np.int32).reshape(-1, 2),
         "edge_weights": roadmap.edge_weights,
-        "ksp_keys": np.array(keys, dtype=np.int32).reshape(-1, 2),
-        "ksp_kmax": np.array([roadmap._ksp_kmax.get(key, len(roadmap.ksp_cache[key]))
-                              for key in keys], dtype=np.int32),
-        "ksp_path_counts": np.array([len(roadmap.ksp_cache[key]) for key in keys], dtype=np.int32),
-        "ksp_path_lens": np.array([len(p) for p in paths], dtype=np.int32),
-        "ksp_flat": np.array([x for p in paths for x in p], dtype=np.int32),
     }
     _write_deterministic_zip(Path(path), arrays)
 
 
 def load_roadmap(path) -> Roadmap:
+    """Read a roadmap file. Raises ValueError when the file lacks an array,
+    has another format version, or holds a malformed graph."""
     with np.load(Path(path)) as data:
+        missing = [name for name in ("meta", "nodes", "edges", "edge_weights") if name not in data]
+        if missing:
+            raise ValueError(f"roadmap file {path} has no {', '.join(missing)} array; "
+                             "rebuild it with `armplan roadmap build`")
         meta = json.loads(bytes(data["meta"]).decode())
         version = meta.get("format_version")
         if version != FORMAT_VERSION:
             raise ValueError(f"roadmap file {path} has format version {version!r}, not "
                              f"{FORMAT_VERSION}; rebuild it with `armplan roadmap build`")
-        pdata = meta["params"]
-        if pdata.get("distal_values") is not None:
-            pdata["distal_values"] = tuple(pdata["distal_values"])
-        params = RoadmapParams(**pdata)
-        flat, path_ends = data["ksp_flat"].tolist(), np.cumsum(data["ksp_path_lens"]).tolist()
-        paths = [tuple(flat[a:b]) for a, b in zip([0] + path_ends, path_ends)]
-        keys = [(int(u), int(v)) for u, v in data["ksp_keys"].reshape(-1, 2)]
-        key_ends = np.cumsum(data["ksp_path_counts"]).tolist()
-        ksp_cache = {key: paths[a:b] for key, a, b in zip(keys, [0] + key_ends, key_ends)}
-        ksp_kmax = dict(zip(keys, data["ksp_kmax"].tolist()))
         return Roadmap(
             nodes=data["nodes"],
-            edge_list=[(int(u), int(v)) for u, v in data["edges"].reshape(-1, 2)],
+            edge_list=data["edges"].reshape(-1, 2).tolist(),
             edge_weights=data["edge_weights"],
-            params=params,
+            params=RoadmapParams(**meta["params"]),
             binding=meta["binding"],
-            ksp_cache=ksp_cache,
-            ksp_kmax=ksp_kmax,
         )

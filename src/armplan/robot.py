@@ -20,7 +20,7 @@ _IK_DAMPING = 1e-3       # damped-least-squares lambda
 @dataclass(frozen=True)
 class EEPose:
     """Workspace goal for the arm tip. Heading is only a constraint when
-    ``heading_matters`` is set."""
+    ``heading_matters`` is set; it must be finite either way."""
 
     x: float
     y: float
@@ -28,6 +28,8 @@ class EEPose:
     heading_matters: bool = False
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.heading)):
+            raise ValueError("goal pose components must be finite")
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "heading", normalize_angle(float(self.heading)))

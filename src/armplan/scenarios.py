@@ -23,6 +23,8 @@ from .robot import ArmModel, EEPose, forward_kinematics, goal_seed, solve_ik, wi
 FORMAT_VERSION = 1
 SCENE_NAMES = ("tabletop_pole", "tabletop_container", "kitchen", "shelf_boxes")
 
+# The one cap on configurations drawn by a rejection sampler: suite
+# generation's starts and goals, and roadmap node sampling.
 MAX_SAMPLE_ATTEMPTS = 1_000_000
 
 DEFAULT_BASE = Pose2(0.0, 0.0, math.pi / 2)

@@ -4,6 +4,10 @@ from armplan.cli import main
 from armplan.roadmap import RoadmapParams, build_roadmap, load_roadmap, save_roadmap
 from armplan.scenarios import build_scene, default_arm, load_suite, scene_from_dict, scene_to_dict
 
+from test_roadmap import (
+    MALFORMED_GRAPHS, forbid_dijkstra, rewrite_roadmap_file, write_malformed_roadmap,
+)
+
 
 def test_gen_cases_and_reload(tmp_path):
     out = tmp_path / "suite.json"
@@ -141,4 +145,25 @@ def test_bench_run_rejects_scene_other_than_the_suites(tmp_path, capsys):
     ])
     assert rc == 1
     assert "suite is for scene 'tabletop_pole', not 'kitchen'" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("fault", ["meta", "edge_weights", "negative_weight", "self_loop"])
+def test_bench_run_rejects_bad_roadmap_file(small_pole_roadmap, tmp_path, monkeypatch, capsys, fault):
+    # a missing array or a malformed graph
+    if fault in MALFORMED_GRAPHS:
+        bad, message = write_malformed_roadmap(small_pole_roadmap, tmp_path, fault)
+        forbid_dijkstra(monkeypatch)
+    else:
+        save_roadmap(small_pole_roadmap, tmp_path / "rm.npz")
+        bad, message = tmp_path / "bad.npz", f"has no {fault} array"
+        rewrite_roadmap_file(tmp_path / "rm.npz", bad, drop=[fault])
+    capsys.readouterr()
+    rc = main([
+        "bench", "run", "--scene", "tabletop_pole", "--cases", "1", "--planner", "roadmap",
+        "--roadmap", str(bad), "--out", str(tmp_path / "r.csv"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("armplan: error: ") and message in err
     assert not (tmp_path / "r.csv").exists()

@@ -1,3 +1,4 @@
+import contextlib
 import heapq
 import itertools
 import json
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from armplan.collision import config_in_collision, configs_in_collision, edge_in_collision
+from armplan.collision import Scene
 from armplan.robot import ArmModel, EEPose, forward_kinematics
 from armplan.roadmap import (
-    Roadmap, RoadmapParams, build_roadmap, invalidate_and_requery,
+    Roadmap, RoadmapBuildError, RoadmapParams, build_roadmap, invalidate_and_requery,
     k_shortest_paths, load_roadmap, query, save_roadmap, _connect_knn, _dijkstra_path,
     _edge_key, _largest_component, _sample_nodes, _yen,
 )
@@ -30,6 +32,30 @@ def graph_roadmap(n, edges, weights, k_paths=3):
         params=RoadmapParams(n_nodes=max(2, n), k_paths=k_paths),
         binding={},
     )
+
+
+@contextlib.contextmanager
+def within_seconds(seconds):
+    """Fail with TimeoutError when the block runs longer than ``seconds``."""
+    def timeout(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def rewrite_roadmap_file(src, dst, drop=(), **edits):
+    """Copy a saved roadmap file to ``dst``, leaving out the arrays named in
+    ``drop`` and replacing those given in ``edits``."""
+    with np.load(src) as data:
+        arrays = {name: data[name] for name in data.files if name not in drop}
+    arrays.update(edits)
+    np.savez(dst, **arrays)
 
 
 def sequential_connect_knn(scene, arm, nodes, k):
@@ -189,6 +215,23 @@ def test_params_validation():
         RoadmapParams(k_paths=0)
 
 
+def test_node_sampling_stops_at_the_shared_attempt_cap(arm, monkeypatch):
+    # a workspace smaller than the first link leaves no free configuration
+    cramped = Scene("cramped", (), workspace_bounds=(-0.2, -0.2, 0.2, 0.2))
+    checked = []
+
+    def counting(arm_, scene, qs):
+        checked.append(len(qs))
+        return configs_in_collision(arm_, scene, qs)
+
+    monkeypatch.setattr("armplan.scenarios.MAX_SAMPLE_ATTEMPTS", 3000)
+    monkeypatch.setattr("armplan.roadmap.configs_in_collision", counting)
+    with within_seconds(5.0):
+        with pytest.raises(RoadmapBuildError, match="'cramped' within 3000 attempts"):
+            build_roadmap(cramped, arm, RoadmapParams(n_nodes=10))
+    assert sum(checked) == 3072  # whole batches of 1024, up to the first past the cap
+
+
 def test_free_space_build_keeps_every_node(empty_scene, arm):
     rm = build_roadmap(empty_scene, arm, RoadmapParams(n_nodes=50, k_neighbors=5, rng_seed=0))
     assert rm.n_nodes == 50
@@ -265,19 +308,10 @@ def test_shortest_node_path_breaks_ties_like_next_hop_reference():
 
 def test_shortest_node_path_rejects_disconnected_pair():
     rm = graph_roadmap(4, [(0, 1), (2, 3)], [1.0, 1.0])
-
-    def timeout(signum, frame):
-        raise TimeoutError("shortest_node_path did not return within 1 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with within_seconds(1.0):
         for u, v in ((0, 3), (3, 0), (1, 2)):
             with pytest.raises(ValueError, match="not reachable"):
                 rm.shortest_node_path(u, v)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
     assert rm.shortest_node_path(0, 1) == [0, 1]
     assert rm.shortest_node_path(3, 3) == [3]
 
@@ -287,8 +321,7 @@ def test_build_deterministic_and_serialization_roundtrip(pole_scene, arm, tmp_pa
     a = build_roadmap(pole_scene, arm, params)
     b = build_roadmap(pole_scene, arm, params)
     pa, pb = tmp_path / "a.rm", tmp_path / "b.rm"
-    k_shortest_paths(a, 0, min(10, a.n_nodes - 1))  # memoized entries serialize too
-    k_shortest_paths(b, 0, min(10, b.n_nodes - 1))
+    k_shortest_paths(a, 0, min(10, a.n_nodes - 1))  # a memoized entry is not saved
     save_roadmap(a, pa)
     save_roadmap(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
@@ -298,35 +331,112 @@ def test_build_deterministic_and_serialization_roundtrip(pole_scene, arm, tmp_pa
     assert np.array_equal(c.apsp_dist, a.apsp_dist)
     for u, v in itertools.product(range(a.n_nodes), repeat=2):
         assert c.shortest_node_path(u, v) == a.shortest_node_path(u, v)
-    assert c.ksp_cache == a.ksp_cache
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        u, v = (int(x) for x in rng.choice(a.n_nodes, size=2, replace=False))
+        assert k_shortest_paths(c, u, v) == k_shortest_paths(a, u, v), (u, v)
+    assert k_shortest_paths(c, 0, 10, 5) == k_shortest_paths(a, 0, 10, 5)
     assert c.params == a.params
     assert c.binding == a.binding
     assert c.binding["scene_name"] == "tabletop_pole"
 
 
 def test_saved_file_holds_no_apsp_tables(small_pole_roadmap, tmp_path):
+    k_shortest_paths(small_pole_roadmap, 0, 9)
     save_roadmap(small_pole_roadmap, tmp_path / "rm.npz")
     with zipfile.ZipFile(tmp_path / "rm.npz") as zf:
         names = zf.namelist()
-    assert "nodes.npy" in names and "edges.npy" in names
-    assert not [name for name in names if name.startswith("apsp")]
+    assert sorted(names) == ["edge_weights.npy", "edges.npy", "meta.npy", "nodes.npy"]
+    with np.load(tmp_path / "rm.npz") as data:
+        meta = json.loads(bytes(data["meta"]).decode())
+    assert meta["params"] == {"n_nodes": 120, "k_neighbors": 8, "k_paths": 3, "rng_seed": 5}
 
 
-def test_load_rejects_format_version_1(small_pole_roadmap, tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_rejects_old_format_version(small_pole_roadmap, tmp_path, version):
     rm = small_pole_roadmap
-    meta = {"format_version": 1, "scene_name": "tabletop_pole", "params": asdict(rm.params)}
+    params = {**asdict(rm.params), "distal_values": None, "max_sample_attempts": 1_000_000,
+              "connect_scan_limit": 50}
+    meta = {"format_version": version, "params": params}
+    if version == 1:
+        meta["scene_name"] = "tabletop_pole"
+        tables = {"apsp_dist": rm.apsp_dist,
+                  "apsp_next": np.zeros((rm.n_nodes, rm.n_nodes), dtype=np.int32)}
+    else:
+        meta["binding"] = rm.binding
+        tables = {}
     empty = np.zeros(0, dtype=np.int32)
     np.savez(
-        tmp_path / "v1.npz",
+        tmp_path / "old.npz",
         meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         nodes=rm.nodes, edges=np.array(rm.edge_list, dtype=np.int32),
-        edge_weights=rm.edge_weights, apsp_dist=rm.apsp_dist,
-        apsp_next=np.zeros((rm.n_nodes, rm.n_nodes), dtype=np.int32),
+        edge_weights=rm.edge_weights, **tables,
         ksp_keys=empty.reshape(0, 2), ksp_kmax=empty, ksp_path_counts=empty,
         ksp_path_lens=empty, ksp_flat=empty,
     )
-    with pytest.raises(ValueError, match="format version 1, not 2; rebuild it"):
-        load_roadmap(tmp_path / "v1.npz")
+    with within_seconds(1.0):
+        with pytest.raises(ValueError, match=f"format version {version}, not 3; rebuild it"):
+            load_roadmap(tmp_path / "old.npz")
+
+
+@pytest.mark.parametrize("drop", ["meta", "nodes", "edges", "edge_weights"])
+def test_load_rejects_file_without_array(small_pole_roadmap, tmp_path, drop):
+    save_roadmap(small_pole_roadmap, tmp_path / "rm.npz")
+    rewrite_roadmap_file(tmp_path / "rm.npz", tmp_path / "bad.npz", drop=[drop])
+    with within_seconds(1.0):
+        with pytest.raises(ValueError, match=f"bad.npz has no {drop} array; rebuild it"):
+            load_roadmap(tmp_path / "bad.npz")
+
+
+def _replaced(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+# case -> (array edited, edit of that array given the node count, message)
+MALFORMED_GRAPHS = {
+    "negative_weight": ("edge_weights", lambda w, n: _replaced(w, 5, -1.0), "finite and non-negative"),
+    "nan_weight": ("edge_weights", lambda w, n: _replaced(w, 5, np.nan), "finite and non-negative"),
+    "inf_weight": ("edge_weights", lambda w, n: _replaced(w, 5, np.inf), "finite and non-negative"),
+    "short_weights": ("edge_weights", lambda w, n: w[:-1], "edge weights for"),
+    "long_weights": ("edge_weights", lambda w, n: np.r_[w, 1.0], "edge weights for"),
+    "inf_node": ("nodes", lambda q, n: _replaced(q, (7, 2), np.inf), "nodes must be finite"),
+    "nan_node": ("nodes", lambda q, n: _replaced(q, (7, 2), np.nan), "nodes must be finite"),
+    "self_loop": ("edges", lambda e, n: _replaced(e, 3, (0, 0)), "two distinct nodes"),
+    "endpoint_past_end": ("edges", lambda e, n: _replaced(e, 3, (0, n)), "two distinct nodes"),
+    "negative_endpoint": ("edges", lambda e, n: _replaced(e, 3, (-1, 0)), "two distinct nodes"),
+    "duplicate_edge": ("edges", lambda e, n: _replaced(e, 3, e[0, ::-1]), "listed twice"),
+}
+
+
+def write_malformed_roadmap(rm, tmp_path, case):
+    """Save ``rm``, then write a copy with one array edited as ``case`` says.
+    Returns the copy's path and the message loading it must raise."""
+    name, edit, message = MALFORMED_GRAPHS[case]
+    save_roadmap(rm, tmp_path / "rm.npz")
+    with np.load(tmp_path / "rm.npz") as data:
+        bad = edit(data[name], rm.n_nodes)
+    rewrite_roadmap_file(tmp_path / "rm.npz", tmp_path / "bad.npz", **{name: bad})
+    return tmp_path / "bad.npz", message
+
+
+def forbid_dijkstra(monkeypatch):
+    """scipy's Dijkstra on a negative weight can abort the whole process, so
+    a test of a malformed graph must fail before reaching it."""
+    def no_dijkstra(*args, **kwargs):
+        raise AssertionError("Dijkstra ran on a malformed graph")
+
+    monkeypatch.setattr("armplan.roadmap._sparse_dijkstra", no_dijkstra)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
+def test_load_rejects_malformed_graph(small_pole_roadmap, tmp_path, monkeypatch, case):
+    path, message = write_malformed_roadmap(small_pole_roadmap, tmp_path, case)
+    forbid_dijkstra(monkeypatch)
+    with within_seconds(1.0):
+        with pytest.raises(ValueError, match=message):
+            load_roadmap(path)
 
 
 @pytest.mark.parametrize("scene_fixture", ["pole_scene", "shelf_scene"])
@@ -449,21 +559,14 @@ def test_spur_search_avoids_banned_nodes_and_edges():
     assert _yen(rm.graph, 0, 4, 3) == []
 
 
-def test_ksp_matches_reference_yen_and_cache_bytes(pole_scene, arm, tmp_path):
+def test_ksp_matches_reference_yen(pole_scene, arm):
     rm = build_roadmap(pole_scene, arm, RoadmapParams(n_nodes=300, rng_seed=4))
-    save_roadmap(rm, tmp_path / "empty.rm")
-    ref = load_roadmap(tmp_path / "empty.rm")
     adj = adjacency_lists(rm.n_nodes, rm.edge_list, rm.edge_weights)
     rng = np.random.default_rng(12)
     for _ in range(100):
         u, v = (int(x) for x in rng.choice(rm.n_nodes, size=2, replace=False))
         want = reference_yen(adj, u, v, 5)
         assert k_shortest_paths(rm, u, v, 5) == [list(p) for p in want], (u, v)
-        ref.ksp_cache[(u, v)] = want
-        ref._ksp_kmax[(u, v)] = 5
-    save_roadmap(rm, tmp_path / "a.rm")
-    save_roadmap(ref, tmp_path / "b.rm")
-    assert (tmp_path / "a.rm").read_bytes() == (tmp_path / "b.rm").read_bytes()
 
 
 def test_ksp_lengths_nondecreasing_and_first_matches_apsp(small_pole_roadmap):

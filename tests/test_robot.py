@@ -225,3 +225,11 @@ def test_goal_seed_stable():
     t = EEPose(0.5, 0.25, 0.1)
     assert goal_seed(t) == goal_seed(EEPose(0.5, 0.25, 0.1))
     assert goal_seed(t) != goal_seed(EEPose(0.5, 0.25, 0.1, heading_matters=True))
+
+
+@pytest.mark.parametrize("field", ["x", "y", "heading"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_goal_pose_rejects_non_finite(field, bad):
+    # heading_matters is False: a heading that does not matter must be finite too
+    with pytest.raises(ValueError, match="finite"):
+        EEPose(**{"x": 0.5, "y": 0.25, "heading": 0.1, field: bad})

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from armplan.baselines import rrt_plan
-from armplan.collision import config_in_collision
+from armplan.collision import Scene, config_in_collision
 from armplan.geometry import Pose2, signed_distance
 from armplan.robot import within_limits
 from armplan.scenarios import (
-    SCENE_NAMES, build_scene, default_arm, generate_test_suite, ik_goal_configs,
+    SCENE_NAMES, GenerationError, build_scene, default_arm, generate_test_suite, ik_goal_configs,
     load_scene, load_suite, save_scene, save_suite, scene_to_dict, suite_to_dict,
 )
 
@@ -102,6 +102,22 @@ def test_generate_rejects_rrt_budget_below_one_before_sampling(pole_scene, arm, 
             generate_test_suite(pole_scene, arm, 3, rng_seed=1, rrt_max_iters=bad)
 
 
+def test_generate_stops_at_the_sample_cap(arm, monkeypatch):
+    # a workspace smaller than the first link leaves no free configuration
+    cramped = Scene("cramped", (), workspace_bounds=(-0.2, -0.2, 0.2, 0.2))
+    checked = []
+
+    def counting(arm_, scene, q):
+        checked.append(1)
+        return config_in_collision(arm_, scene, q)
+
+    monkeypatch.setattr("armplan.scenarios.MAX_SAMPLE_ATTEMPTS", 300)
+    monkeypatch.setattr("armplan.scenarios.config_in_collision", counting)
+    with pytest.raises(GenerationError, match="exceeded 300 samples .* 'cramped'"):
+        generate_test_suite(cramped, arm, 2, rng_seed=1)
+    assert len(checked) == 300
+
+
 def test_suite_roundtrip_and_invariants(small_pole_suite, arm, pole_scene, tmp_path):
     p = tmp_path / "suite.json"
     save_suite(small_pole_suite, p)
@@ -136,6 +152,17 @@ def test_suite_load_rejects_bad_start(small_pole_suite, tmp_path, edit):
         start[1] = {"above": 2.7, "below": -2.7, "nan": float("nan"), "inf": float("inf")}[edit]
     p.write_text(json.dumps(data))  # NaN and Infinity as Python's json writes them
     with pytest.raises(ValueError, match="joint limits"):
+        load_suite(p)
+
+
+@pytest.mark.parametrize("field", ["x", "y", "heading"])
+def test_suite_load_rejects_nan_goal(small_pole_suite, tmp_path, field):
+    p = tmp_path / "suite.json"
+    save_suite(small_pole_suite, p)
+    data = json.loads(p.read_text())
+    data["cases"][2]["goal"][field] = float("nan")
+    p.write_text(json.dumps(data))  # NaN as Python's json writes it
+    with pytest.raises(ValueError, match="finite"):
         load_suite(p)
 
 
