@@ -16,7 +16,6 @@ the current iterate is carried from the batch that accepted it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ class OptResult:
     collision_free: bool      # verdict of the independent trajectory checker
     final_cost: float
     iterations: int
-    wall_time: float
     merit_log: tuple[tuple[float, ...], ...] = ()
 
 
@@ -108,7 +106,6 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
     Raises ValueError when an endpoint is outside the joint limits,
     non-finite or in collision.
     """
-    t0 = time.perf_counter()
     X = np.array(seed, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] != arm.dof:
         raise ValueError(f"seed must be a (T, {arm.dof}) waypoint matrix with T >= 2")
@@ -181,7 +178,6 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
     else:
         converged = True  # nothing to optimize with only fixed endpoints
 
-    wall = time.perf_counter() - t0
     in_collision, _ = trajectory_in_collision(arm, scene, X)
     return OptResult(
         trajectory=X,
@@ -189,6 +185,5 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
         collision_free=not in_collision,
         final_cost=smoothness_cost(X) + mu * penalty,
         iterations=iterations,
-        wall_time=wall,
         merit_log=tuple(merit_log),
     )

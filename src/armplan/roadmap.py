@@ -27,7 +27,7 @@ import io
 import itertools
 import json
 import zipfile
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ from .collision import (
 from .geometry import wrap_angles
 from .robot import IK_HEADING_TOL, IK_POSITION_TOL, ArmModel, EEPose, chain_points, within_limits
 from . import scenarios
-from .scenarios import ik_goal_configs, scene_to_dict
+from .scenarios import _check_json_layout, ik_goal_configs, scene_to_dict
 
 FORMAT_VERSION = 3
 SAMPLED_JOINTS = 4
@@ -550,23 +550,31 @@ def save_roadmap(roadmap: Roadmap, path) -> None:
     _write_deterministic_zip(Path(path), arrays)
 
 
+_META_LAYOUT = {"format_version": int, "params": {f.name: int for f in fields(RoadmapParams)},
+                "binding": {"scene_name": str, "scene_sha256": str, "arm_fingerprint": list}}
+
+
 def load_roadmap(path) -> Roadmap:
-    """Read a roadmap file. Raises ValueError when the file lacks an array,
-    has another format version, or holds a malformed graph."""
+    """Read a roadmap file. Raises ValueError naming the file when it lacks
+    an array, or has a meta record that is not JSON, of another format
+    version or laid out otherwise than ``_META_LAYOUT``, or a malformed graph."""
     with np.load(Path(path)) as data:
         missing = [name for name in ("meta", "nodes", "edges", "edge_weights") if name not in data]
         if missing:
             raise ValueError(f"roadmap file {path} has no {', '.join(missing)} array; "
                              "rebuild it with `armplan roadmap build`")
-        meta = json.loads(bytes(data["meta"]).decode())
-        version = meta.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"roadmap file {path} has format version {version!r}, not "
-                             f"{FORMAT_VERSION}; rebuild it with `armplan roadmap build`")
-        return Roadmap(
-            nodes=data["nodes"],
-            edge_list=data["edges"].reshape(-1, 2).tolist(),
-            edge_weights=data["edge_weights"],
-            params=RoadmapParams(**meta["params"]),
-            binding=meta["binding"],
-        )
+        try:
+            meta = json.loads(bytes(data["meta"]).decode())
+            if isinstance(meta, dict) and meta.get("format_version") != FORMAT_VERSION:
+                raise ValueError(f"format version {meta.get('format_version')!r}, not {FORMAT_VERSION}; "
+                                 "rebuild it with `armplan roadmap build`")
+            _check_json_layout(meta, _META_LAYOUT, "meta")
+            return Roadmap(
+                nodes=data["nodes"],
+                edge_list=data["edges"].reshape(-1, 2).tolist(),
+                edge_weights=data["edge_weights"],
+                params=RoadmapParams(**meta["params"]),
+                binding=meta["binding"],
+            )
+        except ValueError as exc:
+            raise ValueError(f"roadmap file {path}: {exc}") from None

@@ -1,4 +1,9 @@
-"""Planar n-link revolute arm: kinematics, link geometry, and inverse kinematics."""
+"""Planar n-link revolute arm: kinematics, link geometry, and inverse kinematics.
+
+``chain_points``, ``ee_jacobian`` and ``solve_ik`` share one link-step helper
+and one tip-Jacobian helper. ``solve_ik``'s loop keeps one row per restart; a
+converged or stalled restart leaves a ``live`` mask and its row stops moving.
+"""
 
 from __future__ import annotations
 
@@ -102,6 +107,19 @@ def within_limits(arm: ArmModel, q) -> bool:
     return bool((q >= arm.lower).all() and (q <= arm.upper).all())
 
 
+def _link_steps(arm: ArmModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw cumulative link headings and each link's (x, y) step, all (M, K),
+    for a batch of configurations."""
+    headings = arm.base.heading + np.cumsum(Q, axis=1)
+    return headings, arm.lengths * np.cos(headings), arm.lengths * np.sin(headings)
+
+
+def _tip_jacobian(lc: np.ndarray, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tip position Jacobian rows (jx, jy), each (M, K), from the link steps:
+    column j sums the steps of links j..K-1."""
+    return -np.cumsum(ls[:, ::-1], axis=1)[:, ::-1], np.cumsum(lc[:, ::-1], axis=1)[:, ::-1]
+
+
 def chain_points(arm: ArmModel, Q) -> tuple[np.ndarray, np.ndarray]:
     """Joint origins and cumulative link headings for a batch of configurations.
 
@@ -112,11 +130,10 @@ def chain_points(arm: ArmModel, Q) -> tuple[np.ndarray, np.ndarray]:
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if Q.shape[1] != arm.dof:
         raise ValueError(f"expected {arm.dof} joint angles per configuration")
-    headings = arm.base.heading + np.cumsum(Q, axis=1)
-    steps = arm.lengths[None, :, None] * np.stack([np.cos(headings), np.sin(headings)], axis=-1)
+    headings, lc, ls = _link_steps(arm, Q)
     origins = np.empty((Q.shape[0], arm.dof + 1, 2))
     origins[:, 0] = (arm.base.x, arm.base.y)
-    origins[:, 1:] = origins[:, :1] + np.cumsum(steps, axis=1)
+    origins[:, 1:] = origins[:, :1] + np.cumsum(np.stack([lc, ls], axis=-1), axis=1)
     return origins, headings
 
 
@@ -143,15 +160,8 @@ def link_shapes(arm: ArmModel, q) -> list[ConvexShape]:
 
 def ee_jacobian(arm: ArmModel, q) -> np.ndarray:
     """Analytic 3xK Jacobian of the tip (x, y, heading) w.r.t. joint angles."""
-    q = _check_config(arm, q)
-    _, headings = chain_points(arm, q)
-    th = headings[0]
-    lsin = arm.lengths * np.sin(th)
-    lcos = arm.lengths * np.cos(th)
-    # column j sums contributions of links j..K-1
-    jx = -np.cumsum(lsin[::-1])[::-1]
-    jy = np.cumsum(lcos[::-1])[::-1]
-    return np.vstack([jx, jy, np.ones(arm.dof)])
+    _, lc, ls = _link_steps(arm, _check_config(arm, q)[None])
+    return np.vstack([*_tip_jacobian(lc, ls), np.ones(arm.dof)])
 
 
 def goal_seed(target: EEPose) -> int:
@@ -161,12 +171,7 @@ def goal_seed(target: EEPose) -> int:
     return int.from_bytes(hashlib.blake2b(raw, digest_size=4).digest(), "little")
 
 
-def solve_ik(
-    arm: ArmModel,
-    target: EEPose,
-    restarts: int = 10,
-    rng_seed: int = 0,
-) -> list[np.ndarray]:
+def solve_ik(arm: ArmModel, target: EEPose, restarts: int = 10, rng_seed: int = 0) -> list[np.ndarray]:
     """Damped-least-squares IK with random restarts uniform in the joint limits.
 
     Returns up to ``restarts`` distinct in-limit configurations whose tip
@@ -176,60 +181,34 @@ def solve_ik(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    dist_to_base = math.hypot(target.x - arm.base.x, target.y - arm.base.y)
-    if dist_to_base > arm.reach + 1e-9:
+    if math.hypot(target.x - arm.base.x, target.y - arm.base.y) > arm.reach + 1e-9:
         return []
 
     rng = np.random.default_rng(rng_seed)
     Q = rng.uniform(arm.lower, arm.upper, size=(restarts, arm.dof))
-    goal_xy = np.array([target.x, target.y])
-
-    converged = np.zeros(restarts, dtype=bool)
-    active = np.arange(restarts)
+    live = np.ones(restarts, dtype=bool)
     best_err = np.full(restarts, np.inf)
-    stall_window = 25
-    lengths = arm.lengths
-    base_heading = arm.base.heading
     lam2 = _IK_DAMPING * _IK_DAMPING
 
     for it in range(_IK_MAX_ITERS):
-        ang = base_heading + np.cumsum(Q[active], axis=1)     # (A, K)
-        lc = lengths * np.cos(ang)
-        ls = lengths * np.sin(ang)
+        ang, lc, ls = _link_steps(arm, Q)
         ex = (target.x - arm.base.x) - lc.sum(axis=1)
         ey = (target.y - arm.base.y) - ls.sum(axis=1)
-        if target.heading_matters:
-            eh = wrap_angles(target.heading - ang[:, -1])
         pnorm = np.hypot(ex, ey)
         done = pnorm < IK_POSITION_TOL * 0.5
         if target.heading_matters:
+            eh = wrap_angles(target.heading - ang[:, -1])
             done &= np.abs(eh) < IK_HEADING_TOL * 0.5
-        if done.any():
-            converged[active[done]] = True
-            keep = ~done
-            active = active[keep]
-            if len(active) == 0:
-                break
-            ex, ey, pnorm, lc, ls = ex[keep], ey[keep], pnorm[keep], lc[keep], ls[keep]
-            if target.heading_matters:
-                eh = eh[keep]
-        # drop restarts that stopped making progress toward the target
-        if it and it % stall_window == 0:
-            hopeful = (pnorm < 0.99 * best_err[active]) | (pnorm < 10 * IK_POSITION_TOL)
-            best_err[active] = np.minimum(best_err[active], pnorm)
-            if not hopeful.all():
-                active = active[hopeful]
-                if len(active) == 0:
-                    break
-                ex, ey, lc, ls = ex[hopeful], ey[hopeful], lc[hopeful], ls[hopeful]
-                if target.heading_matters:
-                    eh = eh[hopeful]
-        else:
-            best_err[active] = np.minimum(best_err[active], pnorm)
-        jx = -np.cumsum(ls[:, ::-1], axis=1)[:, ::-1]          # (A, K)
-        jy = np.cumsum(lc[:, ::-1], axis=1)[:, ::-1]
+        live &= ~done
+        # every 25 iterations, drop restarts that stopped making progress
+        if it and it % 25 == 0:
+            live &= (pnorm < 0.99 * best_err) | (pnorm < 10 * IK_POSITION_TOL)
+        if not live.any():
+            break
+        best_err = np.minimum(best_err, pnorm)
+        jx, jy = _tip_jacobian(lc, ls)
         if target.heading_matters:
-            J = np.stack([jx, jy, np.ones_like(jx)], axis=1)   # (A, 3, K)
+            J = np.stack([jx, jy, np.ones_like(jx)], axis=1)   # (R, 3, K)
             err = np.stack([ex, ey, eh], axis=1)
             A = J @ np.transpose(J, (0, 2, 1)) + lam2 * np.eye(3)[None]
             y = np.linalg.solve(A, err[:, :, None])
@@ -245,14 +224,12 @@ def solve_ik(
             dq = jx * y1[:, None] + jy * y2[:, None]
         norms = np.sqrt((dq * dq).sum(axis=1))
         scale = np.minimum(1.0, 0.5 / np.where(norms < 1e-12, 1.0, norms))
-        Q[active] = np.clip(Q[active] + dq * scale[:, None], arm.lower, arm.upper)
+        Q = np.where(live[:, None], np.clip(Q + dq * scale[:, None], arm.lower, arm.upper), Q)
 
     origins, headings = chain_points(arm, Q)
-    err_p = np.linalg.norm(goal_xy[None, :] - origins[:, -1], axis=1)
-    ok = err_p < IK_POSITION_TOL
+    ok = np.linalg.norm(np.array([target.x, target.y]) - origins[:, -1], axis=1) < IK_POSITION_TOL
     if target.heading_matters:
-        err_h = np.abs(wrap_angles(target.heading - headings[:, -1]))
-        ok &= err_h < IK_HEADING_TOL
+        ok &= np.abs(wrap_angles(target.heading - headings[:, -1])) < IK_HEADING_TOL
 
     solutions: list[np.ndarray] = []
     for i in np.flatnonzero(ok):

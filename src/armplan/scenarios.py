@@ -239,25 +239,40 @@ def suite_to_dict(suite: TestSuite) -> dict:
     }
 
 
+def _check_json_layout(value, layout, where: str) -> None:
+    """Raise ValueError unless ``value`` is JSON data laid out as ``layout``:
+    a dict wants exactly its keys, a one-item list a list of that item, and
+    a type or tuple of types a value of that type (a bool is no number)."""
+    kind = type(layout) if isinstance(layout, (dict, list)) else layout
+    if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
+        raise ValueError(f"{where} is {type(value).__name__}, not {getattr(kind, '__name__', 'a number')}")
+    if isinstance(layout, dict):
+        if set(value) != set(layout):
+            raise ValueError(f"{where} has keys {sorted(value)}, not {sorted(layout)}")
+        for key, item in layout.items():
+            _check_json_layout(value[key], item, f"{where}.{key}")
+    elif isinstance(layout, list):
+        for i, item in enumerate(value):
+            _check_json_layout(item, layout[0], f"{where}[{i}]")
+
+
+_NUMBER = (int, float)
+_SUITE_LAYOUT = {
+    "format_version": int, "scene_name": str, "rng_seed": int,
+    "arm": {"links": [[_NUMBER]], "joint_limits": [[_NUMBER]]},
+    "cases": [{"id": str, "start": [_NUMBER], "goal": {
+        "x": _NUMBER, "y": _NUMBER, "heading": _NUMBER, "heading_matters": bool}}],
+}
+
+
 def suite_from_dict(data: dict) -> TestSuite:
-    if data.get("format_version") != FORMAT_VERSION:
+    if isinstance(data, dict) and data.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported suite format version {data.get('format_version')!r}")
-    arm = ArmModel(
-        base=DEFAULT_BASE,
-        links=tuple(tuple(l) for l in data["arm"]["links"]),
-        joint_limits=tuple(tuple(j) for j in data["arm"]["joint_limits"]),
-    )
+    _check_json_layout(data, _SUITE_LAYOUT, "suite")
+    arm = ArmModel(base=DEFAULT_BASE, **data["arm"])
     scene_name = data["scene_name"]
     cases = tuple(
-        TestCase(
-            id=c["id"],
-            start=tuple(c["start"]),
-            goal=EEPose(
-                c["goal"]["x"], c["goal"]["y"], c["goal"]["heading"],
-                heading_matters=c["goal"]["heading_matters"],
-            ),
-            scene_name=scene_name,
-        )
+        TestCase(id=c["id"], start=tuple(c["start"]), goal=EEPose(**c["goal"]), scene_name=scene_name)
         for c in data["cases"]
     )
     ids = [c.id for c in cases]
@@ -275,4 +290,8 @@ def save_suite(suite: TestSuite, path) -> None:
 
 
 def load_suite(path) -> TestSuite:
-    return suite_from_dict(json.loads(Path(path).read_text()))
+    """Read a suite file; any fault in it raises ValueError naming the file."""
+    try:
+        return suite_from_dict(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"suite file {path}: {exc}") from None

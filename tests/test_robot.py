@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from armplan.geometry import Pose2
+from armplan.geometry import Pose2, wrap_angles
 from armplan.robot import (
-    ArmModel, EEPose, ee_jacobian, forward_kinematics, goal_seed, link_shapes,
-    solve_ik, within_limits,
+    IK_HEADING_TOL, IK_POSITION_TOL, _IK_DAMPING, _IK_MAX_ITERS, ArmModel, EEPose,
+    chain_points, ee_jacobian, forward_kinematics, goal_seed, link_shapes, solve_ik,
+    within_limits,
 )
 
 
@@ -26,6 +27,89 @@ def complex_fk_oracle(arm, q):
         phase += angle
         z += length * complex(math.cos(phase), math.sin(phase))
     return z, phase
+
+
+def compacting_solve_ik(arm, target, restarts=10, rng_seed=0):
+    """Reference IK: the damped-least-squares loop that compacts its arrays
+    to the restarts still running after every drop, as ``solve_ik`` ran
+    before its loop kept fixed shapes. Returns the same list of solutions."""
+    dist_to_base = math.hypot(target.x - arm.base.x, target.y - arm.base.y)
+    if dist_to_base > arm.reach + 1e-9:
+        return []
+
+    rng = np.random.default_rng(rng_seed)
+    Q = rng.uniform(arm.lower, arm.upper, size=(restarts, arm.dof))
+    goal_xy = np.array([target.x, target.y])
+
+    active = np.arange(restarts)
+    best_err = np.full(restarts, np.inf)
+    stall_window = 25
+    lengths = arm.lengths
+    base_heading = arm.base.heading
+    lam2 = _IK_DAMPING * _IK_DAMPING
+
+    for it in range(_IK_MAX_ITERS):
+        ang = base_heading + np.cumsum(Q[active], axis=1)
+        lc = lengths * np.cos(ang)
+        ls = lengths * np.sin(ang)
+        ex = (target.x - arm.base.x) - lc.sum(axis=1)
+        ey = (target.y - arm.base.y) - ls.sum(axis=1)
+        if target.heading_matters:
+            eh = wrap_angles(target.heading - ang[:, -1])
+        pnorm = np.hypot(ex, ey)
+        done = pnorm < IK_POSITION_TOL * 0.5
+        if target.heading_matters:
+            done &= np.abs(eh) < IK_HEADING_TOL * 0.5
+        if done.any():
+            keep = ~done
+            active = active[keep]
+            if len(active) == 0:
+                break
+            ex, ey, pnorm, lc, ls = ex[keep], ey[keep], pnorm[keep], lc[keep], ls[keep]
+            if target.heading_matters:
+                eh = eh[keep]
+        if it and it % stall_window == 0:
+            hopeful = (pnorm < 0.99 * best_err[active]) | (pnorm < 10 * IK_POSITION_TOL)
+            best_err[active] = np.minimum(best_err[active], pnorm)
+            if not hopeful.all():
+                active = active[hopeful]
+                if len(active) == 0:
+                    break
+                ex, ey, lc, ls = ex[hopeful], ey[hopeful], lc[hopeful], ls[hopeful]
+                if target.heading_matters:
+                    eh = eh[hopeful]
+        else:
+            best_err[active] = np.minimum(best_err[active], pnorm)
+        jx = -np.cumsum(ls[:, ::-1], axis=1)[:, ::-1]
+        jy = np.cumsum(lc[:, ::-1], axis=1)[:, ::-1]
+        if target.heading_matters:
+            J = np.stack([jx, jy, np.ones_like(jx)], axis=1)
+            err = np.stack([ex, ey, eh], axis=1)
+            A = J @ np.transpose(J, (0, 2, 1)) + lam2 * np.eye(3)[None]
+            y = np.linalg.solve(A, err[:, :, None])
+            dq = (np.transpose(J, (0, 2, 1)) @ y)[:, :, 0]
+        else:
+            a11 = (jx * jx).sum(axis=1) + lam2
+            a12 = (jx * jy).sum(axis=1)
+            a22 = (jy * jy).sum(axis=1) + lam2
+            det = a11 * a22 - a12 * a12
+            y1 = (a22 * ex - a12 * ey) / det
+            y2 = (a11 * ey - a12 * ex) / det
+            dq = jx * y1[:, None] + jy * y2[:, None]
+        norms = np.sqrt((dq * dq).sum(axis=1))
+        scale = np.minimum(1.0, 0.5 / np.where(norms < 1e-12, 1.0, norms))
+        Q[active] = np.clip(Q[active] + dq * scale[:, None], arm.lower, arm.upper)
+
+    origins, headings = chain_points(arm, Q)
+    ok = np.linalg.norm(goal_xy[None, :] - origins[:, -1], axis=1) < IK_POSITION_TOL
+    if target.heading_matters:
+        ok &= np.abs(wrap_angles(target.heading - headings[:, -1])) < IK_HEADING_TOL
+    solutions = []
+    for i in np.flatnonzero(ok):
+        q = Q[i]
+        if all(np.abs(q - s).max() > 1e-6 for s in solutions):
+            solutions.append(q.copy())
+    return solutions
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +303,44 @@ def test_ik_deterministic():
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+def oracle_targets(arm, rng, count):
+    """Reachable tip poses of random in-limit configurations, then the fully
+    stretched pose (q = 0), a pose just past it, one at the base and one
+    outside the reach. Each comes with its heading both free and fixed."""
+    qs = list(rng.uniform(arm.lower, arm.upper, size=(count, arm.dof))) + [np.zeros(arm.dof)]
+    poses = [forward_kinematics(arm, q)[1] for q in qs]
+    stretched = poses[-1]
+    out_x = arm.base.x + 1.5 * arm.reach * math.cos(arm.base.heading)
+    poses += [
+        EEPose(stretched.x + 1e-6 * math.cos(arm.base.heading),
+               stretched.y + 1e-6 * math.sin(arm.base.heading), stretched.heading),
+        EEPose(arm.base.x, arm.base.y, arm.base.heading + 1.0),
+        EEPose(out_x, arm.base.y, 0.0),
+    ]
+    return [EEPose(p.x, p.y, p.heading, heading_matters=hm) for p in poses for hm in (False, True)]
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_ik_matches_compacting_oracle_bitwise(k):
+    rng = np.random.default_rng(40 + k)
+    arm = ArmModel(
+        base=Pose2(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(-3.0, 3.0)),
+        links=tuple((rng.uniform(0.2, 1.0), 0.04) for _ in range(k)),
+        joint_limits=tuple(sorted(rng.uniform(-3.0, 3.0, 2)) for _ in range(k)),
+    )
+    counts = set()
+    with np.errstate(all="raise"):
+        for target in oracle_targets(arm, rng, 8):
+            for restarts in (1, 4, 10):
+                seed = goal_seed(target) + restarts
+                want = compacting_solve_ik(arm, target, restarts, seed)
+                got = solve_ik(arm, target, restarts=restarts, rng_seed=seed)
+                assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+                counts.add((restarts, len(got)))
+    # empty, partial and full solution lists all occur
+    assert (10, 0) in counts and any(0 < n < 10 for r, n in counts if r == 10)
 
 
 def test_goal_seed_stable():
