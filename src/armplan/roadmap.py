@@ -2,10 +2,11 @@
 
 Construction samples collision-free configurations (uniform over the four
 most proximal joints, the others held at the midpoint of their limits),
-connects each node to its nearest neighbors through collision-checked
-straight edges, prunes everything outside the largest connected component,
-and caches the all-pairs shortest-path distances. A shortest path is read
-off those distances by walking from its source towards its target. Loopless
+connects each node to its nearest neighbors through collision-free
+straight edges with ``_first_free_edges``, the one edge scan that queries
+use too, prunes everything outside the largest connected component, and
+caches the all-pairs shortest-path distances. A shortest path is read off
+those distances by walking from its source towards its target. Loopless
 alternate paths between node pairs are computed with Yen's algorithm and
 memoized, which is what edge invalidation falls back on. Every path search
 orders paths by length first and, among equal lengths, by the
@@ -55,8 +56,8 @@ _T_FINE = np.linspace(0.0, 1.0, DEFAULT_EDGE_INTERP + 2)
 _COARSE_IDX = list(range(0, DEFAULT_EDGE_INTERP + 2, 6)) + [DEFAULT_EDGE_INTERP + 1]
 _T_COARSE = _T_FINE[_COARSE_IDX]
 _T_REST = np.delete(_T_FINE, _COARSE_IDX)
-# Fewest candidate edges a roadmap node prescreens in one batch.
-_KNN_CHUNK_MIN = 8
+# Fewest candidate edges prescreened in one batch.
+_CHUNK_MIN = 8
 
 
 class RoadmapBuildError(RuntimeError):
@@ -117,10 +118,16 @@ class Roadmap:
     def n_edges(self) -> int:
         return len(self.edge_list)
 
+    def _check_nodes(self, *ids) -> None:
+        for node in ids:
+            if not isinstance(node, (int, np.integer)) or not 0 <= node < self.n_nodes:
+                raise ValueError(f"node {node!r} is not an integer in 0..{self.n_nodes - 1}")
+
     def shortest_node_path(self, u: int, v: int) -> list[int]:
         """The lexicographically smallest shortest path from u to v, walked
         over the cached distances from v (the graph is symmetric). Raises
-        ValueError when v is not reachable from u."""
+        ValueError when u or v is no node index or v is not reachable from u."""
+        self._check_nodes(u, v)
         if not np.isfinite(self.apsp_dist[v, u]):
             raise ValueError(f"node {v} is not reachable from node {u}")
         return _walk_to(self.graph, self.graph.data, self.apsp_dist[v], u, v)[1]
@@ -189,17 +196,44 @@ def _sample_nodes(scene: Scene, arm: ArmModel, params: RoadmapParams) -> np.ndar
     return np.vstack(collected)[: params.n_nodes]
 
 
+def _first_free_edges(arm: ArmModel, scene: Scene, q, nodes: np.ndarray, candidates, want: int):
+    """``(j, free)`` verdicts of the straight edges from ``q`` to ``nodes[j]``
+    in ``candidates`` order, up to and including the ``want``-th free one.
+    The first ``want`` are checked at full density in one batch; each later
+    chunk is prescreened on the coarse samples, and its survivors are checked
+    on the rest, as many at a time as free edges are still wanted."""
+    candidates = iter(candidates)
+    chunk = list(itertools.islice(candidates, want))
+    if not chunk:
+        return []
+    free = ~segments_in_collision(arm, scene, q, nodes[chunk], _T_FINE)
+    verdicts = list(zip(chunk, free.tolist()))
+    need = want - int(free.sum())
+    while need > 0 and (chunk := list(itertools.islice(candidates, max(2 * need, _CHUNK_MIN)))):
+        free = ~segments_in_collision(arm, scene, q, nodes[chunk], _T_COARSE)
+        survivors = np.flatnonzero(free)
+        done = found = 0
+        while done < len(survivors) and found < need:
+            batch = survivors[done:done + need - found]
+            free[batch] = ~segments_in_collision(arm, scene, q, nodes[np.take(chunk, batch)], _T_REST)
+            found += int(free[batch].sum())
+            done += len(batch)
+        # survivors left unchecked all lie past the need-th free edge
+        cut = int(np.flatnonzero(free)[need - 1]) + 1 if found == need else len(chunk)
+        verdicts += zip(chunk[:cut], free[:cut].tolist())
+        need -= found
+    return verdicts
+
+
 def _connect_knn(scene: Scene, arm: ArmModel, nodes: np.ndarray, k: int):
     """Connect each node to its k nearest neighbors reachable by a
     collision-free straight edge.
 
     Nodes take turns in index order. Each scans the others nearest first,
     skips pairs already decided from either side, and accepts free edges
-    until its degree reaches k. Candidates are checked in batches: a chunk
-    is prescreened on the coarse samples, and its survivors are checked on
-    the rest of the fine samples, as many at a time as edges are still
-    needed. Only the verdicts this scan reaches are kept, so the edges and
-    weights are those of checking each edge in turn with
+    until its degree reaches k, with the verdicts of
+    :func:`_first_free_edges`. Only the verdicts this scan reaches are kept,
+    so the edges and weights are those of checking each edge in turn with
     ``edge_in_collision``: a verdict kept beyond that would spare the later
     scan from ``j`` its own check of the edge, whose samples
     ``j + t (i - j)`` can differ from ``i + t (j - i)`` in the last bit.
@@ -217,31 +251,14 @@ def _connect_knn(scene: Scene, arm: ArmModel, nodes: np.ndarray, k: int):
             j for j in np.argsort(dist, kind="stable").tolist()
             if j != i and _edge_key(i, j) not in status
         )
-        while degree[i] < k:
-            chunk = list(itertools.islice(unknown, max(2 * (k - degree[i]), _KNN_CHUNK_MIN)))
-            if not chunk:
-                break
-            coarse_hit = segments_in_collision(arm, scene, nodes[i], nodes[chunk], _T_COARSE)
-            survivors = [j for j, hit in zip(chunk, coarse_hit) if not hit]
-            fine_hit: list[bool] = []  # fine verdicts of the first survivors
-            walked = 0                 # survivors reached so far
-            for j, hit in zip(chunk, coarse_hit):
-                if not hit:
-                    if walked == len(fine_hit):
-                        batch = survivors[walked:walked + k - degree[i]]
-                        fine_hit += segments_in_collision(
-                            arm, scene, nodes[i], nodes[batch], _T_REST).tolist()
-                    hit = fine_hit[walked]
-                    walked += 1
-                key = _edge_key(i, j)
-                status[key] = not hit
-                if not hit:
-                    edges.append(key)
-                    weights.append(float(dist[j]))
-                    degree[i] += 1
-                    degree[j] += 1
-                    if degree[i] >= k:
-                        break
+        for j, free in _first_free_edges(arm, scene, nodes[i], nodes, unknown, k - degree[i]):
+            key = _edge_key(i, j)
+            status[key] = free
+            if free:
+                edges.append(key)
+                weights.append(float(dist[j]))
+                degree[i] += 1
+                degree[j] += 1
     return edges, weights
 
 
@@ -292,16 +309,11 @@ def build_roadmap(scene: Scene, arm: ArmModel, params: RoadmapParams = RoadmapPa
     nodes = _sample_nodes(scene, arm, params)
     edges, weights = _connect_knn(scene, arm, nodes, params.k_neighbors)
     keep = _largest_component(len(nodes), edges)
-    remap = np.full(len(nodes), -1, dtype=int)
-    remap[keep] = np.arange(len(keep))
-    nodes = nodes[keep]
-    kept_edges = []
-    kept_weights = []
-    for (u, v), w in zip(edges, weights):
-        if remap[u] >= 0 and remap[v] >= 0:
-            kept_edges.append(_edge_key(int(remap[u]), int(remap[v])))
-            kept_weights.append(w)
-    return Roadmap(nodes, kept_edges, kept_weights, params, _binding(scene, arm))
+    remap = np.full(len(nodes), -1)
+    remap[keep] = np.arange(len(keep))  # increasing, so each edge stays (low, high)
+    ends = remap[np.array(edges, dtype=np.int64).reshape(-1, 2)]
+    kept = ends[:, 0] >= 0  # an edge's ends share a component
+    return Roadmap(nodes[keep], ends[kept], np.array(weights)[kept], params, _binding(scene, arm))
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +390,7 @@ def k_shortest_paths(roadmap: Roadmap, u: int, v: int, k_paths: int | None = Non
     k = roadmap.params.k_paths if k_paths is None else int(k_paths)
     if k < 1:
         raise ValueError("k_paths must be >= 1")
-    n = roadmap.n_nodes
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError("nodes out of range")
+    roadmap._check_nodes(u, v)
     if u == v:
         return [[u]]
     memo = roadmap._ksp.get((u, v))
@@ -410,40 +420,23 @@ class QueryResult:
 
     path: np.ndarray | None
     failure: str | None = None
-    start_node: int | None = None
-    goal_node: int | None = None
 
     @property
     def ok(self) -> bool:
         return self.path is not None
 
 
-_CONNECT_CHUNK = 10
 # Most candidate nodes a start or goal tries to connect to, nearest first.
 _CONNECT_SCAN_LIMIT = 50
 
 
 def _nearest_connectable(roadmap: Roadmap, arm: ArmModel, scene: Scene, q) -> int | None:
-    """Nearest roadmap node joined to ``q`` by a collision-free straight edge.
-
-    Candidates are scanned in increasing joint-space distance. The very
-    nearest node usually connects, so it is tried at full edge density first.
-    Otherwise each chunk of candidate edges is prescreened in one coarse
-    collision batch, and surviving candidates are verified on the rest of
-    the fine samples, nearest first.
-    """
+    """Nearest of the ``_CONNECT_SCAN_LIMIT`` nearest roadmap nodes (joint
+    space) joined to ``q`` by a collision-free straight edge."""
     q = np.asarray(q, dtype=float)
-    dist = np.linalg.norm(roadmap.nodes - q[None, :], axis=1)
-    order = np.argsort(dist, kind="stable")[:_CONNECT_SCAN_LIMIT]
-    if not segments_in_collision(arm, scene, q, roadmap.nodes[order[0]], _T_FINE):
-        return int(order[0])
-    for lo in range(0, len(order), _CONNECT_CHUNK):
-        cand = order[lo:lo + _CONNECT_CHUNK]
-        blocked = segments_in_collision(arm, scene, q, roadmap.nodes[cand], _T_COARSE)
-        for node in cand[~blocked]:
-            if not segments_in_collision(arm, scene, q, roadmap.nodes[node], _T_REST):
-                return int(node)
-    return None
+    order = np.argsort(np.linalg.norm(roadmap.nodes - q, axis=1), kind="stable")[:_CONNECT_SCAN_LIMIT]
+    verdicts = _first_free_edges(arm, scene, q, roadmap.nodes, order, 1)
+    return int(verdicts[-1][0]) if verdicts and verdicts[-1][1] else None
 
 
 def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) -> QueryResult:
@@ -485,11 +478,8 @@ def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) ->
     # as good as the best node overall: a valid lower bound on each goal's
     # total length, letting the scan stop once no candidate can win
     from_s = roadmap.apsp_dist[s_node]
-    bounds = []
-    for gi, g in enumerate(candidates):
-        to_node = np.linalg.norm(roadmap.nodes - g[None, :], axis=1)
-        bounds.append((start_leg + float(np.min(from_s + to_node)), gi))
-    bounds.sort()
+    bounds = sorted((start_leg + float(np.min(from_s + np.linalg.norm(roadmap.nodes - g, axis=1))), gi)
+                    for gi, g in enumerate(candidates))
 
     best = None
     for lb, gi in bounds:
@@ -516,7 +506,7 @@ def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) ->
     for w in waypoints[1:]:
         if np.linalg.norm(w - deduped[-1]) > 1e-12:
             deduped.append(w)
-    return QueryResult(np.array(deduped), start_node=s_node, goal_node=g_node)
+    return QueryResult(np.array(deduped))
 
 
 # ---------------------------------------------------------------------------

@@ -194,9 +194,12 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(data: dict) -> Scene:
-    if data.get("format_version") != FORMAT_VERSION:
+    if isinstance(data, dict) and data.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported scene format version {data.get('format_version')!r}")
-    bounds = data.get("workspace_bounds")
+    bounds = data.get("workspace_bounds") if isinstance(data, dict) else None
+    _check_json_layout(data, {**_SCENE_LAYOUT, "workspace_bounds": [_NUMBER] if bounds else type(None)}, "scene")
+    if bounds and len(bounds) != 4:
+        raise ValueError(f"scene.workspace_bounds has {len(bounds)} numbers, not 4")
     return Scene(
         name=data["name"],
         obstacles=tuple(ConvexShape(ob["vertices"]) for ob in data["obstacles"]),
@@ -209,7 +212,13 @@ def save_scene(scene: Scene, path) -> None:
 
 
 def load_scene(path) -> Scene:
-    return scene_from_dict(json.loads(Path(path).read_text()))
+    """Read a scene file; any fault in it raises ValueError naming the file:
+    not JSON, another format version, keys other than ``scene_to_dict``'s, a
+    ``workspace_bounds`` not null or 4 numbers, or an invalid obstacle."""
+    try:
+        return scene_from_dict(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"scene file {path}: {exc}") from None
 
 
 def suite_to_dict(suite: TestSuite) -> dict:
@@ -257,6 +266,7 @@ def _check_json_layout(value, layout, where: str) -> None:
 
 
 _NUMBER = (int, float)
+_SCENE_LAYOUT = {"format_version": int, "name": str, "obstacles": [{"vertices": [[_NUMBER]]}]}
 _SUITE_LAYOUT = {
     "format_version": int, "scene_name": str, "rng_seed": int,
     "arm": {"links": [[_NUMBER]], "joint_limits": [[_NUMBER]]},

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import heapq
 import itertools
 import json
@@ -12,14 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from armplan.collision import config_in_collision, configs_in_collision, edge_in_collision
-from armplan.collision import Scene
+from armplan.collision import Scene, segments_in_collision
 from armplan.robot import ArmModel, EEPose, forward_kinematics
+from armplan import roadmap as roadmap_module
 from armplan.roadmap import (
     Roadmap, RoadmapBuildError, RoadmapParams, build_roadmap, invalidate_and_requery,
     k_shortest_paths, load_roadmap, query, save_roadmap, _connect_knn, _dijkstra_path,
-    _edge_key, _largest_component, _sample_nodes, _yen,
+    _edge_key, _first_free_edges, _largest_component, _nearest_connectable, _sample_nodes, _yen,
 )
-from armplan.scenarios import build_scene, load_scene, save_scene, scene_to_dict
+from armplan.scenarios import build_scene, default_arm, load_scene, save_scene, scene_to_dict
 from armplan.seedprep import path_length
 
 
@@ -89,6 +91,26 @@ def sequential_connect_knn(scene, arm, nodes, k):
                 degree[i] += 1
                 degree[j] += 1
     return edges, weights, full_at_turn
+
+
+def first_free_walk(arm, scene, q, nodes, candidates, want):
+    """Reference scan: one ``edge_in_collision`` call per candidate, in
+    order, until the ``want``-th free edge."""
+    verdicts, found = [], 0
+    for j in candidates:
+        free = not edge_in_collision(arm, scene, q, nodes[j])
+        verdicts.append((int(j), free))
+        found += free
+        if found == want:
+            break
+    return verdicts
+
+
+def random_free_config(arm, scene, rng):
+    while True:
+        q = rng.uniform(arm.lower, arm.upper)
+        if not config_in_collision(arm, scene, q):
+            return q
 
 
 def floyd_warshall(n, edges, weights):
@@ -306,6 +328,17 @@ def test_shortest_node_path_breaks_ties_like_next_hop_reference():
                 assert rm.shortest_node_path(u, v) == reference_next_hop_path(nxt, u, v), (trial, u, v)
 
 
+@pytest.mark.parametrize("u,v", [(3, -1), (-1, 3), (0, 60), (65, 0), (2.0, 3)])
+def test_node_paths_reject_bad_node_index(u, v):
+    rm = graph_roadmap(60, [(i, i + 1) for i in range(59)], np.ones(59))
+    with within_seconds(1.0):
+        with pytest.raises(ValueError, match=r"is not an integer in 0\.\.59"):
+            rm.shortest_node_path(u, v)
+        with pytest.raises(ValueError, match=r"is not an integer in 0\.\.59"):
+            k_shortest_paths(rm, u, v)
+    assert rm.shortest_node_path(np.int64(3), 5) == [3, 4, 5]
+
+
 def test_shortest_node_path_rejects_disconnected_pair():
     rm = graph_roadmap(4, [(0, 1), (2, 3)], [1.0, 1.0])
     with within_seconds(1.0):
@@ -466,6 +499,62 @@ def test_connect_knn_memory_is_per_row(unbounded_scene, arm):
         tracemalloc.stop()
     assert len(edges) >= 1000 * 10 // 2
     assert peak < 16 * 2**20
+
+
+@functools.lru_cache(maxsize=None)
+def scan_setup(scene_name):
+    scene = build_scene(scene_name)
+    return scene, _sample_nodes(scene, default_arm(), RoadmapParams(n_nodes=60, rng_seed=9))
+
+
+@pytest.mark.parametrize("scene_name", ["tabletop_pole", "shelf_boxes"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_first_free_edges_matches_sequential_walk(scene_name, data):
+    arm = default_arm()
+    scene, nodes = scan_setup(scene_name)
+    q = random_free_config(arm, scene, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    candidates = data.draw(st.permutations(range(len(nodes))))[:data.draw(st.integers(0, len(nodes)))]
+    if data.draw(st.booleans()):  # nearest first, as both callers scan
+        candidates.sort(key=lambda j: np.linalg.norm(nodes[j] - q))
+    want = data.draw(st.integers(1, 12))
+    got = _first_free_edges(arm, scene, q, nodes, candidates, want)
+    assert got == first_free_walk(arm, scene, q, nodes, candidates, want)
+
+
+def test_first_free_edges_checks_a_free_nearest_edge_in_one_call(arm, pole_scene, monkeypatch):
+    nodes = _sample_nodes(pole_scene, arm, RoadmapParams(n_nodes=60, rng_seed=9))
+    rng = np.random.default_rng(4)
+    while True:
+        q = random_free_config(arm, pole_scene, rng)
+        order = np.argsort(np.linalg.norm(nodes - q, axis=1), kind="stable")
+        if not edge_in_collision(arm, pole_scene, q, nodes[order[0]]):
+            break
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return segments_in_collision(*args)
+
+    monkeypatch.setattr(roadmap_module, "segments_in_collision", counting)
+    assert _first_free_edges(arm, pole_scene, q, nodes, order, 1) == [(order[0], True)]
+    assert len(calls) == 1
+
+
+def test_nearest_connectable_matches_sequential_reference(arm, pole_scene, shelf_scene):
+    nearest_blocked = unconnected = 0
+    for scene in (pole_scene, shelf_scene):
+        rm = build_roadmap(scene, arm, RoadmapParams(n_nodes=60, k_neighbors=6, rng_seed=8))
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            q = random_free_config(arm, scene, rng)
+            order = np.argsort(np.linalg.norm(rm.nodes - q, axis=1), kind="stable")[:50]
+            walk = first_free_walk(arm, scene, q, rm.nodes, order, 1)
+            want = walk[-1][0] if walk[-1][1] else None
+            assert _nearest_connectable(rm, arm, scene, q) == want
+            nearest_blocked += not walk[0][1]
+            unconnected += want is None
+    assert nearest_blocked > 0 and unconnected > 0
 
 
 def test_largest_component_prunes_and_breaks_ties_low():

@@ -12,6 +12,7 @@ from armplan.scenarios import (
     SCENE_NAMES, GenerationError, build_scene, default_arm, generate_test_suite, ik_goal_configs,
     load_scene, load_suite, save_scene, save_suite, scene_to_dict, suite_to_dict,
 )
+from test_roadmap import within_seconds
 
 
 def test_unknown_scene_name():
@@ -64,6 +65,66 @@ def test_scene_file_schema(tmp_path):
     data = json.loads(p.read_text())
     assert set(data) == {"format_version", "name", "workspace_bounds", "obstacles"}
     assert all(set(ob) == {"vertices"} for ob in data["obstacles"])
+
+
+def _without_obstacles(data):
+    del data["obstacles"]
+    return data
+
+
+def _set(data, value, *keys):
+    item = data
+    for key in keys[:-1]:
+        item = item[key]
+    item[keys[-1]] = value
+    return data
+
+
+MALFORMED_SCENES = {
+    "no_obstacles": (_without_obstacles, "scene has keys ['format_version', 'name', 'workspace_bounds'], "
+                                         "not ['format_version', 'name', 'obstacles', 'workspace_bounds']"),
+    "top_level_list": (lambda d: [d], "scene is list, not dict"),
+    "three_bounds": (lambda d: _set(d, [-1.6, -0.6, 1.6], "workspace_bounds"),
+                     "scene.workspace_bounds has 3 numbers, not 4"),
+    "string_bound": (lambda d: _set(d, "1.6", "workspace_bounds", 2),
+                     "scene.workspace_bounds[2] is str, not a number"),
+    "bool_bound": (lambda d: _set(d, True, "workspace_bounds", 0),
+                   "scene.workspace_bounds[0] is bool, not a number"),
+    "string_bounds": (lambda d: _set(d, "-1.6 -0.6 1.6 1.6", "workspace_bounds"),
+                      "scene.workspace_bounds is str, not list"),
+    "string_vertex": (lambda d: _set(d, "x", "obstacles", 1, "vertices", 2),
+                      "scene.obstacles[1].vertices[2] is str, not list"),
+    "string_coordinate": (lambda d: _set(d, "0.5", "obstacles", 0, "vertices", 1, 0),
+                          "scene.obstacles[0].vertices[1][0] is str, not a number"),
+    "obstacle_key": (lambda d: _set(d, "box", "obstacles", 0, "kind"),
+                     "scene.obstacles[0] has keys ['kind', 'vertices'], not ['vertices']"),
+    "flat_vertices": (lambda d: _set(d, [[0.0, 0.0, 1.0]], "obstacles", 0, "vertices"),
+                      "a convex shape needs at least 3 planar vertices"),
+    "empty_bounds": (lambda d: _set(d, [1.0, -0.6, -1.0, 1.6], "workspace_bounds"),
+                     "workspace bounds must satisfy xmin < xmax"),
+    "version": (lambda d: _set(d, 2, "format_version"), "unsupported scene format version 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENES))
+def test_load_scene_rejects_malformed_file(tmp_path, case):
+    edit, message = MALFORMED_SCENES[case]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(edit(scene_to_dict(build_scene("kitchen")))))
+    with within_seconds(1.0):
+        with pytest.raises(ValueError) as err:
+            load_scene(path)
+    assert str(err.value).startswith(f"scene file {path}: ")
+    assert message in str(err.value)
+
+
+def test_load_scene_keeps_file_bytes_and_unbounded_scenes(tmp_path):
+    for scene in (build_scene("kitchen"), Scene("open", build_scene("kitchen").obstacles)):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_scene(scene, first)
+        save_scene(load_scene(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert load_scene(first).workspace_bounds == scene.workspace_bounds
 
 
 # ---------------------------------------------------------------------------
