@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from .collision import Scene, config_in_collision, edge_in_collision
+from .geometry import _vector_length
 from .robot import ArmModel, within_limits
 
 
@@ -25,7 +26,7 @@ def rrt_seed(base_seed: int, index: int) -> int:
 
 
 def _edge_free(arm, scene, q1, q2) -> bool:
-    dist = float(np.linalg.norm(q2 - q1))
+    dist = _vector_length(q2 - q1)
     n_interp = max(10, int(math.ceil(dist / _EDGE_SPACING)))
     return not edge_in_collision(arm, scene, q1, q2, n_interp)
 
@@ -59,7 +60,7 @@ def rrt_plan(
     if config_in_collision(arm, scene, start):
         raise ValueError("start configuration is in collision")
     for g in goals:
-        if np.linalg.norm(g - start) < 1e-12:
+        if _vector_length(g - start) < 1e-12:
             return [start.copy()]
 
     rng = np.random.default_rng(rng_seed)
@@ -86,7 +87,7 @@ def rrt_plan(
         near = int(np.argmin((diffs * diffs).sum(axis=1)))
         q_near = nodes[near]
         delta = target - q_near
-        dist = float(np.linalg.norm(delta))
+        dist = _vector_length(delta)
         if dist < 1e-12:
             continue
         q_new = target if dist <= _STEP else q_near + (_STEP / dist) * delta
@@ -100,7 +101,7 @@ def rrt_plan(
         parents[count] = near
         count += 1
         for g in goals:
-            gap = float(np.linalg.norm(g - q_new))
+            gap = _vector_length(g - q_new)
             if gap < 1e-12:
                 return extract(count - 1)
             if gap <= _STEP and _edge_free(arm, scene, q_new, g):

@@ -10,17 +10,26 @@ entries, so the kernel and the signed distances gather all (configuration,
 link, obstacle) triples at once, with no loop over obstacles. One segment
 sampler, ``segments_in_collision``, checks straight joint-space segments in
 a single batch; edge and trajectory checks are built on it.
+
+A batch's link rectangles (``_RectBatch``) come from the one chain pass of
+``robot`` and hold only what every check reads: the proximal joints ``P``,
+the link axes ``u`` and ``n``, the lengths ``L`` and half-widths ``W``, and
+the chain's unit cosines and sines and link steps. The projections of ``P``
+onto ``u`` and ``n`` are made in ``_sat`` for the pairs that survive the
+obstacle axes, and the link AABBs in ``_link_aabbs`` for the workspace
+bounds and the signed-distance cutoff, so a small batch pays for no field
+it does not read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .geometry import ConvexShape, _point_segment_distance
-from .robot import ArmModel, chain_points
+from .robot import ArmModel, _check_batch, _joint_origins, _link_steps
 
 DEFAULT_EDGE_INTERP = 100
 
@@ -107,31 +116,30 @@ class Scene:
         return _SceneGeom(self.obstacles)
 
 
-class _RectBatch:
-    """Link rectangles for a batch of configurations in implicit (axis) form."""
+_NEGATE_X = np.array([-1.0, 1.0])
 
-    __slots__ = ("P", "u", "n", "L", "W", "Pu", "Pn", "xmin", "xmax", "ymin", "ymax")
+
+class _RectBatch:
+    """Link rectangles for a batch of configurations in implicit (axis) form.
+
+    Holds what every caller reads: the proximal joints ``P`` and the
+    along-link and across-link axes ``u`` and ``n``, each (M, K, 2), the
+    link lengths ``L`` and half-widths ``W``, each (1, K), and the chain
+    pass's unit cosines and sines ``cs`` and link steps ``steps``, each
+    (2, M, K). Projections of ``P`` onto ``u`` and ``n`` are made in
+    ``_sat`` for the pairs that need them, and the link AABBs in
+    ``_link_aabbs``.
+    """
+
+    __slots__ = ("P", "u", "n", "L", "W", "cs", "steps")
 
     def __init__(self, arm: ArmModel, Q: np.ndarray):
-        origins, headings = chain_points(arm, Q)
-        self.P = origins[:, :-1]                     # (M, K, 2) proximal joint of each link
-        cos, sin = np.cos(headings), np.sin(headings)
-        self.u = np.stack([cos, sin], axis=-1)       # along-link axis
-        self.n = np.stack([-sin, cos], axis=-1)      # across-link axis
+        _, self.cs, self.steps = _link_steps(arm, _check_batch(arm, Q))
+        self.P = _joint_origins(arm, self.steps)[:, :-1]   # proximal joint of each link
+        self.u = self.cs.transpose(1, 2, 0).copy()        # (cos, sin)
+        self.n = self.u[..., ::-1] * _NEGATE_X            # (-sin, cos)
         self.L = arm.lengths[None, :]
         self.W = arm.half_widths[None, :]
-        self.Pu = (self.P * self.u).sum(-1)          # (M, K)
-        self.Pn = (self.P * self.n).sum(-1)
-        lux = np.minimum(0.0, self.L * self.u[..., 0])
-        luy = np.minimum(0.0, self.L * self.u[..., 1])
-        hux = np.maximum(0.0, self.L * self.u[..., 0])
-        huy = np.maximum(0.0, self.L * self.u[..., 1])
-        wx = self.W * np.abs(self.n[..., 0])
-        wy = self.W * np.abs(self.n[..., 1])
-        self.xmin = self.P[..., 0] + lux - wx
-        self.xmax = self.P[..., 0] + hux + wx
-        self.ymin = self.P[..., 1] + luy - wy
-        self.ymax = self.P[..., 1] + huy + wy
 
     def corners(self) -> np.ndarray:
         """Explicit rectangle corners, shape (M, K, 4, 2), counter-clockwise."""
@@ -144,13 +152,24 @@ class _RectBatch:
         return base + along + across
 
 
+def _link_aabbs(rb: _RectBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Axis-aligned bounds of every link rectangle: ``lo`` holds (xmin,
+    ymin) and ``hi`` (xmax, ymax), each (2, M, K). A link spans its step
+    ``L u`` along x and y, widened by ``W |n_x| = W |sin|`` and
+    ``W |n_y| = W |cos|``."""
+    P = rb.P.transpose(2, 0, 1)
+    widen = rb.W * np.abs(rb.cs[::-1])
+    return P + np.minimum(0.0, rb.steps) - widen, P + np.maximum(0.0, rb.steps) + widen
+
+
 def _bounds_margins(scene: Scene, rb: _RectBatch) -> np.ndarray:
     """Per-configuration containment margin; negative means outside bounds."""
     if scene.workspace_bounds is None:
         return np.full(rb.P.shape[0], np.inf)
     xmin, ymin, xmax, ymax = scene.workspace_bounds
+    lo, hi = _link_aabbs(rb)
     m = np.minimum.reduce([
-        rb.xmin - xmin, xmax - rb.xmax, rb.ymin - ymin, ymax - rb.ymax,
+        lo[0] - xmin, xmax - hi[0], lo[1] - ymin, ymax - hi[1],
     ])
     return m.min(axis=1)
 
@@ -183,13 +202,15 @@ def _sat(geom: _SceneGeom, rb: _RectBatch, penetration: bool = False):
     # one product of both rectangle axes against every obstacle vertex keeps
     # it a matrix-matrix product whatever the pair count, so every pair is
     # projected alike; each pair then keeps its own obstacle's columns
-    vuv = np.concatenate([rb.u[mi, ki], rb.n[mi, ki]]) @ geom.verts.reshape(-1, 2).T
+    u, n = rb.u[mi, ki], rb.n[mi, ki]
+    vuv = np.concatenate([u, n]) @ geom.verts.reshape(-1, 2).T
     vuv = vuv.reshape(2 * s, geom.n_obstacles, -1)[np.arange(2 * s), np.concatenate([oi, oi])]
     vu, vn = vuv[:s], vuv[s:]
     vu_min, vu_max = vu.min(axis=1), vu.max(axis=1)
     vn_min, vn_max = vn.min(axis=1), vn.max(axis=1)
-    pu = rb.Pu[mi, ki]
-    pn = rb.Pn[mi, ki]
+    p = rb.P[mi, ki]
+    pu = (p * u).sum(-1)
+    pn = (p * n).sum(-1)
     ln = rb.L[0, ki]
     w = rb.W[0, ki]
     sep2 = (vu_max < pu) | (vu_min > pu + ln)
@@ -206,7 +227,6 @@ def _sat(geom: _SceneGeom, rb: _RectBatch, penetration: bool = False):
 
 def configs_in_collision(arm: ArmModel, scene: Scene, Q) -> np.ndarray:
     """Boolean flags for a batch of configurations of shape (M, K)."""
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
     rb = _RectBatch(arm, Q)
     out = _bounds_margins(scene, rb) <= 0.0
     geom = scene._geom
@@ -221,18 +241,10 @@ def config_in_collision(arm: ArmModel, scene: Scene, q) -> bool:
 
 def _aabb_gap_lower_bound(geom: _SceneGeom, rb: _RectBatch) -> np.ndarray:
     """(M, K, O) lower bound on the separation distance from AABBs."""
-    ob = geom.aabbs
-    gx = np.maximum(
-        np.maximum(ob[None, None, :, 0] - rb.xmax[..., None],
-                   rb.xmin[..., None] - ob[None, None, :, 2]),
-        0.0,
-    )
-    gy = np.maximum(
-        np.maximum(ob[None, None, :, 1] - rb.ymax[..., None],
-                   rb.ymin[..., None] - ob[None, None, :, 3]),
-        0.0,
-    )
-    return np.hypot(gx, gy)
+    lo, hi = _link_aabbs(rb)
+    ob_lo, ob_hi = geom.aabbs.T.reshape(2, 2, 1, 1, -1)      # (2, 1, 1, O) each
+    g = np.maximum(np.maximum(ob_lo - hi[..., None], lo[..., None] - ob_hi), 0.0)
+    return np.hypot(g[0], g[1])
 
 
 def pair_signed_distances(
@@ -308,11 +320,19 @@ def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
     return flags.reshape(samples.shape[:-1]).any(axis=-1)
 
 
+@lru_cache(maxsize=256)
+def _sample_fractions(n_interp: int) -> np.ndarray:
+    """The ``n_interp + 2`` sample fractions of a segment check, 0 and 1
+    included, built once per ``n_interp`` and read-only."""
+    t = np.linspace(0.0, 1.0, n_interp + 2)
+    t.flags.writeable = False
+    return t
+
+
 def edge_in_collision(arm: ArmModel, scene: Scene, q1, q2, n_interp: int = DEFAULT_EDGE_INTERP) -> bool:
     """True when any of the interpolated configurations along the straight
     joint-space segment (endpoints included) is in collision."""
-    t = np.linspace(0.0, 1.0, n_interp + 2)
-    return bool(segments_in_collision(arm, scene, q1, q2, t))
+    return bool(segments_in_collision(arm, scene, q1, q2, _sample_fractions(n_interp)))
 
 
 def trajectory_in_collision(
@@ -326,8 +346,7 @@ def trajectory_in_collision(
     traj = np.asarray(traj, dtype=float)
     if traj.ndim != 2 or traj.shape[0] < 2:
         raise ValueError("trajectory needs at least 2 waypoints")
-    t = np.linspace(0.0, 1.0, n_interp + 2)
-    flags = segments_in_collision(arm, scene, traj[:-1], traj[1:], t)
+    flags = segments_in_collision(arm, scene, traj[:-1], traj[1:], _sample_fractions(n_interp))
     if not flags.any():
         return False, None
     return True, int(np.argmax(flags))

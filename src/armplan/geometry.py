@@ -28,6 +28,12 @@ def normalize_angle(theta: float) -> float:
     return r - math.pi
 
 
+def _vector_length(d: np.ndarray) -> float:
+    """Euclidean length of a 1-D float vector: ``np.linalg.norm``'s own
+    formula, ``sqrt(d @ d)``, without its wrapper."""
+    return math.sqrt(d @ d)
+
+
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
     """Vectorized wrap to [-pi, pi); used for angle differences."""
     return np.mod(np.asarray(theta) + np.pi, 2.0 * np.pi) - np.pi

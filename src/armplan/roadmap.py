@@ -38,7 +38,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra as _sparse_dijks
 from .collision import (
     DEFAULT_EDGE_INTERP, Scene, config_in_collision, configs_in_collision, segments_in_collision,
 )
-from .geometry import wrap_angles
+from .geometry import _vector_length, wrap_angles
 from .robot import IK_HEADING_TOL, IK_POSITION_TOL, ArmModel, EEPose, chain_points, within_limits
 from . import scenarios
 from .scenarios import _check_json_layout, ik_goal_configs, scene_to_dict
@@ -120,7 +120,8 @@ class Roadmap:
 
     def _check_nodes(self, *ids) -> None:
         for node in ids:
-            if not isinstance(node, (int, np.integer)) or not 0 <= node < self.n_nodes:
+            if (isinstance(node, bool) or not isinstance(node, (int, np.integer))
+                    or not 0 <= node < self.n_nodes):
                 raise ValueError(f"node {node!r} is not an integer in 0..{self.n_nodes - 1}")
 
     def shortest_node_path(self, u: int, v: int) -> list[int]:
@@ -385,9 +386,16 @@ def k_shortest_paths(roadmap: Roadmap, u: int, v: int, k_paths: int | None = Non
 
     Results are memoized on the roadmap. Paths are ordered by length, and
     paths of equal length by their node sequences, lexicographically
-    smallest first. Runs Yen's algorithm on ``roadmap.graph``.
+    smallest first. Runs Yen's algorithm on ``roadmap.graph``. Raises
+    ValueError when ``k_paths`` is not an integer (a bool is not one) or is
+    below 1, or when u or v is no node index.
     """
-    k = roadmap.params.k_paths if k_paths is None else int(k_paths)
+    if k_paths is None:
+        k = roadmap.params.k_paths
+    elif isinstance(k_paths, (int, np.integer)) and not isinstance(k_paths, bool):
+        k = int(k_paths)
+    else:
+        raise ValueError(f"k_paths must be an integer, got {k_paths!r}")
     if k < 1:
         raise ValueError("k_paths must be >= 1")
     roadmap._check_nodes(u, v)
@@ -402,8 +410,16 @@ def k_shortest_paths(roadmap: Roadmap, u: int, v: int, k_paths: int | None = Non
 def invalidate_and_requery(roadmap: Roadmap, blocked_edges, u: int, v: int) -> list[int] | None:
     """First cached alternate path between two nodes that avoids every blocked
     edge, or None when all cached alternatives are blocked. The roadmap graph
-    itself is never modified."""
-    blocked = {_edge_key(int(a), int(b)) for a, b in blocked_edges}
+    itself is never modified. Raises ValueError, naming the edge, when a
+    blocked edge is not a pair of node indices."""
+    blocked = set()
+    for edge in blocked_edges:
+        try:
+            a, b = edge
+            roadmap._check_nodes(a, b)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"blocked edge {edge!r} is not a pair of node indices: {err}") from None
+        blocked.add(_edge_key(int(a), int(b)))
     for path in k_shortest_paths(roadmap, u, v):
         if all(_edge_key(a, b) not in blocked for a, b in zip(path[:-1], path[1:])):
             return path
@@ -430,11 +446,19 @@ class QueryResult:
 _CONNECT_SCAN_LIMIT = 50
 
 
-def _nearest_connectable(roadmap: Roadmap, arm: ArmModel, scene: Scene, q) -> int | None:
+def _nearest_connectable(roadmap: Roadmap, arm: ArmModel, scene: Scene, q: np.ndarray,
+                         dist: np.ndarray) -> int | None:
     """Nearest of the ``_CONNECT_SCAN_LIMIT`` nearest roadmap nodes (joint
-    space) joined to ``q`` by a collision-free straight edge."""
-    q = np.asarray(q, dtype=float)
-    order = np.argsort(np.linalg.norm(roadmap.nodes - q, axis=1), kind="stable")[:_CONNECT_SCAN_LIMIT]
+    space) joined to ``q`` by a collision-free straight edge; ``dist`` holds
+    the joint-space distances from ``q`` to every node."""
+    if len(dist) > _CONNECT_SCAN_LIMIT:
+        # the stable argsort's first entries without sorting the rest: every
+        # node up to the limit-th smallest distance, ties kept in index order
+        cut = np.partition(dist, _CONNECT_SCAN_LIMIT - 1)[_CONNECT_SCAN_LIMIT - 1]
+        near = np.flatnonzero(dist <= cut)
+        order = near[np.argsort(dist[near], kind="stable")][:_CONNECT_SCAN_LIMIT]
+    else:
+        order = np.argsort(dist, kind="stable")
     verdicts = _first_free_edges(arm, scene, q, roadmap.nodes, order, 1)
     return int(verdicts[-1][0]) if verdicts and verdicts[-1][1] else None
 
@@ -469,30 +493,31 @@ def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) ->
     if not candidates:
         return QueryResult(None, failure="no_ik")
 
-    s_node = _nearest_connectable(roadmap, arm, scene, start)
+    # joint-space distances from the start (row 0) and every goal to every node
+    dist = np.linalg.norm(roadmap.nodes - np.array([start, *candidates])[:, None], axis=2)
+    s_node = _nearest_connectable(roadmap, arm, scene, start, dist[0])
     if s_node is None:
         return QueryResult(None, failure="start_connect")
-    start_leg = float(np.linalg.norm(start - roadmap.nodes[s_node]))
+    start_leg = _vector_length(start - roadmap.nodes[s_node])
 
     # every goal connects to its nearest connectable node, which can only be
     # as good as the best node overall: a valid lower bound on each goal's
     # total length, letting the scan stop once no candidate can win
     from_s = roadmap.apsp_dist[s_node]
-    bounds = sorted((start_leg + float(np.min(from_s + np.linalg.norm(roadmap.nodes - g, axis=1))), gi)
-                    for gi, g in enumerate(candidates))
+    bounds = sorted((start_leg + lb, gi) for gi, lb in enumerate((from_s + dist[1:]).min(axis=1).tolist()))
 
     best = None
     for lb, gi in bounds:
         if best is not None and lb >= best[0] - 1e-12:
             break
         g = candidates[gi]
-        g_node = _nearest_connectable(roadmap, arm, scene, g)
+        g_node = _nearest_connectable(roadmap, arm, scene, g, dist[1 + gi])
         if g_node is None:
             continue
         total = (
             start_leg
             + float(roadmap.apsp_dist[s_node, g_node])
-            + float(np.linalg.norm(roadmap.nodes[g_node] - g))
+            + _vector_length(roadmap.nodes[g_node] - g)
         )
         if best is None or total < best[0]:
             best = (total, g, g_node)
@@ -504,7 +529,7 @@ def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) ->
     waypoints = [start] + [roadmap.nodes[i] for i in node_path] + [g]
     deduped = [waypoints[0]]
     for w in waypoints[1:]:
-        if np.linalg.norm(w - deduped[-1]) > 1e-12:
+        if _vector_length(w - deduped[-1]) > 1e-12:
             deduped.append(w)
     return QueryResult(np.array(deduped))
 

@@ -1,8 +1,10 @@
 """Planar n-link revolute arm: kinematics, link geometry, and inverse kinematics.
 
-``chain_points``, ``ee_jacobian`` and ``solve_ik`` share one link-step helper
-and one tip-Jacobian helper. ``solve_ik``'s loop keeps one row per restart; a
-converged or stalled restart leaves a ``live`` mask and its row stops moving.
+``chain_points``, ``ee_jacobian``, ``solve_ik`` and the collision batches
+share one chain pass (``_link_steps``, and ``_joint_origins`` for the joint
+positions) and one tip-Jacobian helper. ``solve_ik``'s loop keeps one row per
+restart; a converged or stalled restart leaves a ``live`` mask and its row
+stops moving.
 """
 
 from __future__ import annotations
@@ -108,16 +110,45 @@ def within_limits(arm: ArmModel, q) -> bool:
 
 
 def _link_steps(arm: ArmModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw cumulative link headings and each link's (x, y) step, all (M, K),
-    for a batch of configurations."""
-    headings = arm.base.heading + np.cumsum(Q, axis=1)
-    return headings, arm.lengths * np.cos(headings), arm.lengths * np.sin(headings)
+    """One pass over the chain for a batch of configurations (M, K): the raw
+    cumulative link headings (M, K), their unit cosines and sines stacked as
+    ``cs`` (2, M, K), and each link's (x, y) step ``lengths * cs`` stacked the
+    same way."""
+    headings = arm.base.heading + np.add.accumulate(Q, axis=1)
+    cs = np.empty((2, *headings.shape))
+    np.cos(headings, out=cs[0])
+    np.sin(headings, out=cs[1])
+    return headings, cs, arm.lengths * cs
 
 
-def _tip_jacobian(lc: np.ndarray, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tip position Jacobian rows (jx, jy), each (M, K), from the link steps:
-    column j sums the steps of links j..K-1."""
-    return -np.cumsum(ls[:, ::-1], axis=1)[:, ::-1], np.cumsum(lc[:, ::-1], axis=1)[:, ::-1]
+def _joint_origins(arm: ArmModel, steps: np.ndarray) -> np.ndarray:
+    """Joint origins (M, K+1, 2) from the stacked link steps; row K is the
+    arm tip. Each origin is the base plus the running sum of the steps, the
+    sum taken first."""
+    tail = np.add.accumulate(steps, axis=2)
+    tail[0] += arm.base.x
+    tail[1] += arm.base.y
+    origins = np.empty((steps.shape[1], arm.dof + 1, 2))
+    origins[:, 0] = (arm.base.x, arm.base.y)
+    origins[:, 1:] = tail.transpose(1, 2, 0)
+    return origins
+
+
+def _tip_jacobian(steps: np.ndarray) -> np.ndarray:
+    """Tip position Jacobian rows stacked as (2, M, K), (jx, jy), from the
+    stacked link steps: column j of jx is minus the sum of the y steps of
+    links j..K-1, and of jy the sum of their x steps."""
+    J = np.empty_like(steps)
+    np.add.accumulate(steps[::-1, :, ::-1], axis=2, out=J[:, :, ::-1])
+    np.negative(J[0], out=J[0])
+    return J
+
+
+def _check_batch(arm: ArmModel, Q) -> np.ndarray:
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    if Q.shape[1] != arm.dof:
+        raise ValueError(f"expected {arm.dof} joint angles per configuration")
+    return Q
 
 
 def chain_points(arm: ArmModel, Q) -> tuple[np.ndarray, np.ndarray]:
@@ -127,14 +158,8 @@ def chain_points(arm: ArmModel, Q) -> tuple[np.ndarray, np.ndarray]:
     K is the arm tip, and headings of shape (M, K). Headings are raw sums,
     not normalized.
     """
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    if Q.shape[1] != arm.dof:
-        raise ValueError(f"expected {arm.dof} joint angles per configuration")
-    headings, lc, ls = _link_steps(arm, Q)
-    origins = np.empty((Q.shape[0], arm.dof + 1, 2))
-    origins[:, 0] = (arm.base.x, arm.base.y)
-    origins[:, 1:] = origins[:, :1] + np.cumsum(np.stack([lc, ls], axis=-1), axis=1)
-    return origins, headings
+    headings, _, steps = _link_steps(arm, _check_batch(arm, Q))
+    return _joint_origins(arm, steps), headings
 
 
 def forward_kinematics(arm: ArmModel, q) -> tuple[list[Pose2], EEPose]:
@@ -160,8 +185,8 @@ def link_shapes(arm: ArmModel, q) -> list[ConvexShape]:
 
 def ee_jacobian(arm: ArmModel, q) -> np.ndarray:
     """Analytic 3xK Jacobian of the tip (x, y, heading) w.r.t. joint angles."""
-    _, lc, ls = _link_steps(arm, _check_config(arm, q)[None])
-    return np.vstack([*_tip_jacobian(lc, ls), np.ones(arm.dof)])
+    _, _, steps = _link_steps(arm, _check_config(arm, q)[None])
+    return np.vstack([_tip_jacobian(steps)[:, 0], np.ones(arm.dof)])
 
 
 def goal_seed(target: EEPose) -> int:
@@ -185,55 +210,60 @@ def solve_ik(arm: ArmModel, target: EEPose, restarts: int = 10, rng_seed: int = 
         return []
 
     rng = np.random.default_rng(rng_seed)
-    Q = rng.uniform(arm.lower, arm.upper, size=(restarts, arm.dof))
+    lower, upper = arm.lower, arm.upper
+    Q = rng.uniform(lower, upper, size=(restarts, arm.dof))
     live = np.ones(restarts, dtype=bool)
     best_err = np.full(restarts, np.inf)
     lam2 = _IK_DAMPING * _IK_DAMPING
+    offset = np.array([[target.x - arm.base.x], [target.y - arm.base.y]])
 
     for it in range(_IK_MAX_ITERS):
-        ang, lc, ls = _link_steps(arm, Q)
-        ex = (target.x - arm.base.x) - lc.sum(axis=1)
-        ey = (target.y - arm.base.y) - ls.sum(axis=1)
-        pnorm = np.hypot(ex, ey)
+        ang, _, steps = _link_steps(arm, Q)
+        e = offset - np.add.reduce(steps, axis=2)            # (2, R): ex, ey
+        pnorm = np.hypot(e[0], e[1])
         done = pnorm < IK_POSITION_TOL * 0.5
         if target.heading_matters:
             eh = wrap_angles(target.heading - ang[:, -1])
             done &= np.abs(eh) < IK_HEADING_TOL * 0.5
-        live &= ~done
+        live[done] = False
         # every 25 iterations, drop restarts that stopped making progress
         if it and it % 25 == 0:
             live &= (pnorm < 0.99 * best_err) | (pnorm < 10 * IK_POSITION_TOL)
-        if not live.any():
+        if not np.count_nonzero(live):
             break
-        best_err = np.minimum(best_err, pnorm)
-        jx, jy = _tip_jacobian(lc, ls)
+        np.minimum(best_err, pnorm, out=best_err)
+        J = _tip_jacobian(steps)                             # (2, R, K): jx, jy
         if target.heading_matters:
-            J = np.stack([jx, jy, np.ones_like(jx)], axis=1)   # (R, 3, K)
-            err = np.stack([ex, ey, eh], axis=1)
-            A = J @ np.transpose(J, (0, 2, 1)) + lam2 * np.eye(3)[None]
+            J3 = np.stack([J[0], J[1], np.ones_like(J[0])], axis=1)   # (R, 3, K)
+            err = np.stack([e[0], e[1], eh], axis=1)
+            A = J3 @ np.transpose(J3, (0, 2, 1)) + lam2 * np.eye(3)[None]
             y = np.linalg.solve(A, err[:, :, None])
-            dq = (np.transpose(J, (0, 2, 1)) @ y)[:, :, 0]
+            dq = (np.transpose(J3, (0, 2, 1)) @ y)[:, :, 0]
         else:
-            # closed-form damped 2x2 normal equations
-            a11 = (jx * jx).sum(axis=1) + lam2
-            a12 = (jx * jy).sum(axis=1)
-            a22 = (jy * jy).sum(axis=1) + lam2
-            det = a11 * a22 - a12 * a12
-            y1 = (a22 * ex - a12 * ey) / det
-            y2 = (a11 * ey - a12 * ex) / det
-            dq = jx * y1[:, None] + jy * y2[:, None]
-        norms = np.sqrt((dq * dq).sum(axis=1))
+            # closed-form damped 2x2 normal equations: rows of G are the
+            # entries of J J^T per restart, d holds (a22, a11)
+            G = np.add.reduce(J[:, None] * J, axis=3).reshape(4, -1)
+            d = G[::-3] + lam2
+            det = d[1] * d[0] - G[1] * G[1]
+            y = (d * e - G[1] * e[::-1]) / det                # (2, R): y1, y2
+            dq = np.add.reduce(J * y[:, :, None], axis=0)
+        norms = np.sqrt(np.add.reduce(dq * dq, axis=1))
         scale = np.minimum(1.0, 0.5 / np.where(norms < 1e-12, 1.0, norms))
-        Q = np.where(live[:, None], np.clip(Q + dq * scale[:, None], arm.lower, arm.upper), Q)
+        dq *= scale[:, None]
+        dq += Q
+        np.copyto(Q, dq.clip(lower, upper, out=dq), where=live[:, None])
 
     origins, headings = chain_points(arm, Q)
     ok = np.linalg.norm(np.array([target.x, target.y]) - origins[:, -1], axis=1) < IK_POSITION_TOL
     if target.heading_matters:
         ok &= np.abs(wrap_angles(target.heading - headings[:, -1])) < IK_HEADING_TOL
 
-    solutions: list[np.ndarray] = []
-    for i in np.flatnonzero(ok):
-        q = Q[i]
-        if all(np.abs(q - s).max() > 1e-6 for s in solutions):
-            solutions.append(q.copy())
-    return solutions
+    # keep each converged row that differs by more than 1e-6 rad in some
+    # joint from every row kept before it
+    conv = Q[ok]
+    apart = (np.abs(conv[:, None] - conv[None]).max(axis=2) > 1e-6).tolist()
+    kept: list[int] = []
+    for i in range(len(conv)):
+        if all(apart[i][j] for j in kept):
+            kept.append(i)
+    return [conv[i].copy() for i in kept]

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from armplan import collision
 from armplan.collision import (
     Scene, config_in_collision, configs_in_collision, edge_in_collision,
     min_clearance, pair_signed_distances,
     segments_in_collision, trajectory_in_collision,
+    _link_aabbs, _RectBatch, _sample_fractions,
 )
 from armplan.geometry import ConvexShape, Pose2, signed_distance
 from armplan.optimizer import D_SAFE, _hinge_sums
-from armplan.robot import ArmModel, link_shapes
+from armplan.robot import ArmModel, chain_points, link_shapes
 from armplan.scenarios import SCENE_NAMES, build_scene
 
 from conftest import random_convex_polygon
@@ -340,3 +342,105 @@ def test_far_cutoff_short_circuit(arm, shelf_scene):
     assert np.allclose(cut[near], exact[near])
     assert (cut[~near] <= exact[~near] + 1e-12).all()
     assert (cut[~near] >= 0.05 - 1e-12).all()
+
+
+# ---------------------------------------------------------------------------
+# link batch fields against the eager oracle
+
+class _EagerRectBatch:
+    """Eager oracle for ``_RectBatch``: headings from ``chain_points``, their
+    cosines and sines taken again, and every projection and bound built up
+    front."""
+
+    corners = _RectBatch.corners
+
+    def __init__(self, arm, Q):
+        origins, headings = chain_points(arm, Q)
+        self.P = origins[:, :-1]
+        cos, sin = np.cos(headings), np.sin(headings)
+        self.u = np.stack([cos, sin], axis=-1)
+        self.n = np.stack([-sin, cos], axis=-1)
+        self.L = arm.lengths[None, :]
+        self.W = arm.half_widths[None, :]
+        self.Pu = (self.P * self.u).sum(-1)
+        self.Pn = (self.P * self.n).sum(-1)
+        lux = np.minimum(0.0, self.L * self.u[..., 0])
+        luy = np.minimum(0.0, self.L * self.u[..., 1])
+        hux = np.maximum(0.0, self.L * self.u[..., 0])
+        huy = np.maximum(0.0, self.L * self.u[..., 1])
+        wx = self.W * np.abs(self.n[..., 0])
+        wy = self.W * np.abs(self.n[..., 1])
+        self.xmin = self.P[..., 0] + lux - wx
+        self.xmax = self.P[..., 0] + hux + wx
+        self.ymin = self.P[..., 1] + luy - wy
+        self.ymax = self.P[..., 1] + huy + wy
+
+
+def _eager_aabbs(rb):
+    return np.stack([rb.xmin, rb.ymin]), np.stack([rb.xmax, rb.ymax])
+
+
+def _kernel_outputs(arm, scene, Q):
+    t = np.linspace(0.0, 1.0, 7)
+    return {
+        "configs_in_collision": configs_in_collision(arm, scene, Q),
+        "pair_signed_distances": pair_signed_distances(arm, scene, Q),
+        "far_cutoff": pair_signed_distances(arm, scene, Q, far_cutoff=D_SAFE),
+        "min_clearance": np.array([min_clearance(arm, scene, q) for q in Q[:6]]),
+        "segments_in_collision": segments_in_collision(arm, scene, Q, Q[::-1], t),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([1, 2, 40, 102]),
+    name=st.sampled_from([*SCENE_NAMES, "unbounded"]),
+    offset_base=st.booleans(),
+)
+def test_link_batch_matches_eager_oracle(arm, seed, m, name, offset_base):
+    """The link fields, bounds and projections, and every kernel output
+    built on them, are bitwise those of the eager oracle batch, for the
+    default arm and for a five-link arm whose base is off the origin."""
+    scene = (Scene("unbounded", build_scene("shelf_boxes").obstacles)
+             if name == "unbounded" else build_scene(name))
+    if offset_base:
+        arm = ArmModel(
+            base=Pose2(0.13, -0.07, 1.9),
+            links=arm.links + ((0.1, 0.02),),
+            joint_limits=arm.joint_limits + ((-2.0, 2.0),),
+        )
+    rng = np.random.default_rng(seed)
+    # rows along one short segment, as an RRT extension makes them, mixed
+    # with uniform rows, so that both hit and separated pairs occur
+    base = rng.uniform(arm.lower, arm.upper)
+    along = base + np.linspace(0.0, 1.0, m)[:, None] * rng.normal(scale=0.2, size=arm.dof)
+    Q = np.where(rng.random((m, 1)) < 0.5, along, rng.uniform(arm.lower, arm.upper, size=(m, arm.dof)))
+
+    rb, eager = _RectBatch(arm, Q), _EagerRectBatch(arm, Q)
+    for field in ("P", "u", "n", "L", "W"):
+        assert np.array_equal(getattr(rb, field), getattr(eager, field)), field
+    for got, want in zip(_link_aabbs(rb), _eager_aabbs(eager)):
+        assert np.array_equal(got, want)
+    # _sat projects the gathered rows of the pairs it keeps
+    mi, ki = np.nonzero(np.ones(rb.P.shape[:2], dtype=bool))
+    p = rb.P[mi, ki]
+    assert np.array_equal((p * rb.u[mi, ki]).sum(-1), eager.Pu[mi, ki])
+    assert np.array_equal((p * rb.n[mi, ki]).sum(-1), eager.Pn[mi, ki])
+
+    got = _kernel_outputs(arm, scene, Q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collision, "_RectBatch", _EagerRectBatch)
+        mp.setattr(collision, "_link_aabbs", _eager_aabbs)
+        want = _kernel_outputs(arm, scene, Q)
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+@pytest.mark.parametrize("n", [0, 10, 40, 100])
+def test_sample_fractions_are_cached_read_only_linspace(n):
+    t = _sample_fractions(n)
+    assert _sample_fractions(n) is t
+    assert np.array_equal(t, np.linspace(0.0, 1.0, n + 2))
+    with pytest.raises(ValueError):
+        t[0] = 0.5

@@ -3,6 +3,7 @@ import functools
 import heapq
 import itertools
 import json
+import re
 import signal
 import tracemalloc
 import zipfile
@@ -328,7 +329,7 @@ def test_shortest_node_path_breaks_ties_like_next_hop_reference():
                 assert rm.shortest_node_path(u, v) == reference_next_hop_path(nxt, u, v), (trial, u, v)
 
 
-@pytest.mark.parametrize("u,v", [(3, -1), (-1, 3), (0, 60), (65, 0), (2.0, 3)])
+@pytest.mark.parametrize("u,v", [(3, -1), (-1, 3), (0, 60), (65, 0), (2.0, 3), (True, 5)])
 def test_node_paths_reject_bad_node_index(u, v):
     rm = graph_roadmap(60, [(i, i + 1) for i in range(59)], np.ones(59))
     with within_seconds(1.0):
@@ -541,6 +542,25 @@ def test_first_free_edges_checks_a_free_nearest_edge_in_one_call(arm, pole_scene
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n_nodes", [30, 120])
+def test_nearest_connectable_scans_the_stable_nearest_order(monkeypatch, n_nodes):
+    """The candidates scanned are the first 50 of the stable argsort of the
+    distances, ties at the 50th place included."""
+    scanned = []
+
+    def record(arm, scene, q, nodes, candidates, want):
+        scanned.append(list(candidates))
+        return []
+
+    monkeypatch.setattr(roadmap_module, "_first_free_edges", record)
+    rm = graph_roadmap(n_nodes, [(i, i + 1) for i in range(n_nodes - 1)], np.ones(n_nodes - 1))
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        dist = rng.integers(0, 6, size=n_nodes).astype(float)   # many ties
+        assert _nearest_connectable(rm, None, None, None, dist) is None
+        assert scanned[-1] == np.argsort(dist, kind="stable")[:50].tolist()
+
+
 def test_nearest_connectable_matches_sequential_reference(arm, pole_scene, shelf_scene):
     nearest_blocked = unconnected = 0
     for scene in (pole_scene, shelf_scene):
@@ -551,7 +571,8 @@ def test_nearest_connectable_matches_sequential_reference(arm, pole_scene, shelf
             order = np.argsort(np.linalg.norm(rm.nodes - q, axis=1), kind="stable")[:50]
             walk = first_free_walk(arm, scene, q, rm.nodes, order, 1)
             want = walk[-1][0] if walk[-1][1] else None
-            assert _nearest_connectable(rm, arm, scene, q) == want
+            dist = np.linalg.norm(rm.nodes - q, axis=1)
+            assert _nearest_connectable(rm, arm, scene, q, dist) == want
             nearest_blocked += not walk[0][1]
             unconnected += want is None
     assert nearest_blocked > 0 and unconnected > 0
@@ -722,6 +743,32 @@ def test_invalidate_success_monotone_in_k(small_pole_roadmap):
     ks = sorted(successes)
     for a, b in zip(ks, ks[1:]):
         assert successes[a] <= successes[b]
+
+
+def three_route_roadmap():
+    """Six nodes with three equal-length routes from 0 to 2 (through 1, 3
+    and 4) and node 5 hanging off node 2."""
+    edges = [(0, 1), (1, 2), (0, 3), (3, 2), (0, 4), (4, 2), (2, 5)]
+    return graph_roadmap(6, edges, np.ones(len(edges)))
+
+
+@pytest.mark.parametrize("k_paths", [2.7, 2.0, True, False, "2"])
+def test_k_shortest_paths_rejects_non_integer_k(k_paths):
+    rm = three_route_roadmap()
+    with within_seconds(1.0):
+        with pytest.raises(ValueError, match="k_paths must be an integer"):
+            k_shortest_paths(rm, 0, 2, k_paths)
+    assert k_shortest_paths(rm, 0, 2) == [[0, 1, 2], [0, 3, 2], [0, 4, 2]]
+    assert k_shortest_paths(rm, 0, 2, np.int64(2)) == [[0, 1, 2], [0, 3, 2]]
+
+
+@pytest.mark.parametrize("edge", [(0, 9), (0, 1, 2), (0,), 7, (-1, 0), (0.0, 1), (True, 2)])
+def test_invalidate_rejects_malformed_blocked_edge(edge):
+    rm = three_route_roadmap()
+    with within_seconds(1.0):
+        with pytest.raises(ValueError, match=f"blocked edge {re.escape(repr(edge))} is not a pair"):
+            invalidate_and_requery(rm, [(1, 2), edge], 0, 2)
+    assert invalidate_and_requery(rm, [(1, 2), (np.int64(3), np.int64(0))], 0, 2) == [0, 4, 2]
 
 
 def test_roadmap_not_mutated_by_invalidate(small_pole_roadmap):

@@ -162,6 +162,37 @@ def test_fk_matches_complex_oracle():
             assert abs(math.remainder(ee.heading - phase, 2 * math.pi)) < 1e-9
 
 
+def test_chain_points_add_the_base_to_the_running_sum_of_link_steps():
+    """Bitwise: each joint origin is the base plus the link steps summed link
+    by link, and each heading the base heading plus the running joint sum.
+    The IK loop and the collision batches read the same chain pass, so this
+    pins its order of additions."""
+    rng = np.random.default_rng(3)
+    for k in (3, 5, 8):
+        arm = ArmModel(
+            base=Pose2(0.13, -0.07, 1.9),
+            links=tuple((rng.uniform(0.2, 1.0), 0.04) for _ in range(k)),
+            joint_limits=tuple((-3.0, 3.0) for _ in range(k)),
+        )
+        Q = rng.uniform(-3.0, 3.0, size=(50, k))
+        origins, headings = chain_points(arm, Q)
+        want_h = np.empty_like(Q)
+        run = Q[:, 0]
+        for j in range(k):
+            if j:
+                run = run + Q[:, j]
+            want_h[:, j] = arm.base.heading + run
+        assert np.array_equal(headings, want_h)
+        steps = arm.lengths * np.cos(want_h), arm.lengths * np.sin(want_h)
+        assert (origins[:, 0] == (arm.base.x, arm.base.y)).all()
+        for axis, (b, step) in enumerate(zip((arm.base.x, arm.base.y), steps)):
+            run = step[:, 0]
+            for j in range(k):
+                if j:
+                    run = run + step[:, j]
+                assert np.array_equal(origins[:, j + 1, axis], b + run), (k, j, axis)
+
+
 def test_fk_dimension_mismatch():
     with pytest.raises(ValueError):
         forward_kinematics(straight_arm(4), np.zeros(3))
