@@ -8,7 +8,7 @@ import numpy as np
 
 from .collision import Scene, config_in_collision, edge_in_collision
 from .geometry import _vector_length
-from .robot import ArmModel, within_limits
+from .robot import ArmModel, _is_integer, within_limits
 
 
 # Iteration budget of every benchmark RRT: the suite feasibility check and
@@ -44,11 +44,11 @@ def rrt_plan(
     Standard goal-biased single-tree RRT. Extensions are validated with
     interpolation scaled to the segment length (at least 10 points). Returns
     the waypoint path on success, None after max_iters without reaching a goal.
-    Raises ValueError when max_iters < 1, or the start or a goal is outside
-    the joint limits.
+    Raises ValueError when max_iters is not an integer >= 1, or the start or
+    a goal is outside the joint limits.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    if not _is_integer(max_iters) or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     start = np.asarray(start, dtype=float)
     goals = [np.asarray(g, dtype=float) for g in goal_configs]
     if not goals:

@@ -171,16 +171,15 @@ def run_benchmark(
     arm = suite.arm
     if roadmap is not None:
         roadmap.check_binding(scene, arm)
-    items = list(enumerate(suite.cases))
     if parallelism <= 1:
-        _worker_init(arm, scene, planner_spec, params, roadmap)
-        return [_worker_run(item) for item in items]
+        return [run_case(arm, scene, case, idx, planner_spec, params, roadmap)
+                for idx, case in enumerate(suite.cases)]
     with ProcessPoolExecutor(
         max_workers=parallelism,
         initializer=_worker_init,
         initargs=(arm, scene, planner_spec, params, roadmap),
     ) as pool:
-        return list(pool.map(_worker_run, items, chunksize=8))
+        return list(pool.map(_worker_run, enumerate(suite.cases), chunksize=8))
 
 
 def summarize(records: list[RunRecord]) -> list[SummaryRow]:

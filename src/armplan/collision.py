@@ -4,12 +4,14 @@ Checks are vectorized over batches of configurations: link rectangles are
 never materialized as polygon objects on the hot path. One separating-axis
 kernel, ``_sat``, decides overlap for both the boolean checks and the signed
 distances, so ``config_in_collision`` and ``min_clearance`` agree exactly
-about the zero crossing. A scene's obstacles are held in one padded layout
-(``_SceneGeom``): every obstacle has the same number of vertices and of axis
-entries, so the kernel and the signed distances gather all (configuration,
-link, obstacle) triples at once, with no loop over obstacles. One segment
-sampler, ``segments_in_collision``, checks straight joint-space segments in
-a single batch; edge and trajectory checks are built on it.
+about the zero crossing. Every scene, an obstacle-free or unbounded one
+included, is held in one padded layout (``_SceneGeom``): every obstacle has
+the same number of vertices and of axis entries, so the kernel and the one
+signed-distance core, ``_signed_distances``, gather all (configuration,
+link, obstacle) triples at once, with no loop over obstacles and no branch
+on the scene. One segment sampler, ``segments_in_collision``, checks
+straight joint-space segments in a single batch; edge and trajectory checks
+are built on it. A configuration that is not finite raises ValueError.
 
 A batch's link rectangles (``_RectBatch``) come from the one chain pass of
 ``robot`` and hold only what every check reads: the proximal joints ``P``,
@@ -29,7 +31,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .geometry import ConvexShape, _point_segment_distance
-from .robot import ArmModel, _check_batch, _joint_origins, _link_steps
+from .robot import ArmModel, _check_batch, _check_config, _joint_origins, _link_steps
 
 DEFAULT_EDGE_INTERP = 100
 
@@ -38,7 +40,7 @@ NO_OBSTACLE_CLEARANCE = float("inf")
 
 
 class _SceneGeom:
-    """A scene's obstacles in one padded layout for batched projections.
+    """A scene's obstacles and workspace bounds in one padded layout.
 
     ``verts`` (O, V, 2): a polygon with fewer than V vertices repeats its
     last one, which changes no projection range, bounding box or distance.
@@ -51,19 +53,20 @@ class _SceneGeom:
     is the projection's upper end where the obstacle has the normal +axis,
     and ``push_lo`` its lower end where it has -axis. Missing signs and
     padding entries are infinite, so they neither separate nor push.
+    ``bounds`` is the workspace (xmin, ymin, xmax, ymax), infinite when the
+    scene is unbounded. A scene without obstacles has O = A = P = 0.
     """
 
-    __slots__ = ("n_obstacles", "verts", "aabbs", "axes", "axis", "lo", "hi", "push_hi", "push_lo")
+    __slots__ = ("n_obstacles", "bounds", "verts", "aabbs", "axes", "axis", "lo", "hi", "push_hi", "push_lo")
 
-    def __init__(self, obstacles: tuple[ConvexShape, ...]):
-        self.n_obstacles = len(obstacles)
-        if self.n_obstacles == 0:
-            return
-        n_verts = max(len(ob.vertices) for ob in obstacles)
+    def __init__(self, obstacles: tuple[ConvexShape, ...], bounds: tuple[float, ...] | None):
+        self.n_obstacles = n_obs = len(obstacles)
+        self.bounds = bounds or (-np.inf, -np.inf, np.inf, np.inf)
+        n_verts = max((len(ob.vertices) for ob in obstacles), default=1)
         self.verts = np.array([
             np.pad(ob.vertices, ((0, n_verts - len(ob.vertices)), (0, 0)), mode="edge")
             for ob in obstacles
-        ])
+        ]).reshape(n_obs, n_verts, 2)
         self.aabbs = np.concatenate([self.verts.min(axis=1), self.verts.max(axis=1)], axis=1)
         none = [-np.inf, np.inf, np.inf, -np.inf]     # lo, hi, push_hi, push_lo
         axis_ids: dict[bytes, int] = {}
@@ -82,9 +85,10 @@ class _SceneGeom:
                 else:
                     row[1], row[2], row[4] = max(row[1], -own_max), min(row[2], -own_min), -own_max
             entries.append(list(rows.values()))
-        n_entries = max(len(rows) for rows in entries)
+        n_entries = max((len(rows) for rows in entries), default=0)
         table = np.array([rows + [[0, *none]] * (n_entries - len(rows)) for rows in entries])
-        self.axes = np.frombuffer(b"".join(axis_ids), dtype=float).reshape(-1, 2)
+        table = table.reshape(n_obs, n_entries, 5)
+        self.axes = np.frombuffer(b"".join(axis_ids), dtype=float).reshape(len(axis_ids), 2)
         self.axis = table[:, :, 0].astype(np.intp)
         self.lo, self.hi, self.push_hi, self.push_lo = np.moveaxis(table[:, :, 1:], 2, 0)
 
@@ -113,7 +117,7 @@ class Scene:
 
     @cached_property
     def _geom(self) -> _SceneGeom:
-        return _SceneGeom(self.obstacles)
+        return _SceneGeom(self.obstacles, self.workspace_bounds)
 
 
 _NEGATE_X = np.array([-1.0, 1.0])
@@ -145,11 +149,10 @@ class _RectBatch:
         """Explicit rectangle corners, shape (M, K, 4, 2), counter-clockwise."""
         lu = (self.L[..., None] * self.u)[:, :, None, :]
         wn = (self.W[..., None] * self.n)[:, :, None, :]
-        base = self.P[:, :, None, :]
         zero = np.zeros_like(lu)
         along = np.concatenate([zero, lu, lu, zero], axis=2)
         across = np.concatenate([-wn, -wn, wn, wn], axis=2)
-        return base + along + across
+        return self.P[:, :, None, :] + along + across
 
 
 def _link_aabbs(rb: _RectBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -162,16 +165,11 @@ def _link_aabbs(rb: _RectBatch) -> tuple[np.ndarray, np.ndarray]:
     return P + np.minimum(0.0, rb.steps) - widen, P + np.maximum(0.0, rb.steps) + widen
 
 
-def _bounds_margins(scene: Scene, rb: _RectBatch) -> np.ndarray:
+def _bounds_margins(geom: _SceneGeom, rb: _RectBatch) -> np.ndarray:
     """Per-configuration containment margin; negative means outside bounds."""
-    if scene.workspace_bounds is None:
-        return np.full(rb.P.shape[0], np.inf)
-    xmin, ymin, xmax, ymax = scene.workspace_bounds
+    xmin, ymin, xmax, ymax = geom.bounds
     lo, hi = _link_aabbs(rb)
-    m = np.minimum.reduce([
-        lo[0] - xmin, xmax - hi[0], lo[1] - ymin, ymax - hi[1],
-    ])
-    return m.min(axis=1)
+    return np.minimum.reduce([lo[0] - xmin, xmax - hi[0], lo[1] - ymin, ymax - hi[1]]).min(axis=1)
 
 
 def _sat(geom: _SceneGeom, rb: _RectBatch, penetration: bool = False):
@@ -227,12 +225,8 @@ def _sat(geom: _SceneGeom, rb: _RectBatch, penetration: bool = False):
 
 def configs_in_collision(arm: ArmModel, scene: Scene, Q) -> np.ndarray:
     """Boolean flags for a batch of configurations of shape (M, K)."""
-    rb = _RectBatch(arm, Q)
-    out = _bounds_margins(scene, rb) <= 0.0
-    geom = scene._geom
-    if geom.n_obstacles:
-        out |= _sat(geom, rb)[0].any(axis=(1, 2))
-    return out
+    geom, rb = scene._geom, _RectBatch(arm, Q)
+    return (_bounds_margins(geom, rb) <= 0.0) | _sat(geom, rb)[0].any(axis=(1, 2))
 
 
 def config_in_collision(arm: ArmModel, scene: Scene, q) -> bool:
@@ -242,9 +236,33 @@ def config_in_collision(arm: ArmModel, scene: Scene, q) -> bool:
 def _aabb_gap_lower_bound(geom: _SceneGeom, rb: _RectBatch) -> np.ndarray:
     """(M, K, O) lower bound on the separation distance from AABBs."""
     lo, hi = _link_aabbs(rb)
-    ob_lo, ob_hi = geom.aabbs.T.reshape(2, 2, 1, 1, -1)      # (2, 1, 1, O) each
+    ob_lo, ob_hi = geom.aabbs.T.reshape(2, 2, 1, 1, geom.n_obstacles)   # (2, 1, 1, O) each
     g = np.maximum(np.maximum(ob_lo - hi[..., None], lo[..., None] - ob_hi), 0.0)
     return np.hypot(g[0], g[1])
+
+
+def _signed_distances(geom: _SceneGeom, rb: _RectBatch, far_cutoff: float | None = None) -> np.ndarray:
+    """``pair_signed_distances`` of one link batch; the AABB bound is made only for a cutoff."""
+    hit, pen = _sat(geom, rb, penetration=True)
+    # entries of pairs that are not hit are all overwritten below
+    sd = np.where(pen > 0.0, -pen, 0.0)
+    need_exact = ~hit
+    if far_cutoff is not None:
+        lower = _aabb_gap_lower_bound(geom, rb)
+        far = need_exact & (lower >= far_cutoff)
+        sd = np.where(far, lower, sd)
+        need_exact &= ~far
+
+    if need_exact.any():
+        mi, ki, oi = np.nonzero(need_exact)
+        a0 = rb.corners()[mi, ki]                    # (S, 4, 2)
+        a1 = np.roll(a0, -1, axis=1)
+        b0 = geom.verts[oi]                          # (S, V, 2)
+        b1 = np.roll(b0, -1, axis=1)
+        d1 = _point_segment_distance(a0[:, :, None], b0[:, None], b1[:, None]).min(axis=(1, 2))
+        d2 = _point_segment_distance(b0[:, :, None], a0[:, None], a1[:, None]).min(axis=(1, 2))
+        sd[mi, ki, oi] = np.minimum(d1, d2)
+    return sd
 
 
 def pair_signed_distances(
@@ -257,50 +275,16 @@ def pair_signed_distances(
     bound instead of the exact distance; hinge penalties with threshold
     <= far_cutoff are unaffected.
     """
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    geom = scene._geom
-    if geom.n_obstacles == 0:
-        return np.full((Q.shape[0], arm.dof, 0), np.inf)
-    rb = _RectBatch(arm, Q)
-    hit, pen = _sat(geom, rb, penetration=True)
-    # entries of pairs that are not hit are all overwritten below
-    sd = np.where(pen > 0.0, -pen, 0.0)
-
-    lower = _aabb_gap_lower_bound(geom, rb)
-    if far_cutoff is None:
-        need_exact = ~hit
-    else:
-        far = ~hit & (lower >= far_cutoff)
-        sd = np.where(far, lower, sd)
-        need_exact = ~hit & ~far
-
-    if need_exact.any():
-        mi, ki, oi = np.nonzero(need_exact)
-        a0 = rb.corners()[mi, ki]                    # (S, 4, 2)
-        a1 = np.roll(a0, -1, axis=1)
-        b0 = geom.verts[oi]                          # (S, V, 2)
-        b1 = np.roll(b0, -1, axis=1)
-        d1 = _point_segment_distance(
-            a0[:, :, None, :], b0[:, None, :, :], b1[:, None, :, :]
-        ).min(axis=(1, 2))
-        d2 = _point_segment_distance(
-            b0[:, :, None, :], a0[:, None, :, :], a1[:, None, :, :]
-        ).min(axis=(1, 2))
-        sd[mi, ki, oi] = np.minimum(d1, d2)
-    return sd
+    return _signed_distances(scene._geom, _RectBatch(arm, Q), far_cutoff)
 
 
 def min_clearance(arm: ArmModel, scene: Scene, q) -> float:
     """Smallest signed distance over all (link, obstacle) pairs, folded with
     the workspace containment margin. Unconstrained configurations report a
     large sentinel (infinity)."""
-    q = np.asarray(q, dtype=float)
-    rb = _RectBatch(arm, q[None, :])
-    margin = float(_bounds_margins(scene, rb)[0])
-    if scene._geom.n_obstacles == 0:
-        return min(NO_OBSTACLE_CLEARANCE, margin)
-    sd = pair_signed_distances(arm, scene, q[None, :])
-    return min(float(sd.min()), margin)
+    geom, rb = scene._geom, _RectBatch(arm, _check_config(arm, q))
+    sd = _signed_distances(geom, rb)
+    return min(float(sd.min(initial=NO_OBSTACLE_CLEARANCE)), float(_bounds_margins(geom, rb)[0]))
 
 
 def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
@@ -310,10 +294,13 @@ def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
     is in collision; ``t`` holds the sample fractions (0 and 1 check the
     endpoints). ``A`` and ``B`` are (..., K) and broadcast against each
     other; the flags have their broadcast leading shape. Every sample of
-    every segment goes through one collision batch.
+    every segment goes through one collision batch. Endpoints that are not
+    finite raise ValueError before they are interpolated.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("segment endpoints must be finite joint angles")
     t = np.asarray(t, dtype=float)
     samples = A[..., None, :] + t[:, None] * (B - A)[..., None, :]
     flags = configs_in_collision(arm, scene, samples.reshape(-1, samples.shape[-1]))

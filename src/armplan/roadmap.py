@@ -39,7 +39,7 @@ from .collision import (
     DEFAULT_EDGE_INTERP, Scene, config_in_collision, configs_in_collision, segments_in_collision,
 )
 from .geometry import _vector_length, wrap_angles
-from .robot import IK_HEADING_TOL, IK_POSITION_TOL, ArmModel, EEPose, chain_points, within_limits
+from .robot import IK_HEADING_TOL, IK_POSITION_TOL, ArmModel, EEPose, _is_integer, chain_points, within_limits
 from . import scenarios
 from .scenarios import _check_json_layout, ik_goal_configs, scene_to_dict
 
@@ -72,6 +72,10 @@ class RoadmapParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not _is_integer(value := getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(self, f.name, int(value))    # the file's JSON stores no numpy int
         if self.n_nodes < 2 or self.k_neighbors < 1 or self.k_paths < 1:
             raise ValueError("n_nodes >= 2, k_neighbors >= 1 and k_paths >= 1 required")
 
@@ -120,8 +124,7 @@ class Roadmap:
 
     def _check_nodes(self, *ids) -> None:
         for node in ids:
-            if (isinstance(node, bool) or not isinstance(node, (int, np.integer))
-                    or not 0 <= node < self.n_nodes):
+            if not _is_integer(node) or not 0 <= node < self.n_nodes:
                 raise ValueError(f"node {node!r} is not an integer in 0..{self.n_nodes - 1}")
 
     def shortest_node_path(self, u: int, v: int) -> list[int]:
@@ -392,7 +395,7 @@ def k_shortest_paths(roadmap: Roadmap, u: int, v: int, k_paths: int | None = Non
     """
     if k_paths is None:
         k = roadmap.params.k_paths
-    elif isinstance(k_paths, (int, np.integer)) and not isinstance(k_paths, bool):
+    elif _is_integer(k_paths):
         k = int(k_paths)
     else:
         raise ValueError(f"k_paths must be an integer, got {k_paths!r}")

@@ -104,6 +104,11 @@ def _check_config(arm: ArmModel, q) -> np.ndarray:
     return q
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def within_limits(arm: ArmModel, q) -> bool:
     q = _check_config(arm, q)
     return bool((q >= arm.lower).all() and (q <= arm.upper).all())
@@ -148,6 +153,8 @@ def _check_batch(arm: ArmModel, Q) -> np.ndarray:
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if Q.shape[1] != arm.dof:
         raise ValueError(f"expected {arm.dof} joint angles per configuration")
+    if not np.isfinite(Q).all():
+        raise ValueError("joint angles must be finite")
     return Q
 
 
@@ -204,8 +211,8 @@ def solve_ik(arm: ArmModel, target: EEPose, restarts: int = 10, rng_seed: int = 
     target heading matters). Empty list when nothing converges, which is how
     unreachable targets are reported.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    if not _is_integer(restarts) or restarts < 1:
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     if math.hypot(target.x - arm.base.x, target.y - arm.base.y) > arm.reach + 1e-9:
         return []
 

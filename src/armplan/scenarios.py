@@ -18,9 +18,12 @@ import numpy as np
 from .baselines import RRT_MAX_ITERS, rrt_plan, rrt_seed
 from .collision import Scene, config_in_collision, configs_in_collision
 from .geometry import ConvexShape, Pose2
-from .robot import ArmModel, EEPose, forward_kinematics, goal_seed, solve_ik, within_limits
+from .robot import ArmModel, EEPose, _is_integer, forward_kinematics, goal_seed, solve_ik, within_limits
 
-FORMAT_VERSION = 1
+# One version per file format: a roadmap binding hashes ``scene_to_dict``,
+# version included, so only a scene version bump rebinds saved roadmaps.
+_SCENE_FORMAT_VERSION = 1
+_SUITE_FORMAT_VERSION = 1
 SCENE_NAMES = ("tabletop_pole", "tabletop_container", "kitchen", "shelf_boxes")
 
 # The one cap on configurations drawn by a rejection sampler: suite
@@ -141,12 +144,11 @@ def generate_test_suite(
     only when the goal pose admits a collision-free IK solution under the
     standard seed convention and the RRT baseline solves the query within a
     generous budget, so every stored case is known to have a solution.
-    Raises ValueError when count or rrt_max_iters is below 1.
+    Raises ValueError when count or rrt_max_iters is not an integer >= 1.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if rrt_max_iters < 1:
-        raise ValueError("rrt_max_iters must be >= 1")
+    for name, value in (("count", count), ("rrt_max_iters", rrt_max_iters)):
+        if not _is_integer(value) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     rng = np.random.default_rng(rng_seed)
     cases: list[TestCase] = []
     samples = 0
@@ -186,7 +188,7 @@ def generate_test_suite(
 
 def scene_to_dict(scene: Scene) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": _SCENE_FORMAT_VERSION,
         "name": scene.name,
         "workspace_bounds": list(scene.workspace_bounds) if scene.workspace_bounds else None,
         "obstacles": [{"vertices": ob.vertices.tolist()} for ob in scene.obstacles],
@@ -194,7 +196,7 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(data: dict) -> Scene:
-    if isinstance(data, dict) and data.get("format_version") != FORMAT_VERSION:
+    if isinstance(data, dict) and data.get("format_version") != _SCENE_FORMAT_VERSION:
         raise ValueError(f"unsupported scene format version {data.get('format_version')!r}")
     bounds = data.get("workspace_bounds") if isinstance(data, dict) else None
     _check_json_layout(data, {**_SCENE_LAYOUT, "workspace_bounds": [_NUMBER] if bounds else type(None)}, "scene")
@@ -225,7 +227,7 @@ def suite_to_dict(suite: TestSuite) -> dict:
     if suite.arm.base != DEFAULT_BASE:  # the format stores no base pose
         raise ValueError(f"a suite file holds only arms based at {DEFAULT_BASE}, not {suite.arm.base}")
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": _SUITE_FORMAT_VERSION,
         "scene_name": suite.scene_name,
         "rng_seed": suite.rng_seed,
         "arm": {
@@ -276,7 +278,7 @@ _SUITE_LAYOUT = {
 
 
 def suite_from_dict(data: dict) -> TestSuite:
-    if isinstance(data, dict) and data.get("format_version") != FORMAT_VERSION:
+    if isinstance(data, dict) and data.get("format_version") != _SUITE_FORMAT_VERSION:
         raise ValueError(f"unsupported suite format version {data.get('format_version')!r}")
     _check_json_layout(data, _SUITE_LAYOUT, "suite")
     arm = ArmModel(base=DEFAULT_BASE, **data["arm"])

@@ -71,6 +71,21 @@ def test_deterministic(arm, pole_scene):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, 100.0])
+def test_rejects_non_integer_iteration_budget(arm, empty_scene, bad):
+    # max_iters=True used to run one iteration
+    q = np.zeros(arm.dof)
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        rrt_plan(empty_scene, arm, q, [np.full(arm.dof, 0.3)], max_iters=bad)
+
+
+def test_accepts_numpy_integer_iteration_budget(arm, pole_scene):
+    start, goal = np.zeros(arm.dof), np.array([1.0, 0.5, -0.4, 0.3])
+    p1 = rrt_plan(pole_scene, arm, start, [goal], rng_seed=77, max_iters=np.int64(5000))
+    p2 = rrt_plan(pole_scene, arm, start, [goal], rng_seed=77, max_iters=5000)
+    assert p1 is not None and np.array_equal(np.array(p1), np.array(p2))
+
+
 def test_rejects_iteration_budget_below_one(arm, empty_scene):
     q = np.zeros(arm.dof)
     for bad in (0, -1):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -160,6 +163,17 @@ def test_record_determinism_and_parallel_equivalence(tiny_suite, arm):
         ]
 
     assert strip_times(a) == strip_times(b) == strip_times(c)
+
+
+def test_serial_run_keeps_no_reference_to_its_inputs(tiny_suite, arm):
+    # the serial path used to leave its roadmap and scene in the worker context
+    scene = _empty_scene_of(tiny_suite)
+    rm = build_roadmap(scene, arm, RoadmapParams(n_nodes=30, k_neighbors=4, rng_seed=1))
+    run_benchmark(tiny_suite, "roadmap", scene=scene, roadmap=rm)
+    refs = [weakref.ref(rm), weakref.ref(scene)]
+    del rm, scene
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_all_planners_produce_records(tiny_suite, arm):

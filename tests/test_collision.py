@@ -186,6 +186,22 @@ def test_min_clearance_empty_scene_sentinel(arm, unbounded_scene):
     assert min_clearance(arm, unbounded_scene, np.zeros(arm.dof)) == math.inf
 
 
+def test_min_clearance_builds_one_link_batch(arm, shelf_scene, empty_scene, unbounded_scene, monkeypatch):
+    built = []
+    init = _RectBatch.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(_RectBatch, "__init__", counting)
+    q = np.random.default_rng(3).uniform(arm.lower, arm.upper)
+    for scene in (shelf_scene, empty_scene, unbounded_scene):
+        built.clear()
+        min_clearance(arm, scene, q)
+        assert len(built) == 1, scene.name
+
+
 def test_min_clearance_known_gap():
     arm = flat_arm()
     # box hovering 1 m above the first link span, far from the others
@@ -323,6 +339,72 @@ def test_padded_obstacles_match_reference(arm):
     assert (ref < 0.0).any(axis=(0, 1)).all()    # each obstacle is penetrated
     assert (ref > 0.0).any(axis=(0, 1)).all()
     _assert_batched_checks_agree(arm, scene, Q)
+
+
+@pytest.mark.parametrize("name", [*SCENE_NAMES, "empty_scene", "unbounded_scene"])
+def test_scene_layout_sets_every_slot(name, request):
+    """Every scene, one without obstacles or bounds included, gets the whole
+    padded layout: O = A = P = 0 for no obstacles, infinite bounds for none."""
+    scene = request.getfixturevalue(name) if name.endswith("_scene") else build_scene(name)
+    geom = scene._geom
+    n_obs = len(scene.obstacles)
+    assert geom.n_obstacles == n_obs
+    n_verts, n_axes, n_entries = geom.verts.shape[1], len(geom.axes), geom.axis.shape[1]
+    assert geom.verts.shape == (n_obs, n_verts, 2)
+    assert geom.aabbs.shape == (n_obs, 4)
+    assert geom.axes.shape == (n_axes, 2)
+    for slot in ("axis", "lo", "hi", "push_hi", "push_lo"):
+        assert getattr(geom, slot).shape == (n_obs, n_entries), slot
+    assert (n_axes == 0) == (n_entries == 0) == (n_obs == 0)
+    assert geom.bounds == (scene.workspace_bounds or (-np.inf, -np.inf, np.inf, np.inf))
+
+
+@pytest.mark.parametrize("name", ["empty_scene", "unbounded_scene"])
+def test_obstacle_free_scene_runs_the_kernel(arm, name, request):
+    scene = request.getfixturevalue(name)
+    Q = np.random.default_rng(4).uniform(arm.lower, arm.upper, size=(7, arm.dof))
+    assert not configs_in_collision(arm, scene, Q).any()
+    for cutoff in (None, 0.05):
+        sd = pair_signed_distances(arm, scene, Q, far_cutoff=cutoff)
+        assert sd.shape == (7, arm.dof, 0) and sd.dtype == float
+    clear = min_clearance(arm, scene, Q[0])
+    assert (0.0 < clear < math.inf) if scene.workspace_bounds else clear == math.inf
+
+
+def test_signed_distances_without_cutoff_skip_the_aabb_bound(arm, shelf_scene, monkeypatch):
+    Q = np.random.default_rng(6).uniform(arm.lower, arm.upper, size=(12, arm.dof))
+    calls = []
+    bound = collision._aabb_gap_lower_bound
+    monkeypatch.setattr(collision, "_aabb_gap_lower_bound", lambda *a: calls.append(1) or bound(*a))
+    pair_signed_distances(arm, shelf_scene, Q)
+    min_clearance(arm, shelf_scene, Q[0])
+    assert calls == []
+    pair_signed_distances(arm, shelf_scene, Q, far_cutoff=0.05)
+    assert calls == [1]
+
+
+_NON_FINITE_CALLS = {
+    "configs_in_collision": lambda arm, scene, Q: configs_in_collision(arm, scene, Q),
+    "segments_in_collision": lambda arm, scene, Q: segments_in_collision(
+        arm, scene, np.zeros_like(Q), Q, _sample_fractions(4)),
+    "pair_signed_distances": lambda arm, scene, Q: pair_signed_distances(arm, scene, Q),
+    "pair_signed_distances_cut": lambda arm, scene, Q: pair_signed_distances(
+        arm, scene, Q, far_cutoff=0.05),
+    "min_clearance": lambda arm, scene, Q: min_clearance(arm, scene, Q[-1]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NON_FINITE_CALLS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["pole_scene", "empty_scene"])
+def test_non_finite_configurations_are_rejected(arm, call, bad, name, request):
+    # a NaN row used to read as free on an obstacle-free bounded scene and as
+    # colliding on the pole scene, and min_clearance returned 0.0 for it
+    scene = request.getfixturevalue(name)
+    Q = np.zeros((3, arm.dof))
+    Q[-1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        _NON_FINITE_CALLS[call](arm, scene, Q)
 
 
 @pytest.mark.parametrize("name", SCENE_NAMES)

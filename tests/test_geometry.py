@@ -109,14 +109,16 @@ def _boundary_points(poly: ConvexShape, n: int) -> np.ndarray:
 
 
 def _point_to_polygon_distance(pts: np.ndarray, poly: ConvexShape) -> np.ndarray:
-    v = poly.vertices
-    a = v[None, :, :]
-    b = np.roll(v, -1, axis=0)[None, :, :]
-    ab = b - a
-    denom = (ab * ab).sum(-1)
-    t = np.clip(((pts[:, None, :] - a) * ab).sum(-1) / denom, 0.0, 1.0)
-    proj = a + t[..., None] * ab
-    return np.linalg.norm(pts[:, None, :] - proj, axis=-1).min(axis=1)
+    """Exact distance from each point to the polygon's boundary, computed
+    per coordinate in (N, V) arrays, the square root taken after the minimum."""
+    ax, ay = poly.vertices.T
+    bx, by = np.roll(poly.vertices, -1, axis=0).T
+    abx, aby = bx - ax, by - ay
+    dx = pts[:, 0, None] - ax                      # (N, V)
+    dy = pts[:, 1, None] - ay
+    t = np.clip((dx * abx + dy * aby) / (abx * abx + aby * aby), 0.0, 1.0)
+    ex, ey = dx - t * abx, dy - t * aby
+    return np.sqrt((ex * ex + ey * ey).min(axis=1))
 
 
 def oracle_signed_distance(p1: ConvexShape, p2: ConvexShape, n_samples: int = 20000) -> float:

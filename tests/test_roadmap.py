@@ -238,6 +238,25 @@ def test_params_validation():
         RoadmapParams(k_paths=0)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("n_nodes", 10.5), ("n_nodes", 10.0), ("k_neighbors", True), ("k_paths", 2.0),
+    ("rng_seed", 1.5), ("rng_seed", False),
+])
+def test_params_reject_non_integers(field, bad):
+    # RoadmapParams(n_nodes=10.5) used to be accepted, and its build died
+    # with a TypeError; a bool k_neighbors ran as 1
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        RoadmapParams(**{field: bad})
+
+
+def test_params_store_numpy_integers_as_ints(pole_scene, arm, tmp_path):
+    params = RoadmapParams(n_nodes=np.int64(30), k_neighbors=np.int32(4), k_paths=np.uint8(2), rng_seed=np.int16(3))
+    assert params == RoadmapParams(n_nodes=30, k_neighbors=4, k_paths=2, rng_seed=3)
+    assert all(type(value) is int for value in asdict(params).values())
+    save_roadmap(build_roadmap(pole_scene, arm, params), tmp_path / "rm.npz")
+    assert load_roadmap(tmp_path / "rm.npz").params == params
+
+
 def test_node_sampling_stops_at_the_shared_attempt_cap(arm, monkeypatch):
     # a workspace smaller than the first link leaves no free configuration
     cramped = Scene("cramped", (), workspace_bounds=(-0.2, -0.2, 0.2, 0.2))

@@ -386,3 +386,25 @@ def test_goal_pose_rejects_non_finite(field, bad):
     # heading_matters is False: a heading that does not matter must be finite too
     with pytest.raises(ValueError, match="finite"):
         EEPose(**{"x": 0.5, "y": 0.25, "heading": 0.1, field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_chain_points_reject_non_finite_joint_angles(bad):
+    arm = straight_arm()
+    Q = np.zeros((3, arm.dof))
+    Q[1, 2] = bad
+    with pytest.raises(ValueError, match="joint angles must be finite"):
+        chain_points(arm, Q)
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, True, "3"])
+def test_solve_ik_rejects_non_integer_restarts(bad):
+    with pytest.raises(ValueError, match="restarts must be an integer"):
+        solve_ik(straight_arm(), EEPose(1.5, 1.0, 0.0), restarts=bad)
+
+
+def test_solve_ik_accepts_numpy_integer_restarts():
+    arm, target = straight_arm(), EEPose(1.5, 1.0, 0.0)
+    got = solve_ik(arm, target, restarts=np.int64(4))
+    want = solve_ik(arm, target, restarts=4)
+    assert got and [q.tobytes() for q in got] == [q.tobytes() for q in want]

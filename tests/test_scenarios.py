@@ -163,6 +163,20 @@ def test_generate_rejects_rrt_budget_below_one_before_sampling(pole_scene, arm, 
             generate_test_suite(pole_scene, arm, 3, rng_seed=1, rrt_max_iters=bad)
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("count", 1.5), ("count", 2.0), ("count", True), ("rrt_max_iters", True), ("rrt_max_iters", 50.5),
+])
+def test_generate_rejects_non_integer_counts_before_sampling(pole_scene, arm, monkeypatch, name, bad):
+    # count=1.5 used to return 2 cases
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the counts")
+
+    monkeypatch.setattr("armplan.scenarios.config_in_collision", no_sampling)
+    kwargs = {"count": 3, "rrt_max_iters": 100, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        generate_test_suite(pole_scene, arm, rng_seed=1, **kwargs)
+
+
 def test_generate_stops_at_the_sample_cap(arm, monkeypatch):
     # a workspace smaller than the first link leaves no free configuration
     cramped = Scene("cramped", (), workspace_bounds=(-0.2, -0.2, 0.2, 0.2))
