@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .collision import Scene, config_in_collision, edge_in_collision
+from .collision import Scene, configs_in_collision, edge_in_collision
 from .geometry import _vector_length
 from .robot import ArmModel, _is_integer, within_limits
 
@@ -45,7 +45,7 @@ def rrt_plan(
     interpolation scaled to the segment length (at least 10 points). Returns
     the waypoint path on success, None after max_iters without reaching a goal.
     Raises ValueError when max_iters is not an integer >= 1, or the start or
-    a goal is outside the joint limits.
+    a goal is outside the joint limits or in collision.
     """
     if not _is_integer(max_iters) or max_iters < 1:
         raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
@@ -57,8 +57,11 @@ def rrt_plan(
         raise ValueError("start configuration is outside the joint limits")
     if not all(within_limits(arm, g) for g in goals):
         raise ValueError("goal configuration is outside the joint limits")
-    if config_in_collision(arm, scene, start):
+    hit = configs_in_collision(arm, scene, np.array([start, *goals]))
+    if hit[0]:
         raise ValueError("start configuration is in collision")
+    if hit[1:].any():
+        raise ValueError("goal configuration is in collision")
     for g in goals:
         if _vector_length(g - start) < 1e-12:
             return [start.copy()]

@@ -28,11 +28,13 @@ def _build_parser() -> argparse.ArgumentParser:
     rm = top.add_parser("roadmap", help="roadmap construction")
     rm_sub = rm.add_subparsers(dest="command", required=True)
     rm_build = rm_sub.add_parser("build", help="build and save a roadmap for a scene")
+    rm_defaults = RoadmapParams()
     rm_build.add_argument("--scene", required=True, choices=SCENE_NAMES)
-    rm_build.add_argument("--nodes", type=int, default=1000)
-    rm_build.add_argument("--k", type=int, default=10, help="nearest neighbors per node")
-    rm_build.add_argument("--kpaths", type=int, default=3, help="alternate paths kept per node pair")
-    rm_build.add_argument("--seed", type=int, default=0)
+    rm_build.add_argument("--nodes", type=int, default=rm_defaults.n_nodes)
+    rm_build.add_argument("--k", type=int, default=rm_defaults.k_neighbors, help="nearest neighbors per node")
+    rm_build.add_argument("--kpaths", type=int, default=rm_defaults.k_paths,
+                          help="alternate paths kept per node pair")
+    rm_build.add_argument("--seed", type=int, default=rm_defaults.rng_seed)
     rm_build.add_argument("--out", required=True)
 
     bench = top.add_parser("bench", help="benchmark harness")
@@ -90,14 +92,15 @@ def _cmd_gen_cases(args) -> int:
 
 def _cmd_bench_run(args) -> int:
     scene = build_scene(args.scene) if args.scene else None
-    if args.suite:
-        suite = load_suite(args.suite)
-    elif scene is None:
+    if not args.suite and scene is None:
         print("bench run: either --suite or --scene is required", file=sys.stderr)
         return 2
+    # a bad roadmap file fails before a suite is generated
+    roadmap = load_roadmap(args.roadmap) if args.roadmap else None
+    if args.suite:
+        suite = load_suite(args.suite)
     else:
         suite = generate_test_suite(scene, default_arm(), args.cases, args.seed)
-    roadmap = load_roadmap(args.roadmap) if args.roadmap else None
     params = BenchParams(rng_seed=args.seed)
     records = run_benchmark(
         suite, args.planner, params=params, parallelism=args.workers,

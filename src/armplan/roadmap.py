@@ -1,16 +1,16 @@
 """Sparse probabilistic roadmap with cached shortest-path and alternate-path queries.
 
-Construction samples collision-free configurations (uniform over the four
-most proximal joints, the others held at the midpoint of their limits),
-connects each node to its nearest neighbors through collision-free
-straight edges with ``_first_free_edges``, the one edge scan that queries
-use too, prunes everything outside the largest connected component, and
-caches the all-pairs shortest-path distances. A shortest path is read off
-those distances by walking from its source towards its target. Loopless
-alternate paths between node pairs are computed with Yen's algorithm and
-memoized, which is what edge invalidation falls back on. Every path search
-orders paths by length first and, among equal lengths, by the
-lexicographically smallest node sequence.
+Construction takes its nodes from ``scenarios._free_configs``, the one
+rejection sampler (uniform over the four most proximal joints, the others
+held at the midpoint of their limits), connects each node to its nearest
+neighbors through collision-free straight edges with ``_first_free_edges``,
+the one edge scan that queries use too, prunes everything outside the
+largest connected component, and caches the all-pairs shortest-path
+distances. A shortest path is read off those distances by walking from its
+source towards its target. Loopless alternate paths between node pairs are
+computed with Yen's algorithm and memoized, which is what edge invalidation
+falls back on. Every path search orders paths by length first and, among
+equal lengths, by the lexicographically smallest node sequence.
 
 A saved roadmap (format 3) holds only what the build decided: nodes, edges,
 weights, the four ``RoadmapParams`` values, and the scene and arm it is
@@ -28,6 +28,7 @@ import io
 import itertools
 import json
 import zipfile
+import zlib
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
@@ -35,9 +36,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as _sparse_dijkstra
 
-from .collision import (
-    DEFAULT_EDGE_INTERP, Scene, config_in_collision, configs_in_collision, segments_in_collision,
-)
+from .collision import DEFAULT_EDGE_INTERP, Scene, config_in_collision, segments_in_collision
 from .geometry import _vector_length, wrap_angles
 from .robot import IK_HEADING_TOL, IK_POSITION_TOL, ArmModel, EEPose, _is_integer, chain_points, within_limits
 from . import scenarios
@@ -45,7 +44,6 @@ from .scenarios import _check_json_layout, ik_goal_configs, scene_to_dict
 
 FORMAT_VERSION = 3
 SAMPLED_JOINTS = 4
-_SAMPLE_BATCH = 1024
 
 # Edge sample fractions, endpoints included. The coarse ones are a strict
 # subset of the fine ones: a segment blocked at a coarse sample is also
@@ -177,27 +175,11 @@ def _check_graph(nodes: np.ndarray, edges: list[tuple[int, int]], weights: np.nd
 
 def _sample_nodes(scene: Scene, arm: ArmModel, params: RoadmapParams) -> np.ndarray:
     rng = np.random.default_rng(params.rng_seed)
-    n_sampled = min(SAMPLED_JOINTS, arm.dof)
-    distal = (arm.lower[n_sampled:] + arm.upper[n_sampled:]) / 2.0
-
-    collected: list[np.ndarray] = []
-    attempts = 0
-    while sum(len(c) for c in collected) < params.n_nodes:
-        if attempts >= scenarios.MAX_SAMPLE_ATTEMPTS:
-            raise RoadmapBuildError(
-                f"could not sample {params.n_nodes} collision-free nodes for scene "
-                f"{scene.name!r} within {scenarios.MAX_SAMPLE_ATTEMPTS} attempts"
-            )
-        batch = np.empty((_SAMPLE_BATCH, arm.dof))
-        batch[:, :n_sampled] = rng.uniform(
-            arm.lower[:n_sampled], arm.upper[:n_sampled], size=(_SAMPLE_BATCH, n_sampled)
-        )
-        batch[:, n_sampled:] = distal
-        attempts += _SAMPLE_BATCH
-        free = batch[~configs_in_collision(arm, scene, batch)]
-        if len(free):
-            collected.append(free)
-    return np.vstack(collected)[: params.n_nodes]
+    free = scenarios._free_configs(scene, arm, rng, min(SAMPLED_JOINTS, arm.dof))
+    try:
+        return np.array(list(itertools.islice(free, params.n_nodes)))
+    except scenarios.GenerationError as exc:
+        raise RoadmapBuildError(f"could not sample {params.n_nodes} nodes: {exc}") from None
 
 
 def _first_free_edges(arm: ArmModel, scene: Scene, q, nodes: np.ndarray, candidates, want: int):
@@ -568,31 +550,38 @@ def save_roadmap(roadmap: Roadmap, path) -> None:
     _write_deterministic_zip(Path(path), arrays)
 
 
+_ARRAYS = ("meta", "nodes", "edges", "edge_weights")
 _META_LAYOUT = {"format_version": int, "params": {f.name: int for f in fields(RoadmapParams)},
                 "binding": {"scene_name": str, "scene_sha256": str, "arm_fingerprint": list}}
 
 
 def load_roadmap(path) -> Roadmap:
-    """Read a roadmap file. Raises ValueError naming the file when it lacks
-    an array, or has a meta record that is not JSON, of another format
-    version or laid out otherwise than ``_META_LAYOUT``, or a malformed graph."""
-    with np.load(Path(path)) as data:
-        missing = [name for name in ("meta", "nodes", "edges", "edge_weights") if name not in data]
-        if missing:
-            raise ValueError(f"roadmap file {path} has no {', '.join(missing)} array; "
+    """Read a roadmap file. Raises ValueError naming the file when it is no
+    intact zip archive of arrays, lacks an array, or has a meta record that
+    is not JSON, of another format version or laid out otherwise than
+    ``_META_LAYOUT``, or a malformed graph."""
+    try:
+        with zipfile.ZipFile(Path(path)) as zf:
+            data = {name: np.lib.format.read_array(zf.open(name + ".npy"))
+                    for name in _ARRAYS if name + ".npy" in zf.namelist()}
+    except (ValueError, EOFError, zlib.error, zipfile.BadZipFile) as exc:
+        raise ValueError(f"roadmap file {path} is corrupt: {exc}") from None
+    missing = [name for name in _ARRAYS if name not in data]
+    if missing:
+        raise ValueError(f"roadmap file {path} has no {', '.join(missing)} array; "
+                         "rebuild it with `armplan roadmap build`")
+    try:
+        meta = json.loads(bytes(data["meta"]).decode())
+        if isinstance(meta, dict) and meta.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"format version {meta.get('format_version')!r}, not {FORMAT_VERSION}; "
                              "rebuild it with `armplan roadmap build`")
-        try:
-            meta = json.loads(bytes(data["meta"]).decode())
-            if isinstance(meta, dict) and meta.get("format_version") != FORMAT_VERSION:
-                raise ValueError(f"format version {meta.get('format_version')!r}, not {FORMAT_VERSION}; "
-                                 "rebuild it with `armplan roadmap build`")
-            _check_json_layout(meta, _META_LAYOUT, "meta")
-            return Roadmap(
-                nodes=data["nodes"],
-                edge_list=data["edges"].reshape(-1, 2).tolist(),
-                edge_weights=data["edge_weights"],
-                params=RoadmapParams(**meta["params"]),
-                binding=meta["binding"],
-            )
-        except ValueError as exc:
-            raise ValueError(f"roadmap file {path}: {exc}") from None
+        _check_json_layout(meta, _META_LAYOUT, "meta")
+        return Roadmap(
+            nodes=data["nodes"],
+            edge_list=data["edges"].reshape(-1, 2).tolist(),
+            edge_weights=data["edge_weights"],
+            params=RoadmapParams(**meta["params"]),
+            binding=meta["binding"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"roadmap file {path}: {exc}") from None

@@ -62,6 +62,8 @@ class ArmModel:
             raise ValueError(f"arm must have between 3 and 8 links, got {k}")
         if len(limits) != k:
             raise ValueError("one joint limit pair required per link")
+        if not all(math.isfinite(x) for pair in links + limits for x in pair):
+            raise ValueError("link lengths, half-widths and joint limits must be finite")
         if any(l <= 0.0 or w <= 0.0 for l, w in links):
             raise ValueError("link lengths and half-widths must be positive")
         if any(lo >= hi for lo, hi in limits):

@@ -4,10 +4,15 @@ The four scenes are planar, desk-scale analogs of common manipulation
 setups, ordered roughly by difficulty: an open tabletop split by a slender
 pole, a tabletop with a U-shaped container, a kitchen with counters and
 ledges, and a shelf whose slots are barely wider than the arm links.
+
+Suite starts and goals and roadmap nodes come from one rejection sampler,
+``_free_configs``, which checks ``_SAMPLE_BATCH`` draws in each collision
+batch and stops after ``MAX_SAMPLE_ATTEMPTS`` draws in all.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -16,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import RRT_MAX_ITERS, rrt_plan, rrt_seed
-from .collision import Scene, config_in_collision, configs_in_collision
+from .collision import Scene, configs_in_collision
 from .geometry import ConvexShape, Pose2
 from .robot import ArmModel, EEPose, _is_integer, forward_kinematics, goal_seed, solve_ik, within_limits
 
@@ -26,9 +31,10 @@ _SCENE_FORMAT_VERSION = 1
 _SUITE_FORMAT_VERSION = 1
 SCENE_NAMES = ("tabletop_pole", "tabletop_container", "kitchen", "shelf_boxes")
 
-# The one cap on configurations drawn by a rejection sampler: suite
-# generation's starts and goals, and roadmap node sampling.
+# The one cap on configurations ``_free_configs`` draws for one suite or
+# one roadmap, and the draws it checks in one collision batch.
 MAX_SAMPLE_ATTEMPTS = 1_000_000
+_SAMPLE_BATCH = 1024
 
 DEFAULT_BASE = Pose2(0.0, 0.0, math.pi / 2)
 DEFAULT_LINKS = ((0.50, 0.040), (0.40, 0.035), (0.30, 0.030), (0.20, 0.025))
@@ -119,6 +125,22 @@ class TestSuite:
         return len(self.cases)
 
 
+def _free_configs(scene: Scene, arm: ArmModel, rng: np.random.Generator, sampled: int):
+    """Yield collision-free configurations in the order ``rng`` draws them:
+    the first ``sampled`` joints uniform in their limits, the rest at the
+    midpoint of theirs. Each batch of draws is checked in one collision
+    call; a row's verdict does not depend on its batch, and ``rng.uniform``
+    yields the same doubles row by row as one draw at a time. Raises
+    GenerationError after ``MAX_SAMPLE_ATTEMPTS`` draws in all."""
+    for drawn in itertools.count(0, _SAMPLE_BATCH):
+        if drawn >= MAX_SAMPLE_ATTEMPTS:
+            raise GenerationError(f"exceeded {MAX_SAMPLE_ATTEMPTS} samples drawing collision-free "
+                                  f"configurations for scene {scene.name!r}; it may be over-constrained")
+        batch = np.tile((arm.lower + arm.upper) / 2.0, (min(_SAMPLE_BATCH, MAX_SAMPLE_ATTEMPTS - drawn), 1))
+        batch[:, :sampled] = rng.uniform(arm.lower[:sampled], arm.upper[:sampled], size=(len(batch), sampled))
+        yield from batch[~configs_in_collision(arm, scene, batch)]
+
+
 def ik_goal_configs(arm: ArmModel, scene: Scene, goal: EEPose) -> list[np.ndarray]:
     """Collision-free IK solutions for a goal pose, with the package-wide
     deterministic seed convention and ``solve_ik``'s default restarts."""
@@ -144,33 +166,21 @@ def generate_test_suite(
     only when the goal pose admits a collision-free IK solution under the
     standard seed convention and the RRT baseline solves the query within a
     generous budget, so every stored case is known to have a solution.
-    Raises ValueError when count or rrt_max_iters is not an integer >= 1.
+    Raises ValueError when count or rrt_max_iters is not an integer >= 1, or
+    rng_seed is not an integer >= 0.
     """
-    for name, value in (("count", count), ("rrt_max_iters", rrt_max_iters)):
-        if not _is_integer(value) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    rng = np.random.default_rng(rng_seed)
+    checks = (("count", count, 1), ("rrt_max_iters", rrt_max_iters, 1), ("rng_seed", rng_seed, 0))
+    for name, value, least in checks:
+        if not _is_integer(value) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    rng_seed = int(rng_seed)    # the suite file's JSON stores no numpy int
+    free = _free_configs(scene, arm, np.random.default_rng(rng_seed), arm.dof)
     cases: list[TestCase] = []
-    samples = 0
     attempt = 0
-
-    def sample_free_config() -> np.ndarray:
-        nonlocal samples
-        while True:
-            samples += 1
-            if samples > MAX_SAMPLE_ATTEMPTS:
-                raise GenerationError(
-                    f"exceeded {MAX_SAMPLE_ATTEMPTS} samples generating cases for "
-                    f"scene {scene.name!r}; the scene may be over-constrained"
-                )
-            q = rng.uniform(arm.lower, arm.upper)
-            if not config_in_collision(arm, scene, q):
-                return q
 
     while len(cases) < count:
         attempt += 1
-        start = sample_free_config()
-        goal_q = sample_free_config()
+        start, goal_q = next(free), next(free)
         _, ee = forward_kinematics(arm, goal_q)
         goal = EEPose(ee.x, ee.y, ee.heading, heading_matters=False)
         goal_cfgs = ik_goal_configs(arm, scene, goal)

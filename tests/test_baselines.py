@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from armplan.baselines import rrt_plan
-from armplan.collision import config_in_collision, edge_in_collision
+from armplan.collision import config_in_collision, configs_in_collision, edge_in_collision
 
 
 def test_start_equals_goal(arm, empty_scene):
@@ -16,6 +16,29 @@ def test_colliding_start_rejected(arm, pole_scene):
     assert config_in_collision(arm, pole_scene, bad)
     with pytest.raises(ValueError):
         rrt_plan(pole_scene, arm, bad, [np.zeros(arm.dof)])
+
+
+def test_colliding_goal_rejected(arm, pole_scene):
+    # a goal in collision can never be reached: it used to spend the whole budget
+    bad = np.array([-1.3, -0.5, -0.4, -0.2])
+    start = np.zeros(arm.dof)
+    assert config_in_collision(arm, pole_scene, bad) and not config_in_collision(arm, pole_scene, start)
+    with pytest.raises(ValueError, match="goal configuration is in collision"):
+        rrt_plan(pole_scene, arm, start, [np.full(arm.dof, 0.3), bad], max_iters=200)
+
+
+def test_start_and_goals_checked_in_one_collision_batch(arm, pole_scene, monkeypatch):
+    import armplan.baselines
+    rows = []
+
+    def counting(arm_, scene, qs):
+        rows.append(len(qs))
+        return configs_in_collision(arm_, scene, qs)
+
+    monkeypatch.setattr(armplan.baselines, "configs_in_collision", counting)
+    start = np.zeros(arm.dof)
+    rrt_plan(pole_scene, arm, start, [start + 0.1, start - 0.1], max_iters=1)
+    assert rows == [3]  # the start and both goals, as many calls as the start check alone
 
 
 def test_configs_outside_limits_rejected(arm, empty_scene):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -173,6 +174,60 @@ def test_bench_run_rejects_bad_roadmap_file(small_pole_roadmap, tmp_path, monkey
     err = capsys.readouterr().err
     assert err.startswith("armplan: error: ") and message in err
     assert not (tmp_path / "r.csv").exists()
+
+
+def _corrupt(good: bytes, how: str) -> bytes:
+    if how == "truncated":
+        return good[: len(good) // 2]
+    if how == "zip_garbage":
+        return b"PK\x03\x04" + bytes(range(256)) * 4
+    if how == "empty":
+        return b""
+    return good[:200] + b"\xff" * 60 + good[260:]    # a member's compressed data overwritten
+
+
+@pytest.mark.parametrize("how", ["truncated", "zip_garbage", "empty", "overwritten"])
+def test_bench_run_rejects_corrupt_roadmap_before_generating_cases(
+        small_pole_roadmap, tmp_path, monkeypatch, capsys, how):
+    save_roadmap(small_pole_roadmap, tmp_path / "rm.npz")
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(_corrupt((tmp_path / "rm.npz").read_bytes(), how))
+    with pytest.raises(ValueError) as exc:
+        load_roadmap(bad)
+    assert str(exc.value).startswith(f"roadmap file {bad} is corrupt: ")
+
+    def no_generation(*args, **kwargs):
+        raise AssertionError("generated a suite before loading the roadmap")
+
+    monkeypatch.setattr("armplan.cli.generate_test_suite", no_generation)
+    capsys.readouterr()
+    rc = main([
+        "bench", "run", "--scene", "tabletop_pole", "--cases", "2", "--planner", "roadmap",
+        "--roadmap", str(bad), "--out", str(tmp_path / "r.csv"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"armplan: error: {exc.value}\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_roadmap_build_defaults_are_roadmap_params_defaults(tmp_path, monkeypatch):
+    @dataclasses.dataclass(frozen=True)
+    class OtherDefaults(RoadmapParams):
+        n_nodes: int = 40
+        k_neighbors: int = 4
+        k_paths: int = 2
+        rng_seed: int = 3
+
+    seen = []
+
+    def capture(scene, arm, params):
+        seen.append(params)
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr("armplan.cli.RoadmapParams", OtherDefaults)
+    monkeypatch.setattr("armplan.cli.build_roadmap", capture)
+    assert main(["roadmap", "build", "--scene", "tabletop_pole", "--out", str(tmp_path / "rm.npz")]) == 1
+    assert dataclasses.asdict(seen[0]) == dataclasses.asdict(OtherDefaults())
 
 
 _DROP = object()

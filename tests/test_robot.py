@@ -129,6 +129,19 @@ def test_rejects_bad_limits_and_dimensions():
         ArmModel(Pose2(0, 0), ((0.0, 0.1),) * 3, ((-1, 1),) * 3)
 
 
+@pytest.mark.parametrize("links, limits", [
+    (((math.nan, 0.1),) + ((1.0, 0.1),) * 2, ((-1, 1),) * 3),
+    (((1.0, math.inf),) * 3, ((-1, 1),) * 3),
+    (((1.0, 0.1),) * 3, ((-math.inf, math.inf),) * 3),
+    (((1.0, 0.1),) * 3, ((-1, 1), (math.nan, 1), (-1, 1))),
+    (((1.0, 0.1),) * 3, ((-1, 1), (-1, math.inf), (-1, 1))),
+])
+def test_rejects_non_finite_links_and_limits(links, limits):
+    # NaN slipped past the l <= 0 and lo >= hi tests
+    with pytest.raises(ValueError, match="must be finite"):
+        ArmModel(Pose2(0, 0), links, limits)
+
+
 # ---------------------------------------------------------------------------
 # forward kinematics
 

@@ -1,16 +1,20 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from armplan.baselines import rrt_plan
-from armplan.collision import Scene, config_in_collision
+from armplan.collision import Scene, config_in_collision, configs_in_collision
 from armplan.geometry import Pose2, signed_distance
-from armplan.robot import within_limits
+from armplan.roadmap import SAMPLED_JOINTS
+from armplan.robot import ArmModel, within_limits
 from armplan.scenarios import (
-    SCENE_NAMES, GenerationError, build_scene, default_arm, generate_test_suite, ik_goal_configs,
-    load_scene, load_suite, save_scene, save_suite, scene_to_dict, suite_to_dict,
+    DEFAULT_BASE, DEFAULT_JOINT_LIMITS, DEFAULT_LINKS, SCENE_NAMES, GenerationError, _free_configs,
+    build_scene, default_arm, generate_test_suite, ik_goal_configs, load_scene, load_suite, save_scene,
+    save_suite, scene_to_dict, suite_to_dict,
 )
 from test_roadmap import within_seconds
 
@@ -157,7 +161,7 @@ def test_generate_rejects_rrt_budget_below_one_before_sampling(pole_scene, arm, 
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before checking the RRT budget")
 
-    monkeypatch.setattr("armplan.scenarios.config_in_collision", no_sampling)
+    monkeypatch.setattr("armplan.scenarios.configs_in_collision", no_sampling)
     for bad in (0, -5):
         with pytest.raises(ValueError, match="rrt_max_iters"):
             generate_test_suite(pole_scene, arm, 3, rng_seed=1, rrt_max_iters=bad)
@@ -171,10 +175,28 @@ def test_generate_rejects_non_integer_counts_before_sampling(pole_scene, arm, mo
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before checking the counts")
 
-    monkeypatch.setattr("armplan.scenarios.config_in_collision", no_sampling)
+    monkeypatch.setattr("armplan.scenarios.configs_in_collision", no_sampling)
     kwargs = {"count": 3, "rrt_max_iters": 100, name: bad}
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         generate_test_suite(pole_scene, arm, rng_seed=1, **kwargs)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, -1, "3", None])
+def test_generate_rejects_bad_rng_seed_before_sampling(pole_scene, arm, monkeypatch, bad):
+    # rng_seed=True used to write a suite that load_suite rejects
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the seed")
+
+    monkeypatch.setattr("armplan.scenarios.configs_in_collision", no_sampling)
+    with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+        generate_test_suite(pole_scene, arm, 3, rng_seed=bad, rrt_max_iters=100)
+
+
+def test_generate_stores_a_numpy_seed_as_an_int(pole_scene, arm, tmp_path):
+    suite = generate_test_suite(pole_scene, arm, 1, rng_seed=np.int64(9))
+    assert type(suite.rng_seed) is int
+    save_suite(suite, tmp_path / "suite.json")
+    assert suite_to_dict(load_suite(tmp_path / "suite.json")) == suite_to_dict(suite)
 
 
 def test_generate_stops_at_the_sample_cap(arm, monkeypatch):
@@ -182,15 +204,58 @@ def test_generate_stops_at_the_sample_cap(arm, monkeypatch):
     cramped = Scene("cramped", (), workspace_bounds=(-0.2, -0.2, 0.2, 0.2))
     checked = []
 
-    def counting(arm_, scene, q):
-        checked.append(1)
-        return config_in_collision(arm_, scene, q)
+    def counting(arm_, scene, qs):
+        checked.append(len(qs))
+        return configs_in_collision(arm_, scene, qs)
 
     monkeypatch.setattr("armplan.scenarios.MAX_SAMPLE_ATTEMPTS", 300)
-    monkeypatch.setattr("armplan.scenarios.config_in_collision", counting)
-    with pytest.raises(GenerationError, match="exceeded 300 samples .* 'cramped'"):
+    monkeypatch.setattr("armplan.scenarios.configs_in_collision", counting)
+    with pytest.raises(GenerationError, match="exceeded 300 samples .* scene 'cramped'"):
         generate_test_suite(cramped, arm, 2, rng_seed=1)
-    assert len(checked) == 300
+    assert checked == [300]  # one batch, cut at the cap
+
+
+# ---------------------------------------------------------------------------
+# the rejection sampler against the two it replaced
+
+def one_at_a_time_sampler(scene, arm, rng, n):
+    """Suite generation's former sampler: every joint uniform in its limits,
+    one configuration drawn and checked at a time."""
+    out = []
+    while len(out) < n:
+        q = rng.uniform(arm.lower, arm.upper)
+        if not config_in_collision(arm, scene, q):
+            out.append(q)
+    return np.array(out)
+
+
+def whole_batch_sampler(scene, arm, rng, n):
+    """Roadmap node sampling's former sampler: the proximal joints uniform,
+    the rest at the midpoint of their limits, in whole batches of 1024."""
+    n_sampled = min(SAMPLED_JOINTS, arm.dof)
+    distal = (arm.lower[n_sampled:] + arm.upper[n_sampled:]) / 2.0
+    collected = []
+    while sum(len(c) for c in collected) < n:
+        batch = np.empty((1024, arm.dof))
+        batch[:, :n_sampled] = rng.uniform(arm.lower[:n_sampled], arm.upper[:n_sampled], size=(1024, n_sampled))
+        batch[:, n_sampled:] = distal
+        collected.append(batch[~configs_in_collision(arm, scene, batch)])
+    return np.vstack(collected)[:n]
+
+
+FIVE_LINK_ARM = ArmModel(DEFAULT_BASE, DEFAULT_LINKS + ((0.15, 0.02),), DEFAULT_JOINT_LIMITS + ((-2.0, 2.4),))
+SCENES = {name: build_scene(name) for name in SCENE_NAMES}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scene_name=st.sampled_from(SCENE_NAMES),
+       five_links=st.booleans(), n=st.integers(1, 1200))
+def test_free_configs_match_both_former_samplers(seed, scene_name, five_links, n):
+    scene, arm = SCENES[scene_name], FIVE_LINK_ARM if five_links else default_arm()
+    for sampled, oracle in ((arm.dof, one_at_a_time_sampler), (min(SAMPLED_JOINTS, arm.dof), whole_batch_sampler)):
+        free = _free_configs(scene, arm, np.random.default_rng(seed), sampled)
+        got = np.array(list(itertools.islice(free, n)))
+        assert np.array_equal(got, oracle(scene, arm, np.random.default_rng(seed), n))
 
 
 def test_suite_roundtrip_and_invariants(small_pole_suite, arm, pole_scene, tmp_path):
@@ -238,6 +303,23 @@ def test_suite_load_rejects_nan_goal(small_pole_suite, tmp_path, field):
     data["cases"][2]["goal"][field] = float("nan")
     p.write_text(json.dumps(data))  # NaN as Python's json writes it
     with pytest.raises(ValueError, match="finite"):
+        load_suite(p)
+
+
+@pytest.mark.parametrize("where, value", [
+    (("joint_limits", 2), [float("-inf"), float("inf")]),
+    (("joint_limits", 0), [float("nan"), 1.0]),
+    (("links", 1), [float("nan"), 0.035]),
+    (("links", 3), [0.2, float("inf")]),
+])
+def test_suite_load_rejects_non_finite_arm(small_pole_suite, tmp_path, where, value):
+    p = tmp_path / "suite.json"
+    save_suite(small_pole_suite, p)
+    data = json.loads(p.read_text())
+    key, i = where
+    data["arm"][key][i] = value
+    p.write_text(json.dumps(data))  # NaN and Infinity as Python's json writes them
+    with pytest.raises(ValueError, match=f"suite file {p}: .* must be finite"):
         load_suite(p)
 
 
