@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 
-from .collision import Scene, configs_in_collision, edge_in_collision
+from .collision import Scene, _check_free, edge_in_collision
 from .geometry import _vector_length
-from .robot import ArmModel, _is_integer, within_limits
+from .robot import ArmModel, _check_int
 
 
 # Iteration budget of every benchmark RRT: the suite feasibility check and
@@ -44,24 +44,17 @@ def rrt_plan(
     Standard goal-biased single-tree RRT. Extensions are validated with
     interpolation scaled to the segment length (at least 10 points). Returns
     the waypoint path on success, None after max_iters without reaching a goal.
-    Raises ValueError when max_iters is not an integer >= 1, or the start or
-    a goal is outside the joint limits or in collision.
+    Raises ValueError when max_iters is not an integer >= 1 or rng_seed not
+    an integer >= 0, or the start or a goal is outside the joint limits or
+    in collision.
     """
-    if not _is_integer(max_iters) or max_iters < 1:
-        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    max_iters = _check_int("max_iters", max_iters, 1)
+    rng_seed = _check_int("rng_seed", rng_seed, 0)
     start = np.asarray(start, dtype=float)
     goals = [np.asarray(g, dtype=float) for g in goal_configs]
     if not goals:
         raise ValueError("at least one goal configuration is required")
-    if not within_limits(arm, start):
-        raise ValueError("start configuration is outside the joint limits")
-    if not all(within_limits(arm, g) for g in goals):
-        raise ValueError("goal configuration is outside the joint limits")
-    hit = configs_in_collision(arm, scene, np.array([start, *goals]))
-    if hit[0]:
-        raise ValueError("start configuration is in collision")
-    if hit[1:].any():
-        raise ValueError("goal configuration is in collision")
+    _check_free(arm, scene, [("start configuration", start), *(("goal configuration", g) for g in goals)])
     for g in goals:
         if _vector_length(g - start) < 1e-12:
             return [start.copy()]

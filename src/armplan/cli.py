@@ -4,6 +4,11 @@
     armplan bench gen-cases --scene <name> --count 200 --seed 7 --out suite.json
     armplan bench run --scene <name> --cases 200 --planner roadmap+opt --roadmap rm.npz --seed 42 --out results.csv
     armplan bench report --in results.csv --format markdown
+
+A count or seed that is not an integer of at least its least value (two
+nodes, one case, seed 0), an endpoint outside the joint limits or in
+collision, or a faulty input file prints ``armplan: error: <message>`` and
+exits 1 before any output file is written.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-from .baselines import RRT_MAX_ITERS
 from .bench import BenchParams, emit_report, read_records, run_benchmark, summarize, write_records, PLANNERS
 from .roadmap import RoadmapParams, build_roadmap, load_roadmap, save_roadmap
 from .scenarios import (
@@ -45,8 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=int, default=200)
     gen.add_argument("--seed", type=int, default=7)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--rrt-iters", type=int, default=RRT_MAX_ITERS,
-                     help="iteration budget of the feasibility-checking RRT")
 
     run = bench_sub.add_parser("run", help="run a planner pipeline over a suite")
     run.add_argument("--scene", choices=SCENE_NAMES)
@@ -83,8 +85,7 @@ def _cmd_roadmap_build(args) -> int:
 
 def _cmd_gen_cases(args) -> int:
     scene = build_scene(args.scene)
-    suite = generate_test_suite(
-        scene, default_arm(), args.count, args.seed, rrt_max_iters=args.rrt_iters)
+    suite = generate_test_suite(scene, default_arm(), args.count, args.seed)
     save_suite(suite, args.out)
     print(f"generated {len(suite)} cases for {args.scene} -> {args.out}")
     return 0

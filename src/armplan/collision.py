@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .geometry import ConvexShape, _point_segment_distance
-from .robot import ArmModel, _check_batch, _check_config, _joint_origins, _link_steps
+from .robot import ArmModel, _check_batch, _check_config, _check_int, _joint_origins, _link_steps, within_limits
 
 DEFAULT_EDGE_INTERP = 100
 
@@ -233,6 +233,18 @@ def config_in_collision(arm: ArmModel, scene: Scene, q) -> bool:
     return bool(configs_in_collision(arm, scene, q)[0])
 
 
+def _check_free(arm: ArmModel, scene: Scene, named) -> None:
+    """Raise ValueError for the first ``(what, q)`` pair whose configuration
+    is outside the joint limits (a non-finite angle is), and otherwise for
+    the first in collision; all of them go through one collision batch."""
+    for what, q in named:
+        if not within_limits(arm, q):
+            raise ValueError(f"{what} is outside the joint limits")
+    hit = configs_in_collision(arm, scene, np.array([q for _, q in named]))
+    if hit.any():
+        raise ValueError(f"{named[int(np.argmax(hit))][0]} is in collision")
+
+
 def _aabb_gap_lower_bound(geom: _SceneGeom, rb: _RectBatch) -> np.ndarray:
     """(M, K, O) lower bound on the separation distance from AABBs."""
     lo, hi = _link_aabbs(rb)
@@ -307,11 +319,12 @@ def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
     return flags.reshape(samples.shape[:-1]).any(axis=-1)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)    # typed: True or 1.0 must not hit 1's entry
 def _sample_fractions(n_interp: int) -> np.ndarray:
     """The ``n_interp + 2`` sample fractions of a segment check, 0 and 1
-    included, built once per ``n_interp`` and read-only."""
-    t = np.linspace(0.0, 1.0, n_interp + 2)
+    included, built once per ``n_interp`` and read-only. Raises ValueError
+    when ``n_interp`` is not an integer >= 0."""
+    t = np.linspace(0.0, 1.0, _check_int("n_interp", n_interp, 0) + 2)
     t.flags.writeable = False
     return t
 

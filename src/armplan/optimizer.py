@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import Scene, config_in_collision, pair_signed_distances, trajectory_in_collision
-from .robot import ArmModel, within_limits
+from .collision import Scene, _check_free, pair_signed_distances, trajectory_in_collision
+from .robot import ArmModel
 
 _FD_STEP = 1e-6
 D_SAFE = 0.05               # clearance margin for the hinge penalty, meters
@@ -109,11 +109,7 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
     X = np.array(seed, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] != arm.dof:
         raise ValueError(f"seed must be a (T, {arm.dof}) waypoint matrix with T >= 2")
-    for endpoint in (X[0], X[-1]):
-        if not within_limits(arm, endpoint):
-            raise ValueError("seed endpoints must be finite and within the joint limits")
-        if config_in_collision(arm, scene, endpoint):
-            raise ValueError("seed endpoints must be collision-free")
+    _check_free(arm, scene, [("seed start configuration", X[0]), ("seed goal configuration", X[-1])])
     X[1:-1] = np.clip(X[1:-1], arm.lower, arm.upper)
 
     mu = _MU0

@@ -36,9 +36,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as _sparse_dijkstra
 
-from .collision import DEFAULT_EDGE_INTERP, Scene, config_in_collision, segments_in_collision
+from .collision import DEFAULT_EDGE_INTERP, Scene, _check_free, _sample_fractions, segments_in_collision
 from .geometry import _vector_length, wrap_angles
-from .robot import IK_HEADING_TOL, IK_POSITION_TOL, ArmModel, EEPose, _is_integer, chain_points, within_limits
+from .robot import IK_HEADING_TOL, IK_POSITION_TOL, ArmModel, EEPose, _check_int, _is_integer, chain_points
 from . import scenarios
 from .scenarios import _check_json_layout, ik_goal_configs, scene_to_dict
 
@@ -50,7 +50,7 @@ SAMPLED_JOINTS = 4
 # blocked at full density, so a coarse prescreen can only reject safely,
 # and a segment free at the coarse samples is free at full density when it
 # is free at the rest.
-_T_FINE = np.linspace(0.0, 1.0, DEFAULT_EDGE_INTERP + 2)
+_T_FINE = _sample_fractions(DEFAULT_EDGE_INTERP)
 _COARSE_IDX = list(range(0, DEFAULT_EDGE_INTERP + 2, 6)) + [DEFAULT_EDGE_INTERP + 1]
 _T_COARSE = _T_FINE[_COARSE_IDX]
 _T_REST = np.delete(_T_FINE, _COARSE_IDX)
@@ -70,12 +70,9 @@ class RoadmapParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not _is_integer(value := getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            object.__setattr__(self, f.name, int(value))    # the file's JSON stores no numpy int
-        if self.n_nodes < 2 or self.k_neighbors < 1 or self.k_paths < 1:
-            raise ValueError("n_nodes >= 2, k_neighbors >= 1 and k_paths >= 1 required")
+        for name, least in (("n_nodes", 2), ("k_neighbors", 1), ("k_paths", 1), ("rng_seed", 0)):
+            # stored as int: the file's JSON stores no numpy int
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), least))
 
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:
@@ -372,17 +369,10 @@ def k_shortest_paths(roadmap: Roadmap, u: int, v: int, k_paths: int | None = Non
     Results are memoized on the roadmap. Paths are ordered by length, and
     paths of equal length by their node sequences, lexicographically
     smallest first. Runs Yen's algorithm on ``roadmap.graph``. Raises
-    ValueError when ``k_paths`` is not an integer (a bool is not one) or is
-    below 1, or when u or v is no node index.
+    ValueError when ``k_paths`` is not an integer >= 1 (a bool is not one),
+    or when u or v is no node index.
     """
-    if k_paths is None:
-        k = roadmap.params.k_paths
-    elif _is_integer(k_paths):
-        k = int(k_paths)
-    else:
-        raise ValueError(f"k_paths must be an integer, got {k_paths!r}")
-    if k < 1:
-        raise ValueError("k_paths must be >= 1")
+    k = roadmap.params.k_paths if k_paths is None else _check_int("k_paths", k_paths, 1)
     roadmap._check_nodes(u, v)
     if u == v:
         return [[u]]
@@ -462,10 +452,7 @@ def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) ->
     """
     roadmap.check_binding(scene, arm)
     start = np.asarray(start, dtype=float)
-    if not within_limits(arm, start):
-        raise ValueError("start configuration is outside the joint limits")
-    if config_in_collision(arm, scene, start):
-        raise ValueError("start configuration is in collision")
+    _check_free(arm, scene, [("start configuration", start)])
 
     candidates = ik_goal_configs(arm, scene, goal)
     tip_pos, tip_heading = roadmap.node_tip_poses(arm)

@@ -111,6 +111,14 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_int(name: str, value, least: int) -> int:
+    """``value`` as an ``int`` when it is an integer (``_is_integer``) of at
+    least ``least``; otherwise ValueError naming the argument."""
+    if not (_is_integer(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def within_limits(arm: ArmModel, q) -> bool:
     q = _check_config(arm, q)
     return bool((q >= arm.lower).all() and (q <= arm.upper).all())
@@ -211,10 +219,11 @@ def solve_ik(arm: ArmModel, target: EEPose, restarts: int = 10, rng_seed: int = 
     Returns up to ``restarts`` distinct in-limit configurations whose tip
     position error is below 1e-4 m (and heading error below 1e-3 rad when the
     target heading matters). Empty list when nothing converges, which is how
-    unreachable targets are reported.
+    unreachable targets are reported. Raises ValueError when restarts is not
+    an integer >= 1 or rng_seed not an integer >= 0.
     """
-    if not _is_integer(restarts) or restarts < 1:
-        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
+    restarts = _check_int("restarts", restarts, 1)
+    rng_seed = _check_int("rng_seed", rng_seed, 0)
     if math.hypot(target.x - arm.base.x, target.y - arm.base.y) > arm.reach + 1e-9:
         return []
 

@@ -20,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import RRT_MAX_ITERS, rrt_plan, rrt_seed
+from .baselines import rrt_plan, rrt_seed
 from .collision import Scene, configs_in_collision
 from .geometry import ConvexShape, Pose2
-from .robot import ArmModel, EEPose, _is_integer, forward_kinematics, goal_seed, solve_ik, within_limits
+from .robot import ArmModel, EEPose, _check_int, forward_kinematics, goal_seed, solve_ik, within_limits
 
 # One version per file format: a roadmap binding hashes ``scene_to_dict``,
 # version included, so only a scene version bump rebinds saved roadmaps.
@@ -156,7 +156,6 @@ def generate_test_suite(
     arm: ArmModel,
     count: int,
     rng_seed: int,
-    rrt_max_iters: int = RRT_MAX_ITERS,
 ) -> TestSuite:
     """Rejection-sample feasible test cases for a scene.
 
@@ -164,16 +163,13 @@ def generate_test_suite(
     Goals are the tip poses of sampled collision-free goal configurations,
     which makes them kinematically feasible by construction. A case is kept
     only when the goal pose admits a collision-free IK solution under the
-    standard seed convention and the RRT baseline solves the query within a
-    generous budget, so every stored case is known to have a solution.
-    Raises ValueError when count or rrt_max_iters is not an integer >= 1, or
-    rng_seed is not an integer >= 0.
+    standard seed convention and the RRT baseline solves the query within
+    the benchmark's budget (``baselines.RRT_MAX_ITERS``), so every stored
+    case is known to have a solution. Raises ValueError when count is not an
+    integer >= 1 or rng_seed not an integer >= 0.
     """
-    checks = (("count", count, 1), ("rrt_max_iters", rrt_max_iters, 1), ("rng_seed", rng_seed, 0))
-    for name, value, least in checks:
-        if not _is_integer(value) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    rng_seed = int(rng_seed)    # the suite file's JSON stores no numpy int
+    count = _check_int("count", count, 1)
+    rng_seed = _check_int("rng_seed", rng_seed, 0)    # an int: the suite file's JSON stores no numpy int
     free = _free_configs(scene, arm, np.random.default_rng(rng_seed), arm.dof)
     cases: list[TestCase] = []
     attempt = 0
@@ -186,7 +182,7 @@ def generate_test_suite(
         goal_cfgs = ik_goal_configs(arm, scene, goal)
         if not goal_cfgs:
             continue
-        if rrt_plan(scene, arm, start, goal_cfgs, rrt_seed(rng_seed, attempt), rrt_max_iters) is None:
+        if rrt_plan(scene, arm, start, goal_cfgs, rrt_seed(rng_seed, attempt)) is None:
             continue
         cid = f"{scene.name}-{rng_seed}-{len(cases):04d}"
         cases.append(TestCase(id=cid, start=tuple(start.tolist()), goal=goal, scene_name=scene.name))

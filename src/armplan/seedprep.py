@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .robot import _check_int
+
 DEFAULT_WAYPOINTS = 30
 DEFAULT_MAX_SPACING = 0.16  # rad, upper bound on adjacent waypoint distance
 
@@ -17,9 +19,9 @@ def path_length(path) -> float:
 
 
 def straight_line_seed(start, goal, T: int = DEFAULT_WAYPOINTS) -> np.ndarray:
-    """T waypoints linearly interpolated in joint space, endpoints exact."""
-    if T < 2:
-        raise ValueError("a seed trajectory needs at least 2 waypoints")
+    """T waypoints linearly interpolated in joint space, endpoints exact.
+    Raises ValueError when T is not an integer >= 2."""
+    T = _check_int("T", T, 2)
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
     t = np.linspace(0.0, 1.0, T)
@@ -29,8 +31,9 @@ def straight_line_seed(start, goal, T: int = DEFAULT_WAYPOINTS) -> np.ndarray:
     return traj
 
 
-def resample_path(path, max_spacing: float = DEFAULT_MAX_SPACING) -> np.ndarray:
-    """Subdivide segments so adjacent waypoints are at most max_spacing apart.
+def resample_path(path) -> np.ndarray:
+    """Subdivide segments so adjacent waypoints are at most
+    ``DEFAULT_MAX_SPACING`` apart.
 
     Original waypoints are kept in order; inserted points lie exactly on the
     original segments, so the total length is unchanged. Idempotent.
@@ -43,7 +46,7 @@ def resample_path(path, max_spacing: float = DEFAULT_MAX_SPACING) -> np.ndarray:
         seg = float(np.linalg.norm(b - a))
         # the 1e-9 slack keeps segments produced by a previous pass from
         # being split again by float noise
-        n_sub = max(1, math.ceil(seg / max_spacing - 1e-9))
+        n_sub = max(1, math.ceil(seg / DEFAULT_MAX_SPACING - 1e-9))
         for i in range(1, n_sub):
             out.append(a + (i / n_sub) * (b - a))
         out.append(b)

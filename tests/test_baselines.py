@@ -28,17 +28,19 @@ def test_colliding_goal_rejected(arm, pole_scene):
 
 
 def test_start_and_goals_checked_in_one_collision_batch(arm, pole_scene, monkeypatch):
-    import armplan.baselines
+    import armplan.collision
     rows = []
 
     def counting(arm_, scene, qs):
         rows.append(len(qs))
         return configs_in_collision(arm_, scene, qs)
 
-    monkeypatch.setattr(armplan.baselines, "configs_in_collision", counting)
+    monkeypatch.setattr(armplan.collision, "configs_in_collision", counting)
     start = np.zeros(arm.dof)
     rrt_plan(pole_scene, arm, start, [start + 0.1, start - 0.1], max_iters=1)
-    assert rows == [3]  # the start and both goals, as many calls as the start check alone
+    # the start and both goals, as many calls as the start check alone; every
+    # later call is an edge check of at least 10 interpolated configurations
+    assert rows[0] == 3 and all(n >= 12 for n in rows[1:])
 
 
 def test_configs_outside_limits_rejected(arm, empty_scene):
@@ -100,6 +102,14 @@ def test_rejects_non_integer_iteration_budget(arm, empty_scene, bad):
     q = np.zeros(arm.dof)
     with pytest.raises(ValueError, match="max_iters must be an integer"):
         rrt_plan(empty_scene, arm, q, [np.full(arm.dof, 0.3)], max_iters=bad)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, -1, "3"])
+def test_rejects_bad_rng_seed(arm, empty_scene, bad):
+    # rng_seed=1.5 used to die in numpy's SeedSequence with a TypeError
+    q = np.zeros(arm.dof)
+    with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+        rrt_plan(empty_scene, arm, q, [np.full(arm.dof, 0.3)], rng_seed=bad)
 
 
 def test_accepts_numpy_integer_iteration_budget(arm, pole_scene):

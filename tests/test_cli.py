@@ -72,17 +72,6 @@ def test_unknown_scene_rejected(tmp_path):
     assert exc.value.code == 2
 
 
-def test_gen_cases_rejects_rrt_budget_below_one(tmp_path, capsys):
-    out = tmp_path / "suite.json"
-    rc = main([
-        "bench", "gen-cases", "--scene", "tabletop_pole", "--count", "4",
-        "--seed", "3", "--rrt-iters", "0", "--out", str(out),
-    ])
-    assert rc == 1
-    assert "rrt_max_iters" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_missing_results_file_is_an_error(tmp_path, capsys):
     rc = main(["bench", "report", "--in", str(tmp_path / "nope.csv")])
     assert rc == 1

@@ -526,3 +526,17 @@ def test_sample_fractions_are_cached_read_only_linspace(n):
     assert np.array_equal(t, np.linspace(0.0, 1.0, n + 2))
     with pytest.raises(ValueError):
         t[0] = 0.5
+
+
+@pytest.mark.parametrize("bad", [-1, -2, 2.5, True, "3"])
+def test_segment_checks_reject_bad_n_interp(arm, pole_scene, bad):
+    # n_interp=-1 or -2 used to report a colliding segment as free, and True
+    # ran as 1
+    a, b = np.zeros(arm.dof), np.array([-1.3, -0.5, -0.4, -0.2])
+    assert config_in_collision(arm, pole_scene, b) and not config_in_collision(arm, pole_scene, a)
+    with pytest.raises(ValueError, match="n_interp must be an integer >= 0"):
+        edge_in_collision(arm, pole_scene, a, b, bad)
+    with pytest.raises(ValueError, match="n_interp must be an integer >= 0"):
+        trajectory_in_collision(arm, pole_scene, np.array([a, b]), n_interp=bad)
+    assert edge_in_collision(arm, pole_scene, a, b, 0)
+    assert trajectory_in_collision(arm, pole_scene, np.array([a, b]), n_interp=0) == (True, 0)

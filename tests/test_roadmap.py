@@ -240,11 +240,12 @@ def test_params_validation():
 
 @pytest.mark.parametrize("field, bad", [
     ("n_nodes", 10.5), ("n_nodes", 10.0), ("k_neighbors", True), ("k_paths", 2.0),
-    ("rng_seed", 1.5), ("rng_seed", False),
+    ("rng_seed", 1.5), ("rng_seed", False), ("rng_seed", -1),
 ])
 def test_params_reject_non_integers(field, bad):
     # RoadmapParams(n_nodes=10.5) used to be accepted, and its build died
-    # with a TypeError; a bool k_neighbors ran as 1
+    # with a TypeError; a bool k_neighbors ran as 1; rng_seed=-1 failed only
+    # in the build, with numpy's message naming no field
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         RoadmapParams(**{field: bad})
 

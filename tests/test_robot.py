@@ -416,6 +416,13 @@ def test_solve_ik_rejects_non_integer_restarts(bad):
         solve_ik(straight_arm(), EEPose(1.5, 1.0, 0.0), restarts=bad)
 
 
+@pytest.mark.parametrize("bad", [True, 1.5, -1, "3"])
+def test_solve_ik_rejects_bad_rng_seed(bad):
+    # rng_seed=True used to return seed 1's solutions
+    with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+        solve_ik(straight_arm(), EEPose(1.5, 1.0, 0.0), rng_seed=bad)
+
+
 def test_solve_ik_accepts_numpy_integer_restarts():
     arm, target = straight_arm(), EEPose(1.5, 1.0, 0.0)
     got = solve_ik(arm, target, restarts=np.int64(4))

@@ -157,26 +157,14 @@ def test_generate_count_validation(pole_scene, arm):
         generate_test_suite(pole_scene, arm, 0, rng_seed=1)
 
 
-def test_generate_rejects_rrt_budget_below_one_before_sampling(pole_scene, arm, monkeypatch):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before checking the RRT budget")
-
-    monkeypatch.setattr("armplan.scenarios.configs_in_collision", no_sampling)
-    for bad in (0, -5):
-        with pytest.raises(ValueError, match="rrt_max_iters"):
-            generate_test_suite(pole_scene, arm, 3, rng_seed=1, rrt_max_iters=bad)
-
-
-@pytest.mark.parametrize("name, bad", [
-    ("count", 1.5), ("count", 2.0), ("count", True), ("rrt_max_iters", True), ("rrt_max_iters", 50.5),
-])
+@pytest.mark.parametrize("name, bad", [("count", 1.5), ("count", 2.0), ("count", True)])
 def test_generate_rejects_non_integer_counts_before_sampling(pole_scene, arm, monkeypatch, name, bad):
     # count=1.5 used to return 2 cases
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before checking the counts")
 
     monkeypatch.setattr("armplan.scenarios.configs_in_collision", no_sampling)
-    kwargs = {"count": 3, "rrt_max_iters": 100, name: bad}
+    kwargs = {"count": 3, name: bad}
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         generate_test_suite(pole_scene, arm, rng_seed=1, **kwargs)
 
@@ -189,7 +177,7 @@ def test_generate_rejects_bad_rng_seed_before_sampling(pole_scene, arm, monkeypa
 
     monkeypatch.setattr("armplan.scenarios.configs_in_collision", no_sampling)
     with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
-        generate_test_suite(pole_scene, arm, 3, rng_seed=bad, rrt_max_iters=100)
+        generate_test_suite(pole_scene, arm, 3, rng_seed=bad)
 
 
 def test_generate_stores_a_numpy_seed_as_an_int(pole_scene, arm, tmp_path):

@@ -34,7 +34,7 @@ def test_resample_forced_midpoint():
     # a segment of exactly twice the bound gets exactly one midpoint
     a = np.zeros(4)
     b = np.array([0.32, 0.0, 0.0, 0.0])
-    out = resample_path(np.vstack([a, b]), max_spacing=0.16)
+    out = resample_path(np.vstack([a, b]))
     assert out.shape == (3, 4)
     assert np.allclose(out[1], (a + b) / 2)
 
@@ -42,7 +42,7 @@ def test_resample_forced_midpoint():
 def test_resample_noop_when_fine():
     rng = np.random.default_rng(1)
     p = np.cumsum(rng.uniform(-0.05, 0.05, size=(6, 4)), axis=0)
-    out = resample_path(p, max_spacing=0.16)
+    out = resample_path(p)
     assert np.array_equal(out, p)
 
 
