@@ -22,7 +22,7 @@ from .baselines import rrt_plan, rrt_seed
 from .collision import Scene, trajectory_in_collision
 from .optimizer import optimize
 from .roadmap import Roadmap, query
-from .robot import ArmModel
+from .robot import ArmModel, _check_int
 from .scenarios import TestCase, TestSuite, build_scene, ik_goal_configs
 from .seedprep import path_length, resample_path, straight_line_seed
 
@@ -46,9 +46,12 @@ class BenchParams:
     or constant: IK restarts (``solve_ik``), the RRT budget
     (``baselines.RRT_MAX_ITERS``), the straight-line seed and its resampling
     (``seedprep``) and the optimizer's constants (``optimizer.D_SAFE`` and
-    the rest)."""
+    the rest). Raises ValueError unless ``rng_seed`` is an integer >= 0."""
 
     rng_seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "rng_seed", _check_int("rng_seed", self.rng_seed, 0))
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,9 @@ def run_benchmark(
     Cases are independent and seeded per index, so any parallelism degree
     produces the same records (timings aside). The suite must belong to the
     scene by name, and the roadmap, if given, to the scene and the suite's arm.
+    Raises ValueError unless ``parallelism`` is an integer >= 1.
     """
+    parallelism = _check_int("parallelism", parallelism, 1)
     if planner_spec not in PLANNERS:
         raise ValueError(f"unknown planner {planner_spec!r}; expected one of {PLANNERS}")
     if planner_spec in ("roadmap", "roadmap+opt") and roadmap is None:
@@ -171,7 +176,7 @@ def run_benchmark(
     arm = suite.arm
     if roadmap is not None:
         roadmap.check_binding(scene, arm)
-    if parallelism <= 1:
+    if parallelism == 1:
         return [run_case(arm, scene, case, idx, planner_spec, params, roadmap)
                 for idx, case in enumerate(suite.cases)]
     with ProcessPoolExecutor(

@@ -6,10 +6,13 @@ kernel, ``_sat``, decides overlap for both the boolean checks and the signed
 distances, so ``config_in_collision`` and ``min_clearance`` agree exactly
 about the zero crossing. Every scene, an obstacle-free or unbounded one
 included, is held in one padded layout (``_SceneGeom``): every obstacle has
-the same number of vertices and of axis entries, so the kernel and the one
-signed-distance core, ``_signed_distances``, gather all (configuration,
-link, obstacle) triples at once, with no loop over obstacles and no branch
-on the scene. One segment sampler, ``segments_in_collision``, checks
+the same number of vertices and of axis entries, so the kernel gathers all
+(configuration, link, obstacle) triples of its batch at once, with no loop
+over obstacles and no branch on the scene. The one signed-distance core,
+``_signed_distances``, is a broad phase and a narrow phase: with a cutoff,
+the AABB gap bound of every triple is made first, and only the
+configurations with a triple below the cutoff go through the kernel and the
+exact distances. One segment sampler, ``segments_in_collision``, checks
 straight joint-space segments in a single batch; edge and trajectory checks
 are built on it. A configuration that is not finite raises ValueError.
 
@@ -145,6 +148,15 @@ class _RectBatch:
         self.L = arm.lengths[None, :]
         self.W = arm.half_widths[None, :]
 
+    def rows(self, idx: np.ndarray) -> "_RectBatch":
+        """The batch of configurations ``idx``, sliced from this one's fields
+        without a second chain pass."""
+        sub = object.__new__(_RectBatch)
+        sub.P, sub.u, sub.n = self.P[idx], self.u[idx], self.n[idx]
+        sub.cs, sub.steps = self.cs[:, idx], self.steps[:, idx]
+        sub.L, sub.W = self.L, self.W
+        return sub
+
     def corners(self) -> np.ndarray:
         """Explicit rectangle corners, shape (M, K, 4, 2), counter-clockwise."""
         lu = (self.L[..., None] * self.u)[:, :, None, :]
@@ -254,13 +266,35 @@ def _aabb_gap_lower_bound(geom: _SceneGeom, rb: _RectBatch) -> np.ndarray:
 
 
 def _signed_distances(geom: _SceneGeom, rb: _RectBatch, far_cutoff: float | None = None) -> np.ndarray:
-    """``pair_signed_distances`` of one link batch; the AABB bound is made only for a cutoff."""
+    """``pair_signed_distances`` of one link batch: a broad phase, then a
+    narrow phase on the configurations it keeps.
+
+    Without a cutoff every configuration goes to the narrow phase. With one,
+    the AABB gap bound of every pair is made first, and only the
+    configurations with a pair whose bound is below the cutoff go on; every
+    pair of the others is reported as its bound. A touching or overlapping
+    pair has a bound of 0 (up to rounding, for obstacle axes off the
+    coordinate axes), so a cutoff of any practical size never leaves it out.
+    Every per-configuration quantity is computed alike in any batch, so the
+    kept rows get the same bits as in a narrow phase over the whole batch."""
+    if far_cutoff is None:
+        return _narrow_signed_distances(geom, rb)
+    lower = _aabb_gap_lower_bound(geom, rb)
+    near = np.flatnonzero((lower < far_cutoff).any(axis=(1, 2)))
+    if len(near):
+        lower[near] = _narrow_signed_distances(geom, rb.rows(near), lower[near], far_cutoff)
+    return lower
+
+
+def _narrow_signed_distances(geom: _SceneGeom, rb: _RectBatch, lower=None, far_cutoff=None) -> np.ndarray:
+    """Signed distances from the separating-axis test: the penetration depth
+    of a hit pair, and the exact vertex-segment distance of a separated one,
+    or its AABB bound ``lower`` where that is at least ``far_cutoff``."""
     hit, pen = _sat(geom, rb, penetration=True)
     # entries of pairs that are not hit are all overwritten below
     sd = np.where(pen > 0.0, -pen, 0.0)
     need_exact = ~hit
-    if far_cutoff is not None:
-        lower = _aabb_gap_lower_bound(geom, rb)
+    if lower is not None:
         far = need_exact & (lower >= far_cutoff)
         sd = np.where(far, lower, sd)
         need_exact &= ~far
@@ -285,8 +319,15 @@ def pair_signed_distances(
     Shape (M, K, O). With ``far_cutoff`` set, pairs whose AABB gap already
     proves a separation of at least the cutoff are reported as that lower
     bound instead of the exact distance; hinge penalties with threshold
-    <= far_cutoff are unaffected.
+    <= far_cutoff are unaffected. Only configurations with a pair whose
+    bound is below the cutoff reach the separating-axis test. Raises
+    ValueError unless ``far_cutoff`` is None or a number > 0 (not a bool).
     """
+    if far_cutoff is not None and not (
+        isinstance(far_cutoff, (int, float, np.integer, np.floating))
+        and not isinstance(far_cutoff, bool) and far_cutoff > 0.0
+    ):
+        raise ValueError(f"far_cutoff must be None or a number > 0, got {far_cutoff!r}")
     return _signed_distances(scene._geom, _RectBatch(arm, Q), far_cutoff)
 
 

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from armplan import bench
 from armplan.bench import (
     BenchParams, RunRecord, emit_report, read_records, run_benchmark,
     summarize, write_records, OUTCOME_COLLISION_FAILURE, OUTCOME_OK,
@@ -146,6 +147,26 @@ def test_run_benchmark_rejects_roadmap_of_same_name_scene_with_moved_obstacle(ti
     for planner in ("roadmap", "roadmap+opt"):
         with pytest.raises(ValueError, match="roadmap is for scene 'empty'"):
             run_benchmark(tiny_suite, planner, scene=scene_with_box(2.5), roadmap=rm)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, -5, "3"])
+def test_params_reject_bad_rng_seed(bad):
+    # True ran as seed 1, -5 was accepted, and 1.5 died in rrt_seed with TypeError
+    with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+        BenchParams(rng_seed=bad)
+
+
+def test_params_store_a_numpy_seed_as_an_int():
+    params = BenchParams(rng_seed=np.int64(3))
+    assert type(params.rng_seed) is int and params == BenchParams(rng_seed=3)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 1.5, True])
+def test_run_benchmark_rejects_bad_parallelism(tiny_suite, monkeypatch, bad):
+    # 0 and -3 used to run serially, True ran as 1, and 1.5 reached the pool
+    monkeypatch.setattr(bench, "run_case", lambda *a: pytest.fail("a case ran"))
+    with pytest.raises(ValueError, match="parallelism must be an integer >= 1"):
+        run_benchmark(tiny_suite, "straightline+opt", parallelism=bad, scene=_empty_scene_of(tiny_suite))
 
 
 def test_record_determinism_and_parallel_equivalence(tiny_suite, arm):

@@ -199,6 +199,24 @@ def test_bench_run_rejects_corrupt_roadmap_before_generating_cases(
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--workers", "0", "parallelism must be an integer >= 1, got 0"),
+    ("--workers", "-3", "parallelism must be an integer >= 1, got -3"),
+    ("--seed", "-5", "rng_seed must be an integer >= 0, got -5"),
+], ids=["workers-0", "workers--3", "seed--5"])
+def test_bench_run_rejects_bad_integers(small_pole_suite, tmp_path, capsys, flag, value, message):
+    # --workers 0 or -3 used to run serially, and --seed -5 was accepted
+    save_suite(small_pole_suite, tmp_path / "suite.json")
+    out = tmp_path / "r.csv"
+    rc = main([
+        "bench", "run", "--suite", str(tmp_path / "suite.json"), "--planner", "rrt",
+        flag, value, "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"armplan: error: {message}\n"
+    assert not out.exists()
+
+
 def test_roadmap_build_defaults_are_roadmap_params_defaults(tmp_path, monkeypatch):
     @dataclasses.dataclass(frozen=True)
     class OtherDefaults(RoadmapParams):

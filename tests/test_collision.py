@@ -9,10 +9,10 @@ from armplan.collision import (
     Scene, config_in_collision, configs_in_collision, edge_in_collision,
     min_clearance, pair_signed_distances,
     segments_in_collision, trajectory_in_collision,
-    _link_aabbs, _RectBatch, _sample_fractions,
+    _aabb_gap_lower_bound, _bounds_margins, _link_aabbs, _RectBatch, _sample_fractions, _sat,
 )
-from armplan.geometry import ConvexShape, Pose2, signed_distance
-from armplan.optimizer import D_SAFE, _hinge_sums
+from armplan.geometry import ConvexShape, Pose2, _point_segment_distance, signed_distance
+from armplan.optimizer import D_SAFE, _hinge_sums, collision_penalty, merit_gradient
 from armplan.robot import ArmModel, chain_points, link_shapes
 from armplan.scenarios import SCENE_NAMES, build_scene
 
@@ -323,17 +323,7 @@ def test_signed_distances_are_batch_invariant(arm, seed, name, chunks):
 
 
 def test_padded_obstacles_match_reference(arm):
-    # a triangle, a box and a hexagon: the kernel pads the triangle and the
-    # box to six vertices, and the box's two axes to three. The triangle's
-    # normals have no negated partner, so it can be pushed out along one
-    # sign of each axis only; the box's and the hexagon's come in pairs.
-    hexagon = [(0.125, 1.0), (0.0625, 1.125), (-0.0625, 1.125),
-               (-0.125, 1.0), (-0.0625, 0.875), (0.0625, 0.875)]
-    scene = Scene("triangle_box_hexagon", (
-        ConvexShape([(0.25, 0.45), (0.6, 0.4), (0.4, 0.8)]),
-        ConvexShape.box(-0.7, 0.3, -0.4, 0.6),
-        ConvexShape(hexagon),
-    ), workspace_bounds=(-1.6, -0.6, 1.6, 1.6))
+    scene = _triangle_box_hexagon_scene()
     Q = np.random.default_rng(5).uniform(arm.lower, arm.upper, size=(40, arm.dof))
     ref = _assert_signed_distances_match_reference(arm, scene, Q)
     assert (ref < 0.0).any(axis=(0, 1)).all()    # each obstacle is penetrated
@@ -381,6 +371,129 @@ def test_signed_distances_without_cutoff_skip_the_aabb_bound(arm, shelf_scene, m
     assert calls == []
     pair_signed_distances(arm, shelf_scene, Q, far_cutoff=0.05)
     assert calls == [1]
+
+
+def dense_signed_distances(arm, scene, Q, far_cutoff=None):
+    """Test-only dense reference: the signed-distance core as it was before
+    its broad phase. The separating-axis test and the penetration fill run
+    on every (configuration, link, obstacle) triple, and the AABB bound only
+    then replaces the exact distance of separated pairs at or above the
+    cutoff."""
+    geom, rb = scene._geom, _RectBatch(arm, Q)
+    hit, pen = _sat(geom, rb, penetration=True)
+    sd = np.where(pen > 0.0, -pen, 0.0)
+    need_exact = ~hit
+    if far_cutoff is not None:
+        lower = _aabb_gap_lower_bound(geom, rb)
+        far = need_exact & (lower >= far_cutoff)
+        sd = np.where(far, lower, sd)
+        need_exact &= ~far
+    if need_exact.any():
+        mi, ki, oi = np.nonzero(need_exact)
+        a0 = rb.corners()[mi, ki]
+        a1 = np.roll(a0, -1, axis=1)
+        b0 = geom.verts[oi]
+        b1 = np.roll(b0, -1, axis=1)
+        d1 = _point_segment_distance(a0[:, :, None], b0[:, None], b1[:, None]).min(axis=(1, 2))
+        d2 = _point_segment_distance(b0[:, :, None], a0[:, None], a1[:, None]).min(axis=(1, 2))
+        sd[mi, ki, oi] = np.minimum(d1, d2)
+    return sd
+
+
+def _triangle_box_hexagon_scene():
+    # a triangle, a box and a hexagon: the kernel pads the triangle and the
+    # box to six vertices, and the box's two axes to three. The triangle's
+    # normals have no negated partner, so it can be pushed out along one
+    # sign of each axis only; the box's and the hexagon's come in pairs.
+    hexagon = [(0.125, 1.0), (0.0625, 1.125), (-0.0625, 1.125),
+               (-0.125, 1.0), (-0.0625, 0.875), (0.0625, 0.875)]
+    return Scene("triangle_box_hexagon", (
+        ConvexShape([(0.25, 0.45), (0.6, 0.4), (0.4, 0.8)]),
+        ConvexShape.box(-0.7, 0.3, -0.4, 0.6),
+        ConvexShape(hexagon),
+    ), workspace_bounds=(-1.6, -0.6, 1.6, 1.6))
+
+
+_DENSE_SCENES = [*SCENE_NAMES, "triangle_box_hexagon", "random_convex", "unbounded", "empty"]
+
+
+def _dense_case_scene(name, rng):
+    if name == "triangle_box_hexagon":
+        return _triangle_box_hexagon_scene()
+    if name == "random_convex":
+        return _random_convex_scene(rng, 3)
+    if name == "unbounded":
+        return Scene("unbounded", build_scene("shelf_boxes").obstacles)
+    if name == "empty":
+        return Scene("empty", (), workspace_bounds=(-3.0, -3.0, 3.0, 3.0))
+    return build_scene(name)
+
+
+def _rows_near_an_obstacle(arm, scene, rng, m):
+    """Uniform rows mixed with rows perturbed around a configuration whose
+    closest pair is within a few cutoffs of an obstacle, as the optimizer's
+    line search and finite-difference gradient make them."""
+    uniform = rng.uniform(arm.lower, arm.upper, size=(m, arm.dof))
+    base = uniform[0]
+    if scene.obstacles:
+        cand = rng.uniform(arm.lower, arm.upper, size=(400, arm.dof))
+        closest = dense_signed_distances(arm, scene, cand).min(axis=(1, 2))
+        base = cand[np.argmin(np.abs(closest - D_SAFE))]
+    near = np.clip(base + rng.normal(scale=0.02, size=(m, arm.dof)), arm.lower, arm.upper)
+    return np.where(rng.random((m, 1)) < 0.5, near, uniform)
+
+
+@pytest.mark.parametrize("m", [1, 2, 40, 224])
+@pytest.mark.parametrize("name", _DENSE_SCENES)
+def test_broad_phase_matches_dense_reference(arm, name, m):
+    """Signed distances, hinge sums and clearances are bitwise those of the
+    dense reference, with the optimizer's cutoff and without one."""
+    rng = np.random.default_rng([_DENSE_SCENES.index(name), m])
+    scene = _dense_case_scene(name, rng)
+    Q = _rows_near_an_obstacle(arm, scene, rng, m)
+    cut = dense_signed_distances(arm, scene, Q, D_SAFE)
+    assert np.array_equal(pair_signed_distances(arm, scene, Q, far_cutoff=D_SAFE), cut)
+    assert np.array_equal(pair_signed_distances(arm, scene, Q), dense_signed_distances(arm, scene, Q))
+    assert np.array_equal(_hinge_sums(arm, scene, Q, D_SAFE), np.maximum(0.0, D_SAFE - cut).sum(axis=(1, 2)))
+    for q in Q[:8]:
+        sd = dense_signed_distances(arm, scene, q[None])
+        want = min(float(sd.min(initial=math.inf)), float(_bounds_margins(scene._geom, _RectBatch(arm, q))[0]))
+        assert min_clearance(arm, scene, q) == want
+    if scene.obstacles and m >= 40:
+        # both phases are exercised: rows the broad phase settles, and rows
+        # with a pair below the cutoff, a colliding one among them
+        near_rows = (cut < D_SAFE).any(axis=(1, 2))
+        assert near_rows.any() and not near_rows.all()
+        assert (cut <= 0.0).any()
+
+
+def test_rows_without_a_near_pair_skip_the_kernel(arm, shelf_scene, monkeypatch):
+    Q = _rows_near_an_obstacle(arm, shelf_scene, np.random.default_rng(9), 40)
+    lower = _aabb_gap_lower_bound(shelf_scene._geom, _RectBatch(arm, Q))
+    near = (lower < D_SAFE).any(axis=(1, 2))
+    assert near.any() and not near.all()
+    seen = []
+    monkeypatch.setattr(collision, "_sat", lambda geom, rb, **kw: seen.append(rb.P.copy()) or _sat(geom, rb, **kw))
+    sd = pair_signed_distances(arm, shelf_scene, Q[~near], far_cutoff=D_SAFE)
+    assert seen == []
+    assert np.array_equal(sd, lower[~near])
+    # a mixed batch sends its near rows only, sliced from the whole batch
+    pair_signed_distances(arm, shelf_scene, Q, far_cutoff=D_SAFE)
+    assert len(seen) == 1 and np.array_equal(seen[0], _RectBatch(arm, Q).P[near])
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1, True])
+def test_far_cutoff_must_be_a_positive_number(arm, shelf_scene, bad):
+    # nan used to mean no cutoff, True ran as 1.0, 0.0 reported separated
+    # pairs as touching, and a nan d_safe gave a nan penalty
+    Q = np.random.default_rng(17).uniform(arm.lower, arm.upper, size=(50, arm.dof))
+    for call in (
+        lambda: pair_signed_distances(arm, shelf_scene, Q, far_cutoff=bad),
+        lambda: collision_penalty(Q, arm, shelf_scene, bad),
+        lambda: merit_gradient(Q, arm, shelf_scene, 10.0, bad),
+    ):
+        with pytest.raises(ValueError, match="far_cutoff must be None or a number > 0"):
+            call()
 
 
 _NON_FINITE_CALLS = {
@@ -435,6 +548,11 @@ class _EagerRectBatch:
     front."""
 
     corners = _RectBatch.corners
+
+    def rows(self, idx):
+        sub = object.__new__(_EagerRectBatch)
+        sub.__dict__.update((k, v if k in ("L", "W") else v[idx]) for k, v in vars(self).items())
+        return sub
 
     def __init__(self, arm, Q):
         origins, headings = chain_points(arm, Q)
