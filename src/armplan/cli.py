@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .bench import BenchParams, emit_report, read_records, run_benchmark, summarize, write_records, PLANNERS
 from .roadmap import RoadmapParams, build_roadmap, load_roadmap, save_roadmap
+from .robot import _check_int
 from .scenarios import (
     SCENE_NAMES, build_scene, default_arm, generate_test_suite, load_suite, save_suite,
 )
@@ -96,7 +97,8 @@ def _cmd_bench_run(args) -> int:
     if not args.suite and scene is None:
         print("bench run: either --suite or --scene is required", file=sys.stderr)
         return 2
-    # a bad roadmap file fails before a suite is generated
+    # a bad worker count or roadmap file fails before a suite is generated
+    workers = _check_int("parallelism", args.workers, 1)
     roadmap = load_roadmap(args.roadmap) if args.roadmap else None
     if args.suite:
         suite = load_suite(args.suite)
@@ -104,7 +106,7 @@ def _cmd_bench_run(args) -> int:
         suite = generate_test_suite(scene, default_arm(), args.cases, args.seed)
     params = BenchParams(rng_seed=args.seed)
     records = run_benchmark(
-        suite, args.planner, params=params, parallelism=args.workers,
+        suite, args.planner, params=params, parallelism=workers,
         scene=scene, roadmap=roadmap,
     )
     write_records(records, args.out)

@@ -265,6 +265,23 @@ def _aabb_gap_lower_bound(geom: _SceneGeom, rb: _RectBatch) -> np.ndarray:
     return np.hypot(g[0], g[1])
 
 
+def _clearance_lower_bounds(arm: ArmModel, scene: Scene, Q) -> np.ndarray:
+    """(M,) lower bound on each configuration's distance to the obstacles:
+    the smallest AABB gap bound over its (link, obstacle) pairs, infinite
+    for a scene without obstacles."""
+    return _aabb_gap_lower_bound(scene._geom, _RectBatch(arm, Q)).min(axis=(1, 2), initial=np.inf)
+
+
+def _check_cutoff(far_cutoff) -> None:
+    """Raise ValueError unless ``far_cutoff`` is None or a number > 0 (not a
+    bool; NaN fails)."""
+    if far_cutoff is not None and not (
+        isinstance(far_cutoff, (int, float, np.integer, np.floating))
+        and not isinstance(far_cutoff, bool) and far_cutoff > 0.0
+    ):
+        raise ValueError(f"far_cutoff must be None or a number > 0, got {far_cutoff!r}")
+
+
 def _signed_distances(geom: _SceneGeom, rb: _RectBatch, far_cutoff: float | None = None) -> np.ndarray:
     """``pair_signed_distances`` of one link batch: a broad phase, then a
     narrow phase on the configurations it keeps.
@@ -323,11 +340,7 @@ def pair_signed_distances(
     bound is below the cutoff reach the separating-axis test. Raises
     ValueError unless ``far_cutoff`` is None or a number > 0 (not a bool).
     """
-    if far_cutoff is not None and not (
-        isinstance(far_cutoff, (int, float, np.integer, np.floating))
-        and not isinstance(far_cutoff, bool) and far_cutoff > 0.0
-    ):
-        raise ValueError(f"far_cutoff must be None or a number > 0, got {far_cutoff!r}")
+    _check_cutoff(far_cutoff)
     return _signed_distances(scene._geom, _RectBatch(arm, Q), far_cutoff)
 
 

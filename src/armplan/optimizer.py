@@ -12,6 +12,16 @@ No signed distance is computed twice: the line search evaluates all of its
 trial points in one batch, the gradient is kept across rejected steps (they
 leave the iterate and the penalty coefficient unchanged), and the penalty of
 the current iterate is carried from the batch that accepted it.
+
+The penalty gradient is central finite differences, and it computes only
+the rows that can be nonzero. Turning one joint by ``_FD_STEP`` moves no
+arm point farther than (reach + largest half-width) * ``_FD_STEP``, so it
+moves a link AABB's gap to an obstacle by at most sqrt(2) times that. A
+waypoint whose AABB clearance bound is at least ``d_safe`` plus twice that
+motion therefore has only perturbed rows whose every pair is at or beyond
+the hinge, with a hinge sum of exactly 0.0; its gradient rows are 0.0
+without a signed-distance call. The gradient is bitwise that of the
+finite differences over every waypoint.
 """
 
 from __future__ import annotations
@@ -20,7 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import Scene, _check_free, pair_signed_distances, trajectory_in_collision
+from .collision import (
+    Scene, _check_cutoff, _check_free, _clearance_lower_bounds, pair_signed_distances,
+    trajectory_in_collision,
+)
 from .robot import ArmModel
 
 _FD_STEP = 1e-6
@@ -70,17 +83,31 @@ def _smoothness_gradient_interior(traj: np.ndarray) -> np.ndarray:
 
 
 def _penalty_gradient_interior(arm, scene, traj, d_safe: float) -> np.ndarray:
-    """Central finite differences of the per-waypoint hinge sums, batched."""
+    """Central finite differences of the per-waypoint hinge sums, batched
+    over the waypoints the hinge can reach.
+
+    A waypoint goes into the one signed-distance batch, with its 2 * K
+    perturbed rows, only when its AABB clearance bound is below ``d_safe +
+    2 * (reach + max half-width) * _FD_STEP``. A perturbation moves the
+    bound by at most sqrt(2) times that motion, so every row of another
+    waypoint has a hinge sum of exactly 0.0, and so have its gradient rows.
+    With no such waypoint no signed distance is computed.
+    """
+    _check_cutoff(d_safe)    # here too: the gradient may make no signed-distance call
     interior = traj[1:-1]
-    ti, k = interior.shape
-    eye = np.eye(k) * _FD_STEP
-    plus = interior[:, None, :] + eye[None, :, :]
-    minus = interior[:, None, :] - eye[None, :, :]
-    batch = np.concatenate([plus.reshape(-1, k), minus.reshape(-1, k)], axis=0)
-    sums = _hinge_sums(arm, scene, batch, d_safe)
-    p = sums[: ti * k].reshape(ti, k)
-    m = sums[ti * k:].reshape(ti, k)
-    return (p - m) / (2.0 * _FD_STEP)
+    grad = np.zeros(interior.shape)
+    motion = (arm.reach + arm.half_widths.max()) * _FD_STEP
+    near = np.flatnonzero(_clearance_lower_bounds(arm, scene, interior) < d_safe + 2.0 * motion)
+    if len(near):
+        k = interior.shape[1]
+        eye = np.eye(k) * _FD_STEP
+        plus = interior[near, None, :] + eye[None, :, :]
+        minus = interior[near, None, :] - eye[None, :, :]
+        batch = np.concatenate([plus.reshape(-1, k), minus.reshape(-1, k)], axis=0)
+        sums = _hinge_sums(arm, scene, batch, d_safe)
+        n = len(near) * k
+        grad[near] = (sums[:n].reshape(-1, k) - sums[n:].reshape(-1, k)) / (2.0 * _FD_STEP)
+    return grad
 
 
 def merit_gradient(traj, arm: ArmModel, scene: Scene, mu: float, d_safe: float) -> np.ndarray:
@@ -104,12 +131,15 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
     start and once per accepted step. The optimizer always returns its best
     iterate; converged is True only when progress stalled with zero penalty.
     Raises ValueError when an endpoint is outside the joint limits,
-    non-finite or in collision.
+    non-finite or in collision, or when an interior waypoint is not finite
+    (checked before interior waypoints are clipped to the joint limits).
     """
     X = np.array(seed, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] != arm.dof:
         raise ValueError(f"seed must be a (T, {arm.dof}) waypoint matrix with T >= 2")
     _check_free(arm, scene, [("seed start configuration", X[0]), ("seed goal configuration", X[-1])])
+    if not np.isfinite(X[1:-1]).all():
+        raise ValueError("seed interior waypoints must be finite joint angles")
     X[1:-1] = np.clip(X[1:-1], arm.lower, arm.upper)
 
     mu = _MU0

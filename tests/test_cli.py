@@ -217,6 +217,23 @@ def test_bench_run_rejects_bad_integers(small_pole_suite, tmp_path, capsys, flag
     assert not out.exists()
 
 
+def test_bench_run_rejects_bad_workers_before_generating_cases(tmp_path, monkeypatch, capsys):
+    # the worker count used to be checked only after the whole suite was
+    # generated, about 10 s of RRT-validated generation at 200 cases
+    def no_generation(*args, **kwargs):
+        raise AssertionError("generated a suite before checking the worker count")
+
+    monkeypatch.setattr("armplan.cli.generate_test_suite", no_generation)
+    out = tmp_path / "r.csv"
+    rc = main([
+        "bench", "run", "--scene", "tabletop_pole", "--cases", "200", "--planner", "rrt",
+        "--workers", "0", "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "armplan: error: parallelism must be an integer >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_roadmap_build_defaults_are_roadmap_params_defaults(tmp_path, monkeypatch):
     @dataclasses.dataclass(frozen=True)
     class OtherDefaults(RoadmapParams):

@@ -3,14 +3,18 @@ import pytest
 
 import armplan.optimizer as opt
 from armplan.collision import (
-    Scene, config_in_collision, pair_signed_distances, trajectory_in_collision,
+    Scene, _clearance_lower_bounds, config_in_collision, pair_signed_distances, trajectory_in_collision,
 )
 from armplan.geometry import ConvexShape, Pose2
 from armplan.optimizer import (
-    collision_penalty, merit_gradient, optimize, smoothness_cost,
+    D_SAFE, _hinge_sums, _smoothness_gradient_interior, collision_penalty, merit_gradient, optimize,
+    smoothness_cost,
 )
 from armplan.robot import ArmModel
+from armplan.scenarios import SCENE_NAMES
 from armplan.seedprep import resample_path, straight_line_seed
+
+from test_collision import _dense_case_scene
 
 
 def flat_arm():
@@ -92,6 +96,57 @@ def straight_line_cases(arm, scene, count, rng_seed):
     return seeds
 
 
+def dense_penalty_gradient_interior(arm, scene, traj, d_safe):
+    """Test-only dense reference: the penalty gradient as it was before its
+    screen, central finite differences of the hinge sums of every interior
+    waypoint's 2 * K perturbed rows in one batch."""
+    interior = traj[1:-1]
+    ti, k = interior.shape
+    eye = np.eye(k) * opt._FD_STEP
+    plus = interior[:, None, :] + eye[None, :, :]
+    minus = interior[:, None, :] - eye[None, :, :]
+    batch = np.concatenate([plus.reshape(-1, k), minus.reshape(-1, k)], axis=0)
+    sums = _hinge_sums(arm, scene, batch, d_safe)
+    p = sums[: ti * k].reshape(ti, k)
+    m = sums[ti * k:].reshape(ti, k)
+    return (p - m) / (2.0 * opt._FD_STEP)
+
+
+def screen_threshold(arm):
+    """The AABB clearance bound below which a waypoint keeps its gradient rows."""
+    return D_SAFE + 2.0 * (arm.reach + arm.half_widths.max()) * opt._FD_STEP
+
+
+def bound_crossings(arm, scene, below, above, target):
+    """Configurations on either side of ``target`` in AABB clearance bound,
+    a hair apart: each segment from a row of ``below`` (bound < target) to
+    the same row of ``above`` (bound >= target) is bisected 60 times."""
+    for _ in range(60):
+        mid = 0.5 * (below + above)
+        low = (_clearance_lower_bounds(arm, scene, mid) < target)[:, None]
+        below, above = np.where(low, mid, below), np.where(low, above, mid)
+    return below, above
+
+
+def near_boundary_trajectory(arm, scene, rng):
+    """Waypoints whose AABB clearance bounds lie within 3e-3 of ``D_SAFE``:
+    uniform draws inside that window, and pairs straddling ``D_SAFE`` and
+    the screen threshold, shuffled, between two uniform endpoints. A scene
+    without obstacles gets uniform waypoints."""
+    pool = rng.uniform(arm.lower, arm.upper, size=(16384, arm.dof))
+    bound = _clearance_lower_bounds(arm, scene, pool)
+    if not np.isfinite(bound).any():
+        return pool[:34]
+    waypoints = [pool[np.abs(bound - D_SAFE) < 3e-3][:24]]
+    below = pool[bound < D_SAFE - 3e-3][:4]
+    above = pool[bound > D_SAFE + 3e-3][:4]
+    for target in (D_SAFE, screen_threshold(arm)):
+        waypoints += bound_crossings(arm, scene, below, above, target)
+    waypoints = rng.permutation(np.concatenate(waypoints))
+    assert (np.abs(_clearance_lower_bounds(arm, scene, waypoints) - D_SAFE) < 3e-3).all()
+    return np.concatenate([pool[-2:-1], waypoints, pool[-1:]])
+
+
 # ---------------------------------------------------------------------------
 # cost terms
 
@@ -165,6 +220,16 @@ def test_rejects_bad_seeds(arm, empty_scene, pole_scene):
     seed = straight_line_seed(bad, np.zeros(arm.dof), 5)
     with pytest.raises(ValueError):
         optimize(seed, arm, pole_scene)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_rejects_non_finite_interior_waypoints(arm, empty_scene, bad):
+    # +inf used to be clipped to the joint limit and converge, and NaN died
+    # inside the collision module
+    seed = straight_line_seed(np.zeros(arm.dof), 0.4 * np.ones(arm.dof), 5)
+    seed[2, 1] = bad
+    with pytest.raises(ValueError, match="seed interior waypoints must be finite"):
+        optimize(seed, arm, empty_scene)
 
 
 def test_rejects_endpoints_outside_limits(arm, empty_scene):
@@ -260,6 +325,54 @@ def test_merit_gradient_matches_finite_differences(arm, shelf_scene):
         checked += 1
 
 
+_SCREEN_SCENES = [*SCENE_NAMES, "triangle_box_hexagon", "unbounded", "empty"]
+
+
+@pytest.mark.parametrize("name", _SCREEN_SCENES)
+def test_screened_gradient_matches_dense_reference(arm, name):
+    """The gradient is bitwise the dense finite differences over every
+    waypoint, on waypoints at both sides of the screen and of the hinge."""
+    rng = np.random.default_rng([_SCREEN_SCENES.index(name), 18])
+    scene = _dense_case_scene(name, rng)
+    traj = near_boundary_trajectory(arm, scene, rng)
+    mu = 10.0
+    dense = dense_penalty_gradient_interior(arm, scene, traj, D_SAFE)
+    want = _smoothness_gradient_interior(traj) + mu * dense
+    assert np.array_equal(merit_gradient(traj, arm, scene, mu, D_SAFE), want)
+    if scene.obstacles:
+        near = _clearance_lower_bounds(arm, scene, traj[1:-1]) < screen_threshold(arm)
+        assert near.any() and not near.all()
+        assert (dense != 0.0).any()
+        assert (dense[~near] == 0.0).all()
+
+
+def test_gradient_sends_only_near_waypoints(arm, shelf_scene, monkeypatch):
+    rng = np.random.default_rng(18)
+    traj = near_boundary_trajectory(arm, shelf_scene, rng)
+    interior = traj[1:-1]
+    near = _clearance_lower_bounds(arm, shelf_scene, interior) < screen_threshold(arm)
+    assert near.any() and not near.all()
+    batches = []
+
+    def recording(arm_, scene_, Q, far_cutoff=None):
+        batches.append(np.array(Q))
+        return pair_signed_distances(arm_, scene_, Q, far_cutoff=far_cutoff)
+
+    monkeypatch.setattr(opt, "pair_signed_distances", recording)
+    # an all-far trajectory makes no signed-distance call
+    far = np.concatenate([traj[:1], interior[~near], traj[-1:]])
+    g = merit_gradient(far, arm, shelf_scene, 10.0, D_SAFE)
+    assert batches == []
+    assert np.array_equal(g, _smoothness_gradient_interior(far))
+    # a mixed one sends the 2 * K perturbed rows of its near waypoints only
+    merit_gradient(traj, arm, shelf_scene, 10.0, D_SAFE)
+    eye = np.eye(arm.dof) * opt._FD_STEP
+    kept = interior[near]
+    plus = (kept[:, None, :] + eye).reshape(-1, arm.dof)
+    minus = (kept[:, None, :] - eye).reshape(-1, arm.dof)
+    assert len(batches) == 1 and np.array_equal(batches[0], np.concatenate([plus, minus]))
+
+
 def test_two_waypoint_seed_passthrough(arm, empty_scene):
     seed = np.vstack([np.zeros(arm.dof), 0.2 * np.ones(arm.dof)])
     res = optimize(seed, arm, empty_scene)
@@ -286,30 +399,45 @@ def test_matches_sequential_reference(request, arm, scene_fixture):
 
 @pytest.mark.parametrize("scene_fixture", ["pole_scene", "shelf_scene"])
 def test_signed_distance_calls_per_iteration(request, arm, scene_fixture, monkeypatch):
-    """One call for the seed's penalty, one gradient per round start and per
-    accepted step, and one batched line search per iteration."""
+    """One call for the seed's penalty, at most one gradient per round start
+    and per accepted step, and one batched line search per iteration. A
+    gradient sends the 2 * dof perturbed rows of the m interior waypoints
+    its screen keeps, 1 <= m <= n, or makes no call."""
     scene = request.getfixturevalue(scene_fixture)
     rows = []
+    from_gradient = []       # indices into rows of the calls a gradient made
+    penalty_gradient = opt._penalty_gradient_interior
 
     def counting(arm_, scene_, Q, far_cutoff=None):
         rows.append(len(Q))
         return pair_signed_distances(arm_, scene_, Q, far_cutoff=far_cutoff)
 
+    def gradient(*args):
+        start = len(rows)
+        g = penalty_gradient(*args)
+        from_gradient.extend(range(start, len(rows)))
+        assert len(rows) - start <= 1
+        return g
+
     monkeypatch.setattr(opt, "pair_signed_distances", counting)
+    monkeypatch.setattr(opt, "_penalty_gradient_interior", gradient)
     rejected_total = 0
     for seed in straight_line_cases(arm, scene, 4, rng_seed=36):
         rows.clear()
+        from_gradient.clear()
         res = optimize(seed, arm, scene)
         n = len(seed) - 2
-        penalty_rows, search_rows, gradient_rows = n, 6 * n, 2 * n * arm.dof
-        assert len({penalty_rows, search_rows, gradient_rows}) == 3
-        assert set(rows) <= {penalty_rows, search_rows, gradient_rows}
+        penalty_rows, search_rows = n, 6 * n
+        gradient_rows = {2 * arm.dof * m for m in range(1, n + 1)}
+        assert {rows[i] for i in from_gradient} <= gradient_rows
+        others = [r for i, r in enumerate(rows) if i not in from_gradient]
+        assert set(others) <= {penalty_rows, search_rows}
         rounds = len(res.merit_log)
         accepted = sum(len(r) - 1 for r in res.merit_log)
         rejected = res.iterations - accepted
-        searches = rows.count(search_rows)
-        gradients = rows.count(gradient_rows)
-        assert rows[0] == penalty_rows and rows.count(penalty_rows) == 1
+        searches = others.count(search_rows)
+        gradients = len(from_gradient)
+        assert rows[0] == penalty_rows and others.count(penalty_rows) == 1
         assert searches <= res.iterations
         assert gradients <= rounds + accepted
         # calls made by iterations: at most 2 for an accepted step, 1 for a
