@@ -37,18 +37,16 @@ def rrt_plan(
     start,
     goal_configs,
     rng_seed: int = 0,
-    max_iters: int = RRT_MAX_ITERS,
 ) -> list[np.ndarray] | None:
     """Plan a collision-free joint-space path from start to any goal configuration.
 
     Standard goal-biased single-tree RRT. Extensions are validated with
     interpolation scaled to the segment length (at least 10 points). Returns
-    the waypoint path on success, None after max_iters without reaching a goal.
-    Raises ValueError when max_iters is not an integer >= 1 or rng_seed not
-    an integer >= 0, or the start or a goal is outside the joint limits or
-    in collision.
+    the waypoint path on success, None after ``RRT_MAX_ITERS`` iterations
+    without reaching a goal. Raises ValueError when rng_seed is not an
+    integer >= 0, or the start or a goal is outside the joint limits or in
+    collision.
     """
-    max_iters = _check_int("max_iters", max_iters, 1)
     rng_seed = _check_int("rng_seed", rng_seed, 0)
     start = np.asarray(start, dtype=float)
     goals = [np.asarray(g, dtype=float) for g in goal_configs]
@@ -74,7 +72,7 @@ def rrt_plan(
         path.reverse()
         return path
 
-    for _ in range(max_iters):
+    for _ in range(RRT_MAX_ITERS):
         if rng.random() < _GOAL_BIAS:
             target = goals[int(rng.integers(len(goals)))]
         else:

@@ -42,11 +42,12 @@ REPORT_HEADER = "scene,planner,cases,failure_rate,avg_runtime_s,avg_seed_len_rad
 
 @dataclass(frozen=True)
 class BenchParams:
-    """Benchmark seed. Every other pipeline setting is its module's default
-    or constant: IK restarts (``solve_ik``), the RRT budget
-    (``baselines.RRT_MAX_ITERS``), the straight-line seed and its resampling
-    (``seedprep``) and the optimizer's constants (``optimizer.D_SAFE`` and
-    the rest). Raises ValueError unless ``rng_seed`` is an integer >= 0."""
+    """Benchmark seed. Every other pipeline setting is a constant of the
+    module that reads it: IK restarts (``robot._IK_RESTARTS``), the RRT
+    budget (``baselines.RRT_MAX_ITERS``), the seed (``seedprep``), the final
+    check (``collision.DEFAULT_EDGE_INTERP``) and the optimizer's constants
+    (``optimizer.D_SAFE`` and the rest). Raises ValueError unless
+    ``rng_seed`` is an integer >= 0."""
 
     rng_seed: int = 0
 

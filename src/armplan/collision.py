@@ -272,16 +272,6 @@ def _clearance_lower_bounds(arm: ArmModel, scene: Scene, Q) -> np.ndarray:
     return _aabb_gap_lower_bound(scene._geom, _RectBatch(arm, Q)).min(axis=(1, 2), initial=np.inf)
 
 
-def _check_cutoff(far_cutoff) -> None:
-    """Raise ValueError unless ``far_cutoff`` is None or a number > 0 (not a
-    bool; NaN fails)."""
-    if far_cutoff is not None and not (
-        isinstance(far_cutoff, (int, float, np.integer, np.floating))
-        and not isinstance(far_cutoff, bool) and far_cutoff > 0.0
-    ):
-        raise ValueError(f"far_cutoff must be None or a number > 0, got {far_cutoff!r}")
-
-
 def _signed_distances(geom: _SceneGeom, rb: _RectBatch, far_cutoff: float | None = None) -> np.ndarray:
     """``pair_signed_distances`` of one link batch: a broad phase, then a
     narrow phase on the configurations it keeps.
@@ -338,9 +328,14 @@ def pair_signed_distances(
     bound instead of the exact distance; hinge penalties with threshold
     <= far_cutoff are unaffected. Only configurations with a pair whose
     bound is below the cutoff reach the separating-axis test. Raises
-    ValueError unless ``far_cutoff`` is None or a number > 0 (not a bool).
+    ValueError unless ``far_cutoff`` is None or a number > 0 (not a bool;
+    NaN fails).
     """
-    _check_cutoff(far_cutoff)
+    if far_cutoff is not None and not (
+        isinstance(far_cutoff, (int, float, np.integer, np.floating))
+        and not isinstance(far_cutoff, bool) and far_cutoff > 0.0
+    ):
+        raise ValueError(f"far_cutoff must be None or a number > 0, got {far_cutoff!r}")
     return _signed_distances(scene._geom, _RectBatch(arm, Q), far_cutoff)
 
 
@@ -389,18 +384,16 @@ def edge_in_collision(arm: ArmModel, scene: Scene, q1, q2, n_interp: int = DEFAU
     return bool(segments_in_collision(arm, scene, q1, q2, _sample_fractions(n_interp)))
 
 
-def trajectory_in_collision(
-    arm: ArmModel, scene: Scene, traj, n_interp: int = DEFAULT_EDGE_INTERP
-) -> tuple[bool, int | None]:
+def trajectory_in_collision(arm: ArmModel, scene: Scene, traj) -> tuple[bool, int | None]:
     """Fine-grained validation of a waypoint trajectory.
 
-    Every adjacent waypoint pair is checked with ``n_interp`` intermediate
-    configurations. Returns (flag, index of the first offending segment).
+    Every adjacent waypoint pair is checked with ``DEFAULT_EDGE_INTERP``
+    intermediate configurations. Returns (flag, first offending segment).
     """
     traj = np.asarray(traj, dtype=float)
     if traj.ndim != 2 or traj.shape[0] < 2:
         raise ValueError("trajectory needs at least 2 waypoints")
-    flags = segments_in_collision(arm, scene, traj[:-1], traj[1:], _sample_fractions(n_interp))
+    flags = segments_in_collision(arm, scene, traj[:-1], traj[1:], _sample_fractions(DEFAULT_EDGE_INTERP))
     if not flags.any():
         return False, None
     return True, int(np.argmax(flags))

@@ -17,7 +17,7 @@ The penalty gradient is central finite differences, and it computes only
 the rows that can be nonzero. Turning one joint by ``_FD_STEP`` moves no
 arm point farther than (reach + largest half-width) * ``_FD_STEP``, so it
 moves a link AABB's gap to an obstacle by at most sqrt(2) times that. A
-waypoint whose AABB clearance bound is at least ``d_safe`` plus twice that
+waypoint whose AABB clearance bound is at least ``D_SAFE`` plus twice that
 motion therefore has only perturbed rows whose every pair is at or beyond
 the hinge, with a hinge sum of exactly 0.0; its gradient rows are 0.0
 without a signed-distance call. The gradient is bitwise that of the
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import (
-    Scene, _check_cutoff, _check_free, _clearance_lower_bounds, pair_signed_distances,
-    trajectory_in_collision,
+    Scene, _check_free, _clearance_lower_bounds, pair_signed_distances, trajectory_in_collision,
 )
 from .robot import ArmModel
 
@@ -66,55 +65,54 @@ def smoothness_cost(traj) -> float:
     return float((d * d).sum())
 
 
-def _hinge_sums(arm: ArmModel, scene: Scene, Q: np.ndarray, d_safe: float) -> np.ndarray:
+def _hinge_sums(arm: ArmModel, scene: Scene, Q: np.ndarray) -> np.ndarray:
     """Per-configuration sum of hinge penalties over all (link, obstacle) pairs."""
-    sd = pair_signed_distances(arm, scene, Q, far_cutoff=d_safe)
-    return np.maximum(0.0, d_safe - sd).sum(axis=(1, 2))
+    sd = pair_signed_distances(arm, scene, Q, far_cutoff=D_SAFE)
+    return np.maximum(0.0, D_SAFE - sd).sum(axis=(1, 2))
 
 
-def collision_penalty(traj, arm: ArmModel, scene: Scene, d_safe: float) -> float:
-    """Sum over waypoints and (link, obstacle) pairs of max(0, d_safe - sd)."""
+def collision_penalty(traj, arm: ArmModel, scene: Scene) -> float:
+    """Sum over waypoints and (link, obstacle) pairs of max(0, D_SAFE - sd)."""
     t = np.atleast_2d(np.asarray(traj, dtype=float))
-    return float(_hinge_sums(arm, scene, t, d_safe).sum())
+    return float(_hinge_sums(arm, scene, t).sum())
 
 
 def _smoothness_gradient_interior(traj: np.ndarray) -> np.ndarray:
     return 2.0 * (2.0 * traj[1:-1] - traj[:-2] - traj[2:])
 
 
-def _penalty_gradient_interior(arm, scene, traj, d_safe: float) -> np.ndarray:
+def _penalty_gradient_interior(arm, scene, traj) -> np.ndarray:
     """Central finite differences of the per-waypoint hinge sums, batched
     over the waypoints the hinge can reach.
 
     A waypoint goes into the one signed-distance batch, with its 2 * K
-    perturbed rows, only when its AABB clearance bound is below ``d_safe +
+    perturbed rows, only when its AABB clearance bound is below ``D_SAFE +
     2 * (reach + max half-width) * _FD_STEP``. A perturbation moves the
     bound by at most sqrt(2) times that motion, so every row of another
     waypoint has a hinge sum of exactly 0.0, and so have its gradient rows.
     With no such waypoint no signed distance is computed.
     """
-    _check_cutoff(d_safe)    # here too: the gradient may make no signed-distance call
     interior = traj[1:-1]
     grad = np.zeros(interior.shape)
     motion = (arm.reach + arm.half_widths.max()) * _FD_STEP
-    near = np.flatnonzero(_clearance_lower_bounds(arm, scene, interior) < d_safe + 2.0 * motion)
+    near = np.flatnonzero(_clearance_lower_bounds(arm, scene, interior) < D_SAFE + 2.0 * motion)
     if len(near):
         k = interior.shape[1]
         eye = np.eye(k) * _FD_STEP
         plus = interior[near, None, :] + eye[None, :, :]
         minus = interior[near, None, :] - eye[None, :, :]
         batch = np.concatenate([plus.reshape(-1, k), minus.reshape(-1, k)], axis=0)
-        sums = _hinge_sums(arm, scene, batch, d_safe)
+        sums = _hinge_sums(arm, scene, batch)
         n = len(near) * k
         grad[near] = (sums[:n].reshape(-1, k) - sums[n:].reshape(-1, k)) / (2.0 * _FD_STEP)
     return grad
 
 
-def merit_gradient(traj, arm: ArmModel, scene: Scene, mu: float, d_safe: float) -> np.ndarray:
+def merit_gradient(traj, arm: ArmModel, scene: Scene, mu: float) -> np.ndarray:
     """Gradient of smoothness + mu * collision penalty w.r.t. the interior
     waypoints; the quantity the inner loop steps along."""
     t = np.asarray(traj, dtype=float)
-    return _smoothness_gradient_interior(t) + mu * _penalty_gradient_interior(arm, scene, t, d_safe)
+    return _smoothness_gradient_interior(t) + mu * _penalty_gradient_interior(arm, scene, t)
 
 
 def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
@@ -149,7 +147,7 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
     # the interior penalty of X: endpoint hinge terms are constants of the
     # optimization; keeping them out lets the penalty reach zero even when a
     # fixed endpoint sits inside the safety margin
-    penalty = float(_hinge_sums(arm, scene, X[1:-1], D_SAFE).sum())
+    penalty = float(_hinge_sums(arm, scene, X[1:-1]).sum())
 
     if X.shape[0] > 2:
         for _ in range(_MAX_PENALTY_ROUNDS):
@@ -161,7 +159,7 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
             for _ in range(_MAX_INNER_ITERS):
                 iterations += 1
                 if g is None:
-                    g = merit_gradient(X, arm, scene, mu, D_SAFE)
+                    g = merit_gradient(X, arm, scene, mu)
                     gmax = float(np.abs(g).max())
                 if gmax < 1e-12:
                     stalled = True
@@ -172,7 +170,7 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
                 cands = np.repeat(X[None], len(alpha), axis=0)
                 step = np.clip(-alpha[:, None, None] * g, -trust, trust)
                 cands[:, 1:-1] = np.clip(X[1:-1] + step, arm.lower, arm.upper)
-                sums = _hinge_sums(arm, scene, cands[:, 1:-1].reshape(-1, arm.dof), D_SAFE)
+                sums = _hinge_sums(arm, scene, cands[:, 1:-1].reshape(-1, arm.dof))
                 sums = sums.reshape(len(alpha), -1)
                 accepted = None
                 for j in range(len(alpha)):

@@ -141,7 +141,7 @@ class Roadmap:
 
     def check_binding(self, scene: Scene, arm: ArmModel) -> None:
         """Raise ValueError unless the roadmap was built for this scene (name,
-        bounds and obstacles) and this arm."""
+        bounds and obstacles) and this arm, with nodes ``arm.dof`` wide."""
         want, have = _binding(scene, arm), self.binding
         if want["scene_sha256"] != have["scene_sha256"]:
             raise ValueError(
@@ -150,12 +150,17 @@ class Roadmap:
         if want["arm_fingerprint"] != have["arm_fingerprint"]:
             raise ValueError(f"roadmap is for arm {have['arm_fingerprint']}, "
                              f"not {want['arm_fingerprint']}; rebuild it for this arm")
+        if self.nodes.shape[1] != arm.dof:
+            raise ValueError(f"roadmap nodes have {self.nodes.shape[1]} joint angles, not the arm's "
+                             f"{arm.dof}; rebuild it for this arm")
 
 
 def _check_graph(nodes: np.ndarray, edges: list[tuple[int, int]], weights: np.ndarray) -> None:
-    """Raise ValueError unless the nodes are finite, every edge joins two
-    distinct nodes at most once, and each edge has one finite, non-negative
-    weight."""
+    """Raise ValueError unless the nodes are a finite (n, dof) matrix, every
+    edge joins two distinct nodes at most once, and each edge has one finite,
+    non-negative weight."""
+    if nodes.ndim != 2:
+        raise ValueError(f"roadmap nodes must be an (n, dof) matrix, got shape {nodes.shape}")
     n = len(nodes)
     if not np.isfinite(nodes).all():
         raise ValueError("roadmap nodes must be finite")

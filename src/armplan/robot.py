@@ -21,6 +21,7 @@ from .geometry import ConvexShape, Pose2, normalize_angle, transform, wrap_angle
 IK_POSITION_TOL = 1e-4   # meters
 IK_HEADING_TOL = 1e-3    # radians
 _IK_MAX_ITERS = 200
+_IK_RESTARTS = 10
 _IK_DAMPING = 1e-3       # damped-least-squares lambda
 
 
@@ -213,25 +214,24 @@ def goal_seed(target: EEPose) -> int:
     return int.from_bytes(hashlib.blake2b(raw, digest_size=4).digest(), "little")
 
 
-def solve_ik(arm: ArmModel, target: EEPose, restarts: int = 10, rng_seed: int = 0) -> list[np.ndarray]:
+def solve_ik(arm: ArmModel, target: EEPose, rng_seed: int = 0) -> list[np.ndarray]:
     """Damped-least-squares IK with random restarts uniform in the joint limits.
 
-    Returns up to ``restarts`` distinct in-limit configurations whose tip
+    Returns up to ``_IK_RESTARTS`` distinct in-limit configurations whose tip
     position error is below 1e-4 m (and heading error below 1e-3 rad when the
     target heading matters). Empty list when nothing converges, which is how
-    unreachable targets are reported. Raises ValueError when restarts is not
-    an integer >= 1 or rng_seed not an integer >= 0.
+    unreachable targets are reported. Raises ValueError when rng_seed is not
+    an integer >= 0.
     """
-    restarts = _check_int("restarts", restarts, 1)
     rng_seed = _check_int("rng_seed", rng_seed, 0)
     if math.hypot(target.x - arm.base.x, target.y - arm.base.y) > arm.reach + 1e-9:
         return []
 
     rng = np.random.default_rng(rng_seed)
     lower, upper = arm.lower, arm.upper
-    Q = rng.uniform(lower, upper, size=(restarts, arm.dof))
-    live = np.ones(restarts, dtype=bool)
-    best_err = np.full(restarts, np.inf)
+    Q = rng.uniform(lower, upper, size=(_IK_RESTARTS, arm.dof))
+    live = np.ones(_IK_RESTARTS, dtype=bool)
+    best_err = np.full(_IK_RESTARTS, np.inf)
     lam2 = _IK_DAMPING * _IK_DAMPING
     offset = np.array([[target.x - arm.base.x], [target.y - arm.base.y]])
 

@@ -143,7 +143,7 @@ def _free_configs(scene: Scene, arm: ArmModel, rng: np.random.Generator, sampled
 
 def ik_goal_configs(arm: ArmModel, scene: Scene, goal: EEPose) -> list[np.ndarray]:
     """Collision-free IK solutions for a goal pose, with the package-wide
-    deterministic seed convention and ``solve_ik``'s default restarts."""
+    deterministic seed convention and ``solve_ik``'s restarts."""
     sols = solve_ik(arm, goal, rng_seed=goal_seed(goal))
     if not sols:
         return []

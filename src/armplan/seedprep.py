@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 
-from .robot import _check_int
-
 DEFAULT_WAYPOINTS = 30
 DEFAULT_MAX_SPACING = 0.16  # rad, upper bound on adjacent waypoint distance
 
@@ -18,13 +16,12 @@ def path_length(path) -> float:
     return float(np.linalg.norm(np.diff(p, axis=0), axis=1).sum())
 
 
-def straight_line_seed(start, goal, T: int = DEFAULT_WAYPOINTS) -> np.ndarray:
-    """T waypoints linearly interpolated in joint space, endpoints exact.
-    Raises ValueError when T is not an integer >= 2."""
-    T = _check_int("T", T, 2)
+def straight_line_seed(start, goal) -> np.ndarray:
+    """``DEFAULT_WAYPOINTS`` waypoints linearly interpolated in joint space,
+    endpoints exact."""
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    t = np.linspace(0.0, 1.0, T)
+    t = np.linspace(0.0, 1.0, DEFAULT_WAYPOINTS)
     traj = start[None, :] + t[:, None] * (goal - start)[None, :]
     traj[0] = start
     traj[-1] = goal
@@ -37,10 +34,13 @@ def resample_path(path) -> np.ndarray:
 
     Original waypoints are kept in order; inserted points lie exactly on the
     original segments, so the total length is unchanged. Idempotent.
+    Raises ValueError for fewer than 2 waypoints or a non-finite one.
     """
     p = np.asarray(path, dtype=float)
     if p.ndim != 2 or p.shape[0] < 2:
         raise ValueError("path needs at least 2 waypoints")
+    if not np.isfinite(p).all():
+        raise ValueError("path waypoints must be finite joint angles")
     out = [p[0]]
     for a, b in zip(p[:-1], p[1:]):
         seg = float(np.linalg.norm(b - a))

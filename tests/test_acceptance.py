@@ -295,7 +295,7 @@ def test_criterion_9_optimizer_numerics(scenes, suites, the_arm):
         if not goals:
             continue
         nearest = goals[int(np.argmin([np.linalg.norm(g - case.start_config) for g in goals]))]
-        seed = resample_path(straight_line_seed(case.start_config, nearest, 30))
+        seed = resample_path(straight_line_seed(case.start_config, nearest))
         res = optimize(seed, the_arm, scene)
         n_runs += 1
         for merits in res.merit_log:
@@ -306,15 +306,15 @@ def test_criterion_9_optimizer_numerics(scenes, suites, the_arm):
 
     # gradient check away from hinge kinks
     rng = np.random.default_rng(9)
-    mu, d_safe, h = 10.0, D_SAFE, 1e-6
+    mu, h = 10.0, 1e-6
     grad_ok = True
     checked = 0
     while checked < 5:
         traj = rng.uniform(the_arm.lower * 0.9, the_arm.upper * 0.9, size=(5, the_arm.dof))
         sd = pair_signed_distances(the_arm, scene, traj)
-        if np.abs(sd - d_safe).min() < 1e-3:
+        if np.abs(sd - D_SAFE).min() < 1e-3:
             continue
-        g = merit_gradient(traj, the_arm, scene, mu, d_safe)
+        g = merit_gradient(traj, the_arm, scene, mu)
         fd = np.zeros_like(g)
         for t in range(1, 4):
             for j in range(the_arm.dof):
@@ -322,8 +322,8 @@ def test_criterion_9_optimizer_numerics(scenes, suites, the_arm):
                 tp[t, j] += h
                 tm[t, j] -= h
                 fd[t - 1, j] = (
-                    smoothness_cost(tp) + mu * collision_penalty(tp, the_arm, scene, d_safe)
-                    - smoothness_cost(tm) - mu * collision_penalty(tm, the_arm, scene, d_safe)
+                    smoothness_cost(tp) + mu * collision_penalty(tp, the_arm, scene)
+                    - smoothness_cost(tm) - mu * collision_penalty(tm, the_arm, scene)
                 ) / (2 * h)
         scale = max(1.0, float(np.abs(fd).max()))
         grad_ok &= float(np.abs(g - fd).max()) / scale < 1e-4

@@ -24,7 +24,7 @@ def test_colliding_goal_rejected(arm, pole_scene):
     start = np.zeros(arm.dof)
     assert config_in_collision(arm, pole_scene, bad) and not config_in_collision(arm, pole_scene, start)
     with pytest.raises(ValueError, match="goal configuration is in collision"):
-        rrt_plan(pole_scene, arm, start, [np.full(arm.dof, 0.3), bad], max_iters=200)
+        rrt_plan(pole_scene, arm, start, [np.full(arm.dof, 0.3), bad])
 
 
 def test_start_and_goals_checked_in_one_collision_batch(arm, pole_scene, monkeypatch):
@@ -37,7 +37,7 @@ def test_start_and_goals_checked_in_one_collision_batch(arm, pole_scene, monkeyp
 
     monkeypatch.setattr(armplan.collision, "configs_in_collision", counting)
     start = np.zeros(arm.dof)
-    rrt_plan(pole_scene, arm, start, [start + 0.1, start - 0.1], max_iters=1)
+    rrt_plan(pole_scene, arm, start, [start + 0.1, start - 0.1])
     # the start and both goals, as many calls as the start check alone; every
     # later call is an edge check of at least 10 interpolated configurations
     assert rows[0] == 3 and all(n >= 12 for n in rows[1:])
@@ -65,7 +65,7 @@ def test_quick_success_on_near_goals(arm, empty_scene):
     for trial in range(100):
         start = rng.uniform(arm.lower * 0.8, arm.upper * 0.8)
         goal = np.clip(start + rng.uniform(-0.4, 0.4, arm.dof), arm.lower, arm.upper)
-        path = rrt_plan(empty_scene, arm, start, [goal], rng_seed=trial, max_iters=1000)
+        path = rrt_plan(empty_scene, arm, start, [goal], rng_seed=trial)
         assert path is not None, trial
 
 
@@ -89,19 +89,11 @@ def test_path_invariants(arm, pole_scene, small_pole_suite):
 def test_deterministic(arm, pole_scene):
     start = np.zeros(arm.dof)
     goal = np.array([1.0, 0.5, -0.4, 0.3])
-    p1 = rrt_plan(pole_scene, arm, start, [goal], rng_seed=77, max_iters=5000)
-    p2 = rrt_plan(pole_scene, arm, start, [goal], rng_seed=77, max_iters=5000)
+    p1 = rrt_plan(pole_scene, arm, start, [goal], rng_seed=77)
+    p2 = rrt_plan(pole_scene, arm, start, [goal], rng_seed=77)
     assert p1 is not None and len(p1) == len(p2)
     for a, b in zip(p1, p2):
         assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("bad", [True, 2.5, 100.0])
-def test_rejects_non_integer_iteration_budget(arm, empty_scene, bad):
-    # max_iters=True used to run one iteration
-    q = np.zeros(arm.dof)
-    with pytest.raises(ValueError, match="max_iters must be an integer"):
-        rrt_plan(empty_scene, arm, q, [np.full(arm.dof, 0.3)], max_iters=bad)
 
 
 @pytest.mark.parametrize("bad", [True, 1.5, -1, "3"])
@@ -110,17 +102,3 @@ def test_rejects_bad_rng_seed(arm, empty_scene, bad):
     q = np.zeros(arm.dof)
     with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
         rrt_plan(empty_scene, arm, q, [np.full(arm.dof, 0.3)], rng_seed=bad)
-
-
-def test_accepts_numpy_integer_iteration_budget(arm, pole_scene):
-    start, goal = np.zeros(arm.dof), np.array([1.0, 0.5, -0.4, 0.3])
-    p1 = rrt_plan(pole_scene, arm, start, [goal], rng_seed=77, max_iters=np.int64(5000))
-    p2 = rrt_plan(pole_scene, arm, start, [goal], rng_seed=77, max_iters=5000)
-    assert p1 is not None and np.array_equal(np.array(p1), np.array(p2))
-
-
-def test_rejects_iteration_budget_below_one(arm, empty_scene):
-    q = np.zeros(arm.dof)
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="max_iters"):
-            rrt_plan(empty_scene, arm, q, [np.full(arm.dof, 0.3)], max_iters=bad)

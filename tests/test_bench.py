@@ -12,8 +12,10 @@ from armplan.bench import (
 )
 from armplan.collision import Scene
 from armplan.geometry import ConvexShape
-from armplan.roadmap import RoadmapParams, build_roadmap
+from armplan.roadmap import RoadmapParams, build_roadmap, load_roadmap
 from armplan.scenarios import generate_test_suite
+
+from test_roadmap import write_narrow_node_roadmap
 
 
 def rec(case_id, outcome, pt, ot, seed, final, planner="p", scene="sceneA"):
@@ -147,6 +149,14 @@ def test_run_benchmark_rejects_roadmap_of_same_name_scene_with_moved_obstacle(ti
     for planner in ("roadmap", "roadmap+opt"):
         with pytest.raises(ValueError, match="roadmap is for scene 'empty'"):
             run_benchmark(tiny_suite, planner, scene=scene_with_box(2.5), roadmap=rm)
+
+
+def test_run_benchmark_rejects_roadmap_nodes_of_another_width(
+        small_pole_roadmap, small_pole_suite, pole_scene, tmp_path, monkeypatch):
+    rm = load_roadmap(write_narrow_node_roadmap(small_pole_roadmap, tmp_path))
+    monkeypatch.setattr(bench, "run_case", lambda *a: pytest.fail("a case ran"))
+    with pytest.raises(ValueError, match="roadmap nodes have 3 joint angles, not the arm's 4"):
+        run_benchmark(small_pole_suite, "roadmap", scene=pole_scene, roadmap=rm)
 
 
 @pytest.mark.parametrize("bad", [True, 1.5, -5, "3"])

@@ -12,7 +12,7 @@ from armplan.collision import (
     _aabb_gap_lower_bound, _bounds_margins, _link_aabbs, _RectBatch, _sample_fractions, _sat,
 )
 from armplan.geometry import ConvexShape, Pose2, _point_segment_distance, signed_distance
-from armplan.optimizer import D_SAFE, _hinge_sums, collision_penalty, merit_gradient
+from armplan.optimizer import D_SAFE, _hinge_sums
 from armplan.robot import ArmModel, chain_points, link_shapes
 from armplan.scenarios import SCENE_NAMES, build_scene
 
@@ -173,8 +173,8 @@ def test_trajectory_agreement_with_denser_interpolation(arm, shelf_scene):
     n_total = 500
     for _ in range(n_total):
         traj = rng.uniform(arm.lower, arm.upper, size=(3, arm.dof))
-        a, _ = trajectory_in_collision(arm, shelf_scene, traj, n_interp=100)
-        b, _ = trajectory_in_collision(arm, shelf_scene, traj, n_interp=1000)
+        a, _ = trajectory_in_collision(arm, shelf_scene, traj)
+        b = any(edge_in_collision(arm, shelf_scene, p, q, 1000) for p, q in zip(traj[:-1], traj[1:]))
         disagreements += a != b
     assert disagreements / n_total < 0.01
 
@@ -311,13 +311,13 @@ def test_signed_distances_are_batch_invariant(arm, seed, name, chunks):
     far = rng.uniform(arm.lower, arm.upper, size=(m, arm.dof))
     Q = np.where(rng.random((m, 1)) < 0.5, near, far)
     whole_sd = pair_signed_distances(arm, scene, Q, far_cutoff=D_SAFE)
-    whole_sums = _hinge_sums(arm, scene, Q, D_SAFE)
+    whole_sums = _hinge_sums(arm, scene, Q)
     bounds = np.cumsum([0] + chunks)
     splits = [(bounds[i], bounds[i + 1]) for i in range(len(chunks))]
     splits += [(i, i + 1) for i in range(m)]        # every row alone
     for lo, hi in splits:
         part_sd = pair_signed_distances(arm, scene, Q[lo:hi], far_cutoff=D_SAFE)
-        part_sums = _hinge_sums(arm, scene, Q[lo:hi], D_SAFE)
+        part_sums = _hinge_sums(arm, scene, Q[lo:hi])
         assert np.array_equal(part_sd, whole_sd[lo:hi]), (lo, hi)
         assert np.array_equal(part_sums, whole_sums[lo:hi]), (lo, hi)
 
@@ -454,7 +454,7 @@ def test_broad_phase_matches_dense_reference(arm, name, m):
     cut = dense_signed_distances(arm, scene, Q, D_SAFE)
     assert np.array_equal(pair_signed_distances(arm, scene, Q, far_cutoff=D_SAFE), cut)
     assert np.array_equal(pair_signed_distances(arm, scene, Q), dense_signed_distances(arm, scene, Q))
-    assert np.array_equal(_hinge_sums(arm, scene, Q, D_SAFE), np.maximum(0.0, D_SAFE - cut).sum(axis=(1, 2)))
+    assert np.array_equal(_hinge_sums(arm, scene, Q), np.maximum(0.0, D_SAFE - cut).sum(axis=(1, 2)))
     for q in Q[:8]:
         sd = dense_signed_distances(arm, scene, q[None])
         want = min(float(sd.min(initial=math.inf)), float(_bounds_margins(scene._geom, _RectBatch(arm, q))[0]))
@@ -484,16 +484,11 @@ def test_rows_without_a_near_pair_skip_the_kernel(arm, shelf_scene, monkeypatch)
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -1, True])
 def test_far_cutoff_must_be_a_positive_number(arm, shelf_scene, bad):
-    # nan used to mean no cutoff, True ran as 1.0, 0.0 reported separated
-    # pairs as touching, and a nan d_safe gave a nan penalty
+    # nan used to mean no cutoff, True ran as 1.0, and 0.0 reported separated
+    # pairs as touching
     Q = np.random.default_rng(17).uniform(arm.lower, arm.upper, size=(50, arm.dof))
-    for call in (
-        lambda: pair_signed_distances(arm, shelf_scene, Q, far_cutoff=bad),
-        lambda: collision_penalty(Q, arm, shelf_scene, bad),
-        lambda: merit_gradient(Q, arm, shelf_scene, 10.0, bad),
-    ):
-        with pytest.raises(ValueError, match="far_cutoff must be None or a number > 0"):
-            call()
+    with pytest.raises(ValueError, match="far_cutoff must be None or a number > 0"):
+        pair_signed_distances(arm, shelf_scene, Q, far_cutoff=bad)
 
 
 _NON_FINITE_CALLS = {
@@ -654,7 +649,4 @@ def test_segment_checks_reject_bad_n_interp(arm, pole_scene, bad):
     assert config_in_collision(arm, pole_scene, b) and not config_in_collision(arm, pole_scene, a)
     with pytest.raises(ValueError, match="n_interp must be an integer >= 0"):
         edge_in_collision(arm, pole_scene, a, b, bad)
-    with pytest.raises(ValueError, match="n_interp must be an integer >= 0"):
-        trajectory_in_collision(arm, pole_scene, np.array([a, b]), n_interp=bad)
     assert edge_in_collision(arm, pole_scene, a, b, 0)
-    assert trajectory_in_collision(arm, pole_scene, np.array([a, b]), n_interp=0) == (True, 0)

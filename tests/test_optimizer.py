@@ -34,7 +34,7 @@ def sequential_optimize(seed, arm, scene):
     X[1:-1] = np.clip(X[1:-1], arm.lower, arm.upper)
 
     def penalty(traj):
-        return collision_penalty(traj[1:-1], arm, scene, opt.D_SAFE)
+        return collision_penalty(traj[1:-1], arm, scene)
 
     def merit(traj, mu):
         return smoothness_cost(traj) + mu * penalty(traj)
@@ -46,7 +46,7 @@ def sequential_optimize(seed, arm, scene):
         round_merits, stalled = [m_cur], False
         for _ in range(opt._MAX_INNER_ITERS):
             iterations += 1
-            g = merit_gradient(X, arm, scene, mu, opt.D_SAFE)
+            g = merit_gradient(X, arm, scene, mu)
             gmax = float(np.abs(g).max())
             if gmax < 1e-12:
                 stalled = True
@@ -92,11 +92,11 @@ def straight_line_cases(arm, scene, count, rng_seed):
         a = rng.uniform(arm.lower, arm.upper)
         b = rng.uniform(arm.lower, arm.upper)
         if not (config_in_collision(arm, scene, a) or config_in_collision(arm, scene, b)):
-            seeds.append(resample_path(straight_line_seed(a, b, 30)))
+            seeds.append(resample_path(straight_line_seed(a, b)))
     return seeds
 
 
-def dense_penalty_gradient_interior(arm, scene, traj, d_safe):
+def dense_penalty_gradient_interior(arm, scene, traj):
     """Test-only dense reference: the penalty gradient as it was before its
     screen, central finite differences of the hinge sums of every interior
     waypoint's 2 * K perturbed rows in one batch."""
@@ -106,7 +106,7 @@ def dense_penalty_gradient_interior(arm, scene, traj, d_safe):
     plus = interior[:, None, :] + eye[None, :, :]
     minus = interior[:, None, :] - eye[None, :, :]
     batch = np.concatenate([plus.reshape(-1, k), minus.reshape(-1, k)], axis=0)
-    sums = _hinge_sums(arm, scene, batch, d_safe)
+    sums = _hinge_sums(arm, scene, batch)
     p = sums[: ti * k].reshape(ti, k)
     m = sums[ti * k:].reshape(ti, k)
     return (p - m) / (2.0 * opt._FD_STEP)
@@ -163,13 +163,13 @@ def test_smoothness_two_waypoints():
 def test_smoothness_halves_with_midpoint():
     a, b = np.zeros(3), np.array([0.3, 0.4, 0.0])
     two = smoothness_cost(np.vstack([a, b]))
-    three = smoothness_cost(straight_line_seed(a, b, 3))
+    three = smoothness_cost(np.vstack([a, (a + b) / 2, b]))
     assert three == pytest.approx(two / 2)
 
 
 def test_penalty_zero_when_clear(arm, empty_scene):
-    traj = straight_line_seed(np.zeros(arm.dof), 0.3 * np.ones(arm.dof), 10)
-    assert collision_penalty(traj, arm, empty_scene, 0.05) == 0.0
+    traj = straight_line_seed(np.zeros(arm.dof), 0.3 * np.ones(arm.dof))
+    assert collision_penalty(traj, arm, empty_scene) == 0.0
 
 
 def test_penalty_hinge_arithmetic():
@@ -183,7 +183,7 @@ def test_penalty_hinge_arithmetic():
     assert sd[0, 0] == pytest.approx(-0.10, abs=1e-12)
     assert (sd[1:, 0] > 0.05).all()
     traj = np.vstack([q_hit, q_clear])
-    assert collision_penalty(traj, arm, scene, 0.05) == pytest.approx(0.15, abs=1e-12)
+    assert collision_penalty(traj, arm, scene) == pytest.approx(D_SAFE + 0.10, abs=1e-12)
 
 
 def test_penalty_matches_naive_recomputation(arm, shelf_scene):
@@ -191,15 +191,14 @@ def test_penalty_matches_naive_recomputation(arm, shelf_scene):
     from armplan.robot import link_shapes
 
     rng = np.random.default_rng(0)
-    d_safe = 0.05
     for _ in range(5):
         traj = rng.uniform(arm.lower, arm.upper, size=(4, arm.dof))
         naive = 0.0
         for q in traj:
             for link in link_shapes(arm, q):
                 for ob in shelf_scene.obstacles:
-                    naive += max(0.0, d_safe - signed_distance(link, ob))
-        got = collision_penalty(traj, arm, shelf_scene, d_safe)
+                    naive += max(0.0, D_SAFE - signed_distance(link, ob))
+        got = collision_penalty(traj, arm, shelf_scene)
         assert got == pytest.approx(naive, abs=1e-12)
 
 
@@ -207,7 +206,7 @@ def test_penalty_matches_naive_recomputation(arm, shelf_scene):
 # optimize
 
 def test_fixed_point_in_free_space(arm, empty_scene):
-    seed = straight_line_seed(np.zeros(arm.dof), 0.4 * np.ones(arm.dof), 30)
+    seed = straight_line_seed(np.zeros(arm.dof), 0.4 * np.ones(arm.dof))
     res = optimize(seed, arm, empty_scene)
     assert res.converged and res.collision_free
     assert np.abs(res.trajectory - seed).max() < 1e-6
@@ -217,7 +216,7 @@ def test_rejects_bad_seeds(arm, empty_scene, pole_scene):
     with pytest.raises(ValueError):
         optimize(np.zeros((1, arm.dof)), arm, empty_scene)
     bad = np.array([-1.3, -0.5, -0.4, -0.2])
-    seed = straight_line_seed(bad, np.zeros(arm.dof), 5)
+    seed = straight_line_seed(bad, np.zeros(arm.dof))
     with pytest.raises(ValueError):
         optimize(seed, arm, pole_scene)
 
@@ -226,14 +225,14 @@ def test_rejects_bad_seeds(arm, empty_scene, pole_scene):
 def test_rejects_non_finite_interior_waypoints(arm, empty_scene, bad):
     # +inf used to be clipped to the joint limit and converge, and NaN died
     # inside the collision module
-    seed = straight_line_seed(np.zeros(arm.dof), 0.4 * np.ones(arm.dof), 5)
+    seed = straight_line_seed(np.zeros(arm.dof), 0.4 * np.ones(arm.dof))
     seed[2, 1] = bad
     with pytest.raises(ValueError, match="seed interior waypoints must be finite"):
         optimize(seed, arm, empty_scene)
 
 
 def test_rejects_endpoints_outside_limits(arm, empty_scene):
-    inside = straight_line_seed(np.zeros(arm.dof), 0.4 * np.ones(arm.dof), 5)
+    inside = straight_line_seed(np.zeros(arm.dof), 0.4 * np.ones(arm.dof))
     assert optimize(inside, arm, empty_scene).collision_free
     for end in (0, -1):
         for bad in (2.7, -2.7, np.nan, np.inf):  # joint 1 limits are +-2.53
@@ -253,7 +252,7 @@ def test_endpoint_shape_and_limit_preservation(arm, pole_scene):
         b = rng.uniform(arm.lower, arm.upper)
         if config_in_collision(arm, pole_scene, a) or config_in_collision(arm, pole_scene, b):
             continue
-        seed = resample_path(straight_line_seed(a, b, 30))
+        seed = resample_path(straight_line_seed(a, b))
         res = optimize(seed, arm, pole_scene)
         assert res.trajectory.shape == seed.shape
         assert np.array_equal(res.trajectory[0], seed[0])
@@ -273,7 +272,7 @@ def test_merit_monotone_within_rounds(arm, pole_scene):
         b = rng.uniform(arm.lower, arm.upper)
         if config_in_collision(arm, pole_scene, a) or config_in_collision(arm, pole_scene, b):
             continue
-        res = optimize(resample_path(straight_line_seed(a, b, 30)), arm, pole_scene)
+        res = optimize(resample_path(straight_line_seed(a, b)), arm, pole_scene)
         for round_merits in res.merit_log:
             diffs = np.diff(np.array(round_merits))
             assert (diffs <= 1e-12).all()
@@ -290,7 +289,7 @@ def test_collision_free_flag_matches_independent_checker(arm, pole_scene):
         b = rng.uniform(arm.lower, arm.upper)
         if config_in_collision(arm, pole_scene, a) or config_in_collision(arm, pole_scene, b):
             continue
-        res = optimize(resample_path(straight_line_seed(a, b, 30)), arm, pole_scene)
+        res = optimize(resample_path(straight_line_seed(a, b)), arm, pole_scene)
         flag, _ = trajectory_in_collision(arm, pole_scene, res.trajectory)
         assert res.collision_free == (not flag)
         done += 1
@@ -298,7 +297,7 @@ def test_collision_free_flag_matches_independent_checker(arm, pole_scene):
 
 def test_merit_gradient_matches_finite_differences(arm, shelf_scene):
     rng = np.random.default_rng(5)
-    d_safe, mu, h = 0.05, 10.0, 1e-6
+    mu, h = 10.0, 1e-6
     from armplan.collision import pair_signed_distances
 
     checked = 0
@@ -306,12 +305,12 @@ def test_merit_gradient_matches_finite_differences(arm, shelf_scene):
         traj = rng.uniform(arm.lower * 0.9, arm.upper * 0.9, size=(5, arm.dof))
         sd = pair_signed_distances(arm, shelf_scene, traj)
         # stay away from hinge kinks so the merit is smooth where probed
-        if np.abs(sd - d_safe).min() < 1e-3:
+        if np.abs(sd - D_SAFE).min() < 1e-3:
             continue
-        g = merit_gradient(traj, arm, shelf_scene, mu, d_safe)
+        g = merit_gradient(traj, arm, shelf_scene, mu)
 
         def merit(t):
-            return smoothness_cost(t) + mu * collision_penalty(t, arm, shelf_scene, d_safe)
+            return smoothness_cost(t) + mu * collision_penalty(t, arm, shelf_scene)
 
         fd = np.zeros_like(g)
         for t in range(1, 4):
@@ -336,9 +335,9 @@ def test_screened_gradient_matches_dense_reference(arm, name):
     scene = _dense_case_scene(name, rng)
     traj = near_boundary_trajectory(arm, scene, rng)
     mu = 10.0
-    dense = dense_penalty_gradient_interior(arm, scene, traj, D_SAFE)
+    dense = dense_penalty_gradient_interior(arm, scene, traj)
     want = _smoothness_gradient_interior(traj) + mu * dense
-    assert np.array_equal(merit_gradient(traj, arm, scene, mu, D_SAFE), want)
+    assert np.array_equal(merit_gradient(traj, arm, scene, mu), want)
     if scene.obstacles:
         near = _clearance_lower_bounds(arm, scene, traj[1:-1]) < screen_threshold(arm)
         assert near.any() and not near.all()
@@ -361,11 +360,11 @@ def test_gradient_sends_only_near_waypoints(arm, shelf_scene, monkeypatch):
     monkeypatch.setattr(opt, "pair_signed_distances", recording)
     # an all-far trajectory makes no signed-distance call
     far = np.concatenate([traj[:1], interior[~near], traj[-1:]])
-    g = merit_gradient(far, arm, shelf_scene, 10.0, D_SAFE)
+    g = merit_gradient(far, arm, shelf_scene, 10.0)
     assert batches == []
     assert np.array_equal(g, _smoothness_gradient_interior(far))
     # a mixed one sends the 2 * K perturbed rows of its near waypoints only
-    merit_gradient(traj, arm, shelf_scene, 10.0, D_SAFE)
+    merit_gradient(traj, arm, shelf_scene, 10.0)
     eye = np.eye(arm.dof) * opt._FD_STEP
     kept = interior[near]
     plus = (kept[:, None, :] + eye).reshape(-1, arm.dof)

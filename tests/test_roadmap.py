@@ -457,6 +457,7 @@ MALFORMED_GRAPHS = {
     "long_weights": ("edge_weights", lambda w, n: np.r_[w, 1.0], "edge weights for"),
     "inf_node": ("nodes", lambda q, n: _replaced(q, (7, 2), np.inf), "nodes must be finite"),
     "nan_node": ("nodes", lambda q, n: _replaced(q, (7, 2), np.nan), "nodes must be finite"),
+    "flat_nodes": ("nodes", lambda q, n: q.ravel(), r"nodes must be an \(n, dof\) matrix"),
     "self_loop": ("edges", lambda e, n: _replaced(e, 3, (0, 0)), "two distinct nodes"),
     "endpoint_past_end": ("edges", lambda e, n: _replaced(e, 3, (0, n)), "two distinct nodes"),
     "negative_endpoint": ("edges", lambda e, n: _replaced(e, 3, (-1, 0)), "two distinct nodes"),
@@ -491,6 +492,23 @@ def test_load_rejects_malformed_graph(small_pole_roadmap, tmp_path, monkeypatch,
     with within_seconds(1.0):
         with pytest.raises(ValueError, match=message):
             load_roadmap(path)
+
+
+def write_narrow_node_roadmap(rm, tmp_path):
+    """Save ``rm``, then write a copy whose nodes keep only their first 3
+    joint angles. Returns the copy's path."""
+    save_roadmap(rm, tmp_path / "rm.npz")
+    with np.load(tmp_path / "rm.npz") as data:
+        nodes = data["nodes"][:, :3]
+    rewrite_roadmap_file(tmp_path / "rm.npz", tmp_path / "narrow.npz", nodes=nodes)
+    return tmp_path / "narrow.npz"
+
+
+def test_query_rejects_nodes_of_another_width(small_pole_roadmap, arm, pole_scene, tmp_path):
+    # such a file used to load and fail only inside the query, naming no roadmap
+    rm = load_roadmap(write_narrow_node_roadmap(small_pole_roadmap, tmp_path))
+    with pytest.raises(ValueError, match="roadmap nodes have 3 joint angles, not the arm's 4; rebuild it"):
+        query(rm, arm, pole_scene, small_pole_roadmap.nodes[0], EEPose(1.0, 1.0))
 
 
 @pytest.mark.parametrize("scene_fixture", ["pole_scene", "shelf_scene"])

@@ -5,7 +5,7 @@ import pytest
 
 from armplan.geometry import Pose2, wrap_angles
 from armplan.robot import (
-    IK_HEADING_TOL, IK_POSITION_TOL, _IK_DAMPING, _IK_MAX_ITERS, ArmModel, EEPose,
+    IK_HEADING_TOL, IK_POSITION_TOL, _IK_DAMPING, _IK_MAX_ITERS, _IK_RESTARTS, ArmModel, EEPose,
     chain_points, ee_jacobian, forward_kinematics, goal_seed, link_shapes, solve_ik,
     within_limits,
 )
@@ -305,7 +305,7 @@ def test_ik_roundtrip_through_fk():
     for _ in range(15):
         q = rng.uniform(arm.lower, arm.upper)
         _, ee = forward_kinematics(arm, q)
-        sols = solve_ik(arm, ee, restarts=10, rng_seed=goal_seed(ee))
+        sols = solve_ik(arm, ee, rng_seed=goal_seed(ee))
         assert sols, "expected at least one IK solution for a reachable pose"
         for s in sols:
             assert within_limits(arm, s)
@@ -315,12 +315,12 @@ def test_ik_roundtrip_through_fk():
 
 def test_ik_unreachable_returns_empty():
     arm = straight_arm(4)
-    assert solve_ik(arm, EEPose(10.0, 0.0), restarts=4) == []
+    assert solve_ik(arm, EEPose(10.0, 0.0)) == []
 
 
 def test_ik_fully_stretched_pose():
     arm = straight_arm(4)
-    sols = solve_ik(arm, EEPose(4.0, 0.0), restarts=12, rng_seed=3)
+    sols = solve_ik(arm, EEPose(4.0, 0.0), rng_seed=3)
     assert sols
     best = min(sols, key=lambda s: np.abs(s).max())
     assert np.abs(best).max() < 0.2
@@ -332,7 +332,7 @@ def test_ik_heading_constraint():
     q = rng.uniform(-1.0, 1.0, 4)
     _, ee = forward_kinematics(arm, q)
     target = EEPose(ee.x, ee.y, ee.heading, heading_matters=True)
-    sols = solve_ik(arm, target, restarts=12, rng_seed=goal_seed(target))
+    sols = solve_ik(arm, target, rng_seed=goal_seed(target))
     assert sols
     for s in sols:
         _, got = forward_kinematics(arm, s)
@@ -342,8 +342,8 @@ def test_ik_heading_constraint():
 def test_ik_deterministic():
     arm = straight_arm(4)
     target = EEPose(1.8, 1.1)
-    a = solve_ik(arm, target, restarts=8, rng_seed=99)
-    b = solve_ik(arm, target, restarts=8, rng_seed=99)
+    a = solve_ik(arm, target, rng_seed=99)
+    b = solve_ik(arm, target, rng_seed=99)
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
@@ -377,14 +377,13 @@ def test_ik_matches_compacting_oracle_bitwise(k):
     counts = set()
     with np.errstate(all="raise"):
         for target in oracle_targets(arm, rng, 8):
-            for restarts in (1, 4, 10):
-                seed = goal_seed(target) + restarts
-                want = compacting_solve_ik(arm, target, restarts, seed)
-                got = solve_ik(arm, target, restarts=restarts, rng_seed=seed)
-                assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
-                counts.add((restarts, len(got)))
-    # empty, partial and full solution lists all occur
-    assert (10, 0) in counts and any(0 < n < 10 for r, n in counts if r == 10)
+            seed = goal_seed(target) + _IK_RESTARTS
+            want = compacting_solve_ik(arm, target, _IK_RESTARTS, seed)
+            got = solve_ik(arm, target, rng_seed=seed)
+            assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+            counts.add(len(got))
+    # empty and partial solution lists both occur
+    assert 0 in counts and any(0 < n < _IK_RESTARTS for n in counts)
 
 
 def test_goal_seed_stable():
@@ -410,21 +409,9 @@ def test_chain_points_reject_non_finite_joint_angles(bad):
         chain_points(arm, Q)
 
 
-@pytest.mark.parametrize("bad", [2.0, 2.5, True, "3"])
-def test_solve_ik_rejects_non_integer_restarts(bad):
-    with pytest.raises(ValueError, match="restarts must be an integer"):
-        solve_ik(straight_arm(), EEPose(1.5, 1.0, 0.0), restarts=bad)
-
-
 @pytest.mark.parametrize("bad", [True, 1.5, -1, "3"])
 def test_solve_ik_rejects_bad_rng_seed(bad):
     # rng_seed=True used to return seed 1's solutions
     with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
         solve_ik(straight_arm(), EEPose(1.5, 1.0, 0.0), rng_seed=bad)
 
-
-def test_solve_ik_accepts_numpy_integer_restarts():
-    arm, target = straight_arm(), EEPose(1.5, 1.0, 0.0)
-    got = solve_ik(arm, target, restarts=np.int64(4))
-    want = solve_ik(arm, target, restarts=4)
-    assert got and [q.tobytes() for q in got] == [q.tobytes() for q in want]

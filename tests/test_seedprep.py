@@ -1,33 +1,24 @@
 import numpy as np
 import pytest
 
-from armplan.seedprep import path_length, resample_path, straight_line_seed
+from armplan.seedprep import DEFAULT_WAYPOINTS, path_length, resample_path, straight_line_seed
 
 
 def test_straight_line_same_endpoints():
     q = np.array([0.1, 0.2, 0.3])
-    traj = straight_line_seed(q, q, 30)
-    assert traj.shape == (30, 3)
+    traj = straight_line_seed(q, q)
+    assert traj.shape == (DEFAULT_WAYPOINTS, 3)
     assert np.allclose(traj, q)
-
-
-def test_straight_line_t2_is_endpoints():
-    a, b = np.zeros(4), np.ones(4)
-    traj = straight_line_seed(a, b, 2)
-    assert np.array_equal(traj, np.vstack([a, b]))
 
 
 def test_straight_line_definitional():
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=4), rng.normal(size=4)
-    traj = straight_line_seed(a, b, 30)
-    for i in range(30):
-        assert np.abs(traj[i] - (a + (i / 29) * (b - a))).max() < 1e-12
-
-
-def test_straight_line_rejects_short():
-    with pytest.raises(ValueError):
-        straight_line_seed(np.zeros(3), np.ones(3), 1)
+    traj = straight_line_seed(a, b)
+    assert traj.shape == (DEFAULT_WAYPOINTS, 4)
+    for i in range(DEFAULT_WAYPOINTS):
+        assert np.abs(traj[i] - (a + (i / (DEFAULT_WAYPOINTS - 1)) * (b - a))).max() < 1e-12
+    assert np.array_equal(traj[0], a) and np.array_equal(traj[-1], b)
 
 
 def test_resample_forced_midpoint():
@@ -92,3 +83,12 @@ def test_resample_preserves_original_waypoints():
         while oi < len(out) and not np.array_equal(out[oi], wp):
             oi += 1
         assert oi < len(out), "original waypoint missing from resampled path"
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_resample_rejects_non_finite_waypoint(bad):
+    # +-inf raised OverflowError and NaN a bare integer-conversion ValueError
+    p = np.zeros((3, 4))
+    p[1, 2] = bad
+    with pytest.raises(ValueError, match="path waypoints must be finite joint angles"):
+        resample_path(p)
