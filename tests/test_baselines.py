@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import armplan.baselines
 from armplan.baselines import rrt_plan
 from armplan.collision import config_in_collision, configs_in_collision, edge_in_collision
 
@@ -18,8 +19,9 @@ def test_colliding_start_rejected(arm, pole_scene):
         rrt_plan(pole_scene, arm, bad, [np.zeros(arm.dof)])
 
 
-def test_colliding_goal_rejected(arm, pole_scene):
+def test_colliding_goal_rejected(arm, pole_scene, monkeypatch):
     # a goal in collision can never be reached: it used to spend the whole budget
+    monkeypatch.setattr(armplan.baselines, "RRT_MAX_ITERS", 200)
     bad = np.array([-1.3, -0.5, -0.4, -0.2])
     start = np.zeros(arm.dof)
     assert config_in_collision(arm, pole_scene, bad) and not config_in_collision(arm, pole_scene, start)
@@ -36,6 +38,7 @@ def test_start_and_goals_checked_in_one_collision_batch(arm, pole_scene, monkeyp
         return configs_in_collision(arm_, scene, qs)
 
     monkeypatch.setattr(armplan.collision, "configs_in_collision", counting)
+    monkeypatch.setattr(armplan.baselines, "RRT_MAX_ITERS", 1)
     start = np.zeros(arm.dof)
     rrt_plan(pole_scene, arm, start, [start + 0.1, start - 0.1])
     # the start and both goals, as many calls as the start check alone; every
@@ -60,7 +63,9 @@ def test_requires_goal(arm, empty_scene):
         rrt_plan(empty_scene, arm, np.zeros(arm.dof), [])
 
 
-def test_quick_success_on_near_goals(arm, empty_scene):
+def test_quick_success_on_near_goals(arm, empty_scene, monkeypatch):
+    # rrt_plan reads the budget on each call; near goals need far less than it
+    monkeypatch.setattr(armplan.baselines, "RRT_MAX_ITERS", 1000)
     rng = np.random.default_rng(0)
     for trial in range(100):
         start = rng.uniform(arm.lower * 0.8, arm.upper * 0.8)
@@ -86,7 +91,8 @@ def test_path_invariants(arm, pole_scene, small_pole_suite):
     assert checked >= 3
 
 
-def test_deterministic(arm, pole_scene):
+def test_deterministic(arm, pole_scene, monkeypatch):
+    monkeypatch.setattr(armplan.baselines, "RRT_MAX_ITERS", 5000)
     start = np.zeros(arm.dof)
     goal = np.array([1.0, 0.5, -0.4, 0.3])
     p1 = rrt_plan(pole_scene, arm, start, [goal], rng_seed=77)
