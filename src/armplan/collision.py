@@ -242,7 +242,7 @@ def configs_in_collision(arm: ArmModel, scene: Scene, Q) -> np.ndarray:
 
 
 def config_in_collision(arm: ArmModel, scene: Scene, q) -> bool:
-    return bool(configs_in_collision(arm, scene, q)[0])
+    return bool(configs_in_collision(arm, scene, _check_config(arm, q))[0])
 
 
 def _check_free(arm: ArmModel, scene: Scene, named) -> None:

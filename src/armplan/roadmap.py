@@ -7,10 +7,12 @@ neighbors through collision-free straight edges with ``_first_free_edges``,
 the one edge scan that queries use too, prunes everything outside the
 largest connected component, and caches the all-pairs shortest-path
 distances. A shortest path is read off those distances by walking from its
-source towards its target. Loopless alternate paths between node pairs are
-computed with Yen's algorithm and memoized, which is what edge invalidation
-falls back on. Every path search orders paths by length first and, among
-equal lengths, by the lexicographically smallest node sequence.
+source towards its target. Loopless alternate paths between node pairs
+come from scipy's Yen (``scipy.sparse.csgraph.yen``) and are memoized,
+which is what edge invalidation falls back on. Every path search orders
+paths by length first and, among equal lengths, by the lexicographically
+smallest node sequence; scipy returns equal-length paths in no set order,
+so ``_yen`` completes each tie group before it orders it.
 
 A saved roadmap (format 3) holds only what the build decided: nodes, edges,
 weights, the four ``RoadmapParams`` values, and the scene and arm it is
@@ -23,7 +25,6 @@ demand. Files of formats 1 and 2 are rejected.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import io
 import itertools
 import json
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra as _sparse_dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra as _sparse_dijkstra, yen as _sparse_yen
 
 from .collision import DEFAULT_EDGE_INTERP, Scene, _check_free, _sample_fractions, segments_in_collision
 from .geometry import _vector_length, wrap_angles
@@ -307,65 +308,29 @@ def build_roadmap(scene: Scene, arm: ArmModel, params: RoadmapParams = RoadmapPa
 # ---------------------------------------------------------------------------
 # k shortest loopless paths (Yen)
 
-def _edge_index(graph: csr_matrix, a: int, b: int) -> int:
-    """Position of edge a -> b in ``graph.data``."""
-    lo, hi = graph.indptr[a], graph.indptr[a + 1]
-    return int(lo + np.searchsorted(graph.indices[lo:hi], b))
-
-
-def _dijkstra_path(graph: csr_matrix, src: int, dst: int, banned_nodes: set, banned_edges: set):
-    """(length, node list) of the shortest src -> dst path avoiding the banned
-    nodes and edges, or (inf, None): distances to dst from one scipy Dijkstra
-    run with those rows and edges at inf, then :func:`_walk_to` from src.
-    """
-    indptr, indices = graph.indptr, graph.indices
-    data = graph.data.copy()
-    for b in banned_nodes:
-        data[indptr[b]:indptr[b + 1]] = np.inf
-    for a, b in banned_edges:
-        data[[_edge_index(graph, a, b), _edge_index(graph, b, a)]] = np.inf
-    to_dst = _sparse_dijkstra(csr_matrix((data, indices, indptr), shape=graph.shape),
-                              directed=True, indices=dst)
-    to_dst[list(banned_nodes)] = np.inf
-    if not np.isfinite(to_dst[src]):
-        return float("inf"), None
-    return _walk_to(graph, data, to_dst, src, dst)
-
-
 def _yen(graph: csr_matrix, src: int, dst: int, k: int) -> list[tuple[int, ...]]:
-    d0, p0 = _dijkstra_path(graph, src, dst, set(), set())
-    if p0 is None:
-        return []
-    paths: list[tuple[float, tuple[int, ...]]] = [(d0, tuple(p0))]
-    candidates: list[tuple[float, tuple[int, ...]]] = []
-    in_candidates: set[tuple[int, ...]] = set()
-    accepted: set[tuple[int, ...]] = {tuple(p0)}
-    while len(paths) < k:
-        _, prev = paths[-1]
-        root_len = 0.0
-        for i in range(len(prev) - 1):
-            spur = prev[i]
-            root = prev[: i + 1]
-            banned_edges = {
-                _edge_key(p[i], p[i + 1])
-                for _, p in paths
-                if len(p) > i + 1 and p[: i + 1] == root
-            }
-            banned_nodes = set(root[:-1])
-            ds, ps = _dijkstra_path(graph, spur, dst, banned_nodes, banned_edges)
-            if ps is not None:
-                cand = root[:-1] + tuple(ps)
-                if cand not in in_candidates and cand not in accepted:
-                    heapq.heappush(candidates, (root_len + ds, cand))
-                    in_candidates.add(cand)
-            root_len += float(graph.data[_edge_index(graph, prev[i], prev[i + 1])])
-        if not candidates:
+    """The first k loopless src -> dst paths by (length, node sequence).
+
+    scipy's Yen returns equal-length paths in no set order, so it is asked
+    for m > k paths, m doubling until fewer than m exist or the m-th is
+    longer than the k-th: then every path tied with the k-th is among them,
+    and sorting them by (length, path) picks the first k.
+    """
+    if src == dst:
+        return [(src,)]
+    m = k + 1
+    while True:
+        lengths, pred = _sparse_yen(graph, src, dst, m, return_predecessors=True)
+        if len(lengths) < m or lengths[-1] > lengths[k - 1]:
             break
-        length, best = heapq.heappop(candidates)
-        in_candidates.discard(best)
-        paths.append((length, best))
-        accepted.add(best)
-    return [p for _, p in paths]
+        m *= 2
+    paths = []
+    for length, row in zip(lengths.tolist(), pred.tolist()):
+        path = [dst]
+        while path[-1] != src:
+            path.append(row[path[-1]])
+        paths.append((length, tuple(path[::-1])))
+    return [p for _, p in sorted(paths)[:k]]
 
 
 def k_shortest_paths(roadmap: Roadmap, u: int, v: int, k_paths: int | None = None) -> list[list[int]]:
@@ -373,14 +338,13 @@ def k_shortest_paths(roadmap: Roadmap, u: int, v: int, k_paths: int | None = Non
 
     Results are memoized on the roadmap. Paths are ordered by length, and
     paths of equal length by their node sequences, lexicographically
-    smallest first. Runs Yen's algorithm on ``roadmap.graph``. Raises
+    smallest first. Runs scipy's Yen on ``roadmap.graph`` through
+    :func:`_yen`; a pair u == v has the one path ``[u]``. Raises
     ValueError when ``k_paths`` is not an integer >= 1 (a bool is not one),
     or when u or v is no node index.
     """
     k = roadmap.params.k_paths if k_paths is None else _check_int("k_paths", k_paths, 1)
     roadmap._check_nodes(u, v)
-    if u == v:
-        return [[u]]
     memo = roadmap._ksp.get((u, v))
     if memo is None or memo[0] < k:
         memo = roadmap._ksp[(u, v)] = (k, _yen(roadmap.graph, u, v, k))

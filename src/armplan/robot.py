@@ -203,7 +203,7 @@ def link_shapes(arm: ArmModel, q) -> list[ConvexShape]:
 
 def ee_jacobian(arm: ArmModel, q) -> np.ndarray:
     """Analytic 3xK Jacobian of the tip (x, y, heading) w.r.t. joint angles."""
-    _, _, steps = _link_steps(arm, _check_config(arm, q)[None])
+    _, _, steps = _link_steps(arm, _check_batch(arm, _check_config(arm, q)))
     return np.vstack([_tip_jacobian(steps)[:, 0], np.ones(arm.dof)])
 
 

@@ -52,6 +52,15 @@ def test_out_of_bounds_counts_as_collision():
     assert config_in_collision(arm, scene, np.zeros(arm.dof))
 
 
+def test_config_in_collision_rejects_a_batch(arm, pole_scene):
+    # only the first row used to be judged: this pair read as free although
+    # its second row collides on its own
+    free, hit = [0.0, 0.0, 0.0, 0.0], [-1.3, -0.5, -0.4, -0.2]
+    assert not config_in_collision(arm, pole_scene, free) and config_in_collision(arm, pole_scene, hit)
+    with pytest.raises(ValueError, match=r"configuration must have 4 joint angles, got shape \(2, 4\)"):
+        config_in_collision(arm, pole_scene, [free, hit])
+
+
 def _sat_intersects(a: ConvexShape, b: ConvexShape) -> bool:
     for poly1, poly2 in ((a, b), (b, a)):
         v = poly1.vertices

@@ -19,7 +19,7 @@ from armplan.robot import ArmModel, EEPose, forward_kinematics
 from armplan import roadmap as roadmap_module
 from armplan.roadmap import (
     Roadmap, RoadmapBuildError, RoadmapParams, build_roadmap, invalidate_and_requery,
-    k_shortest_paths, load_roadmap, query, save_roadmap, _connect_knn, _dijkstra_path,
+    k_shortest_paths, load_roadmap, query, save_roadmap, _connect_knn,
     _edge_key, _first_free_edges, _largest_component, _nearest_connectable, _sample_nodes, _yen,
 )
 from armplan.scenarios import build_scene, default_arm, load_scene, save_scene, scene_to_dict
@@ -671,42 +671,6 @@ def test_yen_matches_enumeration_for_every_pair(data):
             assert _yen(rm.graph, u, v, k) == want[:k], (u, v, k)
 
 
-def test_spur_search_avoids_banned_nodes_and_edges():
-    rng = np.random.default_rng(11)
-    checked = 0
-    for _ in range(60):
-        n = int(rng.integers(4, 9))
-        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
-        weights = rng.integers(1, 4, size=len(edges)).astype(float)
-        rm = graph_roadmap(n, edges, weights)
-        adj = adjacency_lists(n, rm.edge_list, rm.edge_weights)
-        src, dst = 0, n - 1
-        banned_nodes = {int(x) for x in rng.choice(np.arange(1, n - 1), size=2, replace=False)}
-        banned_edges = {rm.edge_list[i] for i in rng.choice(len(edges), size=min(2, len(edges)),
-                                                             replace=False)} if edges else set()
-        d, p = _dijkstra_path(rm.graph, src, dst, banned_nodes, banned_edges)
-        assert (d, p) == reference_dijkstra_path(adj, src, dst, banned_nodes, banned_edges)
-        if p is None:
-            assert d == float("inf")
-            continue
-        assert p[0] == src and p[-1] == dst
-        assert not banned_nodes & set(p)
-        assert not banned_edges & {_edge_key(a, b) for a, b in zip(p[:-1], p[1:])}
-        checked += 1
-    assert checked > 20
-    # 0 -1- 1 -1- 3 is the shortest route; banning node 1 or edge (1, 3)
-    # leaves 0 -2- 2 -2- 3, and banning both detours leaves no route
-    rm = graph_roadmap(4, [(0, 1), (1, 3), (0, 2), (2, 3)], [1.0, 1.0, 2.0, 2.0])
-    assert _dijkstra_path(rm.graph, 0, 3, set(), set()) == (2.0, [0, 1, 3])
-    assert _dijkstra_path(rm.graph, 0, 3, {1}, set()) == (4.0, [0, 2, 3])
-    assert _dijkstra_path(rm.graph, 0, 3, set(), {(1, 3)}) == (4.0, [0, 2, 3])
-    assert _dijkstra_path(rm.graph, 0, 3, {1}, {(0, 2)}) == (float("inf"), None)
-    # node 4 has no edges at all
-    rm = graph_roadmap(5, [(0, 1), (1, 2)], [1.0, 1.0])
-    assert _dijkstra_path(rm.graph, 0, 4, set(), set()) == (float("inf"), None)
-    assert _yen(rm.graph, 0, 4, 3) == []
-
-
 def test_ksp_matches_reference_yen(pole_scene, arm):
     rm = build_roadmap(pole_scene, arm, RoadmapParams(n_nodes=300, rng_seed=4))
     adj = adjacency_lists(rm.n_nodes, rm.edge_list, rm.edge_weights)
@@ -731,12 +695,28 @@ def test_ksp_lengths_nondecreasing_and_first_matches_apsp(small_pole_roadmap):
         assert lengths[0] == pytest.approx(float(rm.apsp_dist[u, v]), abs=1e-9)
 
 
-def test_dijkstra_lexicographic_tie_break():
-    #   0 -1- 1 -1- 3    two equal-length routes 0-1-3 and 0-2-3
-    #   0 -1- 2 -1- 3
+def test_yen_lexicographic_tie_break():
+    #   0 -1- 1 -1- 3    two equal-length routes 0-1-3 and 0-2-3; scipy's
+    #   0 -1- 2 -1- 3    Yen alone returns 0-2-3 first
     rm = graph_roadmap(4, [(0, 1), (1, 3), (0, 2), (2, 3)], [1.0, 1.0, 1.0, 1.0])
-    d, p = _dijkstra_path(rm.graph, 0, 3, set(), set())
-    assert d == 2.0 and p == [0, 1, 3]
+    assert _yen(rm.graph, 0, 3, 1) == [(0, 1, 3)]
+
+
+def test_yen_completes_a_tie_group_across_k():
+    # three equal 2-hop routes 0-x-4: k = 1 and k = 2 cut the tie group,
+    # and scipy's Yen alone returns them as 0-3-4, 0-2-4, 0-1-4
+    rm = graph_roadmap(5, [(0, 1), (1, 4), (0, 2), (2, 4), (0, 3), (3, 4)], [1.0] * 6)
+    assert _yen(rm.graph, 0, 4, 1) == [(0, 1, 4)]
+    assert _yen(rm.graph, 0, 4, 2) == [(0, 1, 4), (0, 2, 4)]
+    assert _yen(rm.graph, 0, 4, 3) == [(0, 1, 4), (0, 2, 4), (0, 3, 4)]
+
+
+def test_yen_self_pair_and_unreachable_node():
+    # scipy's Yen raises for src == dst on a graph without edges
+    assert _yen(graph_roadmap(3, [], []).graph, 0, 0, 2) == [(0,)]
+    # node 4 has no edges at all
+    rm = graph_roadmap(5, [(0, 1), (1, 2)], [1.0, 1.0])
+    assert _yen(rm.graph, 0, 4, 3) == []
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,16 @@ def test_chain_points_reject_non_finite_joint_angles(bad):
         chain_points(arm, Q)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ee_jacobian_rejects_non_finite_joint_angles(bad):
+    # a NaN angle used to give a NaN Jacobian, and an infinite one a
+    # RuntimeWarning from cos
+    q = np.zeros(4)
+    q[2] = bad
+    with pytest.raises(ValueError, match="joint angles must be finite"):
+        ee_jacobian(straight_arm(), q)
+
+
 @pytest.mark.parametrize("bad", [True, 1.5, -1, "3"])
 def test_solve_ik_rejects_bad_rng_seed(bad):
     # rng_seed=True used to return seed 1's solutions
