@@ -265,13 +265,6 @@ def _aabb_gap_lower_bound(geom: _SceneGeom, rb: _RectBatch) -> np.ndarray:
     return np.hypot(g[0], g[1])
 
 
-def _clearance_lower_bounds(arm: ArmModel, scene: Scene, Q) -> np.ndarray:
-    """(M,) lower bound on each configuration's distance to the obstacles:
-    the smallest AABB gap bound over its (link, obstacle) pairs, infinite
-    for a scene without obstacles."""
-    return _aabb_gap_lower_bound(scene._geom, _RectBatch(arm, Q)).min(axis=(1, 2), initial=np.inf)
-
-
 def _signed_distances(geom: _SceneGeom, rb: _RectBatch, far_cutoff: float | None = None) -> np.ndarray:
     """``pair_signed_distances`` of one link batch: a broad phase, then a
     narrow phase on the configurations it keeps.

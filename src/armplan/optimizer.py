@@ -10,18 +10,18 @@ independent trajectory checker, never by inspecting cost values.
 
 No signed distance is computed twice: the line search evaluates all of its
 trial points in one batch, the gradient is kept across rejected steps (they
-leave the iterate and the penalty coefficient unchanged), and the penalty of
-the current iterate is carried from the batch that accepted it.
+leave the iterate and the penalty coefficient unchanged), and the iterate's
+penalty and clearance bounds are carried from the batch that accepted it.
 
 The penalty gradient is central finite differences, and it computes only
 the rows that can be nonzero. Turning one joint by ``_FD_STEP`` moves no
-arm point farther than (reach + largest half-width) * ``_FD_STEP``, so it
-moves a link AABB's gap to an obstacle by at most sqrt(2) times that. A
-waypoint whose AABB clearance bound is at least ``D_SAFE`` plus twice that
-motion therefore has only perturbed rows whose every pair is at or beyond
-the hinge, with a hinge sum of exactly 0.0; its gradient rows are 0.0
-without a signed-distance call. The gradient is bitwise that of the
-finite differences over every waypoint.
+arm point farther than (reach + largest half-width) * ``_FD_STEP``. A
+waypoint whose clearance bound, the smallest signed distance the iterate's
+batch reported for it (never above a pair's distance), is at least
+``D_SAFE`` plus twice that motion therefore has only perturbed rows whose
+every pair is reported at or beyond the hinge, with a hinge sum of exactly
+0.0; its gradient rows are 0.0 without a signed-distance call. The
+gradient is bitwise that of the finite differences over every waypoint.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import (
-    Scene, _check_free, _clearance_lower_bounds, pair_signed_distances, trajectory_in_collision,
+    Scene, _check_free, pair_signed_distances, trajectory_in_collision,
 )
 from .robot import ArmModel
 
@@ -65,44 +65,46 @@ def smoothness_cost(traj) -> float:
     return float((d * d).sum())
 
 
-def _hinge_sums(arm: ArmModel, scene: Scene, Q: np.ndarray) -> np.ndarray:
-    """Per-configuration sum of hinge penalties over all (link, obstacle) pairs."""
+def _hinge_sums(arm: ArmModel, scene: Scene, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-configuration sum of hinge penalties over all (link, obstacle) pairs, and
+    clearance lower bound: the smallest signed distance reported (inf without pairs)."""
     sd = pair_signed_distances(arm, scene, Q, far_cutoff=D_SAFE)
-    return np.maximum(0.0, D_SAFE - sd).sum(axis=(1, 2))
+    return np.maximum(0.0, D_SAFE - sd).sum(axis=(1, 2)), sd.min(axis=(1, 2), initial=np.inf)
 
 
 def collision_penalty(traj, arm: ArmModel, scene: Scene) -> float:
     """Sum over waypoints and (link, obstacle) pairs of max(0, D_SAFE - sd)."""
     t = np.atleast_2d(np.asarray(traj, dtype=float))
-    return float(_hinge_sums(arm, scene, t).sum())
+    return float(_hinge_sums(arm, scene, t)[0].sum())
 
 
 def _smoothness_gradient_interior(traj: np.ndarray) -> np.ndarray:
     return 2.0 * (2.0 * traj[1:-1] - traj[:-2] - traj[2:])
 
 
-def _penalty_gradient_interior(arm, scene, traj) -> np.ndarray:
+def _penalty_gradient_interior(arm, scene, traj, bounds) -> np.ndarray:
     """Central finite differences of the per-waypoint hinge sums, batched
     over the waypoints the hinge can reach.
 
     A waypoint goes into the one signed-distance batch, with its 2 * K
-    perturbed rows, only when its AABB clearance bound is below ``D_SAFE +
-    2 * (reach + max half-width) * _FD_STEP``. A perturbation moves the
-    bound by at most sqrt(2) times that motion, so every row of another
-    waypoint has a hinge sum of exactly 0.0, and so have its gradient rows.
-    With no such waypoint no signed distance is computed.
+    perturbed rows, only when its clearance bound in ``bounds`` (as
+    ``_hinge_sums`` reports it) is below ``D_SAFE + 2 * motion``, where a
+    perturbation moves no arm point farther than ``motion``. So every pair
+    of another waypoint's rows is reported at or beyond ``D_SAFE``, and its
+    gradient rows are exactly 0.0. With no such waypoint no signed distance
+    is computed.
     """
     interior = traj[1:-1]
     grad = np.zeros(interior.shape)
     motion = (arm.reach + arm.half_widths.max()) * _FD_STEP
-    near = np.flatnonzero(_clearance_lower_bounds(arm, scene, interior) < D_SAFE + 2.0 * motion)
+    near = np.flatnonzero(bounds < D_SAFE + 2.0 * motion)
     if len(near):
         k = interior.shape[1]
         eye = np.eye(k) * _FD_STEP
         plus = interior[near, None, :] + eye[None, :, :]
         minus = interior[near, None, :] - eye[None, :, :]
         batch = np.concatenate([plus.reshape(-1, k), minus.reshape(-1, k)], axis=0)
-        sums = _hinge_sums(arm, scene, batch)
+        sums = _hinge_sums(arm, scene, batch)[0]
         n = len(near) * k
         grad[near] = (sums[:n].reshape(-1, k) - sums[n:].reshape(-1, k)) / (2.0 * _FD_STEP)
     return grad
@@ -112,7 +114,8 @@ def merit_gradient(traj, arm: ArmModel, scene: Scene, mu: float) -> np.ndarray:
     """Gradient of smoothness + mu * collision penalty w.r.t. the interior
     waypoints; the quantity the inner loop steps along."""
     t = np.asarray(traj, dtype=float)
-    return _smoothness_gradient_interior(t) + mu * _penalty_gradient_interior(arm, scene, t)
+    bounds = _hinge_sums(arm, scene, t[1:-1])[1]
+    return _smoothness_gradient_interior(t) + mu * _penalty_gradient_interior(arm, scene, t, bounds)
 
 
 def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
@@ -144,10 +147,11 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
     iterations = 0
     merit_log: list[tuple[float, ...]] = []
     converged = False
-    # the interior penalty of X: endpoint hinge terms are constants of the
-    # optimization; keeping them out lets the penalty reach zero even when a
-    # fixed endpoint sits inside the safety margin
-    penalty = float(_hinge_sums(arm, scene, X[1:-1]).sum())
+    # the interior penalty of X and its clearance bounds: endpoint hinge terms
+    # are constants of the optimization; keeping them out lets the penalty
+    # reach zero even when a fixed endpoint sits inside the safety margin
+    sums, bounds = _hinge_sums(arm, scene, X[1:-1])
+    penalty = float(sums.sum())
 
     if X.shape[0] > 2:
         for _ in range(_MAX_PENALTY_ROUNDS):
@@ -159,7 +163,7 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
             for _ in range(_MAX_INNER_ITERS):
                 iterations += 1
                 if g is None:
-                    g = merit_gradient(X, arm, scene, mu)
+                    g = _smoothness_gradient_interior(X) + mu * _penalty_gradient_interior(arm, scene, X, bounds)
                     gmax = float(np.abs(g).max())
                 if gmax < 1e-12:
                     stalled = True
@@ -170,14 +174,14 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
                 cands = np.repeat(X[None], len(alpha), axis=0)
                 step = np.clip(-alpha[:, None, None] * g, -trust, trust)
                 cands[:, 1:-1] = np.clip(X[1:-1] + step, arm.lower, arm.upper)
-                sums = _hinge_sums(arm, scene, cands[:, 1:-1].reshape(-1, arm.dof))
-                sums = sums.reshape(len(alpha), -1)
+                batch = _hinge_sums(arm, scene, cands[:, 1:-1].reshape(-1, arm.dof))
+                sums, lows = (a.reshape(len(alpha), -1) for a in batch)
                 accepted = None
                 for j in range(len(alpha)):
                     cand_penalty = float(sums[j].sum())
                     m_cand = smoothness_cost(cands[j]) + mu * cand_penalty
                     if m_cand < m_cur - 1e-12:
-                        accepted = (cands[j].copy(), cand_penalty, m_cand)
+                        accepted = (cands[j].copy(), cand_penalty, lows[j], m_cand)
                         break
                 if accepted is None:
                     trust *= _TRUST_SHRINK
@@ -185,7 +189,7 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
                         stalled = True
                         break
                     continue  # X and mu are unchanged, and so is g
-                X, penalty, m_new = accepted
+                X, penalty, bounds, m_new = accepted
                 g = None
                 decrease = m_cur - m_new
                 m_cur = m_new

@@ -159,7 +159,8 @@ class Roadmap:
 def _check_graph(nodes: np.ndarray, edges: list[tuple[int, int]], weights: np.ndarray) -> None:
     """Raise ValueError unless the nodes are a finite (n, dof) matrix, every
     edge joins two distinct nodes at most once, and each edge has one finite,
-    non-negative weight."""
+    positive weight, so that a shortest-path walk always gets closer to its
+    target."""
     if nodes.ndim != 2:
         raise ValueError(f"roadmap nodes must be an (n, dof) matrix, got shape {nodes.shape}")
     n = len(nodes)
@@ -172,8 +173,8 @@ def _check_graph(nodes: np.ndarray, edges: list[tuple[int, int]], weights: np.nd
         raise ValueError("a roadmap edge is listed twice")
     if weights.shape != (len(edges),):
         raise ValueError(f"{weights.size} edge weights for {len(edges)} edges")
-    if not (np.isfinite(weights) & (weights >= 0)).all():
-        raise ValueError("roadmap edge weights must be finite and non-negative")
+    if not (np.isfinite(weights) & (weights > 0)).all():
+        raise ValueError("roadmap edge weights must be finite and positive")
 
 
 def _sample_nodes(scene: Scene, arm: ArmModel, params: RoadmapParams) -> np.ndarray:
@@ -395,14 +396,13 @@ def _nearest_connectable(roadmap: Roadmap, arm: ArmModel, scene: Scene, q: np.nd
     """Nearest of the ``_CONNECT_SCAN_LIMIT`` nearest roadmap nodes (joint
     space) joined to ``q`` by a collision-free straight edge; ``dist`` holds
     the joint-space distances from ``q`` to every node."""
-    if len(dist) > _CONNECT_SCAN_LIMIT:
-        # the stable argsort's first entries without sorting the rest: every
-        # node up to the limit-th smallest distance, ties kept in index order
-        cut = np.partition(dist, _CONNECT_SCAN_LIMIT - 1)[_CONNECT_SCAN_LIMIT - 1]
-        near = np.flatnonzero(dist <= cut)
-        order = near[np.argsort(dist[near], kind="stable")][:_CONNECT_SCAN_LIMIT]
-    else:
-        order = np.argsort(dist, kind="stable")
+    kth = min(_CONNECT_SCAN_LIMIT, len(dist)) - 1
+    if kth < 0:
+        return None     # a roadmap without nodes
+    # the stable argsort's first entries without sorting the rest: every node
+    # no farther than the (kth + 1)-th nearest, ties kept in index order
+    near = np.flatnonzero(dist <= np.partition(dist, kth)[kth])
+    order = near[np.argsort(dist[near], kind="stable")][:_CONNECT_SCAN_LIMIT]
     verdicts = _first_free_edges(arm, scene, q, roadmap.nodes, order, 1)
     return int(verdicts[-1][0]) if verdicts and verdicts[-1][1] else None
 

@@ -320,13 +320,13 @@ def test_signed_distances_are_batch_invariant(arm, seed, name, chunks):
     far = rng.uniform(arm.lower, arm.upper, size=(m, arm.dof))
     Q = np.where(rng.random((m, 1)) < 0.5, near, far)
     whole_sd = pair_signed_distances(arm, scene, Q, far_cutoff=D_SAFE)
-    whole_sums = _hinge_sums(arm, scene, Q)
+    whole_sums = _hinge_sums(arm, scene, Q)[0]
     bounds = np.cumsum([0] + chunks)
     splits = [(bounds[i], bounds[i + 1]) for i in range(len(chunks))]
     splits += [(i, i + 1) for i in range(m)]        # every row alone
     for lo, hi in splits:
         part_sd = pair_signed_distances(arm, scene, Q[lo:hi], far_cutoff=D_SAFE)
-        part_sums = _hinge_sums(arm, scene, Q[lo:hi])
+        part_sums = _hinge_sums(arm, scene, Q[lo:hi])[0]
         assert np.array_equal(part_sd, whole_sd[lo:hi]), (lo, hi)
         assert np.array_equal(part_sums, whole_sums[lo:hi]), (lo, hi)
 
@@ -463,7 +463,7 @@ def test_broad_phase_matches_dense_reference(arm, name, m):
     cut = dense_signed_distances(arm, scene, Q, D_SAFE)
     assert np.array_equal(pair_signed_distances(arm, scene, Q, far_cutoff=D_SAFE), cut)
     assert np.array_equal(pair_signed_distances(arm, scene, Q), dense_signed_distances(arm, scene, Q))
-    assert np.array_equal(_hinge_sums(arm, scene, Q), np.maximum(0.0, D_SAFE - cut).sum(axis=(1, 2)))
+    assert np.array_equal(_hinge_sums(arm, scene, Q)[0], np.maximum(0.0, D_SAFE - cut).sum(axis=(1, 2)))
     for q in Q[:8]:
         sd = dense_signed_distances(arm, scene, q[None])
         want = min(float(sd.min(initial=math.inf)), float(_bounds_margins(scene._geom, _RectBatch(arm, q))[0]))

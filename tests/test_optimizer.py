@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 import armplan.optimizer as opt
 from armplan.collision import (
-    Scene, _clearance_lower_bounds, config_in_collision, pair_signed_distances, trajectory_in_collision,
+    Scene, config_in_collision, pair_signed_distances, trajectory_in_collision,
 )
 from armplan.geometry import ConvexShape, Pose2
 from armplan.optimizer import (
@@ -106,35 +108,35 @@ def dense_penalty_gradient_interior(arm, scene, traj):
     plus = interior[:, None, :] + eye[None, :, :]
     minus = interior[:, None, :] - eye[None, :, :]
     batch = np.concatenate([plus.reshape(-1, k), minus.reshape(-1, k)], axis=0)
-    sums = _hinge_sums(arm, scene, batch)
+    sums = _hinge_sums(arm, scene, batch)[0]
     p = sums[: ti * k].reshape(ti, k)
     m = sums[ti * k:].reshape(ti, k)
     return (p - m) / (2.0 * opt._FD_STEP)
 
 
 def screen_threshold(arm):
-    """The AABB clearance bound below which a waypoint keeps its gradient rows."""
+    """The clearance bound below which a waypoint keeps its gradient rows."""
     return D_SAFE + 2.0 * (arm.reach + arm.half_widths.max()) * opt._FD_STEP
 
 
 def bound_crossings(arm, scene, below, above, target):
-    """Configurations on either side of ``target`` in AABB clearance bound,
+    """Configurations on either side of ``target`` in clearance bound,
     a hair apart: each segment from a row of ``below`` (bound < target) to
     the same row of ``above`` (bound >= target) is bisected 60 times."""
     for _ in range(60):
         mid = 0.5 * (below + above)
-        low = (_clearance_lower_bounds(arm, scene, mid) < target)[:, None]
+        low = (_hinge_sums(arm, scene, mid)[1] < target)[:, None]
         below, above = np.where(low, mid, below), np.where(low, above, mid)
     return below, above
 
 
 def near_boundary_trajectory(arm, scene, rng):
-    """Waypoints whose AABB clearance bounds lie within 3e-3 of ``D_SAFE``:
+    """Waypoints whose clearance bounds lie within 3e-3 of ``D_SAFE``:
     uniform draws inside that window, and pairs straddling ``D_SAFE`` and
     the screen threshold, shuffled, between two uniform endpoints. A scene
     without obstacles gets uniform waypoints."""
     pool = rng.uniform(arm.lower, arm.upper, size=(16384, arm.dof))
-    bound = _clearance_lower_bounds(arm, scene, pool)
+    bound = _hinge_sums(arm, scene, pool)[1]
     if not np.isfinite(bound).any():
         return pool[:34]
     waypoints = [pool[np.abs(bound - D_SAFE) < 3e-3][:24]]
@@ -143,7 +145,7 @@ def near_boundary_trajectory(arm, scene, rng):
     for target in (D_SAFE, screen_threshold(arm)):
         waypoints += bound_crossings(arm, scene, below, above, target)
     waypoints = rng.permutation(np.concatenate(waypoints))
-    assert (np.abs(_clearance_lower_bounds(arm, scene, waypoints) - D_SAFE) < 3e-3).all()
+    assert (np.abs(_hinge_sums(arm, scene, waypoints)[1] - D_SAFE) < 3e-3).all()
     return np.concatenate([pool[-2:-1], waypoints, pool[-1:]])
 
 
@@ -339,7 +341,7 @@ def test_screened_gradient_matches_dense_reference(arm, name):
     want = _smoothness_gradient_interior(traj) + mu * dense
     assert np.array_equal(merit_gradient(traj, arm, scene, mu), want)
     if scene.obstacles:
-        near = _clearance_lower_bounds(arm, scene, traj[1:-1]) < screen_threshold(arm)
+        near = _hinge_sums(arm, scene, traj[1:-1])[1] < screen_threshold(arm)
         assert near.any() and not near.all()
         assert (dense != 0.0).any()
         assert (dense[~near] == 0.0).all()
@@ -349,7 +351,8 @@ def test_gradient_sends_only_near_waypoints(arm, shelf_scene, monkeypatch):
     rng = np.random.default_rng(18)
     traj = near_boundary_trajectory(arm, shelf_scene, rng)
     interior = traj[1:-1]
-    near = _clearance_lower_bounds(arm, shelf_scene, interior) < screen_threshold(arm)
+    bounds = _hinge_sums(arm, shelf_scene, interior)[1]
+    near = bounds < screen_threshold(arm)
     assert near.any() and not near.all()
     batches = []
 
@@ -358,18 +361,23 @@ def test_gradient_sends_only_near_waypoints(arm, shelf_scene, monkeypatch):
         return pair_signed_distances(arm_, scene_, Q, far_cutoff=far_cutoff)
 
     monkeypatch.setattr(opt, "pair_signed_distances", recording)
-    # an all-far trajectory makes no signed-distance call
+    # given its bounds, an all-far trajectory makes no signed-distance call
     far = np.concatenate([traj[:1], interior[~near], traj[-1:]])
-    g = merit_gradient(far, arm, shelf_scene, 10.0)
+    g = opt._penalty_gradient_interior(arm, shelf_scene, far, bounds[~near])
     assert batches == []
-    assert np.array_equal(g, _smoothness_gradient_interior(far))
+    assert np.array_equal(g, np.zeros_like(interior[~near]))
     # a mixed one sends the 2 * K perturbed rows of its near waypoints only
-    merit_gradient(traj, arm, shelf_scene, 10.0)
+    opt._penalty_gradient_interior(arm, shelf_scene, traj, bounds)
     eye = np.eye(arm.dof) * opt._FD_STEP
     kept = interior[near]
     plus = (kept[:, None, :] + eye).reshape(-1, arm.dof)
     minus = (kept[:, None, :] - eye).reshape(-1, arm.dof)
-    assert len(batches) == 1 and np.array_equal(batches[0], np.concatenate([plus, minus]))
+    perturbed = np.concatenate([plus, minus])
+    assert len(batches) == 1 and np.array_equal(batches[0], perturbed)
+    # merit_gradient first takes the bounds from a batch of the interior
+    batches.clear()
+    merit_gradient(traj, arm, shelf_scene, 10.0)
+    assert len(batches) == 2 and np.array_equal(batches[0], interior) and np.array_equal(batches[1], perturbed)
 
 
 def test_two_waypoint_seed_passthrough(arm, empty_scene):
@@ -394,6 +402,34 @@ def test_matches_sequential_reference(request, arm, scene_fixture):
         assert res.collision_free == free
         rounds.append(len(merit_log))
     assert max(rounds) > 1       # a case that escalates the penalty coefficient
+
+
+@pytest.mark.parametrize("scene_fixture", ["pole_scene", "shelf_scene"])
+def test_gradient_screens_with_its_iterates_bounds(request, arm, scene_fixture, monkeypatch):
+    """Every gradient ``optimize`` takes screens with the clearance bounds of
+    its own iterate, bitwise those of a fresh batch, carried from the seed's
+    penalty call or the accepted line-search row, and is ``merit_gradient``."""
+    scene = request.getfixturevalue(scene_fixture)
+    penalty_gradient = opt._penalty_gradient_interior
+    calls = []
+
+    def recording(arm_, scene_, X, bounds):
+        g = penalty_gradient(arm_, scene_, X, bounds)
+        mu = sys._getframe(1).f_locals["mu"]        # optimize's penalty coefficient
+        calls.append((X.copy(), bounds.copy(), mu, _smoothness_gradient_interior(X) + mu * g))
+        return g
+
+    for seed in straight_line_cases(arm, scene, 4, rng_seed=36):
+        with monkeypatch.context() as m:
+            m.setattr(opt, "_penalty_gradient_interior", recording)
+            optimize(seed, arm, scene)
+    assert len(calls) > 8 and len({mu for _, _, mu, _ in calls}) > 1
+    near = 0
+    for X, bounds, mu, g in calls:
+        assert np.array_equal(bounds, _hinge_sums(arm, scene, X[1:-1])[1])
+        assert np.array_equal(g, merit_gradient(X, arm, scene, mu))
+        near += int((bounds < screen_threshold(arm)).sum())
+    assert 0 < near < sum(len(bounds) for _, bounds, _, _ in calls)
 
 
 @pytest.mark.parametrize("scene_fixture", ["pole_scene", "shelf_scene"])

@@ -360,6 +360,13 @@ def test_node_paths_reject_bad_node_index(u, v):
     assert rm.shortest_node_path(np.int64(3), 5) == [3, 4, 5]
 
 
+def test_zero_weight_edge_is_rejected():
+    # a zero weight let the shortest-path walk step back and forth forever
+    with within_seconds(1.0):
+        with pytest.raises(ValueError, match="roadmap edge weights must be finite and positive"):
+            Roadmap(np.zeros((3, 3)), [(0, 1), (1, 2)], [0.0, 1.0], RoadmapParams(n_nodes=3), {})
+
+
 def test_shortest_node_path_rejects_disconnected_pair():
     rm = graph_roadmap(4, [(0, 1), (2, 3)], [1.0, 1.0])
     with within_seconds(1.0):
@@ -450,9 +457,10 @@ def _replaced(a, index, value):
 
 # case -> (array edited, edit of that array given the node count, message)
 MALFORMED_GRAPHS = {
-    "negative_weight": ("edge_weights", lambda w, n: _replaced(w, 5, -1.0), "finite and non-negative"),
-    "nan_weight": ("edge_weights", lambda w, n: _replaced(w, 5, np.nan), "finite and non-negative"),
-    "inf_weight": ("edge_weights", lambda w, n: _replaced(w, 5, np.inf), "finite and non-negative"),
+    "negative_weight": ("edge_weights", lambda w, n: _replaced(w, 5, -1.0), "finite and positive"),
+    "zero_weight": ("edge_weights", lambda w, n: _replaced(w, 5, 0.0), "finite and positive"),
+    "nan_weight": ("edge_weights", lambda w, n: _replaced(w, 5, np.nan), "finite and positive"),
+    "inf_weight": ("edge_weights", lambda w, n: _replaced(w, 5, np.inf), "finite and positive"),
     "short_weights": ("edge_weights", lambda w, n: w[:-1], "edge weights for"),
     "long_weights": ("edge_weights", lambda w, n: np.r_[w, 1.0], "edge weights for"),
     "inf_node": ("nodes", lambda q, n: _replaced(q, (7, 2), np.inf), "nodes must be finite"),
@@ -490,7 +498,7 @@ def test_load_rejects_malformed_graph(small_pole_roadmap, tmp_path, monkeypatch,
     path, message = write_malformed_roadmap(small_pole_roadmap, tmp_path, case)
     forbid_dijkstra(monkeypatch)
     with within_seconds(1.0):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=rf"bad\.npz: .*{message}"):
             load_roadmap(path)
 
 
@@ -580,10 +588,11 @@ def test_first_free_edges_checks_a_free_nearest_edge_in_one_call(arm, pole_scene
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("n_nodes", [30, 120])
+@pytest.mark.parametrize("n_nodes", [10, 30, 50, 120, 1000])
 def test_nearest_connectable_scans_the_stable_nearest_order(monkeypatch, n_nodes):
     """The candidates scanned are the first 50 of the stable argsort of the
-    distances, ties at the 50th place included."""
+    distances, ties at the 50th place included, with fewer nodes than 50 or
+    more."""
     scanned = []
 
     def record(arm, scene, q, nodes, candidates, want):
@@ -597,6 +606,11 @@ def test_nearest_connectable_scans_the_stable_nearest_order(monkeypatch, n_nodes
         dist = rng.integers(0, 6, size=n_nodes).astype(float)   # many ties
         assert _nearest_connectable(rm, None, None, None, dist) is None
         assert scanned[-1] == np.argsort(dist, kind="stable")[:50].tolist()
+
+
+def test_nearest_connectable_on_a_roadmap_without_nodes():
+    rm = graph_roadmap(0, [], [])
+    assert _nearest_connectable(rm, None, None, None, np.zeros(0)) is None
 
 
 def test_nearest_connectable_matches_sequential_reference(arm, pole_scene, shelf_scene):
