@@ -13,8 +13,21 @@ over obstacles and no branch on the scene. The one signed-distance core,
 the AABB gap bound of every triple is made first, and only the
 configurations with a triple below the cutoff go through the kernel and the
 exact distances. One segment sampler, ``segments_in_collision``, checks
-straight joint-space segments in a single batch; edge and trajectory checks
-are built on it. A configuration that is not finite raises ValueError.
+straight joint-space segments; edge and trajectory checks are built on it.
+A configuration that is not finite raises ValueError.
+
+A segment check of fewer than ``_CERTIFY_MIN_SAMPLES`` samples in all (an
+RRT extension, a query connection) goes through one collision batch. A
+larger one (a roadmap build's edge batch, a final trajectory check) is
+certified with the motion bound of Schwarzer, Saha & Latombe (IEEE T-RO
+2005): on a segment from A to B no arm point moves farther than ``|t_a -
+t_b| * sum_j R_j |B_j - A_j|`` between fractions t_a and t_b, where ``R_j``
+is the summed length of links j onward plus the largest half-width. A
+checked sample's clearance lower bound, its smallest link-obstacle AABB gap
+folded with its workspace margin, so proves the samples near it free; only
+the samples whose own bound is at most ``_CERTIFY_MARGIN`` (1e-9) reach the
+kernel. A pair whose AABB gap exceeds that margin is separated far above
+rounding, so the flags are those of the single batch.
 
 A batch's link rectangles (``_RectBatch``) come from the one chain pass of
 ``robot`` and hold only what every check reads: the proximal joints ``P``,
@@ -37,6 +50,19 @@ from .geometry import ConvexShape, _point_segment_distance
 from .robot import ArmModel, _check_batch, _check_config, _check_int, _joint_origins, _link_steps, within_limits
 
 DEFAULT_EDGE_INTERP = 100
+
+# Segment batches of fewer samples than this take one collision batch; an
+# RRT extension (at most 42 samples) and a query connection (102) do. Larger
+# ones are certified, so that a roadmap build's edge batches and a final
+# trajectory check skip the samples a motion bound proves free.
+_CERTIFY_MIN_SAMPLES = 300
+# Stride of the samples a certified segment check makes first.
+_COARSE_STRIDE = 6
+# What a clearance bound must exceed, beyond the motion it covers, to prove a
+# configuration free without the kernel: far above rounding, so the kernel
+# would also report every pair with such a gap separated.
+_CERTIFY_MARGIN = 1e-9
+_SQRT2 = np.sqrt(2.0)
 
 # Clearance reported for a configuration that nothing constrains.
 NO_OBSTACLE_CLEARANCE = float("inf")
@@ -177,10 +203,10 @@ def _link_aabbs(rb: _RectBatch) -> tuple[np.ndarray, np.ndarray]:
     return P + np.minimum(0.0, rb.steps) - widen, P + np.maximum(0.0, rb.steps) + widen
 
 
-def _bounds_margins(geom: _SceneGeom, rb: _RectBatch) -> np.ndarray:
-    """Per-configuration containment margin; negative means outside bounds."""
+def _bounds_margins(geom: _SceneGeom, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per-configuration containment margin of the link AABBs ``lo``, ``hi``
+    (from ``_link_aabbs``); negative means outside bounds."""
     xmin, ymin, xmax, ymax = geom.bounds
-    lo, hi = _link_aabbs(rb)
     return np.minimum.reduce([lo[0] - xmin, xmax - hi[0], lo[1] - ymin, ymax - hi[1]]).min(axis=1)
 
 
@@ -238,7 +264,7 @@ def _sat(geom: _SceneGeom, rb: _RectBatch, penetration: bool = False):
 def configs_in_collision(arm: ArmModel, scene: Scene, Q) -> np.ndarray:
     """Boolean flags for a batch of configurations of shape (M, K)."""
     geom, rb = scene._geom, _RectBatch(arm, Q)
-    return (_bounds_margins(geom, rb) <= 0.0) | _sat(geom, rb)[0].any(axis=(1, 2))
+    return (_bounds_margins(geom, *_link_aabbs(rb)) <= 0.0) | _sat(geom, rb)[0].any(axis=(1, 2))
 
 
 def config_in_collision(arm: ArmModel, scene: Scene, q) -> bool:
@@ -257,9 +283,9 @@ def _check_free(arm: ArmModel, scene: Scene, named) -> None:
         raise ValueError(f"{named[int(np.argmax(hit))][0]} is in collision")
 
 
-def _aabb_gap_lower_bound(geom: _SceneGeom, rb: _RectBatch) -> np.ndarray:
-    """(M, K, O) lower bound on the separation distance from AABBs."""
-    lo, hi = _link_aabbs(rb)
+def _aabb_gap_lower_bound(geom: _SceneGeom, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(M, K, O) lower bound on the separation distance from the link AABBs
+    ``lo``, ``hi`` (from ``_link_aabbs``)."""
     ob_lo, ob_hi = geom.aabbs.T.reshape(2, 2, 1, 1, geom.n_obstacles)   # (2, 1, 1, O) each
     g = np.maximum(np.maximum(ob_lo - hi[..., None], lo[..., None] - ob_hi), 0.0)
     return np.hypot(g[0], g[1])
@@ -279,7 +305,7 @@ def _signed_distances(geom: _SceneGeom, rb: _RectBatch, far_cutoff: float | None
     kept rows get the same bits as in a narrow phase over the whole batch."""
     if far_cutoff is None:
         return _narrow_signed_distances(geom, rb)
-    lower = _aabb_gap_lower_bound(geom, rb)
+    lower = _aabb_gap_lower_bound(geom, *_link_aabbs(rb))
     near = np.flatnonzero((lower < far_cutoff).any(axis=(1, 2)))
     if len(near):
         lower[near] = _narrow_signed_distances(geom, rb.rows(near), lower[near], far_cutoff)
@@ -338,7 +364,8 @@ def min_clearance(arm: ArmModel, scene: Scene, q) -> float:
     large sentinel (infinity)."""
     geom, rb = scene._geom, _RectBatch(arm, _check_config(arm, q))
     sd = _signed_distances(geom, rb)
-    return min(float(sd.min(initial=NO_OBSTACLE_CLEARANCE)), float(_bounds_margins(geom, rb)[0]))
+    margin = _bounds_margins(geom, *_link_aabbs(rb))
+    return min(float(sd.min(initial=NO_OBSTACLE_CLEARANCE)), float(margin[0]))
 
 
 def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
@@ -347,18 +374,81 @@ def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
     A segment is flagged when any configuration ``A[i] + t_j (B[i] - A[i])``
     is in collision; ``t`` holds the sample fractions (0 and 1 check the
     endpoints). ``A`` and ``B`` are (..., K) and broadcast against each
-    other; the flags have their broadcast leading shape. Every sample of
-    every segment goes through one collision batch. Endpoints that are not
-    finite raise ValueError before they are interpolated.
+    other; the flags have their broadcast leading shape.
+
+    A batch of fewer than ``_CERTIFY_MIN_SAMPLES`` (300) samples goes
+    through one collision batch. A larger one is certified
+    (``_certified_segments``): a sample is proved free, without the kernel,
+    when its own clearance lower bound, or that of a checked sample of its
+    segment less the motion bound between the two, exceeds
+    ``_CERTIFY_MARGIN`` (1e-9); the kernel decides the rest, and the flags
+    are those of the one batch. Endpoints that are not finite raise
+    ValueError before they are interpolated, and so does a ``t`` that is
+    not a non-empty 1-D array.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("segment endpoints must be finite joint angles")
     t = np.asarray(t, dtype=float)
-    samples = A[..., None, :] + t[:, None] * (B - A)[..., None, :]
-    flags = configs_in_collision(arm, scene, samples.reshape(-1, samples.shape[-1]))
-    return flags.reshape(samples.shape[:-1]).any(axis=-1)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError(f"sample fractions t must be a non-empty 1-D array, got shape {t.shape}")
+    step = B - A
+    samples = A[..., None, :] + t[:, None] * step[..., None, :]
+    if samples.size < _CERTIFY_MIN_SAMPLES * arm.dof:
+        flags = configs_in_collision(arm, scene, samples.reshape(-1, samples.shape[-1]))
+        return flags.reshape(samples.shape[:-1]).any(axis=-1)
+    Q = samples.reshape(-1, t.size, samples.shape[-1])
+    return _certified_segments(arm, scene, Q, t, step.reshape(len(Q), -1)).reshape(samples.shape[:-2])
+
+
+def _clear_or_hit(arm: ArmModel, geom: _SceneGeom, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collision flags and clearance lower bounds of the configurations
+    ``Q`` (..., K). A row's bound is its smallest link-obstacle AABB gap,
+    folded with its workspace margin; only rows whose bound is at most
+    ``_CERTIFY_MARGIN`` go through the kernel, and every other row is
+    free."""
+    rb = _RectBatch(arm, Q.reshape(-1, Q.shape[-1]))
+    lo, hi = _link_aabbs(rb)
+    margin = _bounds_margins(geom, lo, hi)
+    bound = np.minimum(_aabb_gap_lower_bound(geom, lo, hi).min(axis=(1, 2), initial=np.inf), margin)
+    near = np.flatnonzero(bound <= _CERTIFY_MARGIN)
+    hit = np.zeros(len(bound), dtype=bool)
+    if len(near):
+        hit[near] = (margin[near] <= 0.0) | _sat(geom, rb.rows(near))[0].any(axis=(1, 2))
+    return hit.reshape(Q.shape[:-1]), bound.reshape(Q.shape[:-1])
+
+
+def _certified_segments(
+    arm: ArmModel, scene: Scene, samples: np.ndarray, t: np.ndarray, step: np.ndarray
+) -> np.ndarray:
+    """``segments_in_collision`` flags of the samples (S, T, K) at fractions
+    ``t`` of segments with joint steps ``step`` (S, K), in two stages.
+
+    Stage 1 checks every ``_COARSE_STRIDE``-th sample and the last with
+    ``_clear_or_hit``. On segment s no arm point moves farther than
+    ``|t_a - t_b| * D_s`` between two samples, with ``D_s = sum_j R_j
+    |step_j|`` and ``R_j`` the reach of joint j (the summed length of links
+    j onward plus the largest half-width), so an AABB gap falls by at most
+    sqrt(2) times that and the workspace margin by at most that. Stage 2
+    checks, the same way, the other samples of the segments stage 1 left
+    unflagged, except those some checked sample's bound covers: bound >
+    sqrt(2) * motion + ``_CERTIFY_MARGIN``."""
+    geom = scene._geom
+    coarse = np.zeros(t.size, dtype=bool)
+    coarse[::_COARSE_STRIDE] = True
+    coarse[-1] = True
+    checked, rest = np.flatnonzero(coarse), np.flatnonzero(~coarse)
+    hit, bound = _clear_or_hit(arm, geom, samples[:, checked])
+    flags = hit.any(axis=1)
+    reach = np.cumsum(arm.lengths[::-1])[::-1] + arm.half_widths.max()
+    motion = _SQRT2 * (np.abs(step) @ reach)[:, None, None] * np.abs(t[rest, None] - t[checked])
+    covered = (bound[:, None, :] > motion + _CERTIFY_MARGIN).any(axis=2)
+    si, ri = np.nonzero(~covered & ~flags[:, None])
+    if len(si):
+        hit = _clear_or_hit(arm, geom, samples[si, rest[ri]])[0]
+        flags[si[hit]] = True
+    return flags
 
 
 @lru_cache(maxsize=256, typed=True)    # typed: True or 1.0 must not hit 1's entry

@@ -279,16 +279,26 @@ def test_pair_signed_distances_match_reference_random_convex(arm, seed):
     assert (ref < 0.0).any() and (ref > 0.0).any()
 
 
+def dense_segment_flags(arm, scene, A, B, t):
+    """Test-only dense oracle for ``segments_in_collision``: every
+    interpolated sample through ``configs_in_collision``, then any per
+    segment."""
+    samples = A[..., None, :] + t[:, None] * (B - A)[..., None, :]
+    flags = configs_in_collision(arm, scene, samples.reshape(-1, samples.shape[-1]))
+    return flags.reshape(samples.shape[:-1]).any(axis=-1)
+
+
 def _assert_batched_checks_agree(arm, scene, Q):
     """Batched flags against single-configuration checks and clearances,
-    and batched segments (first half of ``Q`` to second half) against
-    single edge checks."""
+    and batched segments (first half of ``Q`` to second half), below and
+    above the certification rule, against the dense oracle."""
     flags = configs_in_collision(arm, scene, Q).tolist()
     assert flags == [config_in_collision(arm, scene, q) for q in Q]
     assert flags == [min_clearance(arm, scene, q) <= 0.0 for q in Q]
     A, B = np.split(Q, 2)
-    segs = segments_in_collision(arm, scene, A, B, np.linspace(0.0, 1.0, 22)).tolist()
-    assert segs == [edge_in_collision(arm, scene, a, b, n_interp=20) for a, b in zip(A, B)]
+    for t in (np.linspace(0.0, 1.0, 22), _sample_fractions(100)):
+        segs = segments_in_collision(arm, scene, A, B, t)
+        assert np.array_equal(segs, dense_segment_flags(arm, scene, A, B, t))
 
 
 @settings(max_examples=30, deadline=None)
@@ -393,7 +403,7 @@ def dense_signed_distances(arm, scene, Q, far_cutoff=None):
     sd = np.where(pen > 0.0, -pen, 0.0)
     need_exact = ~hit
     if far_cutoff is not None:
-        lower = _aabb_gap_lower_bound(geom, rb)
+        lower = _aabb_gap_lower_bound(geom, *_link_aabbs(rb))
         far = need_exact & (lower >= far_cutoff)
         sd = np.where(far, lower, sd)
         need_exact &= ~far
@@ -466,7 +476,8 @@ def test_broad_phase_matches_dense_reference(arm, name, m):
     assert np.array_equal(_hinge_sums(arm, scene, Q)[0], np.maximum(0.0, D_SAFE - cut).sum(axis=(1, 2)))
     for q in Q[:8]:
         sd = dense_signed_distances(arm, scene, q[None])
-        want = min(float(sd.min(initial=math.inf)), float(_bounds_margins(scene._geom, _RectBatch(arm, q))[0]))
+        margin = _bounds_margins(scene._geom, *_link_aabbs(_RectBatch(arm, q)))
+        want = min(float(sd.min(initial=math.inf)), float(margin[0]))
         assert min_clearance(arm, scene, q) == want
     if scene.obstacles and m >= 40:
         # both phases are exercised: rows the broad phase settles, and rows
@@ -478,7 +489,7 @@ def test_broad_phase_matches_dense_reference(arm, name, m):
 
 def test_rows_without_a_near_pair_skip_the_kernel(arm, shelf_scene, monkeypatch):
     Q = _rows_near_an_obstacle(arm, shelf_scene, np.random.default_rng(9), 40)
-    lower = _aabb_gap_lower_bound(shelf_scene._geom, _RectBatch(arm, Q))
+    lower = _aabb_gap_lower_bound(shelf_scene._geom, *_link_aabbs(_RectBatch(arm, Q)))
     near = (lower < D_SAFE).any(axis=(1, 2))
     assert near.any() and not near.all()
     seen = []
@@ -546,6 +557,15 @@ def test_far_cutoff_short_circuit(arm, shelf_scene):
 # ---------------------------------------------------------------------------
 # link batch fields against the eager oracle
 
+def five_link_offset_arm(arm):
+    """The arm with a fifth link, on a base off the origin and turned."""
+    return ArmModel(
+        base=Pose2(0.13, -0.07, 1.9),
+        links=arm.links + ((0.1, 0.02),),
+        joint_limits=arm.joint_limits + ((-2.0, 2.0),),
+    )
+
+
 class _EagerRectBatch:
     """Eager oracle for ``_RectBatch``: headings from ``chain_points``, their
     cosines and sines taken again, and every projection and bound built up
@@ -609,11 +629,7 @@ def test_link_batch_matches_eager_oracle(arm, seed, m, name, offset_base):
     scene = (Scene("unbounded", build_scene("shelf_boxes").obstacles)
              if name == "unbounded" else build_scene(name))
     if offset_base:
-        arm = ArmModel(
-            base=Pose2(0.13, -0.07, 1.9),
-            links=arm.links + ((0.1, 0.02),),
-            joint_limits=arm.joint_limits + ((-2.0, 2.0),),
-        )
+        arm = five_link_offset_arm(arm)
     rng = np.random.default_rng(seed)
     # rows along one short segment, as an RRT extension makes them, mixed
     # with uniform rows, so that both hit and separated pairs occur
@@ -659,3 +675,113 @@ def test_segment_checks_reject_bad_n_interp(arm, pole_scene, bad):
     with pytest.raises(ValueError, match="n_interp must be an integer >= 0"):
         edge_in_collision(arm, pole_scene, a, b, bad)
     assert edge_in_collision(arm, pole_scene, a, b, 0)
+
+
+# ---------------------------------------------------------------------------
+# certified segment checks
+
+def _grazing_scene(arm, kind, q, gap, rng):
+    """A scene whose nearest obstacle (``grazing_box``) or workspace bound
+    (``grazing_bounds``) lies ``gap`` to the right of the rightmost link
+    AABB of ``q``. That link's extreme corner is the closest point, so the
+    clearance of ``q`` is ``gap`` up to rounding."""
+    lo, hi = _link_aabbs(_RectBatch(arm, q))
+    k = int(np.argmax(hi[0, 0]))
+    x = float(hi[0, 0, k]) + gap
+    if kind == "grazing_bounds":
+        return Scene("grazing_bounds", (), workspace_bounds=(-3.0, -3.0, x, 3.0))
+    box = ConvexShape.box(x, float(lo[1, 0, k]) - 0.05, x + 0.3, float(hi[1, 0, k]) + 0.05)
+    return Scene("grazing_box", (box, *_random_convex_scene(rng, 1).obstacles))
+
+
+_CERTIFY_SCENES = ["random_convex", "unbounded", "obstacle_free", "grazing_box", "grazing_bounds"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(_CERTIFY_SCENES),
+    five_links=st.booleans(),
+    n_t=st.sampled_from([22, 52, 102]),
+    scale=st.sampled_from([0.05, 0.3, 1.5]),
+)
+def test_certified_segments_match_dense_oracle(arm, seed, kind, five_links, n_t, scale):
+    """Above the certification rule, segment flags are those of the dense
+    oracle: random convex scenes, an unbounded and an obstacle-free one, and
+    scenes that graze a sample at a gap around the 1e-9 margin; the default
+    arm and a five-link arm on an offset base; some segments of zero
+    length."""
+    if five_links:
+        arm = five_link_offset_arm(arm)
+    rng = np.random.default_rng(seed)
+    n_seg = -(-collision._CERTIFY_MIN_SAMPLES // n_t) + int(rng.integers(0, 4))
+    t = _sample_fractions(n_t - 2)
+    A = rng.uniform(arm.lower, arm.upper, size=(n_seg, arm.dof))
+    B = np.clip(A + rng.normal(scale=scale, size=A.shape), arm.lower, arm.upper)
+    still = rng.random(n_seg) < 0.2
+    B[still] = A[still]
+    if kind == "random_convex":
+        scene = _random_convex_scene(rng, int(rng.integers(1, 5)))
+    elif kind == "unbounded":
+        scene = Scene("unbounded", build_scene("shelf_boxes").obstacles)
+    elif kind == "obstacle_free":
+        scene = Scene("obstacle_free", (), workspace_bounds=(-1.6, -0.6, 1.6, 1.6))
+    else:
+        gap = float(rng.choice([-1e-9, 0.0, 1e-12, 5e-10, 1e-9, 1.5e-9, 1e-8, 1e-6]))
+        i, j = int(rng.integers(n_seg)), int(rng.integers(n_t))
+        scene = _grazing_scene(arm, kind, A[i] + t[j] * (B[i] - A[i]), gap, rng)
+    assert n_seg * n_t >= collision._CERTIFY_MIN_SAMPLES
+    assert np.array_equal(segments_in_collision(arm, scene, A, B, t), dense_segment_flags(arm, scene, A, B, t))
+
+
+@pytest.mark.parametrize("n_t", [17, 22])
+def test_certified_segments_on_a_fast_sweep_past_a_thin_bar(n_t):
+    """The first joint swings the straight arm 2 rad past a bar near its tip,
+    so that a segment collides at one or two samples, or at none; a motion
+    bound half as large as the true one reported 22 or 30 of these 40
+    segments free."""
+    arm, scene, _, _ = _mid_sweep_case()
+    t = _sample_fractions(n_t - 2)
+    A = np.zeros((40, arm.dof))
+    A[:, 0] = np.linspace(0.9, 1.1, 40)
+    B = A - [2.0, 0.0, 0.0, 0.0]
+    dense = dense_segment_flags(arm, scene, A, B, t)
+    assert dense.any() and not dense.all()
+    assert np.array_equal(segments_in_collision(arm, scene, A, B, t), dense)
+
+
+def test_rrt_sized_segment_makes_one_kernel_pass(arm, pole_scene, monkeypatch):
+    """A 42-sample segment, the size of an RRT extension, goes through the
+    kernel once, with all of its samples, and is not certified."""
+    seen = []
+    monkeypatch.setattr(collision, "_sat", lambda geom, rb, **kw: seen.append(len(rb.P)) or _sat(geom, rb, **kw))
+    monkeypatch.setattr(collision, "_certified_segments", lambda *a: pytest.fail("certified"))
+    t = _sample_fractions(40)
+    a, hit, free = np.zeros(arm.dof), np.array([-1.3, -0.5, -0.4, -0.2]), np.full(arm.dof, 0.2)
+    assert segments_in_collision(arm, pole_scene, a, hit, t)
+    assert not segments_in_collision(arm, pole_scene, a, free, t)
+    assert seen == [42, 42]
+
+
+def test_certified_trajectory_reports_the_first_bad_segment(monkeypatch):
+    arm, scene, q1, q2 = _mid_sweep_case()
+    safe = np.array([1.2, 0.4, 0.3, 0.2])
+    traj = np.vstack([safe, q1, q2, q2, q1, q1])   # segments 1 and 3 collide
+    t = _sample_fractions(collision.DEFAULT_EDGE_INTERP)
+    dense = dense_segment_flags(arm, scene, traj[:-1], traj[1:], t)
+    assert np.flatnonzero(dense).tolist() == [1, 3]
+    assert (len(traj) - 1) * len(t) >= collision._CERTIFY_MIN_SAMPLES
+    calls = []
+    certified = collision._certified_segments
+    monkeypatch.setattr(collision, "_certified_segments", lambda *a: calls.append(1) or certified(*a))
+    assert trajectory_in_collision(arm, scene, traj) == (True, 1)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("t", [np.array([]), 0.5, np.linspace(0.0, 1.0, 6).reshape(2, 3)])
+def test_segment_fractions_must_be_a_non_empty_vector(arm, pole_scene, t):
+    # an empty t used to report every segment free without a check, a
+    # scalar raised IndexError and a 2-D t a broadcast error
+    a, b = np.zeros(arm.dof), np.array([-1.3, -0.5, -0.4, -0.2])
+    with pytest.raises(ValueError, match="sample fractions t must be a non-empty 1-D array"):
+        segments_in_collision(arm, pole_scene, a, b, t)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from armplan.collision import config_in_collision, configs_in_collision, edge_in_collision
 from armplan.collision import Scene, segments_in_collision
 from armplan.robot import ArmModel, EEPose, forward_kinematics
-from armplan import roadmap as roadmap_module
+from armplan import collision, roadmap as roadmap_module
 from armplan.roadmap import (
     Roadmap, RoadmapBuildError, RoadmapParams, build_roadmap, invalidate_and_requery,
     k_shortest_paths, load_roadmap, query, save_roadmap, _connect_knn,
@@ -546,6 +546,25 @@ def test_connect_knn_memory_is_per_row(unbounded_scene, arm):
         tracemalloc.stop()
     assert len(edges) >= 1000 * 10 // 2
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("scene_name", ["shelf_boxes", "kitchen"])
+def test_certified_build_matches_single_batch_build(arm, scene_name, monkeypatch):
+    """A build whose segment batches are certified has the nodes, edges and
+    weights of one whose every batch takes a single collision pass."""
+    scene, params = build_scene(scene_name), RoadmapParams(n_nodes=150)
+    calls = []
+    certified = collision._certified_segments
+    monkeypatch.setattr(collision, "_certified_segments", lambda *a: calls.append(1) or certified(*a))
+    got = build_roadmap(scene, arm, params)
+    assert calls
+    calls.clear()
+    monkeypatch.setattr(collision, "_CERTIFY_MIN_SAMPLES", float("inf"))
+    want = build_roadmap(scene, arm, params)
+    assert calls == []
+    assert np.array_equal(got.nodes, want.nodes)
+    assert got.edge_list == want.edge_list
+    assert np.array_equal(got.edge_weights, want.edge_weights)
 
 
 @functools.lru_cache(maxsize=None)
