@@ -16,18 +16,20 @@ exact distances. One segment sampler, ``segments_in_collision``, checks
 straight joint-space segments; edge and trajectory checks are built on it.
 A configuration that is not finite raises ValueError.
 
-A segment check of fewer than ``_CERTIFY_MIN_SAMPLES`` samples in all (an
-RRT extension, a query connection) goes through one collision batch. A
-larger one (a roadmap build's edge batch, a final trajectory check) is
-certified with the motion bound of Schwarzer, Saha & Latombe (IEEE T-RO
-2005): on a segment from A to B no arm point moves farther than ``|t_a -
-t_b| * sum_j R_j |B_j - A_j|`` between fractions t_a and t_b, where ``R_j``
-is the summed length of links j onward plus the largest half-width. A
-checked sample's clearance lower bound, its smallest link-obstacle AABB gap
-folded with its workspace margin, so proves the samples near it free; only
-the samples whose own bound is at most ``_CERTIFY_MARGIN`` (1e-9) reach the
+Every segment check, an RRT extension and a query connection as well as a
+roadmap build's edge batch and a final trajectory check, is certified with
+the motion bound of Schwarzer, Saha & Latombe (IEEE T-RO 2005): on a
+segment from A to B no arm point moves farther than ``|t_a - t_b| * sum_j
+R_j |B_j - A_j|`` between fractions t_a and t_b, where ``R_j`` is the
+summed length of links j onward plus the largest half-width. A checked
+sample's clearance lower bound, its smallest link-obstacle AABB gap folded
+with its workspace margin, so proves the samples near it free; only the
+samples whose own bound is at most ``_CERTIFY_MARGIN`` (1e-9) reach the
 kernel. A pair whose AABB gap exceeds that margin is separated far above
-rounding, so the flags are those of the single batch.
+rounding, so the flags are those of a check of every sample.
+``configs_in_collision`` stays the check of independent configurations
+(sampled nodes, IK goals, planner endpoints), which no checked neighbour
+covers.
 
 A batch's link rectangles (``_RectBatch``) come from the one chain pass of
 ``robot`` and hold only what every check reads: the proximal joints ``P``,
@@ -51,12 +53,7 @@ from .robot import ArmModel, _check_batch, _check_config, _check_int, _joint_ori
 
 DEFAULT_EDGE_INTERP = 100
 
-# Segment batches of fewer samples than this take one collision batch; an
-# RRT extension (at most 42 samples) and a query connection (102) do. Larger
-# ones are certified, so that a roadmap build's edge batches and a final
-# trajectory check skip the samples a motion bound proves free.
-_CERTIFY_MIN_SAMPLES = 300
-# Stride of the samples a certified segment check makes first.
+# Stride of the samples a segment check makes first (``_coarse_split``).
 _COARSE_STRIDE = 6
 # What a clearance bound must exceed, beyond the motion it covers, to prove a
 # configuration free without the kernel: far above rounding, so the kernel
@@ -376,15 +373,18 @@ def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
     endpoints). ``A`` and ``B`` are (..., K) and broadcast against each
     other; the flags have their broadcast leading shape.
 
-    A batch of fewer than ``_CERTIFY_MIN_SAMPLES`` (300) samples goes
-    through one collision batch. A larger one is certified
-    (``_certified_segments``): a sample is proved free, without the kernel,
-    when its own clearance lower bound, or that of a checked sample of its
-    segment less the motion bound between the two, exceeds
-    ``_CERTIFY_MARGIN`` (1e-9); the kernel decides the rest, and the flags
-    are those of the one batch. Endpoints that are not finite raise
-    ValueError before they are interpolated, and so does a ``t`` that is
-    not a non-empty 1-D array.
+    The check is certified in two stages. Stage 1 checks the coarse samples
+    of ``_coarse_split`` with ``_clear_or_hit``. On segment s no arm point
+    moves farther than ``|t_a - t_b| * D_s`` between two samples, with
+    ``D_s = sum_j R_j |B_j - A_j|`` and ``R_j`` the reach of joint j (the
+    summed length of links j onward plus the largest half-width), so an
+    AABB gap falls by at most sqrt(2) times that and the workspace margin
+    by at most that. Stage 2 checks, the same way, the other samples of the
+    segments stage 1 left unflagged, except those some checked sample's
+    bound covers: bound > sqrt(2) * motion + ``_CERTIFY_MARGIN`` (1e-9).
+    The flags are those of a check of every sample. Endpoints that are not
+    finite raise ValueError before they are interpolated, and so does a
+    ``t`` that is not a non-empty 1-D array of finite fractions.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -393,13 +393,34 @@ def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError(f"sample fractions t must be a non-empty 1-D array, got shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValueError("sample fractions t must be finite")
     step = B - A
     samples = A[..., None, :] + t[:, None] * step[..., None, :]
-    if samples.size < _CERTIFY_MIN_SAMPLES * arm.dof:
-        flags = configs_in_collision(arm, scene, samples.reshape(-1, samples.shape[-1]))
-        return flags.reshape(samples.shape[:-1]).any(axis=-1)
-    Q = samples.reshape(-1, t.size, samples.shape[-1])
-    return _certified_segments(arm, scene, Q, t, step.reshape(len(Q), -1)).reshape(samples.shape[:-2])
+    lead = samples.shape[:-2]
+    samples = samples.reshape(-1, t.size, samples.shape[-1])
+    step = step.reshape(-1, step.shape[-1])
+    geom = scene._geom
+    checked, rest = _coarse_split(t.size)
+    hit, bound = _clear_or_hit(arm, geom, samples[:, checked])
+    flags = hit.any(axis=1)
+    reach = np.cumsum(arm.lengths[::-1])[::-1] + arm.half_widths.max()
+    motion = _SQRT2 * (np.abs(step) @ reach)[:, None, None] * np.abs(t[rest, None] - t[checked])
+    covered = (bound[:, None, :] > motion + _CERTIFY_MARGIN).any(axis=2)
+    si, ri = np.nonzero(~covered & ~flags[:, None])
+    if len(si):
+        hit = _clear_or_hit(arm, geom, samples[si, rest[ri]])[0]
+        flags[si[hit]] = True
+    return flags.reshape(lead)
+
+
+def _coarse_split(n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the samples a segment check of ``n_t`` samples makes
+    first, every ``_COARSE_STRIDE``-th and the last, and of the rest."""
+    coarse = np.zeros(n_t, dtype=bool)
+    coarse[::_COARSE_STRIDE] = True
+    coarse[-1] = True
+    return np.flatnonzero(coarse), np.flatnonzero(~coarse)
 
 
 def _clear_or_hit(arm: ArmModel, geom: _SceneGeom, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -417,38 +438,6 @@ def _clear_or_hit(arm: ArmModel, geom: _SceneGeom, Q: np.ndarray) -> tuple[np.nd
     if len(near):
         hit[near] = (margin[near] <= 0.0) | _sat(geom, rb.rows(near))[0].any(axis=(1, 2))
     return hit.reshape(Q.shape[:-1]), bound.reshape(Q.shape[:-1])
-
-
-def _certified_segments(
-    arm: ArmModel, scene: Scene, samples: np.ndarray, t: np.ndarray, step: np.ndarray
-) -> np.ndarray:
-    """``segments_in_collision`` flags of the samples (S, T, K) at fractions
-    ``t`` of segments with joint steps ``step`` (S, K), in two stages.
-
-    Stage 1 checks every ``_COARSE_STRIDE``-th sample and the last with
-    ``_clear_or_hit``. On segment s no arm point moves farther than
-    ``|t_a - t_b| * D_s`` between two samples, with ``D_s = sum_j R_j
-    |step_j|`` and ``R_j`` the reach of joint j (the summed length of links
-    j onward plus the largest half-width), so an AABB gap falls by at most
-    sqrt(2) times that and the workspace margin by at most that. Stage 2
-    checks, the same way, the other samples of the segments stage 1 left
-    unflagged, except those some checked sample's bound covers: bound >
-    sqrt(2) * motion + ``_CERTIFY_MARGIN``."""
-    geom = scene._geom
-    coarse = np.zeros(t.size, dtype=bool)
-    coarse[::_COARSE_STRIDE] = True
-    coarse[-1] = True
-    checked, rest = np.flatnonzero(coarse), np.flatnonzero(~coarse)
-    hit, bound = _clear_or_hit(arm, geom, samples[:, checked])
-    flags = hit.any(axis=1)
-    reach = np.cumsum(arm.lengths[::-1])[::-1] + arm.half_widths.max()
-    motion = _SQRT2 * (np.abs(step) @ reach)[:, None, None] * np.abs(t[rest, None] - t[checked])
-    covered = (bound[:, None, :] > motion + _CERTIFY_MARGIN).any(axis=2)
-    si, ri = np.nonzero(~covered & ~flags[:, None])
-    if len(si):
-        hit = _clear_or_hit(arm, geom, samples[si, rest[ri]])[0]
-        flags[si[hit]] = True
-    return flags
 
 
 @lru_cache(maxsize=256, typed=True)    # typed: True or 1.0 must not hit 1's entry

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as _sparse_dijkstra, yen as _sparse_yen
 
-from .collision import DEFAULT_EDGE_INTERP, Scene, _check_free, _sample_fractions, segments_in_collision
+from .collision import DEFAULT_EDGE_INTERP, Scene, _check_free, _coarse_split, _sample_fractions, segments_in_collision
 from .geometry import _vector_length, wrap_angles
 from .robot import IK_HEADING_TOL, IK_POSITION_TOL, ArmModel, EEPose, _check_int, _is_integer, chain_points
 from . import scenarios
@@ -46,15 +46,13 @@ from .scenarios import _check_json_layout, ik_goal_configs, scene_to_dict
 FORMAT_VERSION = 3
 SAMPLED_JOINTS = 4
 
-# Edge sample fractions, endpoints included. The coarse ones are a strict
-# subset of the fine ones: a segment blocked at a coarse sample is also
-# blocked at full density, so a coarse prescreen can only reject safely,
-# and a segment free at the coarse samples is free at full density when it
-# is free at the rest.
+# Edge sample fractions, endpoints included, and their split into the
+# samples a segment check makes first and the rest. A segment blocked at a
+# coarse sample is also blocked at full density, so a coarse prescreen can
+# only reject safely, and a segment free at the coarse samples is free at
+# full density when it is free at the rest.
 _T_FINE = _sample_fractions(DEFAULT_EDGE_INTERP)
-_COARSE_IDX = list(range(0, DEFAULT_EDGE_INTERP + 2, 6)) + [DEFAULT_EDGE_INTERP + 1]
-_T_COARSE = _T_FINE[_COARSE_IDX]
-_T_REST = np.delete(_T_FINE, _COARSE_IDX)
+_T_COARSE, _T_REST = (_T_FINE[idx] for idx in _coarse_split(len(_T_FINE)))
 # Fewest candidate edges prescreened in one batch.
 _CHUNK_MIN = 8
 

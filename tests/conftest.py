@@ -5,6 +5,7 @@ from armplan import (
     ConvexShape, RoadmapParams, Scene, build_roadmap, build_scene, default_arm,
     generate_test_suite,
 )
+from armplan.collision import configs_in_collision
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +58,12 @@ def random_convex_polygon(rng, n_points=8, radius=1.0, center=None):
             return ConvexShape(verts)
         except ValueError:
             continue
+
+
+def dense_segment_flags(arm, scene, A, B, t):
+    """Test-only dense oracle for ``segments_in_collision``: every
+    interpolated sample through ``configs_in_collision``, then any per
+    segment."""
+    samples = A[..., None, :] + t[:, None] * (B - A)[..., None, :]
+    flags = configs_in_collision(arm, scene, samples.reshape(-1, samples.shape[-1]))
+    return flags.reshape(samples.shape[:-1]).any(axis=-1)

@@ -16,7 +16,7 @@ from armplan.optimizer import D_SAFE, _hinge_sums
 from armplan.robot import ArmModel, chain_points, link_shapes
 from armplan.scenarios import SCENE_NAMES, build_scene
 
-from conftest import random_convex_polygon
+from conftest import dense_segment_flags, random_convex_polygon
 
 
 def flat_arm(k=4):
@@ -279,19 +279,10 @@ def test_pair_signed_distances_match_reference_random_convex(arm, seed):
     assert (ref < 0.0).any() and (ref > 0.0).any()
 
 
-def dense_segment_flags(arm, scene, A, B, t):
-    """Test-only dense oracle for ``segments_in_collision``: every
-    interpolated sample through ``configs_in_collision``, then any per
-    segment."""
-    samples = A[..., None, :] + t[:, None] * (B - A)[..., None, :]
-    flags = configs_in_collision(arm, scene, samples.reshape(-1, samples.shape[-1]))
-    return flags.reshape(samples.shape[:-1]).any(axis=-1)
-
-
 def _assert_batched_checks_agree(arm, scene, Q):
     """Batched flags against single-configuration checks and clearances,
-    and batched segments (first half of ``Q`` to second half), below and
-    above the certification rule, against the dense oracle."""
+    and batched segments (first half of ``Q`` to second half) at 22 and 102
+    samples against the dense oracle."""
     flags = configs_in_collision(arm, scene, Q).tolist()
     assert flags == [config_in_collision(arm, scene, q) for q in Q]
     assert flags == [min_clearance(arm, scene, q) <= 0.0 for q in Q]
@@ -702,19 +693,20 @@ _CERTIFY_SCENES = ["random_convex", "unbounded", "obstacle_free", "grazing_box",
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(_CERTIFY_SCENES),
     five_links=st.booleans(),
-    n_t=st.sampled_from([22, 52, 102]),
+    n_t=st.sampled_from([12, 18, 42, 84, 102]),
     scale=st.sampled_from([0.05, 0.3, 1.5]),
 )
 def test_certified_segments_match_dense_oracle(arm, seed, kind, five_links, n_t, scale):
-    """Above the certification rule, segment flags are those of the dense
-    oracle: random convex scenes, an unbounded and an obstacle-free one, and
-    scenes that graze a sample at a gap around the 1e-9 margin; the default
-    arm and a five-link arm on an offset base; some segments of zero
-    length."""
+    """Segment flags are those of the dense oracle, from one segment up, at
+    the sample counts of an RRT extension (12 to 42), the roadmap's coarse
+    and rest sets (18, 84) and a full edge (102): random convex scenes, an
+    unbounded and an obstacle-free one, and scenes that graze a sample at a
+    gap around the 1e-9 margin; the default arm and a five-link arm on an
+    offset base; some segments of zero length."""
     if five_links:
         arm = five_link_offset_arm(arm)
     rng = np.random.default_rng(seed)
-    n_seg = -(-collision._CERTIFY_MIN_SAMPLES // n_t) + int(rng.integers(0, 4))
+    n_seg = int(rng.integers(1, 25))
     t = _sample_fractions(n_t - 2)
     A = rng.uniform(arm.lower, arm.upper, size=(n_seg, arm.dof))
     B = np.clip(A + rng.normal(scale=scale, size=A.shape), arm.lower, arm.upper)
@@ -730,7 +722,6 @@ def test_certified_segments_match_dense_oracle(arm, seed, kind, five_links, n_t,
         gap = float(rng.choice([-1e-9, 0.0, 1e-12, 5e-10, 1e-9, 1.5e-9, 1e-8, 1e-6]))
         i, j = int(rng.integers(n_seg)), int(rng.integers(n_t))
         scene = _grazing_scene(arm, kind, A[i] + t[j] * (B[i] - A[i]), gap, rng)
-    assert n_seg * n_t >= collision._CERTIFY_MIN_SAMPLES
     assert np.array_equal(segments_in_collision(arm, scene, A, B, t), dense_segment_flags(arm, scene, A, B, t))
 
 
@@ -750,32 +741,51 @@ def test_certified_segments_on_a_fast_sweep_past_a_thin_bar(n_t):
     assert np.array_equal(segments_in_collision(arm, scene, A, B, t), dense)
 
 
-def test_rrt_sized_segment_makes_one_kernel_pass(arm, pole_scene, monkeypatch):
-    """A 42-sample segment, the size of an RRT extension, goes through the
-    kernel once, with all of its samples, and is not certified."""
-    seen = []
-    monkeypatch.setattr(collision, "_sat", lambda geom, rb, **kw: seen.append(len(rb.P)) or _sat(geom, rb, **kw))
-    monkeypatch.setattr(collision, "_certified_segments", lambda *a: pytest.fail("certified"))
+def test_rrt_sized_segment_clear_of_every_obstacle_skips_the_kernel(arm, pole_scene, monkeypatch):
+    """A 42-sample segment, the size of an RRT extension, whose samples all
+    clear the pole and the workspace bounds is certified free by its
+    clearance bounds alone."""
+    monkeypatch.setattr(collision, "_sat", lambda *a, **kw: pytest.fail("kernel"))
+    assert not segments_in_collision(arm, pole_scene, np.zeros(arm.dof), np.full(arm.dof, 0.2), _sample_fractions(40))
+
+
+def test_rrt_sized_segment_into_the_pole_is_flagged(arm, pole_scene):
+    a, hit = np.zeros(arm.dof), np.array([-1.3, -0.5, -0.4, -0.2])
     t = _sample_fractions(40)
-    a, hit, free = np.zeros(arm.dof), np.array([-1.3, -0.5, -0.4, -0.2]), np.full(arm.dof, 0.2)
+    assert dense_segment_flags(arm, pole_scene, a, hit, t)
     assert segments_in_collision(arm, pole_scene, a, hit, t)
-    assert not segments_in_collision(arm, pole_scene, a, free, t)
-    assert seen == [42, 42]
 
 
-def test_certified_trajectory_reports_the_first_bad_segment(monkeypatch):
+def test_certified_trajectory_reports_the_first_bad_segment():
     arm, scene, q1, q2 = _mid_sweep_case()
     safe = np.array([1.2, 0.4, 0.3, 0.2])
     traj = np.vstack([safe, q1, q2, q2, q1, q1])   # segments 1 and 3 collide
     t = _sample_fractions(collision.DEFAULT_EDGE_INTERP)
     dense = dense_segment_flags(arm, scene, traj[:-1], traj[1:], t)
     assert np.flatnonzero(dense).tolist() == [1, 3]
-    assert (len(traj) - 1) * len(t) >= collision._CERTIFY_MIN_SAMPLES
-    calls = []
-    certified = collision._certified_segments
-    monkeypatch.setattr(collision, "_certified_segments", lambda *a: calls.append(1) or certified(*a))
     assert trajectory_in_collision(arm, scene, traj) == (True, 1)
-    assert calls == [1]
+
+
+@pytest.mark.parametrize("A_shape, B_shape, want", [
+    ((0, 4), (0, 4), (0,)), ((4,), (0, 4), (0,)), ((2, 1, 4), (3, 4), (2, 3)),
+])
+def test_segment_batches_of_any_broadcast_shape(arm, pole_scene, A_shape, B_shape, want):
+    # with zero segments the certified path raised "cannot reshape array of size 0"
+    rng = np.random.default_rng(6)
+    A = rng.uniform(arm.lower, arm.upper, size=A_shape)
+    B = rng.uniform(arm.lower, arm.upper, size=B_shape)
+    t = _sample_fractions(40)
+    flags = segments_in_collision(arm, pole_scene, A, B, t)
+    assert flags.shape == want
+    assert np.array_equal(flags, dense_segment_flags(arm, pole_scene, A, B, t))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_segment_fractions_must_be_finite(arm, bad):
+    # a NaN fraction used to raise "joint angles must be finite" for finite
+    # endpoints
+    with pytest.raises(ValueError, match="sample fractions t must be finite"):
+        segments_in_collision(arm, build_scene("kitchen"), np.zeros(4), np.full(4, 0.1), [0.0, bad, 1.0])
 
 
 @pytest.mark.parametrize("t", [np.array([]), 0.5, np.linspace(0.0, 1.0, 6).reshape(2, 3)])

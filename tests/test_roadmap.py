@@ -25,6 +25,8 @@ from armplan.roadmap import (
 from armplan.scenarios import build_scene, default_arm, load_scene, save_scene, scene_to_dict
 from armplan.seedprep import path_length
 
+from conftest import dense_segment_flags
+
 
 def graph_roadmap(n, edges, weights, k_paths=3):
     """Roadmap wrapper around a hand-built weighted graph (graph ops only)."""
@@ -551,17 +553,13 @@ def test_connect_knn_memory_is_per_row(unbounded_scene, arm):
 @pytest.mark.parametrize("scene_name", ["shelf_boxes", "kitchen"])
 def test_certified_build_matches_single_batch_build(arm, scene_name, monkeypatch):
     """A build whose segment batches are certified has the nodes, edges and
-    weights of one whose every batch takes a single collision pass."""
+    weights of one whose every batch takes a single collision pass over all
+    of its samples."""
     scene, params = build_scene(scene_name), RoadmapParams(n_nodes=150)
-    calls = []
-    certified = collision._certified_segments
-    monkeypatch.setattr(collision, "_certified_segments", lambda *a: calls.append(1) or certified(*a))
     got = build_roadmap(scene, arm, params)
-    assert calls
-    calls.clear()
-    monkeypatch.setattr(collision, "_CERTIFY_MIN_SAMPLES", float("inf"))
+    monkeypatch.setattr(roadmap_module, "segments_in_collision", dense_segment_flags)
+    monkeypatch.setattr(collision, "_clear_or_hit", lambda *a: pytest.fail("certified"))
     want = build_roadmap(scene, arm, params)
-    assert calls == []
     assert np.array_equal(got.nodes, want.nodes)
     assert got.edge_list == want.edge_list
     assert np.array_equal(got.edge_weights, want.edge_weights)
