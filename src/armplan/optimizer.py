@@ -8,10 +8,14 @@ limits hold at every accepted iterate, and accepted steps never increase
 the merit. Whether the result is actually collision-free is decided by the
 independent trajectory checker, never by inspecting cost values.
 
-No signed distance is computed twice: the line search evaluates all of its
-trial points in one batch, the gradient is kept across rejected steps (they
-leave the iterate and the penalty coefficient unchanged), and the iterate's
-penalty and clearance bounds are carried from the batch that accepted it.
+The line search evaluates its six trial points in two batches: the two
+longest steps, then the other four only when neither of those decreases the
+merit. After an accepted step the trust radius grows from the box that step
+used, not from the one it was cut from, as in TrajOpt (Schulman et al., IJRR
+2014), so the next search starts near a step that worked. The gradient is
+kept across rejected steps (they leave the iterate and the penalty
+coefficient unchanged), and the iterate's penalty and clearance bounds are
+carried from the batch that accepted it.
 
 The penalty gradient is central finite differences, and it computes only
 the rows that can be nonzero. Turning one joint by ``_FD_STEP`` moves no
@@ -26,6 +30,7 @@ gradient is bitwise that of the finite differences over every waypoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,12 +130,17 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
     round budget runs out. Inner loop: steepest descent on the merit with a
     backtracking line search inside a shrinking/expanding trust-region box
     intersected with the joint limits. The line search's six trial points
-    (the step length halved five times) are evaluated in one signed-distance
-    batch, and the first that strictly decreases the merit is accepted, so
-    accepted merits are non-increasing within a round. A rejected step only
-    shrinks the trust region, so the gradient is computed once per round
-    start and once per accepted step. The optimizer always returns its best
-    iterate; converged is True only when progress stalled with zero penalty.
+    (the step length halved five times) are evaluated in two signed-distance
+    batches, the first two, then the last four only when neither of the
+    first two decreases the merit. The first that strictly decreases the
+    merit is accepted, so accepted merits are non-increasing within a round.
+    A step accepted after j halvings sets the trust radius to
+    ``_TRUST_EXPAND * trust * 2**-j`` (capped at ten times its initial
+    value). A rejected step only halves the trust region, so the gradient is
+    computed once per round start and once per accepted step. The penalty
+    coefficient grows only between rounds, so ``final_cost`` is the last
+    merit logged. The optimizer always returns its best iterate; converged
+    is True only when progress stalled with zero penalty.
     Raises ValueError when an endpoint is outside the joint limits,
     non-finite or in collision, or when an interior waypoint is not finite
     (checked before interior waypoints are clipped to the joint limits).
@@ -154,7 +164,9 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
     penalty = float(sums.sum())
 
     if X.shape[0] > 2:
-        for _ in range(_MAX_PENALTY_ROUNDS):
+        for rnd in range(_MAX_PENALTY_ROUNDS):
+            if rnd:
+                mu *= _MU_GROWTH  # between rounds only: final_cost uses the last round's mu
             trust = _TRUST_REGION_INIT
             m_cur = smoothness_cost(X) + mu * penalty
             round_merits = [m_cur]
@@ -168,20 +180,22 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
                 if gmax < 1e-12:
                     stalled = True
                     break
-                # the line search's trial points, the step length halved five
-                # times, in one batch
+                # six trial steps, each half the last: two in one batch, the other four only if both fail
                 alpha = np.ldexp(trust / gmax, -np.arange(6))
-                cands = np.repeat(X[None], len(alpha), axis=0)
                 step = np.clip(-alpha[:, None, None] * g, -trust, trust)
-                cands[:, 1:-1] = np.clip(X[1:-1] + step, arm.lower, arm.upper)
-                batch = _hinge_sums(arm, scene, cands[:, 1:-1].reshape(-1, arm.dof))
-                sums, lows = (a.reshape(len(alpha), -1) for a in batch)
                 accepted = None
-                for j in range(len(alpha)):
-                    cand_penalty = float(sums[j].sum())
-                    m_cand = smoothness_cost(cands[j]) + mu * cand_penalty
-                    if m_cand < m_cur - 1e-12:
-                        accepted = (cands[j].copy(), cand_penalty, lows[j], m_cand)
+                for lo, hi in ((0, 2), (2, 6)):
+                    cands = np.repeat(X[None], hi - lo, axis=0)
+                    cands[:, 1:-1] = np.clip(X[1:-1] + step[lo:hi], arm.lower, arm.upper)
+                    batch = _hinge_sums(arm, scene, cands[:, 1:-1].reshape(-1, arm.dof))
+                    sums, lows = (a.reshape(hi - lo, -1) for a in batch)
+                    for j in range(hi - lo):
+                        cand_penalty = float(sums[j].sum())
+                        m_cand = smoothness_cost(cands[j]) + mu * cand_penalty
+                        if m_cand < m_cur - 1e-12:
+                            accepted = (cands[j].copy(), cand_penalty, lows[j], m_cand, lo + j)
+                            break
+                    if accepted is not None:
                         break
                 if accepted is None:
                     trust *= _TRUST_SHRINK
@@ -189,12 +203,13 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
                         stalled = True
                         break
                     continue  # X and mu are unchanged, and so is g
-                X, penalty, bounds, m_new = accepted
+                X, penalty, bounds, m_new, halvings = accepted
                 g = None
                 decrease = m_cur - m_new
                 m_cur = m_new
                 round_merits.append(m_cur)
-                trust = min(trust * _TRUST_EXPAND, 10.0 * _TRUST_REGION_INIT)
+                # grow the box the accepted step used, not the one it was cut from
+                trust = min(_TRUST_EXPAND * math.ldexp(trust, -halvings), 10.0 * _TRUST_REGION_INIT)
                 if decrease < _CONVERGENCE_TOL:
                     stalled = True
                     break
@@ -202,7 +217,6 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
             if penalty <= 0.0:
                 converged = stalled
                 break
-            mu *= _MU_GROWTH
     else:
         converged = True  # nothing to optimize with only fixed endpoints
 

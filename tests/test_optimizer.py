@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -42,7 +43,9 @@ def sequential_optimize(seed, arm, scene):
         return smoothness_cost(traj) + mu * penalty(traj)
 
     mu, iterations, merit_log, converged = opt._MU0, 0, [], False
-    for _ in range(opt._MAX_PENALTY_ROUNDS):
+    for rnd in range(opt._MAX_PENALTY_ROUNDS):
+        if rnd:
+            mu *= opt._MU_GROWTH
         trust = opt._TRUST_REGION_INIT
         m_cur = merit(X, mu)
         round_merits, stalled = [m_cur], False
@@ -54,13 +57,13 @@ def sequential_optimize(seed, arm, scene):
                 stalled = True
                 break
             accepted, alpha = None, trust / gmax
-            for _ in range(6):
+            for j in range(6):
                 cand = X.copy()
                 step = np.clip(-alpha * g, -trust, trust)
                 cand[1:-1] = np.clip(X[1:-1] + step, arm.lower, arm.upper)
                 m_cand = merit(cand, mu)
                 if m_cand < m_cur - 1e-12:
-                    accepted = (cand, m_cand)
+                    accepted = (cand, m_cand, j)
                     break
                 alpha *= 0.5
             if accepted is None:
@@ -69,10 +72,10 @@ def sequential_optimize(seed, arm, scene):
                     stalled = True
                     break
                 continue
-            X, m_new = accepted
+            X, m_new, j = accepted
             decrease, m_cur = m_cur - m_new, m_new
             round_merits.append(m_cur)
-            trust = min(trust * opt._TRUST_EXPAND, 10.0 * opt._TRUST_REGION_INIT)
+            trust = min(opt._TRUST_EXPAND * trust * 0.5 ** j, 10.0 * opt._TRUST_REGION_INIT)
             if decrease < opt._CONVERGENCE_TOL:
                 stalled = True
                 break
@@ -80,22 +83,24 @@ def sequential_optimize(seed, arm, scene):
         if penalty(X) <= 0.0:
             converged = stalled
             break
-        mu *= opt._MU_GROWTH
     free = not trajectory_in_collision(arm, scene, X)[0]
     return X, tuple(merit_log), iterations, merit(X, mu), converged, free
 
 
-def straight_line_cases(arm, scene, count, rng_seed):
+def iter_straight_line_cases(arm, scene, rng_seed):
     """Resampled straight-line seeds between random collision-free
-    configurations."""
+    configurations, without end."""
     rng = np.random.default_rng(rng_seed)
-    seeds = []
-    while len(seeds) < count:
+    while True:
         a = rng.uniform(arm.lower, arm.upper)
         b = rng.uniform(arm.lower, arm.upper)
         if not (config_in_collision(arm, scene, a) or config_in_collision(arm, scene, b)):
-            seeds.append(resample_path(straight_line_seed(a, b)))
-    return seeds
+            yield resample_path(straight_line_seed(a, b))
+
+
+def straight_line_cases(arm, scene, count, rng_seed):
+    """The first ``count`` seeds of ``iter_straight_line_cases``."""
+    return list(itertools.islice(iter_straight_line_cases(arm, scene, rng_seed), count))
 
 
 def dense_penalty_gradient_interior(arm, scene, traj):
@@ -419,10 +424,14 @@ def test_gradient_screens_with_its_iterates_bounds(request, arm, scene_fixture, 
         calls.append((X.copy(), bounds.copy(), mu, _smoothness_gradient_interior(X) + mu * g))
         return g
 
-    for seed in straight_line_cases(arm, scene, 4, rng_seed=36):
+    # the first four cases, then more from the same stream until a run has
+    # raised the penalty coefficient
+    for count, seed in enumerate(itertools.islice(iter_straight_line_cases(arm, scene, 36), 40), 1):
         with monkeypatch.context() as m:
             m.setattr(opt, "_penalty_gradient_interior", recording)
             optimize(seed, arm, scene)
+        if count >= 4 and len({mu for _, _, mu, _ in calls}) > 1:
+            break
     assert len(calls) > 8 and len({mu for _, _, mu, _ in calls}) > 1
     near = 0
     for X, bounds, mu, g in calls:
@@ -432,20 +441,51 @@ def test_gradient_screens_with_its_iterates_bounds(request, arm, scene_fixture, 
     assert 0 < near < sum(len(bounds) for _, bounds, _, _ in calls)
 
 
+def test_final_cost_is_the_last_logged_merit(arm, pole_scene, shelf_scene):
+    """``final_cost`` is the merit the last round logged last, with that
+    round's penalty coefficient: on three pole cases, and on shelf cases up
+    to the first that ends all five rounds with a penalty."""
+    runs = [optimize(seed, arm, pole_scene) for seed in straight_line_cases(arm, pole_scene, 3, rng_seed=36)]
+    for seed in itertools.islice(iter_straight_line_cases(arm, shelf_scene, 36), 40):
+        runs.append(optimize(seed, arm, shelf_scene))
+        last = runs[-1]
+        if (len(last.merit_log) == opt._MAX_PENALTY_ROUNDS
+                and collision_penalty(last.trajectory[1:-1], arm, shelf_scene) > 0.0):
+            break
+    else:
+        pytest.fail("no shelf case ended its five rounds with a penalty")
+    for res in runs:
+        assert res.final_cost == res.merit_log[-1][-1]
+
+
 @pytest.mark.parametrize("scene_fixture", ["pole_scene", "shelf_scene"])
 def test_signed_distance_calls_per_iteration(request, arm, scene_fixture, monkeypatch):
     """One call for the seed's penalty, at most one gradient per round start
-    and per accepted step, and one batched line search per iteration. A
-    gradient sends the 2 * dof perturbed rows of the m interior waypoints
-    its screen keeps, 1 <= m <= n, or makes no call."""
+    and per accepted step, and at most two line-search calls per iteration:
+    the two longest trial steps (2 * n rows for n interior waypoints), then
+    the other four (4 * n rows) right after, and only after, a 2 * n call
+    none of whose steps decreased the merit. A gradient sends the 2 * dof
+    perturbed rows of the m interior waypoints its screen keeps,
+    1 <= m <= n, or makes no call."""
     scene = request.getfixturevalue(scene_fixture)
     rows = []
     from_gradient = []       # indices into rows of the calls a gradient made
+    decreased = {}           # index into rows of a line-search call: whether a step decreased the merit
     penalty_gradient = opt._penalty_gradient_interior
 
     def counting(arm_, scene_, Q, far_cutoff=None):
+        sd = pair_signed_distances(arm_, scene_, Q, far_cutoff=far_cutoff)
+        caller = sys._getframe(2)   # optimize, through _hinge_sums, for its own calls
+        if caller.f_code is optimize.__code__ and "m_cur" in caller.f_locals:
+            X, mu, m_cur = (caller.f_locals[k] for k in ("X", "mu", "m_cur"))
+            n = len(X) - 2
+            sums = np.maximum(0.0, D_SAFE - sd).sum(axis=(1, 2)).reshape(-1, n)
+            interiors = np.asarray(Q).reshape(len(sums), n, -1)
+            merits = [smoothness_cost(np.concatenate([X[:1], q, X[-1:]])) + mu * float(s.sum())
+                      for q, s in zip(interiors, sums)]
+            decreased[len(rows)] = min(merits) < m_cur - 1e-12
         rows.append(len(Q))
-        return pair_signed_distances(arm_, scene_, Q, far_cutoff=far_cutoff)
+        return sd
 
     def gradient(*args):
         start = len(rows)
@@ -456,28 +496,35 @@ def test_signed_distance_calls_per_iteration(request, arm, scene_fixture, monkey
 
     monkeypatch.setattr(opt, "pair_signed_distances", counting)
     monkeypatch.setattr(opt, "_penalty_gradient_interior", gradient)
-    rejected_total = 0
-    for seed in straight_line_cases(arm, scene, 4, rng_seed=36):
+    rejected_total = rest_total = 0
+    # the first four cases, then more from the same stream until a search has
+    # accepted no step and one has accepted one of the four shorter steps
+    for count, seed in enumerate(itertools.islice(iter_straight_line_cases(arm, scene, 36), 40), 1):
         rows.clear()
         from_gradient.clear()
+        decreased.clear()
         res = optimize(seed, arm, scene)
         n = len(seed) - 2
-        penalty_rows, search_rows = n, 6 * n
         gradient_rows = {2 * arm.dof * m for m in range(1, n + 1)}
         assert {rows[i] for i in from_gradient} <= gradient_rows
-        others = [r for i, r in enumerate(rows) if i not in from_gradient]
-        assert set(others) <= {penalty_rows, search_rows}
+        others = [i for i in range(len(rows)) if i not in from_gradient]
+        # the seed's penalty first, then only line searches
+        assert others[0] == 0 and rows[0] == n and sorted(decreased) == others[1:]
+        first = [i for i in decreased if rows[i] == 2 * n]
+        rest = [i for i in decreased if rows[i] != 2 * n]
+        assert all(rows[i] == 4 * n and i - 1 in first and not decreased[i - 1] for i in rest)
+        assert all(i + 1 in rest for i in first if not decreased[i])
         rounds = len(res.merit_log)
         accepted = sum(len(r) - 1 for r in res.merit_log)
-        rejected = res.iterations - accepted
-        searches = others.count(search_rows)
+        rejected = len(first) - accepted        # searches that accepted no step
         gradients = len(from_gradient)
-        assert rows[0] == penalty_rows and others.count(penalty_rows) == 1
-        assert searches <= res.iterations
+        # one search per iteration, but for one that stalls on a zero gradient
+        assert res.iterations - rounds <= len(first) <= res.iterations
+        assert sum(decreased.values()) == accepted
         assert gradients <= rounds + accepted
-        # calls made by iterations: at most 2 for an accepted step, 1 for a
-        # rejected one (which keeps the gradient)
-        assert searches + gradients - rounds <= 2 * accepted + rejected
-        assert len(rows) <= 2 * res.iterations + rounds + 1
+        assert len(rows) <= 3 * res.iterations + rounds + 1
         rejected_total += rejected
-    assert rejected_total > 0
+        rest_total += len(rest)
+        if count >= 4 and 0 < rejected_total < rest_total:
+            break
+    assert rejected_total > 0 and rest_total > rejected_total
