@@ -8,37 +8,36 @@ about the zero crossing. Every scene, an obstacle-free or unbounded one
 included, is held in one padded layout (``_SceneGeom``): every obstacle has
 the same number of vertices and of axis entries, so the kernel gathers all
 (configuration, link, obstacle) triples of its batch at once, with no loop
-over obstacles and no branch on the scene. The one signed-distance core,
-``_signed_distances``, is a broad phase and a narrow phase: with a cutoff,
-the AABB gap bound of every triple is made first, and only the
-configurations with a triple below the cutoff go through the kernel and the
-exact distances. One segment sampler, ``segments_in_collision``, checks
-straight joint-space segments; edge and trajectory checks are built on it.
-A configuration that is not finite raises ValueError.
+over obstacles and no branch on the scene. A configuration that is not
+finite raises ValueError.
 
-Every segment check, an RRT extension and a query connection as well as a
-roadmap build's edge batch and a final trajectory check, is certified with
-the motion bound of Schwarzer, Saha & Latombe (IEEE T-RO 2005): on a
-segment from A to B no arm point moves farther than ``|t_a - t_b| * sum_j
-R_j |B_j - A_j|`` between fractions t_a and t_b, where ``R_j`` is the
-summed length of links j onward plus the largest half-width. A checked
-sample's clearance lower bound, its smallest link-obstacle AABB gap folded
-with its workspace margin, so proves the samples near it free; only the
-samples whose own bound is at most ``_CERTIFY_MARGIN`` (1e-9) reach the
-kernel. A pair whose AABB gap exceeds that margin is separated far above
-rounding, so the flags are those of a check of every sample.
-``configs_in_collision`` stays the check of independent configurations
-(sampled nodes, IK goals, planner endpoints), which no checked neighbour
-covers.
+One AABB screen stands in front of the kernel. ``_gaps_margins`` makes,
+from one ``_link_aabbs`` pass, the AABB gap lower bound of every triple and
+the workspace margin of every configuration. ``_clear_or_hit``, the one
+collision check, sends to the kernel only the configurations whose
+clearance bound (smallest gap folded with the margin) is at most
+``_CERTIFY_MARGIN`` (1e-9): a pair whose gap exceeds that margin is
+separated far above rounding, so the flags are those of the kernel on every
+configuration. Independent configurations (``configs_in_collision``:
+sampled nodes, IK goals, planner endpoints) and segment samples go through
+it alike. The signed-distance core, ``_signed_distances``, sends to the
+kernel and the exact distances only the configurations with a gap below its
+cutoff (every configuration with an obstacle when there is no cutoff) and
+reports every pair of the others as its bound.
+
+One segment sampler, ``segments_in_collision``, checks straight joint-space
+segments; edge and trajectory checks are built on it. It certifies every
+batch with the motion bound of Schwarzer, Saha & Latombe (IEEE T-RO 2005):
+a checked sample's clearance bound proves the samples near it free, and
+only the others reach the screen.
 
 A batch's link rectangles (``_RectBatch``) come from the one chain pass of
 ``robot`` and hold only what every check reads: the proximal joints ``P``,
 the link axes ``u`` and ``n``, the lengths ``L`` and half-widths ``W``, and
 the chain's unit cosines and sines and link steps. The projections of ``P``
 onto ``u`` and ``n`` are made in ``_sat`` for the pairs that survive the
-obstacle axes, and the link AABBs in ``_link_aabbs`` for the workspace
-bounds and the signed-distance cutoff, so a small batch pays for no field
-it does not read.
+obstacle axes, and the link AABBs in ``_link_aabbs`` for the screen, so a
+small batch pays for no field it does not read.
 """
 
 from __future__ import annotations
@@ -75,15 +74,18 @@ class _SceneGeom:
     indexes ``axes``, and ``lo``/``hi`` bound the obstacle's projection. A
     normal and its negation test that one interval, and a projection onto a
     negated axis is an exact negation, so one test per axis agrees
-    bit-for-bit with one per normal. For the penetration depth, ``push_hi``
-    is the projection's upper end where the obstacle has the normal +axis,
-    and ``push_lo`` its lower end where it has -axis. Missing signs and
-    padding entries are infinite, so they neither separate nor push.
+    bit-for-bit with one per normal. The penetration depth reads the same
+    interval along both signs of an axis, one the obstacle has no normal for
+    included: the penetration depth is the radius of the largest
+    origin-centred disc inside the Minkowski difference, so the overlap
+    along any direction is at least that depth, and an extra sign cannot
+    lower the minimum over the true normals. Padding entries are infinite,
+    so they neither separate nor push.
     ``bounds`` is the workspace (xmin, ymin, xmax, ymax), infinite when the
     scene is unbounded. A scene without obstacles has O = A = P = 0.
     """
 
-    __slots__ = ("n_obstacles", "bounds", "verts", "aabbs", "axes", "axis", "lo", "hi", "push_hi", "push_lo")
+    __slots__ = ("n_obstacles", "bounds", "verts", "aabbs", "axes", "axis", "lo", "hi")
 
     def __init__(self, obstacles: tuple[ConvexShape, ...], bounds: tuple[float, ...] | None):
         self.n_obstacles = n_obs = len(obstacles)
@@ -94,9 +96,9 @@ class _SceneGeom:
             for ob in obstacles
         ]).reshape(n_obs, n_verts, 2)
         self.aabbs = np.concatenate([self.verts.min(axis=1), self.verts.max(axis=1)], axis=1)
-        none = [-np.inf, np.inf, np.inf, -np.inf]     # lo, hi, push_hi, push_lo
+        none = [-np.inf, np.inf]     # lo, hi
         axis_ids: dict[bytes, int] = {}
-        entries = []  # per obstacle, one [axis id, lo, hi, push_hi, push_lo] per axis
+        entries = []  # per obstacle, one [axis id, lo, hi] per axis
         for ob in obstacles:
             normals = ob.edge_normals()
             own = ob.vertices @ normals.T
@@ -105,18 +107,16 @@ class _SceneGeom:
                 positive = nrm[0] > 0.0 or (nrm[0] == 0.0 and nrm[1] > 0.0)
                 canon = (nrm if positive else -nrm) + 0.0    # + 0.0 turns -0.0 into 0.0
                 aid = axis_ids.setdefault(canon.tobytes(), len(axis_ids))
+                lo, hi = (own_min, own_max) if positive else (-own_max, -own_min)
                 row = rows.setdefault(aid, [aid, *none])
-                if positive:
-                    row[1], row[2], row[3] = max(row[1], own_min), min(row[2], own_max), own_max
-                else:
-                    row[1], row[2], row[4] = max(row[1], -own_max), min(row[2], -own_min), -own_max
+                row[1], row[2] = max(row[1], lo), min(row[2], hi)
             entries.append(list(rows.values()))
         n_entries = max((len(rows) for rows in entries), default=0)
         table = np.array([rows + [[0, *none]] * (n_entries - len(rows)) for rows in entries])
-        table = table.reshape(n_obs, n_entries, 5)
+        table = table.reshape(n_obs, n_entries, 3)
         self.axes = np.frombuffer(b"".join(axis_ids), dtype=float).reshape(len(axis_ids), 2)
         self.axis = table[:, :, 0].astype(np.intp)
-        self.lo, self.hi, self.push_hi, self.push_lo = np.moveaxis(table[:, :, 1:], 2, 0)
+        self.lo, self.hi = np.moveaxis(table[:, :, 1:], 2, 0)
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,16 @@ def _link_aabbs(rb: _RectBatch) -> tuple[np.ndarray, np.ndarray]:
     return P + np.minimum(0.0, rb.steps) - widen, P + np.maximum(0.0, rb.steps) + widen
 
 
-def _bounds_margins(geom: _SceneGeom, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-configuration containment margin of the link AABBs ``lo``, ``hi``
-    (from ``_link_aabbs``); negative means outside bounds."""
+def _gaps_margins(geom: _SceneGeom, rb: _RectBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The AABB screen of a link batch, from one ``_link_aabbs`` pass: the
+    (M, K, O) lower bounds on the link-obstacle separation distances, and
+    the (M,) workspace containment margins, negative outside the bounds."""
+    lo, hi = _link_aabbs(rb)
     xmin, ymin, xmax, ymax = geom.bounds
-    return np.minimum.reduce([lo[0] - xmin, xmax - hi[0], lo[1] - ymin, ymax - hi[1]]).min(axis=1)
+    margin = np.minimum.reduce([lo[0] - xmin, xmax - hi[0], lo[1] - ymin, ymax - hi[1]]).min(axis=1)
+    ob_lo, ob_hi = geom.aabbs.T.reshape(2, 2, 1, 1, geom.n_obstacles)   # (2, 1, 1, O) each
+    g = np.maximum(np.maximum(ob_lo - hi[..., None], lo[..., None] - ob_hi), 0.0)
+    return np.hypot(g[0], g[1]), margin
 
 
 def _sat(geom: _SceneGeom, rb: _RectBatch, penetration: bool = False):
@@ -251,7 +256,7 @@ def _sat(geom: _SceneGeom, rb: _RectBatch, penetration: bool = False):
     hit[mi, ki, oi] = ~sep2
     if penetration:
         mk = mi[:, None], ki[:, None], geom.axis[oi]         # (S, P) each
-        push = np.minimum(geom.push_hi[oi] - rmin[mk], rmax[mk] - geom.push_lo[oi]).min(axis=1)
+        push = np.minimum(geom.hi[oi] - rmin[mk], rmax[mk] - geom.lo[oi]).min(axis=1)
         pen[mi, ki, oi] = np.minimum.reduce([
             push, vu_max - pu, (pu + ln) - vu_min, vn_max - (pn - w), (pn + w) - vn_min,
         ])
@@ -259,9 +264,9 @@ def _sat(geom: _SceneGeom, rb: _RectBatch, penetration: bool = False):
 
 
 def configs_in_collision(arm: ArmModel, scene: Scene, Q) -> np.ndarray:
-    """Boolean flags for a batch of configurations of shape (M, K)."""
-    geom, rb = scene._geom, _RectBatch(arm, Q)
-    return (_bounds_margins(geom, *_link_aabbs(rb)) <= 0.0) | _sat(geom, rb)[0].any(axis=(1, 2))
+    """Boolean flags for a batch of configurations of shape (M, K), from the
+    AABB screen and the kernel (``_clear_or_hit``)."""
+    return _clear_or_hit(arm, scene._geom, _check_batch(arm, Q))[0]
 
 
 def config_in_collision(arm: ArmModel, scene: Scene, q) -> bool:
@@ -280,50 +285,28 @@ def _check_free(arm: ArmModel, scene: Scene, named) -> None:
         raise ValueError(f"{named[int(np.argmax(hit))][0]} is in collision")
 
 
-def _aabb_gap_lower_bound(geom: _SceneGeom, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(M, K, O) lower bound on the separation distance from the link AABBs
-    ``lo``, ``hi`` (from ``_link_aabbs``)."""
-    ob_lo, ob_hi = geom.aabbs.T.reshape(2, 2, 1, 1, geom.n_obstacles)   # (2, 1, 1, O) each
-    g = np.maximum(np.maximum(ob_lo - hi[..., None], lo[..., None] - ob_hi), 0.0)
-    return np.hypot(g[0], g[1])
+def _signed_distances(geom: _SceneGeom, rb: _RectBatch, far_cutoff: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """``pair_signed_distances`` of one link batch, and its workspace
+    margins, from the AABB screen (``_gaps_margins``) and the kernel.
 
-
-def _signed_distances(geom: _SceneGeom, rb: _RectBatch, far_cutoff: float | None = None) -> np.ndarray:
-    """``pair_signed_distances`` of one link batch: a broad phase, then a
-    narrow phase on the configurations it keeps.
-
-    Without a cutoff every configuration goes to the narrow phase. With one,
-    the AABB gap bound of every pair is made first, and only the
-    configurations with a pair whose bound is below the cutoff go on; every
-    pair of the others is reported as its bound. A touching or overlapping
-    pair has a bound of 0 (up to rounding, for obstacle axes off the
-    coordinate axes), so a cutoff of any practical size never leaves it out.
-    Every per-configuration quantity is computed alike in any batch, so the
-    kept rows get the same bits as in a narrow phase over the whole batch."""
-    if far_cutoff is None:
-        return _narrow_signed_distances(geom, rb)
-    lower = _aabb_gap_lower_bound(geom, *_link_aabbs(rb))
+    Only the configurations with a pair whose gap bound is below the cutoff
+    go through the kernel; every pair of the others is reported as its
+    bound. Of a kept configuration, a hit pair gets its penetration depth
+    and a separated one the exact vertex-segment distance, or its bound
+    where that is at least the cutoff. A touching or overlapping pair has a
+    bound of 0 (up to rounding, for obstacle axes off the coordinate axes),
+    so a cutoff of any practical size never leaves it out. Every
+    per-configuration quantity is computed alike in any batch, so a kept
+    row gets the same bits as in a kernel pass over the whole batch."""
+    lower, margin = _gaps_margins(geom, rb)
     near = np.flatnonzero((lower < far_cutoff).any(axis=(1, 2)))
-    if len(near):
-        lower[near] = _narrow_signed_distances(geom, rb.rows(near), lower[near], far_cutoff)
-    return lower
-
-
-def _narrow_signed_distances(geom: _SceneGeom, rb: _RectBatch, lower=None, far_cutoff=None) -> np.ndarray:
-    """Signed distances from the separating-axis test: the penetration depth
-    of a hit pair, and the exact vertex-segment distance of a separated one,
-    or its AABB bound ``lower`` where that is at least ``far_cutoff``."""
+    if len(near) == 0:
+        return lower, margin
+    rb, lower_near = rb.rows(near), lower[near]
     hit, pen = _sat(geom, rb, penetration=True)
-    # entries of pairs that are not hit are all overwritten below
-    sd = np.where(pen > 0.0, -pen, 0.0)
-    need_exact = ~hit
-    if lower is not None:
-        far = need_exact & (lower >= far_cutoff)
-        sd = np.where(far, lower, sd)
-        need_exact &= ~far
-
-    if need_exact.any():
-        mi, ki, oi = np.nonzero(need_exact)
+    sd = np.where(hit, np.where(pen > 0.0, -pen, 0.0), lower_near)
+    mi, ki, oi = np.nonzero(~hit & (lower_near < far_cutoff))
+    if len(mi):
         a0 = rb.corners()[mi, ki]                    # (S, 4, 2)
         a1 = np.roll(a0, -1, axis=1)
         b0 = geom.verts[oi]                          # (S, V, 2)
@@ -331,7 +314,8 @@ def _narrow_signed_distances(geom: _SceneGeom, rb: _RectBatch, lower=None, far_c
         d1 = _point_segment_distance(a0[:, :, None], b0[:, None], b1[:, None]).min(axis=(1, 2))
         d2 = _point_segment_distance(b0[:, :, None], a0[:, None], a1[:, None]).min(axis=(1, 2))
         sd[mi, ki, oi] = np.minimum(d1, d2)
-    return sd
+    lower[near] = sd
+    return lower, margin
 
 
 def pair_signed_distances(
@@ -352,16 +336,15 @@ def pair_signed_distances(
         and not isinstance(far_cutoff, bool) and far_cutoff > 0.0
     ):
         raise ValueError(f"far_cutoff must be None or a number > 0, got {far_cutoff!r}")
-    return _signed_distances(scene._geom, _RectBatch(arm, Q), far_cutoff)
+    cutoff = np.inf if far_cutoff is None else far_cutoff
+    return _signed_distances(scene._geom, _RectBatch(arm, Q), cutoff)[0]
 
 
 def min_clearance(arm: ArmModel, scene: Scene, q) -> float:
     """Smallest signed distance over all (link, obstacle) pairs, folded with
     the workspace containment margin. Unconstrained configurations report a
     large sentinel (infinity)."""
-    geom, rb = scene._geom, _RectBatch(arm, _check_config(arm, q))
-    sd = _signed_distances(geom, rb)
-    margin = _bounds_margins(geom, *_link_aabbs(rb))
+    sd, margin = _signed_distances(scene._geom, _RectBatch(arm, _check_config(arm, q)))
     return min(float(sd.min(initial=NO_OBSTACLE_CLEARANCE)), float(margin[0]))
 
 
@@ -430,9 +413,8 @@ def _clear_or_hit(arm: ArmModel, geom: _SceneGeom, Q: np.ndarray) -> tuple[np.nd
     ``_CERTIFY_MARGIN`` go through the kernel, and every other row is
     free."""
     rb = _RectBatch(arm, Q.reshape(-1, Q.shape[-1]))
-    lo, hi = _link_aabbs(rb)
-    margin = _bounds_margins(geom, lo, hi)
-    bound = np.minimum(_aabb_gap_lower_bound(geom, lo, hi).min(axis=(1, 2), initial=np.inf), margin)
+    gaps, margin = _gaps_margins(geom, rb)
+    bound = np.minimum(gaps.min(axis=(1, 2), initial=np.inf), margin)
     near = np.flatnonzero(bound <= _CERTIFY_MARGIN)
     hit = np.zeros(len(bound), dtype=bool)
     if len(near):
@@ -453,6 +435,7 @@ def _sample_fractions(n_interp: int) -> np.ndarray:
 def edge_in_collision(arm: ArmModel, scene: Scene, q1, q2, n_interp: int = DEFAULT_EDGE_INTERP) -> bool:
     """True when any of the interpolated configurations along the straight
     joint-space segment (endpoints included) is in collision."""
+    q1, q2 = _check_config(arm, q1), _check_config(arm, q2)
     return bool(segments_in_collision(arm, scene, q1, q2, _sample_fractions(n_interp)))
 
 

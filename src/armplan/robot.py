@@ -162,8 +162,8 @@ def _tip_jacobian(steps: np.ndarray) -> np.ndarray:
 
 def _check_batch(arm: ArmModel, Q) -> np.ndarray:
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    if Q.shape[1] != arm.dof:
-        raise ValueError(f"expected {arm.dof} joint angles per configuration")
+    if Q.ndim != 2 or Q.shape[1] != arm.dof:
+        raise ValueError(f"configurations must be an (M, {arm.dof}) matrix, got shape {Q.shape}")
     if not np.isfinite(Q).all():
         raise ValueError("joint angles must be finite")
     return Q

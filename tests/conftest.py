@@ -5,7 +5,7 @@ from armplan import (
     ConvexShape, RoadmapParams, Scene, build_roadmap, build_scene, default_arm,
     generate_test_suite,
 )
-from armplan.collision import configs_in_collision
+from armplan.collision import _gaps_margins, _RectBatch, _sat
 
 
 @pytest.fixture(scope="session")
@@ -60,10 +60,18 @@ def random_convex_polygon(rng, n_points=8, radius=1.0, center=None):
             continue
 
 
+def unscreened_flags(arm, scene, Q):
+    """Test-only oracle for ``configs_in_collision``: the workspace margin
+    and the separating-axis kernel on every row of ``Q`` (M, K), with no
+    AABB screen in front of the kernel."""
+    geom, rb = scene._geom, _RectBatch(arm, Q)
+    return (_gaps_margins(geom, rb)[1] <= 0.0) | _sat(geom, rb)[0].any(axis=(1, 2))
+
+
 def dense_segment_flags(arm, scene, A, B, t):
     """Test-only dense oracle for ``segments_in_collision``: every
-    interpolated sample through ``configs_in_collision``, then any per
+    interpolated sample through ``unscreened_flags``, then any per
     segment."""
     samples = A[..., None, :] + t[:, None] * (B - A)[..., None, :]
-    flags = configs_in_collision(arm, scene, samples.reshape(-1, samples.shape[-1]))
+    flags = unscreened_flags(arm, scene, samples.reshape(-1, samples.shape[-1]))
     return flags.reshape(samples.shape[:-1]).any(axis=-1)

@@ -9,14 +9,14 @@ from armplan.collision import (
     Scene, config_in_collision, configs_in_collision, edge_in_collision,
     min_clearance, pair_signed_distances,
     segments_in_collision, trajectory_in_collision,
-    _aabb_gap_lower_bound, _bounds_margins, _link_aabbs, _RectBatch, _sample_fractions, _sat,
+    _gaps_margins, _link_aabbs, _RectBatch, _sample_fractions, _sat,
 )
 from armplan.geometry import ConvexShape, Pose2, _point_segment_distance, signed_distance
 from armplan.optimizer import D_SAFE, _hinge_sums
 from armplan.robot import ArmModel, chain_points, link_shapes
 from armplan.scenarios import SCENE_NAMES, build_scene
 
-from conftest import dense_segment_flags, random_convex_polygon
+from conftest import dense_segment_flags, random_convex_polygon, unscreened_flags
 
 
 def flat_arm(k=4):
@@ -353,7 +353,7 @@ def test_scene_layout_sets_every_slot(name, request):
     assert geom.verts.shape == (n_obs, n_verts, 2)
     assert geom.aabbs.shape == (n_obs, 4)
     assert geom.axes.shape == (n_axes, 2)
-    for slot in ("axis", "lo", "hi", "push_hi", "push_lo"):
+    for slot in ("axis", "lo", "hi"):
         assert getattr(geom, slot).shape == (n_obs, n_entries), slot
     assert (n_axes == 0) == (n_entries == 0) == (n_obs == 0)
     assert geom.bounds == (scene.workspace_bounds or (-np.inf, -np.inf, np.inf, np.inf))
@@ -371,18 +371,6 @@ def test_obstacle_free_scene_runs_the_kernel(arm, name, request):
     assert (0.0 < clear < math.inf) if scene.workspace_bounds else clear == math.inf
 
 
-def test_signed_distances_without_cutoff_skip_the_aabb_bound(arm, shelf_scene, monkeypatch):
-    Q = np.random.default_rng(6).uniform(arm.lower, arm.upper, size=(12, arm.dof))
-    calls = []
-    bound = collision._aabb_gap_lower_bound
-    monkeypatch.setattr(collision, "_aabb_gap_lower_bound", lambda *a: calls.append(1) or bound(*a))
-    pair_signed_distances(arm, shelf_scene, Q)
-    min_clearance(arm, shelf_scene, Q[0])
-    assert calls == []
-    pair_signed_distances(arm, shelf_scene, Q, far_cutoff=0.05)
-    assert calls == [1]
-
-
 def dense_signed_distances(arm, scene, Q, far_cutoff=None):
     """Test-only dense reference: the signed-distance core as it was before
     its broad phase. The separating-axis test and the penetration fill run
@@ -394,7 +382,7 @@ def dense_signed_distances(arm, scene, Q, far_cutoff=None):
     sd = np.where(pen > 0.0, -pen, 0.0)
     need_exact = ~hit
     if far_cutoff is not None:
-        lower = _aabb_gap_lower_bound(geom, *_link_aabbs(rb))
+        lower = _gaps_margins(geom, rb)[0]
         far = need_exact & (lower >= far_cutoff)
         sd = np.where(far, lower, sd)
         need_exact &= ~far
@@ -467,7 +455,7 @@ def test_broad_phase_matches_dense_reference(arm, name, m):
     assert np.array_equal(_hinge_sums(arm, scene, Q)[0], np.maximum(0.0, D_SAFE - cut).sum(axis=(1, 2)))
     for q in Q[:8]:
         sd = dense_signed_distances(arm, scene, q[None])
-        margin = _bounds_margins(scene._geom, *_link_aabbs(_RectBatch(arm, q)))
+        margin = _gaps_margins(scene._geom, _RectBatch(arm, q))[1]
         want = min(float(sd.min(initial=math.inf)), float(margin[0]))
         assert min_clearance(arm, scene, q) == want
     if scene.obstacles and m >= 40:
@@ -480,7 +468,7 @@ def test_broad_phase_matches_dense_reference(arm, name, m):
 
 def test_rows_without_a_near_pair_skip_the_kernel(arm, shelf_scene, monkeypatch):
     Q = _rows_near_an_obstacle(arm, shelf_scene, np.random.default_rng(9), 40)
-    lower = _aabb_gap_lower_bound(shelf_scene._geom, *_link_aabbs(_RectBatch(arm, Q)))
+    lower = _gaps_margins(shelf_scene._geom, _RectBatch(arm, Q))[0]
     near = (lower < D_SAFE).any(axis=(1, 2))
     assert near.any() and not near.all()
     seen = []
@@ -511,6 +499,31 @@ _NON_FINITE_CALLS = {
         arm, scene, Q, far_cutoff=0.05),
     "min_clearance": lambda arm, scene, Q: min_clearance(arm, scene, Q[-1]),
 }
+
+
+_BATCH_CALLS = {
+    "configs_in_collision": configs_in_collision,
+    "pair_signed_distances": pair_signed_distances,
+    "chain_points": lambda arm, scene, Q: chain_points(arm, Q),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_BATCH_CALLS))
+def test_batch_calls_reject_a_stack_of_matrices(arm, pole_scene, call):
+    # a (2, 4, 4) stack passed the width check and died in numpy with "axes
+    # don't match array"
+    with pytest.raises(ValueError, match=r"configurations must be an \(M, 4\) matrix, got shape \(2, 4, 4\)"):
+        _BATCH_CALLS[call](arm, pole_scene, np.zeros((2, arm.dof, arm.dof)))
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (2, 4)])
+def test_edge_in_collision_rejects_batched_endpoints(arm, pole_scene, shape):
+    # a (1, 4) pair returned a verdict, and a (2, 4) pair raised numpy's
+    # "truth value of an array ... is ambiguous"
+    q, batch = np.zeros(arm.dof), np.zeros(shape)
+    for q1, q2 in ((batch, q), (q, batch), (batch, batch)):
+        with pytest.raises(ValueError, match=r"configuration must have 4 joint angles, got shape"):
+            edge_in_collision(arm, pole_scene, q1, q2)
 
 
 @pytest.mark.parametrize("call", sorted(_NON_FINITE_CALLS))
@@ -688,6 +701,19 @@ def _grazing_scene(arm, kind, q, gap, rng):
 _CERTIFY_SCENES = ["random_convex", "unbounded", "obstacle_free", "grazing_box", "grazing_bounds"]
 
 
+def _certify_scene(arm, kind, rng, q):
+    """A scene of one of the ``_CERTIFY_SCENES`` kinds; a grazing one
+    grazes the configuration ``q`` at a gap around the 1e-9 margin."""
+    if kind == "random_convex":
+        return _random_convex_scene(rng, int(rng.integers(1, 5)))
+    if kind == "unbounded":
+        return Scene("unbounded", build_scene("shelf_boxes").obstacles)
+    if kind == "obstacle_free":
+        return Scene("obstacle_free", (), workspace_bounds=(-1.6, -0.6, 1.6, 1.6))
+    gap = float(rng.choice([-1e-9, 0.0, 1e-12, 5e-10, 1e-9, 1.5e-9, 1e-8, 1e-6]))
+    return _grazing_scene(arm, kind, q, gap, rng)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -712,17 +738,31 @@ def test_certified_segments_match_dense_oracle(arm, seed, kind, five_links, n_t,
     B = np.clip(A + rng.normal(scale=scale, size=A.shape), arm.lower, arm.upper)
     still = rng.random(n_seg) < 0.2
     B[still] = A[still]
-    if kind == "random_convex":
-        scene = _random_convex_scene(rng, int(rng.integers(1, 5)))
-    elif kind == "unbounded":
-        scene = Scene("unbounded", build_scene("shelf_boxes").obstacles)
-    elif kind == "obstacle_free":
-        scene = Scene("obstacle_free", (), workspace_bounds=(-1.6, -0.6, 1.6, 1.6))
-    else:
-        gap = float(rng.choice([-1e-9, 0.0, 1e-12, 5e-10, 1e-9, 1.5e-9, 1e-8, 1e-6]))
-        i, j = int(rng.integers(n_seg)), int(rng.integers(n_t))
-        scene = _grazing_scene(arm, kind, A[i] + t[j] * (B[i] - A[i]), gap, rng)
+    i, j = int(rng.integers(n_seg)), int(rng.integers(n_t))
+    scene = _certify_scene(arm, kind, rng, A[i] + t[j] * (B[i] - A[i]))
     assert np.array_equal(segments_in_collision(arm, scene, A, B, t), dense_segment_flags(arm, scene, A, B, t))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(_CERTIFY_SCENES),
+    five_links=st.booleans(),
+    m=st.sampled_from([1, 2, 40, 1024]),
+)
+def test_screened_configs_match_the_unscreened_kernel(arm, seed, kind, five_links, m):
+    """``configs_in_collision``, which sends only the rows its AABB screen
+    cannot clear to the kernel, flags the rows the kernel flags on every
+    row: single IK-filter and endpoint rows up to a sampler's batch, on the
+    scenes of the certified segment checks; half the rows of a batch lie
+    within about 1e-9 rad of the grazed one."""
+    if five_links:
+        arm = five_link_offset_arm(arm)
+    rng = np.random.default_rng(seed)
+    Q = rng.uniform(arm.lower, arm.upper, size=(m, arm.dof))
+    Q[m // 2 + 1:] = Q[0] + rng.normal(scale=1e-9, size=(m - m // 2 - 1, arm.dof))
+    scene = _certify_scene(arm, kind, rng, Q[0])
+    assert np.array_equal(configs_in_collision(arm, scene, Q), unscreened_flags(arm, scene, Q))
 
 
 @pytest.mark.parametrize("n_t", [17, 22])
