@@ -70,17 +70,15 @@ class _SceneGeom:
     ``verts`` (O, V, 2): a polygon with fewer than V vertices repeats its
     last one, which changes no projection range, bounding box or distance.
     ``axes`` (A, 2): the distinct edge-normal directions, sign-canonicalized.
-    Each obstacle has P entries, one per axis of its own: ``axis`` (O, P)
-    indexes ``axes``, and ``lo``/``hi`` bound the obstacle's projection. A
-    normal and its negation test that one interval, and a projection onto a
-    negated axis is an exact negation, so one test per axis agrees
-    bit-for-bit with one per normal. The penetration depth reads the same
-    interval along both signs of an axis, one the obstacle has no normal for
-    included: the penetration depth is the radius of the largest
-    origin-centred disc inside the Minkowski difference, so the overlap
-    along any direction is at least that depth, and an extra sign cannot
-    lower the minimum over the true normals. Padding entries are infinite,
-    so they neither separate nor push.
+    Each obstacle has P entries, one per distinct axis of its own edge
+    normals in first-seen order: ``axis`` (O, P) indexes ``axes``, and
+    ``lo``/``hi`` are the min and max of its vertices projected onto that
+    axis. The penetration depth reads that interval along both signs of an
+    axis, one the obstacle has no normal for included: the penetration depth
+    is the radius of the largest origin-centred disc inside the Minkowski
+    difference, so the overlap along any direction is at least that depth,
+    and an extra sign cannot lower the minimum over the true normals.
+    Padding entries are infinite, so they neither separate nor push.
     ``bounds`` is the workspace (xmin, ymin, xmax, ymax), infinite when the
     scene is unbounded. A scene without obstacles has O = A = P = 0.
     """
@@ -100,17 +98,13 @@ class _SceneGeom:
         axis_ids: dict[bytes, int] = {}
         entries = []  # per obstacle, one [axis id, lo, hi] per axis
         for ob in obstacles:
-            normals = ob.edge_normals()
-            own = ob.vertices @ normals.T
-            rows: dict[int, list] = {}
-            for nrm, own_min, own_max in zip(normals, own.min(axis=0), own.max(axis=0)):
+            own: dict[int, np.ndarray] = {}   # axis id -> axis, first seen first
+            for nrm in ob.edge_normals():
                 positive = nrm[0] > 0.0 or (nrm[0] == 0.0 and nrm[1] > 0.0)
                 canon = (nrm if positive else -nrm) + 0.0    # + 0.0 turns -0.0 into 0.0
-                aid = axis_ids.setdefault(canon.tobytes(), len(axis_ids))
-                lo, hi = (own_min, own_max) if positive else (-own_max, -own_min)
-                row = rows.setdefault(aid, [aid, *none])
-                row[1], row[2] = max(row[1], lo), min(row[2], hi)
-            entries.append(list(rows.values()))
+                own.setdefault(axis_ids.setdefault(canon.tobytes(), len(axis_ids)), canon)
+            proj = ob.vertices @ np.array(list(own.values())).T
+            entries.append(list(zip(own, proj.min(axis=0), proj.max(axis=0))))
         n_entries = max((len(rows) for rows in entries), default=0)
         table = np.array([rows + [[0, *none]] * (n_entries - len(rows)) for rows in entries])
         table = table.reshape(n_obs, n_entries, 3)
@@ -359,12 +353,13 @@ def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
     The check is certified in two stages. Stage 1 checks the coarse samples
     of ``_coarse_split`` with ``_clear_or_hit``. On segment s no arm point
     moves farther than ``|t_a - t_b| * D_s`` between two samples, with
-    ``D_s = sum_j R_j |B_j - A_j|`` and ``R_j`` the reach of joint j (the
-    summed length of links j onward plus the largest half-width), so an
-    AABB gap falls by at most sqrt(2) times that and the workspace margin
-    by at most that. Stage 2 checks, the same way, the other samples of the
-    segments stage 1 left unflagged, except those some checked sample's
-    bound covers: bound > sqrt(2) * motion + ``_CERTIFY_MARGIN`` (1e-9).
+    ``D_s = sum_j R_j |B_j - A_j|`` and ``R_j`` the reach of joint j
+    (``_joint_reach``: the summed length of links j onward plus the largest
+    half-width), so an AABB gap falls by at most sqrt(2) times that and the
+    workspace margin by at most that. Stage 2 checks, the same way, the
+    other samples of the segments stage 1 left unflagged, except those some
+    checked sample's bound covers: bound > sqrt(2) * motion +
+    ``_CERTIFY_MARGIN`` (1e-9).
     The flags are those of a check of every sample. Endpoints that are not
     finite raise ValueError before they are interpolated, and so does a
     ``t`` that is not a non-empty 1-D array of finite fractions.
@@ -387,14 +382,20 @@ def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
     checked, rest = _coarse_split(t.size)
     hit, bound = _clear_or_hit(arm, geom, samples[:, checked])
     flags = hit.any(axis=1)
-    reach = np.cumsum(arm.lengths[::-1])[::-1] + arm.half_widths.max()
-    motion = _SQRT2 * (np.abs(step) @ reach)[:, None, None] * np.abs(t[rest, None] - t[checked])
+    motion = _SQRT2 * (np.abs(step) @ _joint_reach(arm))[:, None, None] * np.abs(t[rest, None] - t[checked])
     covered = (bound[:, None, :] > motion + _CERTIFY_MARGIN).any(axis=2)
     si, ri = np.nonzero(~covered & ~flags[:, None])
     if len(si):
         hit = _clear_or_hit(arm, geom, samples[si, rest[ri]])[0]
         flags[si[hit]] = True
     return flags.reshape(lead)
+
+
+def _joint_reach(arm: ArmModel) -> np.ndarray:
+    """``R_j`` (K,) of the motion bound: the summed length of links j onward
+    plus the largest half-width, which no point of those links is farther
+    from joint j than."""
+    return np.cumsum(arm.lengths[::-1])[::-1] + arm.half_widths.max()
 
 
 def _coarse_split(n_t: int) -> tuple[np.ndarray, np.ndarray]:

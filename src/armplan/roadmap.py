@@ -38,8 +38,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as _sparse_dijkstra, yen as _sparse_yen
 
 from .collision import DEFAULT_EDGE_INTERP, Scene, _check_free, _coarse_split, _sample_fractions, segments_in_collision
-from .geometry import _vector_length, wrap_angles
-from .robot import IK_HEADING_TOL, IK_POSITION_TOL, ArmModel, EEPose, _check_int, _is_integer, chain_points
+from .geometry import _vector_length
+from .robot import ArmModel, EEPose, _at_goal, _check_int, _is_integer, chain_points
 from . import scenarios
 from .scenarios import _check_json_layout, ik_goal_configs, scene_to_dict
 
@@ -103,7 +103,8 @@ class Roadmap:
         self.binding = binding
         # Yen memo: (u, v) -> (the k it ran for, its paths)
         self._ksp: dict[tuple[int, int], tuple[int, list[tuple[int, ...]]]] = {}
-        self._node_ee: tuple[np.ndarray, np.ndarray] | None = None
+        # (arm, tip positions, raw tip headings) of the last node_tip_poses call
+        self._node_ee: tuple[ArmModel, np.ndarray, np.ndarray] | None = None
         # the edges as a symmetric CSR matrix, the alternate-path searches' graph
         self.graph = _csr_graph(len(self.nodes), self.edge_list, self.edge_weights)
         self.apsp_dist = _sparse_dijkstra(self.graph, directed=True)
@@ -131,12 +132,13 @@ class Roadmap:
         return _walk_to(self.graph, self.graph.data, self.apsp_dist[v], u, v)[1]
 
     def node_tip_poses(self, arm: ArmModel) -> tuple[np.ndarray, np.ndarray]:
-        """Tip positions (N, 2) and headings (N,) of all nodes for the
-        roadmap's own arm, computed once."""
-        if self._node_ee is None:
+        """Tip positions (N, 2) and raw headings (N,) of all nodes for
+        ``arm``, computed again only when the arm differs from the last
+        call's."""
+        if self._node_ee is None or self._node_ee[0] != arm:
             origins, headings = chain_points(arm, self.nodes)
-            self._node_ee = (origins[:, -1].copy(), wrap_angles(headings[:, -1]))
-        return self._node_ee
+            self._node_ee = (arm, origins[:, -1].copy(), headings[:, -1].copy())
+        return self._node_ee[1:]
 
     def check_binding(self, scene: Scene, arm: ArmModel) -> None:
         """Raise ValueError unless the roadmap was built for this scene (name,
@@ -253,9 +255,7 @@ def _connect_knn(scene: Scene, arm: ArmModel, nodes: np.ndarray, k: int):
 def _largest_component(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
     """Nodes of the largest connected component. Components are labelled in
     order of their lowest node, so on a tie the lowest-indexed one wins."""
-    us, vs = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-    graph = csr_matrix((np.ones(len(us)), (us, vs)), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
+    _, labels = connected_components(_csr_graph(n, edges, np.ones(len(edges))), directed=False)
     return np.flatnonzero(labels == np.argmax(np.bincount(labels)))
 
 
@@ -422,12 +422,7 @@ def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) ->
     _check_free(arm, scene, [("start configuration", start)])
 
     candidates = ik_goal_configs(arm, scene, goal)
-    tip_pos, tip_heading = roadmap.node_tip_poses(arm)
-    pos_err = np.linalg.norm(tip_pos - np.array([goal.x, goal.y])[None, :], axis=1)
-    matched = pos_err < IK_POSITION_TOL
-    if goal.heading_matters:
-        dh = np.abs(wrap_angles(tip_heading - goal.heading))
-        matched &= dh < IK_HEADING_TOL
+    matched = _at_goal(*roadmap.node_tip_poses(arm), goal)
     candidates.extend(roadmap.nodes[i].copy() for i in np.flatnonzero(matched))
     if not candidates:
         return QueryResult(None, failure="no_ik")

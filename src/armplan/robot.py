@@ -5,6 +5,10 @@ share one chain pass (``_link_steps``, and ``_joint_origins`` for the joint
 positions) and one tip-Jacobian helper. ``solve_ik``'s loop keeps one row per
 restart; a converged or stalled restart leaves a ``live`` mask and its row
 stops moving.
+
+A goal is an ``EEPose(Pose2)``: a pose with one flag, ``heading_matters``.
+``_at_goal`` is the one test of whether a tip reaches a goal; ``solve_ik``
+keeps its solutions by it, and ``roadmap.query`` its matching nodes.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import ConvexShape, Pose2, normalize_angle, transform, wrap_angles
+from .geometry import ConvexShape, Pose2, transform, wrap_angles
 
 IK_POSITION_TOL = 1e-4   # meters
 IK_HEADING_TOL = 1e-3    # radians
@@ -26,21 +30,11 @@ _IK_DAMPING = 1e-3       # damped-least-squares lambda
 
 
 @dataclass(frozen=True)
-class EEPose:
-    """Workspace goal for the arm tip. Heading is only a constraint when
-    ``heading_matters`` is set; it must be finite either way."""
+class EEPose(Pose2):
+    """Workspace goal for the arm tip: a ``Pose2`` whose heading is only a
+    constraint when ``heading_matters`` is set; it must be finite either way."""
 
-    x: float
-    y: float
-    heading: float = 0.0
     heading_matters: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.heading)):
-            raise ValueError("goal pose components must be finite")
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "heading", normalize_angle(float(self.heading)))
 
 
 @dataclass(frozen=True)
@@ -214,6 +208,16 @@ def goal_seed(target: EEPose) -> int:
     return int.from_bytes(hashlib.blake2b(raw, digest_size=4).digest(), "little")
 
 
+def _at_goal(tips: np.ndarray, headings: np.ndarray, target: EEPose) -> np.ndarray:
+    """Which of the tips (M, 2), with raw headings (M,), reach ``target``:
+    position error below ``IK_POSITION_TOL`` and, when the heading matters,
+    wrapped heading error below ``IK_HEADING_TOL``."""
+    ok = np.linalg.norm(np.array([target.x, target.y]) - tips, axis=1) < IK_POSITION_TOL
+    if target.heading_matters:
+        ok &= np.abs(wrap_angles(target.heading - headings)) < IK_HEADING_TOL
+    return ok
+
+
 def solve_ik(arm: ArmModel, target: EEPose, rng_seed: int = 0) -> list[np.ndarray]:
     """Damped-least-squares IK with random restarts uniform in the joint limits.
 
@@ -272,9 +276,7 @@ def solve_ik(arm: ArmModel, target: EEPose, rng_seed: int = 0) -> list[np.ndarra
         np.copyto(Q, dq.clip(lower, upper, out=dq), where=live[:, None])
 
     origins, headings = chain_points(arm, Q)
-    ok = np.linalg.norm(np.array([target.x, target.y]) - origins[:, -1], axis=1) < IK_POSITION_TOL
-    if target.heading_matters:
-        ok &= np.abs(wrap_angles(target.heading - headings[:, -1])) < IK_HEADING_TOL
+    ok = _at_goal(origins[:, -1], headings[:, -1], target)
 
     # keep each converged row that differs by more than 1e-6 rad in some
     # joint from every row kept before it

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from armplan import collision
 from armplan.collision import (
@@ -341,22 +341,47 @@ def test_padded_obstacles_match_reference(arm):
     _assert_batched_checks_agree(arm, scene, Q)
 
 
-@pytest.mark.parametrize("name", [*SCENE_NAMES, "empty_scene", "unbounded_scene"])
+def _canonical_axes(normals):
+    """The distinct sign-canonical directions of ``normals``, first seen
+    first: a normal is kept when its first nonzero component is positive and
+    negated otherwise, with no negative zero."""
+    keep = (normals[:, 0] > 0.0) | ((normals[:, 0] == 0.0) & (normals[:, 1] > 0.0))
+    canon = np.where(keep[:, None], normals, -normals) + 0.0
+    return np.array(list(dict.fromkeys(map(tuple, canon.tolist()))))
+
+
+@pytest.mark.parametrize("name", [*SCENE_NAMES, "empty_scene", "unbounded_scene", "random_convex"])
 def test_scene_layout_sets_every_slot(name, request):
     """Every scene, one without obstacles or bounds included, gets the whole
-    padded layout: O = A = P = 0 for no obstacles, infinite bounds for none."""
-    scene = request.getfixturevalue(name) if name.endswith("_scene") else build_scene(name)
-    geom = scene._geom
-    n_obs = len(scene.obstacles)
-    assert geom.n_obstacles == n_obs
-    n_verts, n_axes, n_entries = geom.verts.shape[1], len(geom.axes), geom.axis.shape[1]
-    assert geom.verts.shape == (n_obs, n_verts, 2)
-    assert geom.aabbs.shape == (n_obs, 4)
-    assert geom.axes.shape == (n_axes, 2)
-    for slot in ("axis", "lo", "hi"):
-        assert getattr(geom, slot).shape == (n_obs, n_entries), slot
-    assert (n_axes == 0) == (n_entries == 0) == (n_obs == 0)
-    assert geom.bounds == (scene.workspace_bounds or (-np.inf, -np.inf, np.inf, np.inf))
+    padded layout: O = A = P = 0 for no obstacles, infinite bounds for none.
+    Each obstacle's entries are the canonical axes of its own edge normals,
+    first seen first, with ``lo``/``hi`` the min and max of its vertices
+    projected onto each, and the padding after them is infinite."""
+    if name == "random_convex":
+        rng = np.random.default_rng(9)
+        scenes = [_random_convex_scene(rng, int(rng.integers(1, 6))) for _ in range(50)]
+    else:
+        scenes = [request.getfixturevalue(name) if name.endswith("_scene") else build_scene(name)]
+    for scene in scenes:
+        geom = scene._geom
+        n_obs = len(scene.obstacles)
+        assert geom.n_obstacles == n_obs
+        n_verts, n_axes, n_entries = geom.verts.shape[1], len(geom.axes), geom.axis.shape[1]
+        assert geom.verts.shape == (n_obs, n_verts, 2)
+        assert geom.aabbs.shape == (n_obs, 4)
+        assert geom.axes.shape == (n_axes, 2)
+        for slot in ("axis", "lo", "hi"):
+            assert getattr(geom, slot).shape == (n_obs, n_entries), slot
+        assert (n_axes == 0) == (n_entries == 0) == (n_obs == 0)
+        assert geom.bounds == (scene.workspace_bounds or (-np.inf, -np.inf, np.inf, np.inf))
+        for o, ob in enumerate(scene.obstacles):
+            own = _canonical_axes(ob.edge_normals())
+            n_own = len(own)
+            assert np.array_equal(geom.axes[geom.axis[o, :n_own]], own), o
+            proj = ob.vertices @ own.T
+            assert np.array_equal(geom.lo[o, :n_own], proj.min(axis=0)), o
+            assert np.array_equal(geom.hi[o, :n_own], proj.max(axis=0)), o
+            assert (geom.lo[o, n_own:] == -np.inf).all() and (geom.hi[o, n_own:] == np.inf).all(), o
 
 
 @pytest.mark.parametrize("name", ["empty_scene", "unbounded_scene"])
@@ -544,6 +569,45 @@ def test_authored_box_normals_share_two_axes(name):
     # a box's four normals lie on two directions; negating a zero component
     # gives -0.0, which must not make a third and a fourth
     assert len(build_scene(name)._geom.axes) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(3, 8),
+    stretched=st.booleans(),
+    one_joint=st.booleans(),
+    scale=st.sampled_from([1e-3, 0.1, 1.0]),
+)
+@example(seed=0, k=3, stretched=True, one_joint=True, scale=1e-3)
+def test_motion_bound_covers_link_and_screen_motion(seed, k, stretched, one_joint, scale):
+    """The motion bound ``segments_in_collision`` certifies samples with
+    (Schwarzer, Saha & Latombe): from fraction t_a to t_b of a joint-space
+    step dq, no link-rectangle corner moves farther than
+    ``|t_a - t_b| * sum_j R_j |dq_j|``, and a row's clearance bound (smallest
+    AABB gap folded with the workspace margin) by no more than sqrt(2) times
+    that. A fully stretched arm turning about one joint is the tight case:
+    its far corners lie beyond the summed link lengths."""
+    rng = np.random.default_rng(seed)
+    arm = ArmModel(
+        base=Pose2(*rng.uniform(-1.0, 1.0, 2), rng.uniform(-math.pi, math.pi)),
+        links=tuple(zip(rng.uniform(0.05, 0.6, k).tolist(), rng.uniform(0.005, 0.1, k).tolist())),
+        joint_limits=((-math.pi, math.pi),) * k,
+    )
+    q = np.zeros(k) if stretched else rng.uniform(-math.pi, math.pi, k)
+    dq = rng.normal(scale=scale, size=k)
+    if one_joint:
+        dq *= np.eye(k)[rng.integers(k)]
+    t = np.linspace(0.0, 1.0, 11)
+    rb = _RectBatch(arm, q + t[:, None] * dq)
+    allowed = np.abs(t[:, None] - t) * (np.abs(dq) @ collision._joint_reach(arm))
+    slack = 1e-12 * (1.0 + allowed)
+    corners = rb.corners()
+    moved = np.linalg.norm(corners[:, None] - corners, axis=-1).max(axis=(2, 3))
+    assert (moved <= allowed + slack).all(), (moved - allowed).max()
+    gaps, margin = _gaps_margins(_random_convex_scene(rng, int(rng.integers(1, 5)))._geom, rb)
+    bound = np.minimum(gaps.min(axis=(1, 2)), margin)
+    assert (np.abs(bound[:, None] - bound) <= math.sqrt(2.0) * allowed + slack).all()
 
 
 def test_far_cutoff_short_circuit(arm, shelf_scene):

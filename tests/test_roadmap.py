@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from armplan.collision import config_in_collision, configs_in_collision, edge_in_collision
 from armplan.collision import Scene, segments_in_collision
-from armplan.robot import ArmModel, EEPose, forward_kinematics
+from armplan.geometry import Pose2
+from armplan.robot import ArmModel, EEPose, chain_points, forward_kinematics
 from armplan import roadmap as roadmap_module
 from armplan.roadmap import (
     Roadmap, RoadmapBuildError, RoadmapParams, build_roadmap, invalidate_and_requery,
@@ -895,6 +896,18 @@ def test_query_rejects_other_arm(small_pole_roadmap, arm, pole_scene):
     longer = ArmModel(arm.base, arm.links[:-1] + ((0.25, arm.links[-1][1]),), arm.joint_limits)
     with pytest.raises(ValueError, match="roadmap is for arm"):
         query(small_pole_roadmap, longer, pole_scene, start, goal)
+
+
+def test_node_tip_poses_follow_the_arm(pole_scene, arm):
+    # every later arm used to get the first arm's tips
+    rm = build_roadmap(pole_scene, arm, RoadmapParams(n_nodes=40))
+    moved = ArmModel(Pose2(0.3, 0.0, 1.0), arm.links, arm.joint_limits)
+    arms = (arm, moved, arm)
+    got = [rm.node_tip_poses(which) for which in arms]
+    want = [chain_points(which, rm.nodes) for which in arms]
+    assert [np.array_equal(g[0], w[0][:, -1]) for g, w in zip(got, want)] == [True] * 3
+    # the headings are raw: _at_goal wraps the difference itself
+    assert [np.array_equal(g[1], w[1][:, -1]) for g, w in zip(got, want)] == [True] * 3
 
 
 def test_query_paths_validate(small_pole_roadmap, small_pole_suite, arm, pole_scene):

@@ -6,7 +6,7 @@ import pytest
 from armplan.geometry import Pose2, wrap_angles
 from armplan.robot import (
     IK_HEADING_TOL, IK_POSITION_TOL, _IK_DAMPING, _IK_MAX_ITERS, _IK_RESTARTS, ArmModel, EEPose,
-    chain_points, ee_jacobian, forward_kinematics, goal_seed, link_shapes, solve_ik,
+    _at_goal, chain_points, ee_jacobian, forward_kinematics, goal_seed, link_shapes, solve_ik,
     within_limits,
 )
 
@@ -384,6 +384,15 @@ def test_ik_matches_compacting_oracle_bitwise(k):
             counts.add(len(got))
     # empty and partial solution lists both occur
     assert 0 in counts and any(0 < n < _IK_RESTARTS for n in counts)
+
+
+def test_at_goal_wraps_the_raw_heading():
+    # a tip heading a full turn off the goal's reaches it; half a turn does not
+    tips = np.array([[0.5, 0.25]] * 3 + [[0.5 + 2 * IK_POSITION_TOL, 0.25]])
+    headings = np.array([0.1 + 2 * math.pi, 0.1 - 4 * math.pi, 0.1 + math.pi, 0.1])
+    assert _at_goal(tips, headings, EEPose(0.5, 0.25, 0.1, heading_matters=True)).tolist() == [
+        True, True, False, False]
+    assert _at_goal(tips, headings, EEPose(0.5, 0.25, 0.1)).tolist() == [True, True, True, False]
 
 
 def test_goal_seed_stable():
