@@ -79,6 +79,15 @@ class SummaryRow:
     collision_rate: float
 
 
+def _check_planner(planner: str, roadmap: Roadmap | None) -> None:
+    """Raise ValueError for a planner not in ``PLANNERS``, or for a
+    ``roadmap`` one without a roadmap."""
+    if planner not in PLANNERS:
+        raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
+    if planner.startswith("roadmap") and roadmap is None:
+        raise ValueError(f"planner {planner!r} requires a roadmap")
+
+
 def run_case(
     arm: ArmModel,
     scene: Scene,
@@ -91,15 +100,14 @@ def run_case(
     """Execute one planner pipeline on one test case.
 
     The seed planner is a roadmap query, or IK goals followed by an RRT or a
-    straight line. No seed path is a planner failure. Plain planners
-    validate the seed with the independent trajectory check; ``+opt``
-    pipelines resample and optimize it instead.
+    straight line. No seed path is a planner failure, and a one-waypoint
+    plan (the start already reaches the goal) is the arm staying put: that
+    waypoint twice, of length 0.0. Plain planners validate the seed with the
+    independent trajectory check; ``+opt`` pipelines resample and optimize
+    it instead.
     """
-    if planner not in PLANNERS:
-        raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
+    _check_planner(planner, roadmap)
     seed_planner, _, opt = planner.partition("+")
-    if seed_planner == "roadmap" and roadmap is None:
-        raise ValueError(f"planner {planner!r} requires a roadmap")
     start = case.start_config
 
     def record(outcome, planner_time, opt_time=0.0, seed_len=None, final_len=None):
@@ -124,6 +132,8 @@ def run_case(
     if seed_path is None:
         return record(OUTCOME_PLANNER_FAILURE, planner_time)
     seed_path = np.asarray(seed_path)
+    if len(seed_path) == 1:
+        seed_path = np.repeat(seed_path, 2, axis=0)    # the arm stays put
     seed_len = path_length(seed_path)
     if not opt:
         if trajectory_in_collision(arm, scene, seed_path)[0]:
@@ -167,10 +177,7 @@ def run_benchmark(
     Raises ValueError unless ``parallelism`` is an integer >= 1.
     """
     parallelism = _check_int("parallelism", parallelism, 1)
-    if planner_spec not in PLANNERS:
-        raise ValueError(f"unknown planner {planner_spec!r}; expected one of {PLANNERS}")
-    if planner_spec in ("roadmap", "roadmap+opt") and roadmap is None:
-        raise ValueError(f"planner {planner_spec!r} requires a roadmap")
+    _check_planner(planner_spec, roadmap)
     scene = scene or build_scene(suite.scene_name)
     if suite.scene_name != scene.name:
         raise ValueError(f"suite is for scene {suite.scene_name!r}, not {scene.name!r}")

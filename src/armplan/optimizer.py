@@ -8,24 +8,18 @@ limits hold at every accepted iterate, and accepted steps never increase
 the merit. Whether the result is actually collision-free is decided by the
 independent trajectory checker, never by inspecting cost values.
 
-The line search evaluates its six trial points in two batches: the two
-longest steps, then the other four only when neither of those decreases the
-merit. After an accepted step the trust radius grows from the box that step
-used, not from the one it was cut from, as in TrajOpt (Schulman et al., IJRR
-2014), so the next search starts near a step that worked. The gradient is
-kept across rejected steps (they leave the iterate and the penalty
-coefficient unchanged), and the iterate's penalty and clearance bounds are
-carried from the batch that accepted it.
+``optimize`` runs the penalty rounds, the trust-region update and the
+stopping rule; ``_merit_gradient`` gives the gradient and ``_line_search``
+the step along it. After an accepted step the trust radius grows from the
+box that step used, not from the one it was cut from, as in TrajOpt
+(Schulman et al., IJRR 2014), so the next search starts near a step that
+worked. The gradient is kept across rejected steps (they leave the iterate
+and the penalty coefficient unchanged), and the iterate's penalty and
+clearance bounds are carried from the batch that accepted it.
 
-The penalty gradient is central finite differences, and it computes only
-the rows that can be nonzero. Turning one joint by ``_FD_STEP`` moves no
-arm point farther than (reach + largest half-width) * ``_FD_STEP``. A
-waypoint whose clearance bound, the smallest signed distance the iterate's
-batch reported for it (never above a pair's distance), is at least
-``D_SAFE`` plus twice that motion therefore has only perturbed rows whose
-every pair is reported at or beyond the hinge, with a hinge sum of exactly
-0.0; its gradient rows are 0.0 without a signed-distance call. The
-gradient is bitwise that of the finite differences over every waypoint.
+The penalty gradient is central finite differences, computed only for the
+waypoints the hinge can reach (``_merit_gradient``), and bitwise that of
+the finite differences over every waypoint.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import (
-    Scene, _check_free, pair_signed_distances, trajectory_in_collision,
+    Scene, _check_free, _joint_reach, pair_signed_distances, trajectory_in_collision,
 )
 from .robot import ArmModel
 
@@ -87,21 +81,23 @@ def _smoothness_gradient_interior(traj: np.ndarray) -> np.ndarray:
     return 2.0 * (2.0 * traj[1:-1] - traj[:-2] - traj[2:])
 
 
-def _penalty_gradient_interior(arm, scene, traj, bounds) -> np.ndarray:
-    """Central finite differences of the per-waypoint hinge sums, batched
-    over the waypoints the hinge can reach.
+def _merit_gradient(arm, scene, traj, mu, bounds) -> np.ndarray:
+    """Gradient of smoothness + mu * collision penalty w.r.t. the interior
+    waypoints of ``traj``, whose clearance bounds from ``_hinge_sums`` are ``bounds``.
 
-    A waypoint goes into the one signed-distance batch, with its 2 * K
-    perturbed rows, only when its clearance bound in ``bounds`` (as
-    ``_hinge_sums`` reports it) is below ``D_SAFE + 2 * motion``, where a
-    perturbation moves no arm point farther than ``motion``. So every pair
-    of another waypoint's rows is reported at or beyond ``D_SAFE``, and its
-    gradient rows are exactly 0.0. With no such waypoint no signed distance
-    is computed.
+    The penalty part is central finite differences of the per-waypoint hinge
+    sums. Turning one joint by ``_FD_STEP`` moves no arm point farther than
+    ``motion = collision._joint_reach(arm)[0] * _FD_STEP``, the certified
+    segment check's bound. A waypoint goes into the one signed-distance
+    batch, with its 2 * K perturbed rows, only when its bound (the smallest
+    signed distance reported for it, never above a pair's distance) is below
+    ``D_SAFE + 2 * motion``. So every pair of another waypoint's rows is
+    reported at or beyond ``D_SAFE``, with a hinge sum of exactly 0.0, and
+    its penalty rows are 0.0 without a signed-distance call.
     """
     interior = traj[1:-1]
     grad = np.zeros(interior.shape)
-    motion = (arm.reach + arm.half_widths.max()) * _FD_STEP
+    motion = _joint_reach(arm)[0] * _FD_STEP
     near = np.flatnonzero(bounds < D_SAFE + 2.0 * motion)
     if len(near):
         k = interior.shape[1]
@@ -112,32 +108,53 @@ def _penalty_gradient_interior(arm, scene, traj, bounds) -> np.ndarray:
         sums = _hinge_sums(arm, scene, batch)[0]
         n = len(near) * k
         grad[near] = (sums[:n].reshape(-1, k) - sums[n:].reshape(-1, k)) / (2.0 * _FD_STEP)
-    return grad
+    return _smoothness_gradient_interior(traj) + mu * grad
 
 
 def merit_gradient(traj, arm: ArmModel, scene: Scene, mu: float) -> np.ndarray:
     """Gradient of smoothness + mu * collision penalty w.r.t. the interior
     waypoints; the quantity the inner loop steps along."""
     t = np.asarray(traj, dtype=float)
-    bounds = _hinge_sums(arm, scene, t[1:-1])[1]
-    return _smoothness_gradient_interior(t) + mu * _penalty_gradient_interior(arm, scene, t, bounds)
+    return _merit_gradient(arm, scene, t, mu, _hinge_sums(arm, scene, t[1:-1])[1])
+
+
+def _line_search(arm, scene, X, g, trust, mu, m_cur):
+    """The first of six trial steps from ``X`` along ``-g`` whose merit is
+    strictly below ``m_cur``, as (iterate, penalty, clearance bounds, merit,
+    halvings), or None when none is.
+
+    The longest step moves the largest component of ``g`` by ``trust``, each
+    next one is half the last, and each is clipped to the trust box and to
+    the joint limits. The steps are evaluated in two signed-distance
+    batches, the first two, then the last four only when neither of the
+    first two lowers the merit. Accepting only a strict decrease keeps the
+    accepted merits non-increasing within a round.
+    """
+    alpha = np.ldexp(trust / float(np.abs(g).max()), -np.arange(6))
+    step = np.clip(-alpha[:, None, None] * g, -trust, trust)
+    for lo, hi in ((0, 2), (2, 6)):
+        cands = np.repeat(X[None], hi - lo, axis=0)
+        cands[:, 1:-1] = np.clip(X[1:-1] + step[lo:hi], arm.lower, arm.upper)
+        batch = _hinge_sums(arm, scene, cands[:, 1:-1].reshape(-1, arm.dof))
+        sums, lows = (a.reshape(hi - lo, -1) for a in batch)
+        for j in range(hi - lo):
+            penalty = float(sums[j].sum())
+            merit = smoothness_cost(cands[j]) + mu * penalty
+            if merit < m_cur - 1e-12:
+                return cands[j].copy(), penalty, lows[j], merit, lo + j
+    return None
 
 
 def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
     """Optimize a seed trajectory with fixed endpoints and waypoint count.
 
     Outer loop: penalty escalation until the hinge penalty is zero or the
-    round budget runs out. Inner loop: steepest descent on the merit with a
-    backtracking line search inside a shrinking/expanding trust-region box
-    intersected with the joint limits. The line search's six trial points
-    (the step length halved five times) are evaluated in two signed-distance
-    batches, the first two, then the last four only when neither of the
-    first two decreases the merit. The first that strictly decreases the
-    merit is accepted, so accepted merits are non-increasing within a round.
+    round budget runs out. Inner loop: steepest descent on the merit, with
+    ``_line_search``'s steps inside a shrinking/expanding trust-region box.
     A step accepted after j halvings sets the trust radius to
     ``_TRUST_EXPAND * trust * 2**-j`` (capped at ten times its initial
-    value). A rejected step only halves the trust region, so the gradient is
-    computed once per round start and once per accepted step. The penalty
+    value). A rejected search only halves the trust region, so the gradient
+    is computed once per round start and once per accepted step. The penalty
     coefficient grows only between rounds, so ``final_cost`` is the last
     merit logged. The optimizer always returns its best iterate; converged
     is True only when progress stalled with zero penalty.
@@ -175,28 +192,11 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
             for _ in range(_MAX_INNER_ITERS):
                 iterations += 1
                 if g is None:
-                    g = _smoothness_gradient_interior(X) + mu * _penalty_gradient_interior(arm, scene, X, bounds)
-                    gmax = float(np.abs(g).max())
-                if gmax < 1e-12:
+                    g = _merit_gradient(arm, scene, X, mu, bounds)
+                if np.abs(g).max() < 1e-12:
                     stalled = True
                     break
-                # six trial steps, each half the last: two in one batch, the other four only if both fail
-                alpha = np.ldexp(trust / gmax, -np.arange(6))
-                step = np.clip(-alpha[:, None, None] * g, -trust, trust)
-                accepted = None
-                for lo, hi in ((0, 2), (2, 6)):
-                    cands = np.repeat(X[None], hi - lo, axis=0)
-                    cands[:, 1:-1] = np.clip(X[1:-1] + step[lo:hi], arm.lower, arm.upper)
-                    batch = _hinge_sums(arm, scene, cands[:, 1:-1].reshape(-1, arm.dof))
-                    sums, lows = (a.reshape(hi - lo, -1) for a in batch)
-                    for j in range(hi - lo):
-                        cand_penalty = float(sums[j].sum())
-                        m_cand = smoothness_cost(cands[j]) + mu * cand_penalty
-                        if m_cand < m_cur - 1e-12:
-                            accepted = (cands[j].copy(), cand_penalty, lows[j], m_cand, lo + j)
-                            break
-                    if accepted is not None:
-                        break
+                accepted = _line_search(arm, scene, X, g, trust, mu, m_cur)
                 if accepted is None:
                     trust *= _TRUST_SHRINK
                     if trust < _TRUST_MIN:

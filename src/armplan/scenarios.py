@@ -287,6 +287,9 @@ def suite_from_dict(data: dict) -> TestSuite:
     if isinstance(data, dict) and data.get("format_version") != _SUITE_FORMAT_VERSION:
         raise ValueError(f"unsupported suite format version {data.get('format_version')!r}")
     _check_json_layout(data, _SUITE_LAYOUT, "suite")
+    rng_seed = _check_int("rng_seed", data["rng_seed"], 0)
+    if not data["cases"]:
+        raise ValueError("suite has no cases; generate_test_suite writes at least one")
     arm = ArmModel(base=DEFAULT_BASE, **data["arm"])
     scene_name = data["scene_name"]
     cases = tuple(
@@ -300,7 +303,7 @@ def suite_from_dict(data: dict) -> TestSuite:
         if len(c.start) != arm.dof or not within_limits(arm, c.start):
             raise ValueError(f"case {c.id!r}: start must be {arm.dof} finite joint angles "
                              "within the arm's joint limits")
-    return TestSuite(scene_name=scene_name, rng_seed=data["rng_seed"], arm=arm, cases=cases)
+    return TestSuite(scene_name=scene_name, rng_seed=rng_seed, arm=arm, cases=cases)
 
 
 def save_suite(suite: TestSuite, path) -> None:
@@ -308,7 +311,9 @@ def save_suite(suite: TestSuite, path) -> None:
 
 
 def load_suite(path) -> TestSuite:
-    """Read a suite file; any fault in it raises ValueError naming the file."""
+    """Read a suite file; any fault in it raises ValueError naming the file.
+    A suite loads under generation's rules: at least one case and an
+    ``rng_seed`` that is an integer >= 0."""
     try:
         return suite_from_dict(json.loads(Path(path).read_text()))
     except ValueError as exc:

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from armplan import bench
+from armplan import bench, scenarios
 from armplan.bench import (
     BenchParams, RunRecord, emit_report, read_records, run_benchmark,
     summarize, write_records, OUTCOME_COLLISION_FAILURE, OUTCOME_OK,
@@ -12,7 +12,8 @@ from armplan.bench import (
 )
 from armplan.collision import Scene
 from armplan.geometry import ConvexShape
-from armplan.roadmap import RoadmapParams, build_roadmap, load_roadmap
+from armplan.roadmap import RoadmapParams, build_roadmap, load_roadmap, query
+from armplan.robot import EEPose, forward_kinematics
 from armplan.scenarios import generate_test_suite
 
 from test_roadmap import write_narrow_node_roadmap
@@ -117,11 +118,29 @@ def test_straightline_opt_in_empty_scene(tiny_suite):
     assert all(r.final_length is not None for r in records)
 
 
-def test_roadmap_planner_requires_roadmap(tiny_suite):
-    with pytest.raises(ValueError):
-        run_benchmark(tiny_suite, "roadmap+opt", scene=_empty_scene_of(tiny_suite))
-    with pytest.raises(ValueError):
-        run_benchmark(tiny_suite, "warp-drive", scene=_empty_scene_of(tiny_suite))
+def test_roadmap_planner_requires_roadmap(tiny_suite, arm):
+    # run_case checks the planner as run_benchmark does, with the same messages
+    scene = _empty_scene_of(tiny_suite)
+    for planner, message in (("roadmap+opt", r"planner 'roadmap\+opt' requires a roadmap"),
+                             ("roadmap", "planner 'roadmap' requires a roadmap"),
+                             ("warp-drive", "unknown planner 'warp-drive'; expected one of")):
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(tiny_suite, planner, scene=scene)
+        with pytest.raises(ValueError, match=message):
+            bench.run_case(arm, scene, tiny_suite.cases[0], 0, planner, BenchParams())
+
+
+@pytest.mark.parametrize("planner", ["roadmap", "roadmap+opt"])
+def test_one_waypoint_plan_is_the_arm_staying_put(small_pole_roadmap, pole_scene, arm, planner):
+    """A start on a roadmap node whose own tip is the goal gets a one-waypoint
+    plan from ``query``; the run records it as ok, with length 0.0."""
+    q = small_pole_roadmap.nodes[5]
+    _, ee = forward_kinematics(arm, q)
+    case = scenarios.TestCase("stay", tuple(q), EEPose(ee.x, ee.y, ee.heading), pole_scene.name)
+    assert len(query(small_pole_roadmap, arm, pole_scene, q, case.goal).path) == 1
+    suite = scenarios.TestSuite(pole_scene.name, 0, arm, (case,))
+    [r] = run_benchmark(suite, planner, scene=pole_scene, roadmap=small_pole_roadmap)
+    assert (r.outcome, r.seed_length, r.final_length) == (OUTCOME_OK, 0.0, 0.0)
 
 
 def test_run_benchmark_rejects_suite_of_another_scene(tiny_suite):

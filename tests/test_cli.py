@@ -334,6 +334,8 @@ MALFORMED_SUITES = {
     "unknown_key": (("extra",), 1, "suite has keys ['arm', 'cases', 'extra',"),
     "scene_name_not_string": (("scene_name",), 3, "suite.scene_name is int, not str"),
     "rng_seed_float": (("rng_seed",), 21.0, "suite.rng_seed is float, not int"),
+    "rng_seed_negative": (("rng_seed",), -1, "rng_seed must be an integer >= 0, got -1"),
+    "no_cases": (("cases",), [], "suite has no cases"),
     "cases_not_list": (("cases",), {}, "suite.cases is dict, not list"),
     "links_not_list": (("arm", "links"), "0.5 0.04", "suite.arm.links is str, not list"),
     "link_string": (("arm", "links", 1, 0), "0.4", "suite.arm.links[1][0] is str, not a number"),

@@ -1,12 +1,11 @@
 import itertools
-import sys
 
 import numpy as np
 import pytest
 
 import armplan.optimizer as opt
 from armplan.collision import (
-    Scene, config_in_collision, pair_signed_distances, trajectory_in_collision,
+    Scene, _joint_reach, config_in_collision, pair_signed_distances, trajectory_in_collision,
 )
 from armplan.geometry import ConvexShape, Pose2
 from armplan.optimizer import (
@@ -17,7 +16,7 @@ from armplan.robot import ArmModel
 from armplan.scenarios import SCENE_NAMES
 from armplan.seedprep import resample_path, straight_line_seed
 
-from test_collision import _dense_case_scene
+from test_collision import _dense_case_scene, five_link_offset_arm
 
 
 def flat_arm():
@@ -121,7 +120,7 @@ def dense_penalty_gradient_interior(arm, scene, traj):
 
 def screen_threshold(arm):
     """The clearance bound below which a waypoint keeps its gradient rows."""
-    return D_SAFE + 2.0 * (arm.reach + arm.half_widths.max()) * opt._FD_STEP
+    return D_SAFE + 2.0 * _joint_reach(arm)[0] * opt._FD_STEP
 
 
 def bound_crossings(arm, scene, below, above, target):
@@ -138,7 +137,7 @@ def bound_crossings(arm, scene, below, above, target):
 def near_boundary_trajectory(arm, scene, rng):
     """Waypoints whose clearance bounds lie within 3e-3 of ``D_SAFE``:
     uniform draws inside that window, and pairs straddling ``D_SAFE`` and
-    the screen threshold, shuffled, between two uniform endpoints. A scene
+    the screen threshold inside it, shuffled, between two uniform endpoints. A scene
     without obstacles gets uniform waypoints."""
     pool = rng.uniform(arm.lower, arm.upper, size=(16384, arm.dof))
     bound = _hinge_sums(arm, scene, pool)[1]
@@ -148,7 +147,11 @@ def near_boundary_trajectory(arm, scene, rng):
     below = pool[bound < D_SAFE - 3e-3][:4]
     above = pool[bound > D_SAFE + 3e-3][:4]
     for target in (D_SAFE, screen_threshold(arm)):
-        waypoints += bound_crossings(arm, scene, below, above, target)
+        low, high = bound_crossings(arm, scene, below, above, target)
+        # the reported bound can jump where a pair passes the far cutoff: keep
+        # the crossings whose upper side stays inside the window
+        kept = np.abs(_hinge_sums(arm, scene, high)[1] - D_SAFE) < 3e-3
+        waypoints += [low[kept], high[kept]]
     waypoints = rng.permutation(np.concatenate(waypoints))
     assert (np.abs(_hinge_sums(arm, scene, waypoints)[1] - D_SAFE) < 3e-3).all()
     return np.concatenate([pool[-2:-1], waypoints, pool[-1:]])
@@ -335,21 +338,34 @@ _SCREEN_SCENES = [*SCENE_NAMES, "triangle_box_hexagon", "unbounded", "empty"]
 
 
 @pytest.mark.parametrize("name", _SCREEN_SCENES)
-def test_screened_gradient_matches_dense_reference(arm, name):
+def test_screened_gradient_matches_dense_reference(arm, name, monkeypatch):
     """The gradient is bitwise the dense finite differences over every
-    waypoint, on waypoints at both sides of the screen and of the hinge."""
-    rng = np.random.default_rng([_SCREEN_SCENES.index(name), 18])
-    scene = _dense_case_scene(name, rng)
-    traj = near_boundary_trajectory(arm, scene, rng)
-    mu = 10.0
-    dense = dense_penalty_gradient_interior(arm, scene, traj)
-    want = _smoothness_gradient_interior(traj) + mu * dense
-    assert np.array_equal(merit_gradient(traj, arm, scene, mu), want)
-    if scene.obstacles:
+    waypoint, on waypoints at both sides of the screen and of the hinge, and
+    sends the perturbed rows of exactly the waypoints below the screen
+    threshold: for the default arm and a five-link arm on an offset, turned
+    base."""
+    rows = []
+
+    def counting(arm_, scene_, Q, far_cutoff=None):
+        rows.append(len(Q))
+        return pair_signed_distances(arm_, scene_, Q, far_cutoff=far_cutoff)
+
+    monkeypatch.setattr(opt, "pair_signed_distances", counting)
+    for extra, arm in enumerate((arm, five_link_offset_arm(arm))):
+        rng = np.random.default_rng([_SCREEN_SCENES.index(name), 18] + [5] * extra)
+        scene = _dense_case_scene(name, rng)
+        traj = near_boundary_trajectory(arm, scene, rng)
+        mu = 10.0
+        dense = dense_penalty_gradient_interior(arm, scene, traj)
+        want = _smoothness_gradient_interior(traj) + mu * dense
         near = _hinge_sums(arm, scene, traj[1:-1])[1] < screen_threshold(arm)
-        assert near.any() and not near.all()
-        assert (dense != 0.0).any()
-        assert (dense[~near] == 0.0).all()
+        rows.clear()
+        assert np.array_equal(merit_gradient(traj, arm, scene, mu), want)
+        assert rows == [len(near)] + [2 * arm.dof * int(near.sum())] * int(near.any())
+        if scene.obstacles:
+            assert near.any() and not near.all()
+            assert (dense != 0.0).any()
+            assert (dense[~near] == 0.0).all()
 
 
 def test_gradient_sends_only_near_waypoints(arm, shelf_scene, monkeypatch):
@@ -368,11 +384,11 @@ def test_gradient_sends_only_near_waypoints(arm, shelf_scene, monkeypatch):
     monkeypatch.setattr(opt, "pair_signed_distances", recording)
     # given its bounds, an all-far trajectory makes no signed-distance call
     far = np.concatenate([traj[:1], interior[~near], traj[-1:]])
-    g = opt._penalty_gradient_interior(arm, shelf_scene, far, bounds[~near])
+    g = opt._merit_gradient(arm, shelf_scene, far, 10.0, bounds[~near])
     assert batches == []
-    assert np.array_equal(g, np.zeros_like(interior[~near]))
+    assert np.array_equal(g, _smoothness_gradient_interior(far))
     # a mixed one sends the 2 * K perturbed rows of its near waypoints only
-    opt._penalty_gradient_interior(arm, shelf_scene, traj, bounds)
+    opt._merit_gradient(arm, shelf_scene, traj, 10.0, bounds)
     eye = np.eye(arm.dof) * opt._FD_STEP
     kept = interior[near]
     plus = (kept[:, None, :] + eye).reshape(-1, arm.dof)
@@ -415,20 +431,19 @@ def test_gradient_screens_with_its_iterates_bounds(request, arm, scene_fixture, 
     its own iterate, bitwise those of a fresh batch, carried from the seed's
     penalty call or the accepted line-search row, and is ``merit_gradient``."""
     scene = request.getfixturevalue(scene_fixture)
-    penalty_gradient = opt._penalty_gradient_interior
+    gradient = opt._merit_gradient
     calls = []
 
-    def recording(arm_, scene_, X, bounds):
-        g = penalty_gradient(arm_, scene_, X, bounds)
-        mu = sys._getframe(1).f_locals["mu"]        # optimize's penalty coefficient
-        calls.append((X.copy(), bounds.copy(), mu, _smoothness_gradient_interior(X) + mu * g))
+    def recording(arm_, scene_, X, mu, bounds):
+        g = gradient(arm_, scene_, X, mu, bounds)
+        calls.append((X.copy(), bounds.copy(), mu, g))
         return g
 
     # the first four cases, then more from the same stream until a run has
     # raised the penalty coefficient
     for count, seed in enumerate(itertools.islice(iter_straight_line_cases(arm, scene, 36), 40), 1):
         with monkeypatch.context() as m:
-            m.setattr(opt, "_penalty_gradient_interior", recording)
+            m.setattr(opt, "_merit_gradient", recording)
             optimize(seed, arm, scene)
         if count >= 4 and len({mu for _, _, mu, _ in calls}) > 1:
             break
@@ -471,13 +486,13 @@ def test_signed_distance_calls_per_iteration(request, arm, scene_fixture, monkey
     rows = []
     from_gradient = []       # indices into rows of the calls a gradient made
     decreased = {}           # index into rows of a line-search call: whether a step decreased the merit
-    penalty_gradient = opt._penalty_gradient_interior
+    searching = []           # the (X, mu, m_cur) of the line search running, if one is
+    line_search, merit_gradient_ = opt._line_search, opt._merit_gradient
 
     def counting(arm_, scene_, Q, far_cutoff=None):
         sd = pair_signed_distances(arm_, scene_, Q, far_cutoff=far_cutoff)
-        caller = sys._getframe(2)   # optimize, through _hinge_sums, for its own calls
-        if caller.f_code is optimize.__code__ and "m_cur" in caller.f_locals:
-            X, mu, m_cur = (caller.f_locals[k] for k in ("X", "mu", "m_cur"))
+        if searching:
+            X, mu, m_cur = searching[0]
             n = len(X) - 2
             sums = np.maximum(0.0, D_SAFE - sd).sum(axis=(1, 2)).reshape(-1, n)
             interiors = np.asarray(Q).reshape(len(sums), n, -1)
@@ -487,15 +502,23 @@ def test_signed_distance_calls_per_iteration(request, arm, scene_fixture, monkey
         rows.append(len(Q))
         return sd
 
+    def search(arm_, scene_, X, g, trust, mu, m_cur):
+        searching.append((X.copy(), mu, m_cur))
+        try:
+            return line_search(arm_, scene_, X, g, trust, mu, m_cur)
+        finally:
+            searching.clear()
+
     def gradient(*args):
         start = len(rows)
-        g = penalty_gradient(*args)
+        g = merit_gradient_(*args)
         from_gradient.extend(range(start, len(rows)))
         assert len(rows) - start <= 1
         return g
 
     monkeypatch.setattr(opt, "pair_signed_distances", counting)
-    monkeypatch.setattr(opt, "_penalty_gradient_interior", gradient)
+    monkeypatch.setattr(opt, "_line_search", search)
+    monkeypatch.setattr(opt, "_merit_gradient", gradient)
     rejected_total = rest_total = 0
     # the first four cases, then more from the same stream until a search has
     # accepted no step and one has accepted one of the four shorter steps

@@ -311,6 +311,20 @@ def test_suite_load_rejects_non_finite_arm(small_pole_suite, tmp_path, where, va
         load_suite(p)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("cases", [], "suite has no cases"),
+    ("rng_seed", -1, "rng_seed must be an integer >= 0, got -1"),
+], ids=["no_cases", "negative_rng_seed"])
+def test_suite_load_rejects_what_generation_never_writes(small_pole_suite, tmp_path, key, value, message):
+    p = tmp_path / "suite.json"
+    save_suite(small_pole_suite, p)
+    data = json.loads(p.read_text())
+    data[key] = value
+    p.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"suite file {p}: {message}"):
+        load_suite(p)
+
+
 def test_suite_file_schema(small_pole_suite, tmp_path):
     p = tmp_path / "suite.json"
     save_suite(small_pole_suite, p)
