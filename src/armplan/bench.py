@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ PLANNERS = ("rrt", "roadmap", "straightline+opt", "rrt+opt", "roadmap+opt")
 OUTCOME_OK = "ok"
 OUTCOME_PLANNER_FAILURE = "planner_failure"
 OUTCOME_COLLISION_FAILURE = "collision_failure"
+OUTCOMES = (OUTCOME_OK, OUTCOME_PLANNER_FAILURE, OUTCOME_COLLISION_FAILURE)
 
 RECORD_FIELDS = (
     "case_id", "scene", "planner", "outcome",
@@ -267,21 +269,54 @@ def write_records(records: list[RunRecord], path) -> None:
     Path(path).write_text(buf.getvalue())
 
 
+def _record_number(name: str, text: str, optional: bool = False) -> float | None:
+    """A number column of a records row: finite and >= 0, or empty when
+    ``optional``."""
+    if optional and text == "":
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} {text!r} is not a finite number >= 0")
+    return value
+
+
+def _record_from_row(row: list[str]) -> RunRecord:
+    if len(row) != len(RECORD_FIELDS):
+        raise ValueError(f"{len(row)} fields, not {len(RECORD_FIELDS)}")
+    case_id, scene_name, planner, outcome, *numbers = row
+    if planner not in PLANNERS:
+        raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
+    if outcome not in OUTCOMES:
+        raise ValueError(f"unknown outcome {outcome!r}; expected one of {OUTCOMES}")
+    # two times, then two lengths, which may be empty
+    planner_time, opt_time, seed_length, final_length = (
+        _record_number(*column) for column in zip(RECORD_FIELDS[4:], numbers, (False, False, True, True)))
+    if outcome == OUTCOME_OK and final_length is None:
+        raise ValueError(f"an {OUTCOME_OK!r} row has no final_len_rad")
+    return RunRecord(case_id, scene_name, planner, outcome, planner_time, opt_time, seed_length, final_length)
+
+
 def read_records(path) -> list[RunRecord]:
+    """Read a records file under ``write_records``' rules. Raises ValueError
+    naming the file and line for a header other than ``RECORD_FIELDS``, and
+    for a row whose field count is not eight, whose planner is not in
+    ``PLANNERS`` or outcome not in ``OUTCOMES``, whose times are not finite
+    numbers >= 0 or lengths neither empty nor such a number, or that is
+    ``ok`` without a final length."""
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != RECORD_FIELDS:
-            raise ValueError(f"unexpected record columns in {path}")
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if tuple(header) != RECORD_FIELDS:
+            raise ValueError(f"records file {path} line 1: columns {header}, not {list(RECORD_FIELDS)}")
         for row in reader:
-            records.append(RunRecord(
-                case_id=row["case_id"],
-                scene_name=row["scene"],
-                planner_id=row["planner"],
-                outcome=row["outcome"],
-                planner_time=float(row["planner_time_s"]),
-                opt_time=float(row["opt_time_s"]),
-                seed_length=float(row["seed_len_rad"]) if row["seed_len_rad"] else None,
-                final_length=float(row["final_len_rad"]) if row["final_len_rad"] else None,
-            ))
+            if not row:
+                continue    # a blank line, as csv.DictReader skips
+            try:
+                records.append(_record_from_row(row))
+            except ValueError as exc:
+                raise ValueError(f"records file {path} line {reader.line_num}: {exc}") from None
     return records

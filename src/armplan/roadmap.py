@@ -7,12 +7,13 @@ neighbors through collision-free straight edges with ``_first_free_edges``,
 the one edge scan that queries use too, prunes everything outside the
 largest connected component, and caches the all-pairs shortest-path
 distances. A shortest path is read off those distances by walking from its
-source towards its target. Loopless alternate paths between node pairs
-come from scipy's Yen (``scipy.sparse.csgraph.yen``) and are memoized,
-which is what edge invalidation falls back on. Every path search orders
-paths by length first and, among equal lengths, by the lexicographically
-smallest node sequence; scipy returns equal-length paths in no set order,
-so ``_yen`` completes each tie group before it orders it.
+source towards its target. The ``k_paths`` loopless alternate paths of a
+node pair come from scipy's Yen (``scipy.sparse.csgraph.yen``) and are
+memoized, which is what edge invalidation falls back on. Every path
+search orders paths by length first and, among equal lengths, by the
+lexicographically smallest node sequence; scipy returns equal-length
+paths in no set order, so ``_yen`` completes each tie group before it
+orders it.
 
 A saved roadmap (format 3) holds only what the build decided: nodes, edges,
 weights, the four ``RoadmapParams`` values, and the scene and arm it is
@@ -101,8 +102,8 @@ class Roadmap:
         _check_graph(self.nodes, self.edge_list, self.edge_weights)
         self.params = params
         self.binding = binding
-        # Yen memo: (u, v) -> (the k it ran for, its paths)
-        self._ksp: dict[tuple[int, int], tuple[int, list[tuple[int, ...]]]] = {}
+        # Yen memo: (u, v) -> its paths
+        self._ksp: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         # (arm, tip positions, raw tip headings) of the last node_tip_poses call
         self._node_ee: tuple[ArmModel, np.ndarray, np.ndarray] | None = None
         # the edges as a symmetric CSR matrix, the alternate-path searches' graph
@@ -129,7 +130,7 @@ class Roadmap:
         self._check_nodes(u, v)
         if not np.isfinite(self.apsp_dist[v, u]):
             raise ValueError(f"node {v} is not reachable from node {u}")
-        return _walk_to(self.graph, self.graph.data, self.apsp_dist[v], u, v)[1]
+        return _walk_to(self.graph, self.apsp_dist[v], u, v)
 
     def node_tip_poses(self, arm: ArmModel) -> tuple[np.ndarray, np.ndarray]:
         """Tip positions (N, 2) and raw headings (N,) of all nodes for
@@ -191,7 +192,7 @@ def _first_free_edges(arm: ArmModel, scene: Scene, q, nodes: np.ndarray, candida
     in ``candidates`` order, up to and including the ``want``-th free one.
     The first ``want`` are checked at full density in one batch; each later
     chunk is prescreened on the coarse samples, and its survivors are checked
-    on the rest, as many at a time as free edges are still wanted."""
+    on the rest in one batch."""
     candidates = iter(candidates)
     chunk = list(itertools.islice(candidates, want))
     if not chunk:
@@ -202,16 +203,12 @@ def _first_free_edges(arm: ArmModel, scene: Scene, q, nodes: np.ndarray, candida
     while need > 0 and (chunk := list(itertools.islice(candidates, max(2 * need, _CHUNK_MIN)))):
         free = ~segments_in_collision(arm, scene, q, nodes[chunk], _T_COARSE)
         survivors = np.flatnonzero(free)
-        done = found = 0
-        while done < len(survivors) and found < need:
-            batch = survivors[done:done + need - found]
-            free[batch] = ~segments_in_collision(arm, scene, q, nodes[np.take(chunk, batch)], _T_REST)
-            found += int(free[batch].sum())
-            done += len(batch)
-        # survivors left unchecked all lie past the need-th free edge
-        cut = int(np.flatnonzero(free)[need - 1]) + 1 if found == need else len(chunk)
+        if len(survivors):
+            free[survivors] = ~segments_in_collision(arm, scene, q, nodes[np.take(chunk, survivors)], _T_REST)
+        found = np.flatnonzero(free)[:need]
+        cut = int(found[-1]) + 1 if len(found) == need else len(chunk)
         verdicts += zip(chunk[:cut], free[:cut].tolist())
-        need -= found
+        need -= len(found)
     return verdicts
 
 
@@ -268,22 +265,19 @@ def _csr_graph(n: int, edges, weights) -> csr_matrix:
     return graph
 
 
-def _walk_to(graph: csr_matrix, data: np.ndarray, to_dst: np.ndarray, src: int, dst: int):
-    """(length, node list) of the lexicographically smallest shortest path
-    from src to dst, given each node's distance ``to_dst`` to dst over the
-    edge weights ``data`` (``graph``'s structure). At each node the walk
-    takes the lowest-indexed neighbour on a shortest path, and it sums the
-    length forward. src must reach dst.
+def _walk_to(graph: csr_matrix, to_dst: np.ndarray, src: int, dst: int) -> list[int]:
+    """The lexicographically smallest shortest path from src to dst, given
+    each node's distance ``to_dst`` to dst over ``graph``'s edge weights. At
+    each node the walk takes the lowest-indexed neighbour on a shortest path.
+    src must reach dst.
     """
-    indptr, indices = graph.indptr, graph.indices
-    node, path, length = src, [src], 0.0
+    indptr, indices, data = graph.indptr, graph.indices, graph.data
+    node, path = src, [src]
     while node != dst:
         row = slice(indptr[node], indptr[node + 1])
-        step = int(np.argmax(to_dst[indices[row]] + data[row] == to_dst[node]))
-        length += float(data[row][step])
-        node = int(indices[row][step])
+        node = int(indices[row][np.argmax(to_dst[indices[row]] + data[row] == to_dst[node])])
         path.append(node)
-    return length, path
+    return path
 
 
 def build_roadmap(scene: Scene, arm: ArmModel, params: RoadmapParams = RoadmapParams()) -> Roadmap:
@@ -332,22 +326,21 @@ def _yen(graph: csr_matrix, src: int, dst: int, k: int) -> list[tuple[int, ...]]
     return [p for _, p in sorted(paths)[:k]]
 
 
-def k_shortest_paths(roadmap: Roadmap, u: int, v: int, k_paths: int | None = None) -> list[list[int]]:
-    """Up to k loopless node paths from u to v in non-decreasing length.
+def k_shortest_paths(roadmap: Roadmap, u: int, v: int) -> list[list[int]]:
+    """Up to ``roadmap.params.k_paths`` loopless node paths from u to v in
+    non-decreasing length.
 
     Results are memoized on the roadmap. Paths are ordered by length, and
     paths of equal length by their node sequences, lexicographically
     smallest first. Runs scipy's Yen on ``roadmap.graph`` through
     :func:`_yen`; a pair u == v has the one path ``[u]``. Raises
-    ValueError when ``k_paths`` is not an integer >= 1 (a bool is not one),
-    or when u or v is no node index.
+    ValueError when u or v is no node index.
     """
-    k = roadmap.params.k_paths if k_paths is None else _check_int("k_paths", k_paths, 1)
     roadmap._check_nodes(u, v)
-    memo = roadmap._ksp.get((u, v))
-    if memo is None or memo[0] < k:
-        memo = roadmap._ksp[(u, v)] = (k, _yen(roadmap.graph, u, v, k))
-    return [list(p) for p in memo[1][:k]]
+    paths = roadmap._ksp.get((u, v))
+    if paths is None:
+        paths = roadmap._ksp[(u, v)] = _yen(roadmap.graph, u, v, roadmap.params.k_paths)
+    return [list(p) for p in paths]
 
 
 def invalidate_and_requery(roadmap: Roadmap, blocked_edges, u: int, v: int) -> list[int] | None:
@@ -413,9 +406,11 @@ def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) ->
     goal join the candidate set. Start and each goal candidate connect to the
     nearest node reachable by a collision-free straight edge, and the result
     is start + cached shortest node path + goal for the goal candidate with
-    the smallest total length. Raises ValueError when the roadmap was built
-    for another scene or arm, or the start is outside the joint limits or in
-    collision.
+    the smallest total length. A goal candidate whose node the start's node
+    cannot reach (a roadmap of several components) is skipped; with none
+    left the query fails with 'goal_connect'. Raises ValueError when the
+    roadmap was built for another scene or arm, or the start is outside the
+    joint limits or in collision.
     """
     roadmap.check_binding(scene, arm)
     start = np.asarray(start, dtype=float)
@@ -440,25 +435,21 @@ def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) ->
     from_s = roadmap.apsp_dist[s_node]
     bounds = sorted((start_leg + lb, gi) for gi, lb in enumerate((from_s + dist[1:]).min(axis=1).tolist()))
 
-    best = None
+    # (total, goal, its node); a goal node unreachable from s_node totals inf
+    best = (np.inf, None, None)
     for lb, gi in bounds:
-        if best is not None and lb >= best[0] - 1e-12:
+        if lb >= best[0] - 1e-12:
             break
         g = candidates[gi]
         g_node = _nearest_connectable(roadmap, arm, scene, g, dist[1 + gi])
         if g_node is None:
             continue
-        total = (
-            start_leg
-            + float(roadmap.apsp_dist[s_node, g_node])
-            + _vector_length(roadmap.nodes[g_node] - g)
-        )
-        if best is None or total < best[0]:
+        total = start_leg + float(from_s[g_node]) + _vector_length(roadmap.nodes[g_node] - g)
+        if total < best[0]:
             best = (total, g, g_node)
-    if best is None:
-        return QueryResult(None, failure="goal_connect")
-
     _, g, g_node = best
+    if g_node is None:
+        return QueryResult(None, failure="goal_connect")
     node_path = roadmap.shortest_node_path(s_node, g_node)
     waypoints = [start] + [roadmap.nodes[i] for i in node_path] + [g]
     deduped = [waypoints[0]]
@@ -525,6 +516,8 @@ def load_roadmap(path) -> Roadmap:
             raise ValueError(f"format version {meta.get('format_version')!r}, not {FORMAT_VERSION}; "
                              "rebuild it with `armplan roadmap build`")
         _check_json_layout(meta, _META_LAYOUT, "meta")
+        if data["edges"].dtype.kind not in "iu":
+            raise ValueError(f"edges must be integers, not {data['edges'].dtype}")
         return Roadmap(
             nodes=data["nodes"],
             edge_list=data["edges"].reshape(-1, 2).tolist(),

@@ -255,10 +255,11 @@ def test_criterion_7_speed_ordering(bench_records):
 
 
 def test_criterion_8_redundancy_monotone(scenes, the_arm):
-    rm = build_roadmap(scenes["tabletop_pole"], the_arm, RoadmapParams(n_nodes=300, rng_seed=4))
+    ks = (1, 2, 3, 5)
+    params = RoadmapParams(n_nodes=300, k_paths=max(ks), rng_seed=4)
+    rm = build_roadmap(scenes["tabletop_pole"], the_arm, params)
     rng = np.random.default_rng(8)
     edges = rm.edge_list
-    ks = (1, 2, 3, 5)
     successes = {k: 0 for k in ks}
     n_trials = 100
     for _ in range(n_trials):
@@ -267,7 +268,7 @@ def test_criterion_8_redundancy_monotone(scenes, the_arm):
             v = int(rng.integers(0, rm.n_nodes))
         idx = rng.choice(len(edges), size=len(edges) // 10, replace=False)
         blocked = {edges[i] for i in idx}
-        paths = k_shortest_paths(rm, u, v, max(ks))
+        paths = k_shortest_paths(rm, u, v)
         for k in ks:
             hit = any(
                 all(tuple(sorted(e)) not in blocked for e in zip(p[:-1], p[1:]))

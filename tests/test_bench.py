@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -90,10 +91,67 @@ def test_emit_report_markdown():
         emit_report([], format="latex")
 
 
+# FIXTURE under a planner run_case runs, the only ones read_records takes
+RECORDS = [dataclasses.replace(r, planner_id="roadmap+opt") for r in FIXTURE]
+
+
 def test_records_roundtrip(tmp_path):
     p = tmp_path / "records.csv"
-    write_records(FIXTURE, p)
-    assert read_records(p) == FIXTURE
+    write_records(RECORDS, p)
+    assert read_records(p) == RECORDS
+    p.write_text(p.read_text() + "\n")    # a blank line is no row
+    assert read_records(p) == RECORDS
+
+
+def _set(index, text):
+    return lambda fields: fields[:index] + [text] + fields[index + 1:]
+
+
+# case -> (edit of the fields of the file's line 3, an ok row; message)
+MALFORMED_RECORDS = {
+    "short_row": (lambda f: f[:3], "3 fields, not 8"),
+    "long_row": (lambda f: f + ["1.0"], "9 fields, not 8"),
+    "unknown_planner": (_set(2, "p"), "unknown planner 'p'"),
+    "unknown_outcome": (_set(3, "weird"), "unknown outcome 'weird'"),
+    "weird_outcome_nan_time": (lambda f: _set(4, "nan")(_set(3, "weird")(f)), "unknown outcome 'weird'"),
+    "time_not_number": (_set(4, "abc"), "planner_time_s 'abc' is not a finite number >= 0"),
+    "time_nan": (_set(4, "nan"), "planner_time_s 'nan' is not a finite number >= 0"),
+    "time_empty": (_set(5, ""), "opt_time_s '' is not a finite number >= 0"),
+    "time_negative": (_set(5, "-0.1"), "opt_time_s '-0.1' is not a finite number >= 0"),
+    "seed_len_inf": (_set(6, "inf"), "seed_len_rad 'inf' is not a finite number >= 0"),
+    "final_len_negative": (_set(7, "-2.5"), "final_len_rad '-2.5' is not a finite number >= 0"),
+    "ok_without_final_len": (_set(7, ""), "an 'ok' row has no final_len_rad"),
+}
+
+
+def write_malformed_records(tmp_path, case):
+    """Write RECORDS with line 3 edited as ``case`` says. Returns the file's
+    path and the message reading it must raise."""
+    edit, message = MALFORMED_RECORDS[case]
+    write_records(RECORDS, tmp_path / "r.csv")
+    lines = (tmp_path / "r.csv").read_text().splitlines()
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    return tmp_path / "bad.csv", message
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_read_records_rejects_what_write_records_never_writes(tmp_path, case):
+    path, message = write_malformed_records(tmp_path, case)
+    with pytest.raises(ValueError) as exc:
+        read_records(path)
+    assert str(exc.value).startswith(f"records file {path} line 3: {message}")
+
+
+def test_read_records_rejects_other_columns(tmp_path):
+    write_records(RECORDS, tmp_path / "r.csv")
+    text = (tmp_path / "r.csv").read_text()
+    (tmp_path / "bad.csv").write_text(text.replace("outcome", "result", 1))
+    with pytest.raises(ValueError, match=r"bad\.csv line 1: columns \['case_id', 'scene', 'planner', 'res"):
+        read_records(tmp_path / "bad.csv")
+    (tmp_path / "empty.csv").write_text("")
+    with pytest.raises(ValueError, match=r"empty\.csv line 1: columns \[\], not"):
+        read_records(tmp_path / "empty.csv")
 
 
 # ---------------------------------------------------------------------------

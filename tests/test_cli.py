@@ -10,6 +10,7 @@ from armplan.scenarios import (
     build_scene, default_arm, load_suite, save_suite, scene_from_dict, scene_to_dict,
 )
 
+from test_bench import write_malformed_records
 from test_roadmap import (
     MALFORMED_GRAPHS, forbid_dijkstra, rewrite_roadmap_file, within_seconds,
     write_malformed_roadmap,
@@ -78,6 +79,16 @@ def test_missing_results_file_is_an_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["short_row", "time_not_number", "weird_outcome_nan_time"])
+def test_bench_report_rejects_malformed_records_file(tmp_path, capsys, case):
+    path, message = write_malformed_records(tmp_path, case)
+    capsys.readouterr()
+    rc = main(["bench", "report", "--in", str(path), "--out", str(tmp_path / "report.md")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"armplan: error: records file {path} line 3: {message}")
+    assert not (tmp_path / "report.md").exists()
+
+
 def test_bench_run_needs_scene_or_suite(tmp_path, capsys):
     rc = main([
         "bench", "run", "--planner", "rrt", "--out", str(tmp_path / "r.csv"),
@@ -144,7 +155,8 @@ def test_bench_run_rejects_scene_other_than_the_suites(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("fault", ["meta", "edge_weights", "negative_weight", "self_loop"])
+@pytest.mark.parametrize("fault", ["meta", "edge_weights", "negative_weight", "self_loop",
+                                   "edges_float"])
 def test_bench_run_rejects_bad_roadmap_file(small_pole_roadmap, tmp_path, monkeypatch, capsys, fault):
     # a missing array or a malformed graph
     if fault in MALFORMED_GRAPHS:

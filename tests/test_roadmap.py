@@ -7,7 +7,8 @@ import re
 import signal
 import tracemalloc
 import zipfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,11 @@ def graph_roadmap(n, edges, weights, k_paths=3):
         params=RoadmapParams(n_nodes=max(2, n), k_paths=k_paths),
         binding={},
     )
+
+
+def with_k_paths(rm, k):
+    """``rm`` rebuilt with ``k_paths=k``, the alternate paths it keeps per pair."""
+    return Roadmap(rm.nodes, rm.edge_list, rm.edge_weights, replace(rm.params, k_paths=k), rm.binding)
 
 
 @contextlib.contextmanager
@@ -399,7 +405,7 @@ def test_build_deterministic_and_serialization_roundtrip(pole_scene, arm, tmp_pa
     for _ in range(20):
         u, v = (int(x) for x in rng.choice(a.n_nodes, size=2, replace=False))
         assert k_shortest_paths(c, u, v) == k_shortest_paths(a, u, v), (u, v)
-    assert k_shortest_paths(c, 0, 10, 5) == k_shortest_paths(a, 0, 10, 5)
+    assert k_shortest_paths(with_k_paths(c, 5), 0, 10) == k_shortest_paths(with_k_paths(a, 5), 0, 10)
     assert c.params == a.params
     assert c.binding == a.binding
     assert c.binding["scene_name"] == "tabletop_pole"
@@ -473,6 +479,8 @@ MALFORMED_GRAPHS = {
     "endpoint_past_end": ("edges", lambda e, n: _replaced(e, 3, (0, n)), "two distinct nodes"),
     "negative_endpoint": ("edges", lambda e, n: _replaced(e, 3, (-1, 0)), "two distinct nodes"),
     "duplicate_edge": ("edges", lambda e, n: _replaced(e, 3, e[0, ::-1]), "listed twice"),
+    # the constructor's int() would truncate each id back to the saved graph
+    "edges_float": ("edges", lambda e, n: e + 0.7, "edges must be integers, not float64"),
 }
 
 
@@ -584,6 +592,36 @@ def test_first_free_edges_matches_sequential_walk(scene_name, data):
     want = data.draw(st.integers(1, 12))
     got = _first_free_edges(arm, scene, q, nodes, candidates, want)
     assert got == first_free_walk(arm, scene, q, nodes, candidates, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(status=st.lists(st.sampled_from(["free", "coarse", "rest"]), max_size=40), want=st.integers(1, 12))
+def test_first_free_edges_checks_a_chunks_survivors_in_one_call(status, want):
+    """Under a stand-in segment check where edge j is free, blocked at a
+    coarse sample or blocked only at a rest sample (``status[j]``), the scan
+    checks its first batch at full density, follows each prescreen with at
+    most one check on the rest samples, and keeps the verdicts of checking
+    the edges in turn."""
+    stage_of = {id(roadmap_module._T_FINE): "fine", id(roadmap_module._T_COARSE): "coarse",
+                id(roadmap_module._T_REST): "rest"}
+    blocking = {"fine": ("coarse", "rest"), "coarse": ("coarse",), "rest": ("rest",)}
+    stages = []
+
+    def stand_in(arm, scene, q, B, t):
+        stages.append(stage_of[id(t)])
+        return np.array([status[int(j)] in blocking[stages[-1]] for j in B[:, 0]], dtype=bool)
+
+    nodes = np.arange(len(status), dtype=float)[:, None]    # node j is edge j
+    with mock.patch.object(roadmap_module, "segments_in_collision", stand_in):
+        got = _first_free_edges(None, None, None, nodes, range(len(status)), want)
+    walk = []
+    for j, edge in enumerate(status):
+        if sum(free for _, free in walk) == want:
+            break
+        walk.append((j, edge == "free"))
+    assert got == walk
+    assert stages[:1] == (["fine"] if status else [])
+    assert all(stage == "coarse" or before == "coarse" for before, stage in zip(stages, stages[1:])), stages
 
 
 def test_first_free_edges_checks_a_free_nearest_edge_in_one_call(arm, pole_scene, monkeypatch):
@@ -703,23 +741,24 @@ def test_yen_matches_enumeration_for_every_pair(data):
 
 
 def test_ksp_matches_reference_yen(pole_scene, arm):
-    rm = build_roadmap(pole_scene, arm, RoadmapParams(n_nodes=300, rng_seed=4))
+    rm = build_roadmap(pole_scene, arm, RoadmapParams(n_nodes=300, k_paths=5, rng_seed=4))
     adj = adjacency_lists(rm.n_nodes, rm.edge_list, rm.edge_weights)
     rng = np.random.default_rng(12)
     for _ in range(100):
         u, v = (int(x) for x in rng.choice(rm.n_nodes, size=2, replace=False))
         want = reference_yen(adj, u, v, 5)
-        assert k_shortest_paths(rm, u, v, 5) == [list(p) for p in want], (u, v)
+        assert k_shortest_paths(rm, u, v) == [list(p) for p in want], (u, v)
 
 
 def test_ksp_lengths_nondecreasing_and_first_matches_apsp(small_pole_roadmap):
     rm = small_pole_roadmap
+    assert rm.params.k_paths == 3
     rng = np.random.default_rng(6)
     for _ in range(100):
         u, v = (int(x) for x in rng.integers(0, rm.n_nodes, 2))
         if u == v:
             continue
-        paths = k_shortest_paths(rm, u, v, 3)
+        paths = k_shortest_paths(rm, u, v)
         lengths = [path_length(rm.nodes[p]) for p in paths]
         assert all(a <= b + 1e-12 for a, b in zip(lengths, lengths[1:]))
         assert all(len(p) == len(set(p)) for p in paths)
@@ -775,6 +814,7 @@ def test_invalidate_success_monotone_in_k(small_pole_roadmap):
     rng = np.random.default_rng(7)
     edges = rm.edge_list
     successes = {k: 0 for k in (1, 2, 3, 5)}
+    roadmaps = {k: with_k_paths(rm, k) for k in successes}
     for trial in range(40):
         u, v = (int(x) for x in rng.integers(0, rm.n_nodes, 2))
         if u == v:
@@ -783,7 +823,7 @@ def test_invalidate_success_monotone_in_k(small_pole_roadmap):
         idx = rng.choice(len(edges), size=n_block, replace=False)
         blocked = {edges[i] for i in idx}
         for k in successes:
-            paths = k_shortest_paths(rm, u, v, k)
+            paths = k_shortest_paths(roadmaps[k], u, v)
             ok = any(
                 all(tuple(sorted(e)) not in blocked for e in zip(p[:-1], p[1:]))
                 for p in paths
@@ -799,16 +839,6 @@ def three_route_roadmap():
     and 4) and node 5 hanging off node 2."""
     edges = [(0, 1), (1, 2), (0, 3), (3, 2), (0, 4), (4, 2), (2, 5)]
     return graph_roadmap(6, edges, np.ones(len(edges)))
-
-
-@pytest.mark.parametrize("k_paths", [2.7, 2.0, True, False, "2"])
-def test_k_shortest_paths_rejects_non_integer_k(k_paths):
-    rm = three_route_roadmap()
-    with within_seconds(1.0):
-        with pytest.raises(ValueError, match="k_paths must be an integer"):
-            k_shortest_paths(rm, 0, 2, k_paths)
-    assert k_shortest_paths(rm, 0, 2) == [[0, 1, 2], [0, 3, 2], [0, 4, 2]]
-    assert k_shortest_paths(rm, 0, 2, np.int64(2)) == [[0, 1, 2], [0, 3, 2]]
 
 
 @pytest.mark.parametrize("edge", [(0, 9), (0, 1, 2), (0,), 7, (-1, 0), (0.0, 1), (True, 2)])
@@ -846,6 +876,26 @@ def test_query_between_node_poses(empty_scene, arm):
 def test_query_unreachable_goal(small_pole_roadmap, arm, pole_scene):
     res = query(small_pole_roadmap, arm, pole_scene, np.zeros(arm.dof), EEPose(10.0, 0.0))
     assert not res.ok and res.failure == "no_ik"
+
+
+def test_query_skips_goal_nodes_the_start_cannot_reach(small_pole_roadmap, arm, pole_scene):
+    # split into two components by dropping the edges across joint 0's median,
+    # then ask for the tips of the nodes on the start's other side; the goal
+    # candidates that connect only there used to raise "not reachable"
+    rm = small_pole_roadmap
+    side = rm.nodes[:, 0] < np.median(rm.nodes[:, 0])
+    keep = [i for i, (u, v) in enumerate(rm.edge_list) if side[u] == side[v]]
+    split = Roadmap(rm.nodes, [rm.edge_list[i] for i in keep], rm.edge_weights[keep], rm.params, rm.binding)
+    start = rm.nodes[np.flatnonzero(side)[0]]
+    outcomes = []
+    for j in np.flatnonzero(~side):
+        _, ee = forward_kinematics(arm, rm.nodes[j])
+        res = query(split, arm, pole_scene, start, EEPose(ee.x, ee.y, ee.heading, heading_matters=True))
+        outcomes.append("ok" if res.ok else res.failure)
+        if res.ok:
+            nodes = [i for w in res.path[1:-1] for i in np.flatnonzero((rm.nodes == w).all(axis=1))]
+            assert all(side[nodes]), "a path crossed between the components"
+    assert set(outcomes) == {"ok", "goal_connect"}
 
 
 def test_query_rejects_colliding_start(small_pole_roadmap, arm, pole_scene):
