@@ -294,8 +294,12 @@ def _record_from_row(row: list[str]) -> RunRecord:
     # two times, then two lengths, which may be empty
     planner_time, opt_time, seed_length, final_length = (
         _record_number(*column) for column in zip(RECORD_FIELDS[4:], numbers, (False, False, True, True)))
-    if outcome == OUTCOME_OK and final_length is None:
-        raise ValueError(f"an {OUTCOME_OK!r} row has no final_len_rad")
+    # a seed length on every row but a planner failure's, a final length on ok rows only
+    carried = (outcome != OUTCOME_PLANNER_FAILURE, outcome == OUTCOME_OK)
+    for name, length, want in zip(RECORD_FIELDS[6:], (seed_length, final_length), carried):
+        if (length is not None) != want:
+            article = "an" if outcome == OUTCOME_OK else "a"
+            raise ValueError(f"{article} {outcome!r} row has {'no' if want else 'a'} {name}")
     return RunRecord(case_id, scene_name, planner, outcome, planner_time, opt_time, seed_length, final_length)
 
 
@@ -304,8 +308,10 @@ def read_records(path) -> list[RunRecord]:
     naming the file and line for a header other than ``RECORD_FIELDS``, and
     for a row whose field count is not eight, whose planner is not in
     ``PLANNERS`` or outcome not in ``OUTCOMES``, whose times are not finite
-    numbers >= 0 or lengths neither empty nor such a number, or that is
-    ``ok`` without a final length."""
+    numbers >= 0 or lengths neither empty nor such a number, or whose
+    lengths are not those its outcome carries: an ``ok`` row has a seed and
+    a final length, a ``collision_failure`` row a seed length only, and a
+    ``planner_failure`` row neither."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -27,9 +27,9 @@ reports every pair of the others as its bound.
 
 One segment sampler, ``segments_in_collision``, checks straight joint-space
 segments; edge and trajectory checks are built on it. It certifies every
-batch with the motion bound of Schwarzer, Saha & Latombe (IEEE T-RO 2005):
-a checked sample's clearance bound proves the samples near it free, and
-only the others reach the screen.
+batch with the arm's motion bound (``ArmModel.joint_reach``): a checked
+sample's clearance bound proves the samples near it free, and only the
+others reach the screen.
 
 A batch's link rectangles (``_RectBatch``) come from the one chain pass of
 ``robot`` and hold only what every check reads: the proximal joints ``P``,
@@ -48,7 +48,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .geometry import ConvexShape, _point_segment_distance
-from .robot import ArmModel, _check_batch, _check_config, _check_int, _joint_origins, _link_steps, within_limits
+from .robot import (
+    ArmModel, _check_batch, _check_config, _check_int, _joint_origins, _link_steps, _read_only, within_limits,
+)
 
 DEFAULT_EDGE_INTERP = 100
 
@@ -353,12 +355,11 @@ def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
     The check is certified in two stages. Stage 1 checks the coarse samples
     of ``_coarse_split`` with ``_clear_or_hit``. On segment s no arm point
     moves farther than ``|t_a - t_b| * D_s`` between two samples, with
-    ``D_s = sum_j R_j |B_j - A_j|`` and ``R_j`` the reach of joint j
-    (``_joint_reach``: the summed length of links j onward plus the largest
-    half-width), so an AABB gap falls by at most sqrt(2) times that and the
-    workspace margin by at most that. Stage 2 checks, the same way, the
-    other samples of the segments stage 1 left unflagged, except those some
-    checked sample's bound covers: bound > sqrt(2) * motion +
+    ``D_s = sum_j R_j |B_j - A_j|`` and ``R_j`` the arm's
+    ``ArmModel.joint_reach``, so an AABB gap falls by at most sqrt(2) times
+    that and the workspace margin by at most that. Stage 2 checks, the same
+    way, the other samples of the segments stage 1 left unflagged, except
+    those some checked sample's bound covers: bound > sqrt(2) * motion +
     ``_CERTIFY_MARGIN`` (1e-9).
     The flags are those of a check of every sample. Endpoints that are not
     finite raise ValueError before they are interpolated, and so does a
@@ -382,20 +383,13 @@ def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
     checked, rest = _coarse_split(t.size)
     hit, bound = _clear_or_hit(arm, geom, samples[:, checked])
     flags = hit.any(axis=1)
-    motion = _SQRT2 * (np.abs(step) @ _joint_reach(arm))[:, None, None] * np.abs(t[rest, None] - t[checked])
+    motion = _SQRT2 * (np.abs(step) @ arm.joint_reach)[:, None, None] * np.abs(t[rest, None] - t[checked])
     covered = (bound[:, None, :] > motion + _CERTIFY_MARGIN).any(axis=2)
     si, ri = np.nonzero(~covered & ~flags[:, None])
     if len(si):
         hit = _clear_or_hit(arm, geom, samples[si, rest[ri]])[0]
         flags[si[hit]] = True
     return flags.reshape(lead)
-
-
-def _joint_reach(arm: ArmModel) -> np.ndarray:
-    """``R_j`` (K,) of the motion bound: the summed length of links j onward
-    plus the largest half-width, which no point of those links is farther
-    from joint j than."""
-    return np.cumsum(arm.lengths[::-1])[::-1] + arm.half_widths.max()
 
 
 def _coarse_split(n_t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -428,9 +422,7 @@ def _sample_fractions(n_interp: int) -> np.ndarray:
     """The ``n_interp + 2`` sample fractions of a segment check, 0 and 1
     included, built once per ``n_interp`` and read-only. Raises ValueError
     when ``n_interp`` is not an integer >= 0."""
-    t = np.linspace(0.0, 1.0, _check_int("n_interp", n_interp, 0) + 2)
-    t.flags.writeable = False
-    return t
+    return _read_only(np.linspace(0.0, 1.0, _check_int("n_interp", n_interp, 0) + 2))
 
 
 def edge_in_collision(arm: ArmModel, scene: Scene, q1, q2, n_interp: int = DEFAULT_EDGE_INTERP) -> bool:

@@ -29,9 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import (
-    Scene, _check_free, _joint_reach, pair_signed_distances, trajectory_in_collision,
-)
+from .collision import Scene, _check_free, pair_signed_distances, trajectory_in_collision
 from .robot import ArmModel
 
 _FD_STEP = 1e-6
@@ -87,17 +85,18 @@ def _merit_gradient(arm, scene, traj, mu, bounds) -> np.ndarray:
 
     The penalty part is central finite differences of the per-waypoint hinge
     sums. Turning one joint by ``_FD_STEP`` moves no arm point farther than
-    ``motion = collision._joint_reach(arm)[0] * _FD_STEP``, the certified
-    segment check's bound. A waypoint goes into the one signed-distance
-    batch, with its 2 * K perturbed rows, only when its bound (the smallest
-    signed distance reported for it, never above a pair's distance) is below
-    ``D_SAFE + 2 * motion``. So every pair of another waypoint's rows is
-    reported at or beyond ``D_SAFE``, with a hinge sum of exactly 0.0, and
-    its penalty rows are 0.0 without a signed-distance call.
+    ``motion = arm.joint_reach[0] * _FD_STEP`` (``ArmModel.joint_reach``,
+    the motion bound of the certified segment check). A waypoint goes into
+    the one signed-distance batch, with its 2 * K perturbed rows, only when
+    its bound (the smallest signed distance reported for it, never above a
+    pair's distance) is below ``D_SAFE + 2 * motion``. So every pair of
+    another waypoint's rows is reported at or beyond ``D_SAFE``, with a
+    hinge sum of exactly 0.0, and its penalty rows are 0.0 without a
+    signed-distance call.
     """
     interior = traj[1:-1]
     grad = np.zeros(interior.shape)
-    motion = _joint_reach(arm)[0] * _FD_STEP
+    motion = arm.joint_reach[0] * _FD_STEP
     near = np.flatnonzero(bounds < D_SAFE + 2.0 * motion)
     if len(near):
         k = interior.shape[1]

@@ -43,6 +43,10 @@ class ArmModel:
 
     links: (length, half_width) pairs from proximal to distal, meters.
     joint_limits: (lo, hi) bounds per joint, radians.
+
+    The arrays derived from them (``lengths``, ``half_widths``, ``lower``,
+    ``upper``, ``joint_reach``) are cached and read-only, in a pickled copy
+    too, so they cannot come to disagree with the fields.
     """
 
     base: Pose2
@@ -72,19 +76,28 @@ class ArmModel:
 
     @cached_property
     def lengths(self) -> np.ndarray:
-        return np.array([l for l, _ in self.links])
+        return _read_only(np.array([l for l, _ in self.links]))
 
     @cached_property
     def half_widths(self) -> np.ndarray:
-        return np.array([w for _, w in self.links])
+        return _read_only(np.array([w for _, w in self.links]))
 
     @cached_property
     def lower(self) -> np.ndarray:
-        return np.array([lo for lo, _ in self.joint_limits])
+        return _read_only(np.array([lo for lo, _ in self.joint_limits]))
 
     @cached_property
     def upper(self) -> np.ndarray:
-        return np.array([hi for _, hi in self.joint_limits])
+        return _read_only(np.array([hi for _, hi in self.joint_limits]))
+
+    @cached_property
+    def joint_reach(self) -> np.ndarray:
+        """``R_j`` (K,) of the motion bound of Schwarzer, Saha & Latombe
+        (IEEE T-RO 2005): the summed length of links j onward plus the
+        largest half-width, which no point of those links is farther from
+        joint j than. Turning the joints by ``dq`` moves no arm point
+        farther than ``sum_j R_j |dq_j|``."""
+        return _read_only(np.cumsum(self.lengths[::-1])[::-1] + self.half_widths.max())
 
     @property
     def reach(self) -> float:
@@ -92,6 +105,17 @@ class ArmModel:
 
     def fingerprint(self) -> tuple:
         return (self.base.x, self.base.y, self.base.heading, self.links, self.joint_limits)
+
+    def __reduce__(self):
+        # a copy is rebuilt from the fields, so its cached arrays are made
+        # again, read-only (a pickled array comes back writable)
+        return ArmModel, (self.base, self.links, self.joint_limits)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, with writes to it (and to every view of it) refused."""
+    a.flags.writeable = False
+    return a
 
 
 def _check_config(arm: ArmModel, q) -> np.ndarray:

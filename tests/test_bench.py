@@ -121,6 +121,15 @@ MALFORMED_RECORDS = {
     "seed_len_inf": (_set(6, "inf"), "seed_len_rad 'inf' is not a finite number >= 0"),
     "final_len_negative": (_set(7, "-2.5"), "final_len_rad '-2.5' is not a finite number >= 0"),
     "ok_without_final_len": (_set(7, ""), "an 'ok' row has no final_len_rad"),
+    "ok_without_seed_len": (_set(6, ""), "an 'ok' row has no seed_len_rad"),
+    "collision_failure_with_final_len": (
+        _set(3, "collision_failure"), "a 'collision_failure' row has a final_len_rad"),
+    "collision_failure_without_seed_len": (
+        lambda f: _set(3, "collision_failure")(f[:6] + ["", ""]), "a 'collision_failure' row has no seed_len_rad"),
+    "planner_failure_with_seed_len": (
+        lambda f: _set(3, "planner_failure")(f[:7] + [""]), "a 'planner_failure' row has a seed_len_rad"),
+    "planner_failure_with_final_len": (
+        lambda f: _set(3, "planner_failure")(f[:6] + ["", f[7]]), "a 'planner_failure' row has a final_len_rad"),
 }
 
 

@@ -79,7 +79,8 @@ def test_missing_results_file_is_an_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["short_row", "time_not_number", "weird_outcome_nan_time"])
+@pytest.mark.parametrize(
+    "case", ["short_row", "time_not_number", "weird_outcome_nan_time", "collision_failure_with_final_len"])
 def test_bench_report_rejects_malformed_records_file(tmp_path, capsys, case):
     path, message = write_malformed_records(tmp_path, case)
     capsys.readouterr()

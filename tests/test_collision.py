@@ -600,7 +600,10 @@ def test_motion_bound_covers_link_and_screen_motion(seed, k, stretched, one_join
         dq *= np.eye(k)[rng.integers(k)]
     t = np.linspace(0.0, 1.0, 11)
     rb = _RectBatch(arm, q + t[:, None] * dq)
-    allowed = np.abs(t[:, None] - t) * (np.abs(dq) @ collision._joint_reach(arm))
+    # R_j: the links from j on, end to end, plus the widest link's half-width
+    reach = [sum(length for length, _ in arm.links[j:]) + max(w for _, w in arm.links) for j in range(k)]
+    assert arm.joint_reach == pytest.approx(reach, rel=1e-12, abs=0.0)
+    allowed = np.abs(t[:, None] - t) * (np.abs(dq) @ arm.joint_reach)
     slack = 1e-12 * (1.0 + allowed)
     corners = rb.corners()
     moved = np.linalg.norm(corners[:, None] - corners, axis=-1).max(axis=(2, 3))

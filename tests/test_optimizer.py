@@ -5,7 +5,7 @@ import pytest
 
 import armplan.optimizer as opt
 from armplan.collision import (
-    Scene, _joint_reach, config_in_collision, pair_signed_distances, trajectory_in_collision,
+    Scene, config_in_collision, pair_signed_distances, trajectory_in_collision,
 )
 from armplan.geometry import ConvexShape, Pose2
 from armplan.optimizer import (
@@ -120,7 +120,7 @@ def dense_penalty_gradient_interior(arm, scene, traj):
 
 def screen_threshold(arm):
     """The clearance bound below which a waypoint keeps its gradient rows."""
-    return D_SAFE + 2.0 * _joint_reach(arm)[0] * opt._FD_STEP
+    return D_SAFE + 2.0 * arm.joint_reach[0] * opt._FD_STEP
 
 
 def bound_crossings(arm, scene, below, above, target):

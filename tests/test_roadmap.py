@@ -3,6 +3,7 @@ import functools
 import heapq
 import itertools
 import json
+import pickle
 import re
 import signal
 import tracemalloc
@@ -958,6 +959,39 @@ def test_node_tip_poses_follow_the_arm(pole_scene, arm):
     assert [np.array_equal(g[0], w[0][:, -1]) for g, w in zip(got, want)] == [True] * 3
     # the headings are raw: _at_goal wraps the difference itself
     assert [np.array_equal(g[1], w[1][:, -1]) for g, w in zip(got, want)] == [True] * 3
+
+
+def test_arm_and_roadmap_arrays_are_read_only_in_a_pickled_copy_too(pole_scene, arm):
+    # a write used to take the arm's limits away from its fingerprint, or a
+    # roadmap's nodes away from its cached distances, and a pickled copy
+    # came back writable
+    rm = build_roadmap(pole_scene, arm, RoadmapParams(n_nodes=30))
+
+    def arrays(arm, rm):
+        tips, headings = rm.node_tip_poses(arm)
+        return {
+            "lengths": arm.lengths, "half_widths": arm.half_widths, "lower": arm.lower,
+            "upper": arm.upper, "joint_reach": arm.joint_reach, "nodes": rm.nodes,
+            "edge_weights": rm.edge_weights, "apsp_dist": rm.apsp_dist, "tips": tips, "tip_headings": headings,
+        }
+
+    want = arrays(arm, rm)      # the tip cache filled before the copy is made
+    copy_arm, copy_rm = pickle.loads(pickle.dumps((arm, rm)))
+    assert copy_arm == arm and copy_rm.edge_list == rm.edge_list
+    for which in (arm, rm), (copy_arm, copy_rm):
+        got = arrays(*which)
+        for name, a in got.items():
+            assert np.array_equal(a, want[name]), name
+            first = (0,) * a.ndim
+            with pytest.raises(ValueError, match="read-only"):
+                a[first] = a[first]     # the same value: a failure here changes nothing
+
+    # the roadmap keeps a copy of the caller's arrays, which stay writable
+    nodes, weights = np.array(rm.nodes), np.array(rm.edge_weights)
+    own = Roadmap(nodes, rm.edge_list, weights, rm.params, rm.binding)
+    nodes += 1.0
+    weights *= 2.0
+    assert np.array_equal(own.nodes, rm.nodes) and np.array_equal(own.edge_weights, rm.edge_weights)
 
 
 def test_query_paths_validate(small_pole_roadmap, small_pole_suite, arm, pole_scene):
