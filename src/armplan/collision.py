@@ -120,6 +120,7 @@ class Scene:
     """Named static obstacle set with optional axis-aligned workspace bounds.
 
     workspace_bounds is (xmin, ymin, xmax, ymax); None means unbounded.
+    Every obstacle must be a ``ConvexShape``.
     """
 
     name: str
@@ -128,6 +129,9 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        for ob in self.obstacles:
+            if not isinstance(ob, ConvexShape):
+                raise ValueError(f"scene obstacles must be ConvexShapes, got {type(ob).__name__}")
         if self.workspace_bounds is not None:
             xmin, ymin, xmax, ymax = self.workspace_bounds
             if not (xmin < xmax and ymin < ymax):

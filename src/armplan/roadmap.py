@@ -21,6 +21,10 @@ bound to (a sha256 of the scene's JSON form and the arm's fingerprint). The
 path caches are not stored: every ``Roadmap`` rebuilds the APSP distances
 from its edges when it is constructed, and memoizes alternate paths again on
 demand. Files of formats 1 and 2 are rejected.
+
+A roadmap holds the arm it is bound to, rebuilt once from the fingerprint,
+and compares a query's arm with it by value; a query's scene is hashed only
+when it is not the scene last matched.
 """
 
 from __future__ import annotations
@@ -29,9 +33,11 @@ import hashlib
 import io
 import itertools
 import json
+import weakref
 import zipfile
 import zlib
 from dataclasses import dataclass, asdict, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +45,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as _sparse_dijkstra, yen as _sparse_yen
 
 from .collision import DEFAULT_EDGE_INTERP, Scene, _check_free, _coarse_split, _sample_fractions, segments_in_collision
-from .geometry import _vector_length
+from .geometry import Pose2, _vector_length
 from .robot import ArmModel, EEPose, _at_goal, _check_int, _is_integer, _read_only, chain_points
 from . import scenarios
 from .scenarios import _check_json_layout, ik_goal_configs, scene_to_dict
@@ -79,13 +85,21 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
+def _scene_sha256(scene: Scene) -> str:
+    return hashlib.sha256(json.dumps(scene_to_dict(scene), sort_keys=True).encode()).hexdigest()
+
+
+def _arm_fingerprint(arm: ArmModel) -> list:
+    """``arm.fingerprint()`` in the JSON form a roadmap file stores."""
+    return json.loads(json.dumps(arm.fingerprint()))
+
+
 def _binding(scene: Scene, arm: ArmModel) -> dict:
     """The scene and arm a roadmap belongs to, in the JSON form its file stores."""
-    scene_json = json.dumps(scene_to_dict(scene), sort_keys=True)
     return {
         "scene_name": scene.name,
-        "scene_sha256": hashlib.sha256(scene_json.encode()).hexdigest(),
-        "arm_fingerprint": json.loads(json.dumps(arm.fingerprint())),
+        "scene_sha256": _scene_sha256(scene),
+        "arm_fingerprint": _arm_fingerprint(arm),
     }
 
 
@@ -93,9 +107,11 @@ class Roadmap:
     """Immutable-after-build roadmap: nodes, weighted edges and path caches,
     bound to the scene and arm it was built for. The APSP distances are
     computed from the edges here, once; a malformed graph raises ValueError
-    first. ``nodes`` and ``edge_weights`` are copies of the arrays passed
-    in, and they, ``apsp_dist`` and the tip arrays of ``node_tip_poses``
-    are read-only; a pickled copy is built again from the same arguments."""
+    first. ``nodes``, ``edge_weights`` and ``binding`` are copies of the
+    values passed in; the arrays, ``graph``'s CSR arrays, ``apsp_dist`` and
+    the tip arrays of ``node_tip_poses`` are read-only. ``arm``, the bound
+    arm, is rebuilt from the binding on first use. A pickled copy is built
+    again from the same arguments."""
 
     def __init__(self, nodes, edge_list, edge_weights, params: RoadmapParams, binding: dict):
         self.nodes = _read_only(np.array(nodes, dtype=float))
@@ -103,13 +119,16 @@ class Roadmap:
         self.edge_weights = _read_only(np.array(edge_weights, dtype=float))
         _check_graph(self.nodes, self.edge_list, self.edge_weights)
         self.params = params
-        self.binding = binding
+        self.binding = json.loads(json.dumps(binding))
         # Yen memo: (u, v) -> its paths
         self._ksp: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        # (arm, tip positions, raw tip headings) of the last node_tip_poses call
-        self._node_ee: tuple[ArmModel, np.ndarray, np.ndarray] | None = None
+        # weak reference to the scene check_binding last matched: a roadmap
+        # keeps no scene alive
+        self._matched_scene: weakref.ref[Scene] | None = None
         # the edges as a symmetric CSR matrix, the alternate-path searches' graph
         self.graph = _csr_graph(len(self.nodes), self.edge_list, self.edge_weights)
+        for a in (self.graph.data, self.graph.indices, self.graph.indptr):
+            _read_only(a)
         self.apsp_dist = _read_only(_sparse_dijkstra(self.graph, directed=True))
 
     def __reduce__(self):
@@ -137,29 +156,49 @@ class Roadmap:
             raise ValueError(f"node {v} is not reachable from node {u}")
         return _walk_to(self.graph, self.apsp_dist[v], u, v)
 
-    def node_tip_poses(self, arm: ArmModel) -> tuple[np.ndarray, np.ndarray]:
-        """Tip positions (N, 2) and raw headings (N,) of all nodes for
-        ``arm``, computed again only when the arm differs from the last
-        call's."""
-        if self._node_ee is None or self._node_ee[0] != arm:
-            origins, headings = chain_points(arm, self.nodes)
-            self._node_ee = (arm, _read_only(origins[:, -1].copy()), _read_only(headings[:, -1].copy()))
-        return self._node_ee[1:]
-
-    def check_binding(self, scene: Scene, arm: ArmModel) -> None:
-        """Raise ValueError unless the roadmap was built for this scene (name,
-        bounds and obstacles) and this arm, with nodes ``arm.dof`` wide."""
-        want, have = _binding(scene, arm), self.binding
-        if want["scene_sha256"] != have["scene_sha256"]:
-            raise ValueError(
-                f"roadmap is for scene {have['scene_name']!r} (sha256 {have['scene_sha256'][:12]}), "
-                f"not {scene.name!r} (sha256 {want['scene_sha256'][:12]}); rebuild it for this scene")
-        if want["arm_fingerprint"] != have["arm_fingerprint"]:
-            raise ValueError(f"roadmap is for arm {have['arm_fingerprint']}, "
-                             f"not {want['arm_fingerprint']}; rebuild it for this arm")
+    @cached_property
+    def arm(self) -> ArmModel:
+        """The arm the roadmap is bound to, rebuilt from the binding's
+        ``arm_fingerprint``. Raises ValueError unless that is the fingerprint
+        of an arm with one joint per node angle."""
+        fingerprint = self.binding["arm_fingerprint"]
+        try:
+            x, y, heading, links, joint_limits = fingerprint
+            arm = ArmModel(Pose2(x, y, heading), links, joint_limits)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"arm_fingerprint {fingerprint} is not an arm's: {exc}") from None
+        if _arm_fingerprint(arm) != fingerprint:
+            raise ValueError(f"arm_fingerprint {fingerprint} is not an arm's: the arm it describes "
+                             f"has the fingerprint {_arm_fingerprint(arm)}")
         if self.nodes.shape[1] != arm.dof:
             raise ValueError(f"roadmap nodes have {self.nodes.shape[1]} joint angles, not the arm's "
                              f"{arm.dof}; rebuild it for this arm")
+        return arm
+
+    @cached_property
+    def _node_tips(self) -> tuple[np.ndarray, np.ndarray]:
+        origins, headings = chain_points(self.arm, self.nodes)
+        return _read_only(origins[:, -1].copy()), _read_only(headings[:, -1].copy())
+
+    def node_tip_poses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tip positions (N, 2) and raw headings (N,) of all nodes for the
+        bound arm, computed once; both arrays are read-only."""
+        return self._node_tips
+
+    def check_binding(self, scene: Scene, arm: ArmModel) -> None:
+        """Raise ValueError unless the roadmap was built for this scene (name,
+        bounds and obstacles) and an arm equal to this one. The scene is
+        hashed only when it is not the scene this check last matched."""
+        if self._matched_scene is None or self._matched_scene() is not scene:
+            sha, have = _scene_sha256(scene), self.binding
+            if sha != have["scene_sha256"]:
+                raise ValueError(
+                    f"roadmap is for scene {have['scene_name']!r} (sha256 {have['scene_sha256'][:12]}), "
+                    f"not {scene.name!r} (sha256 {sha[:12]}); rebuild it for this scene")
+            self._matched_scene = weakref.ref(scene)
+        if arm != self.arm:
+            raise ValueError(f"roadmap is for arm {self.binding['arm_fingerprint']}, "
+                             f"not {_arm_fingerprint(arm)}; rebuild it for this arm")
 
 
 def _check_graph(nodes: np.ndarray, edges: list[tuple[int, int]], weights: np.ndarray) -> None:
@@ -422,15 +461,17 @@ def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) ->
     the smallest total length. A goal candidate whose node the start's node
     cannot reach (a roadmap of several components) is skipped; with none
     left the query fails with 'goal_connect'. Raises ValueError when the
-    roadmap was built for another scene or arm, or the start is outside the
-    joint limits or in collision.
+    roadmap was built for another scene or arm (``Roadmap.check_binding``),
+    or the start is outside the joint limits or in collision. The node tips
+    the goal is matched against are the bound arm's, computed once per
+    roadmap.
     """
     roadmap.check_binding(scene, arm)
     start = np.asarray(start, dtype=float)
     _check_free(arm, scene, [("start configuration", start)])
 
     candidates = ik_goal_configs(arm, scene, goal)
-    matched = _at_goal(*roadmap.node_tip_poses(arm), goal)
+    matched = _at_goal(*roadmap.node_tip_poses(), goal)
     candidates.extend(roadmap.nodes[i].copy() for i in np.flatnonzero(matched))
     if not candidates:
         return QueryResult(None, failure="no_ik")
@@ -512,7 +553,8 @@ def load_roadmap(path) -> Roadmap:
     """Read a roadmap file. Raises ValueError naming the file when it is no
     intact zip archive of arrays, lacks an array, or has a meta record that
     is not JSON, of another format version or laid out otherwise than
-    ``_META_LAYOUT``, or a malformed graph."""
+    ``_META_LAYOUT``, a malformed graph, an ``arm_fingerprint`` that is no
+    arm's, or nodes of another width than that arm's joint count."""
     try:
         with zipfile.ZipFile(Path(path)) as zf:
             data = {name: np.lib.format.read_array(zf.open(name + ".npy"))
@@ -531,12 +573,14 @@ def load_roadmap(path) -> Roadmap:
         _check_json_layout(meta, _META_LAYOUT, "meta")
         if data["edges"].dtype.kind not in "iu":
             raise ValueError(f"edges must be integers, not {data['edges'].dtype}")
-        return Roadmap(
+        rm = Roadmap(
             nodes=data["nodes"],
             edge_list=data["edges"].reshape(-1, 2).tolist(),
             edge_weights=data["edge_weights"],
             params=RoadmapParams(**meta["params"]),
             binding=meta["binding"],
         )
+        rm.arm  # rebuilt and checked here, so that a bad binding names the file
+        return rm
     except ValueError as exc:
         raise ValueError(f"roadmap file {path}: {exc}") from None

@@ -32,9 +32,16 @@ _IK_DAMPING = 1e-3       # damped-least-squares lambda
 @dataclass(frozen=True)
 class EEPose(Pose2):
     """Workspace goal for the arm tip: a ``Pose2`` whose heading is only a
-    constraint when ``heading_matters`` is set; it must be finite either way."""
+    constraint when ``heading_matters`` is set; it must be finite either way.
+    ``heading_matters`` must be a bool (a numpy bool is stored as one)."""
 
     heading_matters: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not isinstance(self.heading_matters, (bool, np.bool_)):
+            raise ValueError(f"heading_matters must be a bool, got {self.heading_matters!r}")
+        object.__setattr__(self, "heading_matters", bool(self.heading_matters))
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,11 @@ class ArmModel:
     joint_limits: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        if not isinstance(self.base, Pose2):
+            raise ValueError(f"arm base must be a Pose2, got {self.base!r}")
+        # stored as a plain Pose2: an EEPose base would make the arm compare
+        # unequal to one on the same pose
+        object.__setattr__(self, "base", Pose2(self.base.x, self.base.y, self.base.heading))
         links = tuple((float(l), float(w)) for l, w in self.links)
         limits = tuple((float(lo), float(hi)) for lo, hi in self.joint_limits)
         k = len(links)

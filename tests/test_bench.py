@@ -13,11 +13,11 @@ from armplan.bench import (
 )
 from armplan.collision import Scene
 from armplan.geometry import ConvexShape
-from armplan.roadmap import RoadmapParams, build_roadmap, load_roadmap, query
+from armplan.roadmap import Roadmap, RoadmapParams, build_roadmap, load_roadmap, query
 from armplan.robot import EEPose, forward_kinematics
 from armplan.scenarios import generate_test_suite
 
-from test_roadmap import write_narrow_node_roadmap
+from test_roadmap import NARROW_NODES, write_narrow_node_roadmap
 
 
 def rec(case_id, outcome, pt, ot, seed, final, planner="p", scene="sceneA"):
@@ -239,10 +239,14 @@ def test_run_benchmark_rejects_roadmap_of_same_name_scene_with_moved_obstacle(ti
 
 def test_run_benchmark_rejects_roadmap_nodes_of_another_width(
         small_pole_roadmap, small_pole_suite, pole_scene, tmp_path, monkeypatch):
-    rm = load_roadmap(write_narrow_node_roadmap(small_pole_roadmap, tmp_path))
+    # such a file now fails at load, naming the file
+    with pytest.raises(ValueError, match=rf"narrow\.npz: {NARROW_NODES}"):
+        load_roadmap(write_narrow_node_roadmap(small_pole_roadmap, tmp_path))
+    rm = small_pole_roadmap
+    narrow = Roadmap(rm.nodes[:, :3], rm.edge_list, rm.edge_weights, rm.params, rm.binding)
     monkeypatch.setattr(bench, "run_case", lambda *a: pytest.fail("a case ran"))
-    with pytest.raises(ValueError, match="roadmap nodes have 3 joint angles, not the arm's 4"):
-        run_benchmark(small_pole_suite, "roadmap", scene=pole_scene, roadmap=rm)
+    with pytest.raises(ValueError, match=NARROW_NODES):
+        run_benchmark(small_pole_suite, "roadmap", scene=pole_scene, roadmap=narrow)
 
 
 @pytest.mark.parametrize("bad", [True, 1.5, -5, "3"])

@@ -33,6 +33,13 @@ def test_scene_validation():
         Scene("bad", (), workspace_bounds=(1.0, 0.0, 0.0, 2.0))
 
 
+def test_scene_rejects_an_obstacle_that_is_not_a_shape():
+    # a vertex array used to fail later, when the scene's geometry was built
+    box = ConvexShape.box(0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="scene obstacles must be ConvexShapes, got ndarray"):
+        Scene("x", [box, box.vertices])
+
+
 # ---------------------------------------------------------------------------
 # config_in_collision
 

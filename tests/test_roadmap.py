@@ -524,11 +524,43 @@ def write_narrow_node_roadmap(rm, tmp_path):
     return tmp_path / "narrow.npz"
 
 
+NARROW_NODES = "roadmap nodes have 3 joint angles, not the arm's 4; rebuild it for this arm"
+
+
 def test_query_rejects_nodes_of_another_width(small_pole_roadmap, arm, pole_scene, tmp_path):
     # such a file used to load and fail only inside the query, naming no roadmap
-    rm = load_roadmap(write_narrow_node_roadmap(small_pole_roadmap, tmp_path))
-    with pytest.raises(ValueError, match="roadmap nodes have 3 joint angles, not the arm's 4; rebuild it"):
-        query(rm, arm, pole_scene, small_pole_roadmap.nodes[0], EEPose(1.0, 1.0))
+    path = write_narrow_node_roadmap(small_pole_roadmap, tmp_path)
+    with pytest.raises(ValueError, match=rf"narrow\.npz: {NARROW_NODES}"):
+        load_roadmap(path)
+    # a roadmap made in memory from such nodes fails its first query the same way
+    rm = small_pole_roadmap
+    narrow = Roadmap(rm.nodes[:, :3], rm.edge_list, rm.edge_weights, rm.params, rm.binding)
+    with pytest.raises(ValueError, match=NARROW_NODES):
+        query(narrow, arm, pole_scene, rm.nodes[0], EEPose(1.0, 1.0))
+
+
+# case -> (meta["binding"]["arm_fingerprint"] given the saved one, message)
+MALFORMED_ARM_FINGERPRINTS = {
+    "two_numbers": (lambda fp: [1, 2], r"\[1, 2\] is not an arm's: not enough values to unpack"),
+    "number_for_links": (lambda fp: fp[:3] + [5] + fp[4:], "is not an arm's: 'int' object is not iterable"),
+    "heading_not_wrapped": (lambda fp: [fp[0], fp[1], 4.0] + fp[3:],
+                            r"is not an arm's: the arm it describes has the fingerprint \[0\.0, 0\.0, -2\.28"),
+    "two_links": (lambda fp: fp[:3] + [fp[3][:2], fp[4][:2]], "is not an arm's: arm must have between 3 and 8 links"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARM_FINGERPRINTS))
+def test_load_rejects_binding_to_no_arm(small_pole_roadmap, tmp_path, case):
+    # such a file used to load and fail every query, or raise TypeError in it
+    edit, message = MALFORMED_ARM_FINGERPRINTS[case]
+    save_roadmap(small_pole_roadmap, tmp_path / "rm.npz")
+    with np.load(tmp_path / "rm.npz") as data:
+        meta = json.loads(bytes(data["meta"]).decode())
+    meta["binding"]["arm_fingerprint"] = edit(meta["binding"]["arm_fingerprint"])
+    raw = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    rewrite_roadmap_file(tmp_path / "rm.npz", tmp_path / "badarm.npz", meta=raw)
+    with pytest.raises(ValueError, match=rf"^roadmap file \S*badarm\.npz: arm_fingerprint .*{message}"):
+        load_roadmap(tmp_path / "badarm.npz")
 
 
 @pytest.mark.parametrize("scene_fixture", ["pole_scene", "shelf_scene"])
@@ -949,16 +981,36 @@ def test_query_rejects_other_arm(small_pole_roadmap, arm, pole_scene):
         query(small_pole_roadmap, longer, pole_scene, start, goal)
 
 
-def test_node_tip_poses_follow_the_arm(pole_scene, arm):
-    # every later arm used to get the first arm's tips
-    rm = build_roadmap(pole_scene, arm, RoadmapParams(n_nodes=40))
-    moved = ArmModel(Pose2(0.3, 0.0, 1.0), arm.links, arm.joint_limits)
-    arms = (arm, moved, arm)
-    got = [rm.node_tip_poses(which) for which in arms]
-    want = [chain_points(which, rm.nodes) for which in arms]
-    assert [np.array_equal(g[0], w[0][:, -1]) for g, w in zip(got, want)] == [True] * 3
-    # the headings are raw: _at_goal wraps the difference itself
-    assert [np.array_equal(g[1], w[1][:, -1]) for g, w in zip(got, want)] == [True] * 3
+def test_roadmap_arm_is_the_arm_it_was_built_for(pole_scene, tmp_path):
+    arm = ArmModel(Pose2(0.3, -0.1, 1.0), ((0.4, 0.03), (0.35, 0.03), (0.3, 0.02)), ((-2.5, 2.0),) * 3)
+    rm = build_roadmap(pole_scene, arm, RoadmapParams(n_nodes=30))
+    save_roadmap(rm, tmp_path / "rm.npz")
+    for copy in rm, pickle.loads(pickle.dumps(rm)), load_roadmap(tmp_path / "rm.npz"):
+        assert copy.arm == arm and copy.arm.fingerprint() == arm.fingerprint()
+
+
+def test_node_tip_poses_are_the_bound_arms_tips(small_pole_roadmap, tmp_path):
+    save_roadmap(small_pole_roadmap, tmp_path / "rm.npz")
+    copies = small_pole_roadmap, pickle.loads(pickle.dumps(small_pole_roadmap)), load_roadmap(tmp_path / "rm.npz")
+    for rm in copies:
+        origins, headings = chain_points(rm.arm, rm.nodes)
+        tips, tip_headings = rm.node_tip_poses()
+        assert tips.tobytes() == origins[:, -1].tobytes()
+        # the headings are raw: _at_goal wraps the difference itself
+        assert tip_headings.tobytes() == headings[:, -1].tobytes()
+        assert rm.node_tip_poses()[0] is tips     # computed once
+
+
+def test_check_binding_hashes_each_scene_object_once(small_pole_roadmap, arm, pole_scene, tmp_path):
+    start, goal = _node_query(small_pole_roadmap, arm)
+    save_scene(pole_scene, tmp_path / "pole.json")
+    same, other = load_scene(tmp_path / "pole.json"), load_scene(tmp_path / "pole.json")
+    with mock.patch.object(roadmap_module, "scene_to_dict", wraps=scene_to_dict) as serialized:
+        for _ in range(3):
+            assert query(small_pole_roadmap, arm, same, start, goal).ok
+        assert serialized.call_count == 1
+        assert query(small_pole_roadmap, arm, other, start, goal).ok
+        assert serialized.call_count == 2
 
 
 def test_arm_and_roadmap_arrays_are_read_only_in_a_pickled_copy_too(pole_scene, arm):
@@ -968,11 +1020,13 @@ def test_arm_and_roadmap_arrays_are_read_only_in_a_pickled_copy_too(pole_scene, 
     rm = build_roadmap(pole_scene, arm, RoadmapParams(n_nodes=30))
 
     def arrays(arm, rm):
-        tips, headings = rm.node_tip_poses(arm)
+        tips, headings = rm.node_tip_poses()
         return {
             "lengths": arm.lengths, "half_widths": arm.half_widths, "lower": arm.lower,
             "upper": arm.upper, "joint_reach": arm.joint_reach, "nodes": rm.nodes,
             "edge_weights": rm.edge_weights, "apsp_dist": rm.apsp_dist, "tips": tips, "tip_headings": headings,
+            # a write to the graph's weights used to make the shortest-path walk loop
+            "graph.data": rm.graph.data, "graph.indices": rm.graph.indices, "graph.indptr": rm.graph.indptr,
         }
 
     want = arrays(arm, rm)      # the tip cache filled before the copy is made
@@ -986,12 +1040,14 @@ def test_arm_and_roadmap_arrays_are_read_only_in_a_pickled_copy_too(pole_scene, 
             with pytest.raises(ValueError, match="read-only"):
                 a[first] = a[first]     # the same value: a failure here changes nothing
 
-    # the roadmap keeps a copy of the caller's arrays, which stay writable
-    nodes, weights = np.array(rm.nodes), np.array(rm.edge_weights)
-    own = Roadmap(nodes, rm.edge_list, weights, rm.params, rm.binding)
+    # the roadmap keeps a copy of the caller's arrays and binding, which stay writable
+    nodes, weights, binding = np.array(rm.nodes), np.array(rm.edge_weights), json.loads(json.dumps(rm.binding))
+    own = Roadmap(nodes, rm.edge_list, weights, rm.params, binding)
     nodes += 1.0
     weights *= 2.0
+    binding["arm_fingerprint"][3][0][0] = 9.0
     assert np.array_equal(own.nodes, rm.nodes) and np.array_equal(own.edge_weights, rm.edge_weights)
+    assert own.binding == rm.binding and own.arm == arm
 
 
 def test_query_paths_validate(small_pole_roadmap, small_pole_suite, arm, pole_scene):

@@ -142,6 +142,19 @@ def test_rejects_non_finite_links_and_limits(links, limits):
         ArmModel(Pose2(0, 0), links, limits)
 
 
+def test_rejects_a_base_that_is_not_a_pose():
+    # a tuple base used to fail only in fingerprint() with AttributeError
+    with pytest.raises(ValueError, match=r"arm base must be a Pose2, got \(0, 0, 0\)"):
+        ArmModel((0, 0, 0), ((1.0, 0.1),) * 3, ((-1, 1),) * 3)
+
+
+def test_an_eepose_base_is_stored_as_a_plain_pose():
+    links, limits = ((1.0, 0.1),) * 3, ((-1, 1),) * 3
+    arm = ArmModel(EEPose(0.5, 0.25, 0.1, heading_matters=True), links, limits)
+    assert type(arm.base) is Pose2
+    assert arm == ArmModel(Pose2(0.5, 0.25, 0.1), links, limits)
+
+
 # ---------------------------------------------------------------------------
 # forward kinematics
 
@@ -407,6 +420,18 @@ def test_goal_pose_rejects_non_finite(field, bad):
     # heading_matters is False: a heading that does not matter must be finite too
     with pytest.raises(ValueError, match="finite"):
         EEPose(**{"x": 0.5, "y": 0.25, "heading": 0.1, field: bad})
+
+
+@pytest.mark.parametrize("bad", ["no", 1, None])
+def test_goal_pose_rejects_heading_matters_that_is_no_bool(bad):
+    # the truthy string "no" used to make the heading a constraint
+    with pytest.raises(ValueError, match=f"heading_matters must be a bool, got {bad!r}"):
+        EEPose(0.5, 0.5, 0.0, heading_matters=bad)
+
+
+def test_goal_pose_stores_a_numpy_bool_as_a_bool():
+    goal = EEPose(0.5, 0.5, 0.0, heading_matters=np.bool_(True))
+    assert type(goal.heading_matters) is bool and goal == EEPose(0.5, 0.5, 0.0, heading_matters=True)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
