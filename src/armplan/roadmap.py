@@ -13,7 +13,12 @@ memoized, which is what edge invalidation falls back on. Every path
 search orders paths by length first and, among equal lengths, by the
 lexicographically smallest node sequence; scipy returns equal-length
 paths in no set order, so ``_yen`` completes each tie group before it
-orders it.
+orders it. Yen runs on the subgraph of the nodes that the cached
+distances allow on a path no longer than a bound: a node w is on no
+u -> v path shorter than ``apsp_dist[u, w] + apsp_dist[v, w]``, so the
+subgraph holds every path within the bound, and when its k-th path is
+within the bound, its first k paths are the whole graph's, ties included
+(``k_shortest_paths`` says how the bound grows until they are).
 
 A saved roadmap (format 3) holds only what the build decided: nodes, edges,
 weights, the four ``RoadmapParams`` values, and the scene and arm it is
@@ -107,11 +112,12 @@ class Roadmap:
     """Immutable-after-build roadmap: nodes, weighted edges and path caches,
     bound to the scene and arm it was built for. The APSP distances are
     computed from the edges here, once; a malformed graph raises ValueError
-    first. ``nodes``, ``edge_weights`` and ``binding`` are copies of the
+    first. ``nodes``, ``edge_weights`` and the binding are copies of the
     values passed in; the arrays, ``graph``'s CSR arrays, ``apsp_dist`` and
-    the tip arrays of ``node_tip_poses`` are read-only. ``arm``, the bound
-    arm, is rebuilt from the binding on first use. A pickled copy is built
-    again from the same arguments."""
+    the tip arrays of ``node_tip_poses`` are read-only, and ``binding``
+    returns a fresh copy of the binding. ``arm``, the bound arm, is rebuilt
+    from the binding on first use. A pickled copy is built again from the
+    same arguments."""
 
     def __init__(self, nodes, edge_list, edge_weights, params: RoadmapParams, binding: dict):
         self.nodes = _read_only(np.array(nodes, dtype=float))
@@ -119,7 +125,7 @@ class Roadmap:
         self.edge_weights = _read_only(np.array(edge_weights, dtype=float))
         _check_graph(self.nodes, self.edge_list, self.edge_weights)
         self.params = params
-        self.binding = json.loads(json.dumps(binding))
+        self._binding = json.loads(json.dumps(binding))
         # Yen memo: (u, v) -> its paths
         self._ksp: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         # weak reference to the scene check_binding last matched: a roadmap
@@ -132,7 +138,13 @@ class Roadmap:
         self.apsp_dist = _read_only(_sparse_dijkstra(self.graph, directed=True))
 
     def __reduce__(self):
-        return Roadmap, (self.nodes, self.edge_list, self.edge_weights, self.params, self.binding)
+        return Roadmap, (self.nodes, self.edge_list, self.edge_weights, self.params, self._binding)
+
+    @property
+    def binding(self) -> dict:
+        """A copy of the scene and arm the roadmap is bound to, in the JSON
+        form its file stores; editing it changes nothing of the roadmap's."""
+        return json.loads(json.dumps(self._binding))
 
     @property
     def n_nodes(self) -> int:
@@ -161,7 +173,7 @@ class Roadmap:
         """The arm the roadmap is bound to, rebuilt from the binding's
         ``arm_fingerprint``. Raises ValueError unless that is the fingerprint
         of an arm with one joint per node angle."""
-        fingerprint = self.binding["arm_fingerprint"]
+        fingerprint = self._binding["arm_fingerprint"]
         try:
             x, y, heading, links, joint_limits = fingerprint
             arm = ArmModel(Pose2(x, y, heading), links, joint_limits)
@@ -190,14 +202,14 @@ class Roadmap:
         bounds and obstacles) and an arm equal to this one. The scene is
         hashed only when it is not the scene this check last matched."""
         if self._matched_scene is None or self._matched_scene() is not scene:
-            sha, have = _scene_sha256(scene), self.binding
+            sha, have = _scene_sha256(scene), self._binding
             if sha != have["scene_sha256"]:
                 raise ValueError(
                     f"roadmap is for scene {have['scene_name']!r} (sha256 {have['scene_sha256'][:12]}), "
                     f"not {scene.name!r} (sha256 {sha[:12]}); rebuild it for this scene")
             self._matched_scene = weakref.ref(scene)
         if arm != self.arm:
-            raise ValueError(f"roadmap is for arm {self.binding['arm_fingerprint']}, "
+            raise ValueError(f"roadmap is for arm {self._binding['arm_fingerprint']}, "
                              f"not {_arm_fingerprint(arm)}; rebuild it for this arm")
 
 
@@ -353,8 +365,19 @@ def build_roadmap(scene: Scene, arm: ArmModel, params: RoadmapParams = RoadmapPa
 # ---------------------------------------------------------------------------
 # k shortest loopless paths (Yen)
 
-def _yen(graph: csr_matrix, src: int, dst: int, k: int) -> list[tuple[int, ...]]:
-    """The first k loopless src -> dst paths by (length, node sequence).
+# Bounds of the alternate-path search: the first bound on the k-th path's
+# length, as a multiple of the shortest path's; the factor by which a bound
+# that leaves fewer than k paths grows its excess over the shortest path; and
+# the relative rounding margin of the node test. They decide how many passes
+# a search takes, never its paths.
+_FIRST_BOUND = 1.1
+_WIDEN = 4.0
+_ROUNDING = 1e-9
+
+
+def _ranked_yen(graph: csr_matrix, src: int, dst: int, k: int) -> list[tuple[float, tuple[int, ...]]]:
+    """The first k loopless src -> dst paths by (length, node sequence), as
+    (length, path) pairs.
 
     scipy's Yen returns equal-length paths in no set order, so it is asked
     for m > k paths, m doubling until fewer than m exist or the m-th is
@@ -362,7 +385,7 @@ def _yen(graph: csr_matrix, src: int, dst: int, k: int) -> list[tuple[int, ...]]
     and sorting them by (length, path) picks the first k.
     """
     if src == dst:
-        return [(src,)]
+        return [(0.0, (src,))]
     m = k + 1
     while True:
         lengths, pred = _sparse_yen(graph, src, dst, m, return_predecessors=True)
@@ -375,7 +398,54 @@ def _yen(graph: csr_matrix, src: int, dst: int, k: int) -> list[tuple[int, ...]]
         while path[-1] != src:
             path.append(row[path[-1]])
         paths.append((length, tuple(path[::-1])))
-    return [p for _, p in sorted(paths)[:k]]
+    return sorted(paths)[:k]
+
+
+def _yen(graph: csr_matrix, src: int, dst: int, k: int) -> list[tuple[int, ...]]:
+    """The first k loopless src -> dst paths by (length, node sequence), the
+    paths of :func:`_ranked_yen`."""
+    return [p for _, p in _ranked_yen(graph, src, dst, k)]
+
+
+def _induced_subgraph(graph: csr_matrix, keep: np.ndarray) -> csr_matrix:
+    """The subgraph of ``graph`` on the ascending node ids ``keep``, node
+    ``keep[i]`` numbered i; each row's neighbours stay ascending."""
+    indptr, indices = graph.indptr, graph.indices
+    starts, counts = indptr[keep], indptr[keep + 1] - indptr[keep]
+    # the positions of the kept rows' entries in graph.indices, row by row
+    pos = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    number = np.full(graph.shape[0], -1)
+    number[keep] = np.arange(len(keep))
+    cols = number[indices[pos]]
+    inside = cols >= 0
+    rows = np.repeat(np.arange(len(keep)), counts)[inside]
+    sub_indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(keep)))]
+    return csr_matrix((graph.data[pos][inside], cols[inside], sub_indptr), shape=(len(keep), len(keep)))
+
+
+def _bounded_yen(graph: csr_matrix, apsp: np.ndarray, u: int, v: int, k: int) -> list[tuple[int, ...]]:
+    """``_yen(graph, u, v, k)``, run on the subgraphs of the nodes w with
+    ``apsp[u, w] + apsp[v, w]`` within a bound that grows from a little above
+    the shortest length until the answer is exact (see
+    :func:`k_shortest_paths`). ``apsp`` holds ``graph``'s distances."""
+    if u == v:
+        return [(u,)]
+    via = apsp[u] + apsp[v]     # the graph is symmetric: apsp[v, w] is w's distance to v
+    shortest = via[u]
+    if not np.isfinite(shortest):
+        return []
+    component = np.count_nonzero(np.isfinite(via))
+    bound, kept = shortest * _FIRST_BOUND, 0
+    while True:
+        keep = np.flatnonzero(via <= bound * (1 + _ROUNDING))
+        if len(keep) > kept:    # otherwise the last pass's subgraph and paths stand
+            kept, ids = len(keep), keep.tolist()
+            src, dst = np.searchsorted(keep, [u, v]).tolist()
+            ranked = _ranked_yen(_induced_subgraph(graph, keep), src, dst, k)
+            paths = [tuple(ids[i] for i in p) for _, p in ranked]
+        if kept == component or len(ranked) == k and ranked[-1][0] <= bound:
+            return paths
+        bound = ranked[-1][0] if len(ranked) == k else shortest + _WIDEN * (bound - shortest)
 
 
 def k_shortest_paths(roadmap: Roadmap, u: int, v: int) -> list[list[int]]:
@@ -384,14 +454,24 @@ def k_shortest_paths(roadmap: Roadmap, u: int, v: int) -> list[list[int]]:
 
     Results are memoized on the roadmap. Paths are ordered by length, and
     paths of equal length by their node sequences, lexicographically
-    smallest first. Runs scipy's Yen on ``roadmap.graph`` through
-    :func:`_yen`; a pair u == v has the one path ``[u]``. Raises
-    ValueError when u or v is no node index.
+    smallest first: the paths of :func:`_yen` on ``roadmap.graph``, found on
+    a subgraph. A loopless u -> v path no longer than B visits only nodes w
+    with ``apsp_dist[u, w] + apsp_dist[v, w] <= B``, so the subgraph of
+    those nodes holds every such path. When the subgraph's k-th path is no
+    longer than B, every path that ranks before it, ties included, is in the
+    subgraph, and the subgraph's first k paths are the graph's; node ids
+    keep their order in the subgraph, so equal-length paths keep theirs. A
+    longer k-th path bounds the graph's k-th, so one more pass at its length
+    is exact, and a subgraph of fewer than k paths widens B, up to the whole
+    component of u. B starts a little above ``apsp_dist[u, v]``. A pair
+    u == v has the one path ``[u]``. Raises ValueError when u or v is no
+    node index.
     """
     roadmap._check_nodes(u, v)
     paths = roadmap._ksp.get((u, v))
     if paths is None:
-        paths = roadmap._ksp[(u, v)] = _yen(roadmap.graph, u, v, roadmap.params.k_paths)
+        paths = roadmap._ksp[(u, v)] = _bounded_yen(roadmap.graph, roadmap.apsp_dist, u, v,
+                                                    roadmap.params.k_paths)
     return [list(p) for p in paths]
 
 

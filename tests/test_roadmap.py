@@ -23,7 +23,8 @@ from armplan import roadmap as roadmap_module
 from armplan.roadmap import (
     Roadmap, RoadmapBuildError, RoadmapParams, build_roadmap, invalidate_and_requery,
     k_shortest_paths, load_roadmap, query, save_roadmap, _connect_knn,
-    _edge_key, _first_free_edges, _largest_component, _nearest_connectable, _sample_nodes, _yen,
+    _edge_key, _first_free_edges, _induced_subgraph, _largest_component, _nearest_connectable,
+    _sample_nodes, _yen,
 )
 from armplan.scenarios import build_scene, default_arm, load_scene, save_scene, scene_to_dict
 from armplan.seedprep import path_length
@@ -773,6 +774,102 @@ def test_yen_matches_enumeration_for_every_pair(data):
             assert _yen(rm.graph, u, v, k) == want[:k], (u, v, k)
 
 
+def full_graph_yen(rm, u, v):
+    """``k_shortest_paths``' answer from ``_yen`` on the whole graph."""
+    return [list(p) for p in _yen(rm.graph, u, v, rm.params.k_paths)]
+
+
+def ranked_yen_graph_sizes(monkeypatch):
+    """Node counts of the graphs ``_ranked_yen`` is run on, in call order."""
+    sizes = []
+    ranked = roadmap_module._ranked_yen
+
+    def counted(graph, *args):
+        sizes.append(graph.shape[0])
+        return ranked(graph, *args)
+
+    monkeypatch.setattr(roadmap_module, "_ranked_yen", counted)
+    return sizes
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ksp_matches_full_graph_yen_for_every_pair(data):
+    # integer weights make length ties common; isolated nodes and split
+    # components make unreachable pairs
+    n = data.draw(st.integers(2, 8), label="n")
+    pairs = list(itertools.combinations(range(n), 2))
+    present = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, keep in zip(pairs, present) if keep]
+    weights = data.draw(st.lists(st.integers(1, 5), min_size=len(edges), max_size=len(edges)))
+    for k in range(1, 7):
+        rm = graph_roadmap(n, edges, weights, k_paths=k)
+        for u, v in itertools.product(range(n), repeat=2):
+            assert k_shortest_paths(rm, u, v) == full_graph_yen(rm, u, v), (u, v, k)
+
+
+def test_ksp_second_pass_at_the_kth_length(monkeypatch):
+    # 0 -20- 1 is the shortest path; with a first bound of 22, nodes 2 and 3
+    # pass the node test (1 + 21 = 22 each), but the one other path they
+    # make, 0-2-3-1, is 32 long. It bounds the second path, and the pass at
+    # 32 takes in node 4 and its path 0-4-1, 24 long.
+    monkeypatch.setattr(roadmap_module, "_FIRST_BOUND", 1.1)
+    sizes = ranked_yen_graph_sizes(monkeypatch)
+    edges = [(0, 1), (0, 2), (2, 3), (1, 3), (0, 4), (1, 4)]
+    rm = graph_roadmap(5, edges, [20, 1, 30, 1, 12, 12], k_paths=2)
+    got = k_shortest_paths(rm, 0, 1)
+    assert sizes == [4, 5]
+    assert got == full_graph_yen(rm, 0, 1) == [[0, 1], [0, 4, 1]]
+
+
+def test_ksp_widens_a_bound_that_leaves_fewer_than_k_paths(monkeypatch):
+    # 0 -20- 1 is the shortest path; the first bound, 22, takes in node 2
+    # (0-2-1, 22 long) but leaves only two paths, so the bound widens to
+    # 20 + 4 * 2 = 28, which takes in node 3 (0-3-1, 26 long) and not node
+    # 4 (0-4-1, 100 long)
+    monkeypatch.setattr(roadmap_module, "_FIRST_BOUND", 1.1)
+    monkeypatch.setattr(roadmap_module, "_WIDEN", 4.0)
+    sizes = ranked_yen_graph_sizes(monkeypatch)
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4), (5, 6)]
+    weights = [20, 1, 21, 13, 13, 50, 50, 1]
+    rm = graph_roadmap(7, edges, weights, k_paths=3)
+    got = k_shortest_paths(rm, 0, 1)
+    assert sizes == [3, 4]
+    assert got == full_graph_yen(rm, 0, 1) == [[0, 1], [0, 2, 1], [0, 3, 1]]
+    # four paths join 0 and 1, so six widen the bound to the whole
+    # component, which leaves out nodes 5 and 6
+    sizes.clear()
+    rm = graph_roadmap(7, edges, weights, k_paths=6)
+    got = k_shortest_paths(rm, 0, 1)
+    assert sizes[-1] == 5
+    assert got == full_graph_yen(rm, 0, 1) and len(got) == 4
+
+
+def test_ksp_matches_full_graph_yen_on_a_kitchen_roadmap(arm):
+    rm = build_roadmap(build_scene("kitchen"), arm, RoadmapParams(n_nodes=300, rng_seed=2))
+    rng = np.random.default_rng(13)
+    for k in (1, 3, 6):
+        rm_k = with_k_paths(rm, k)
+        for _ in range(60):
+            u, v = (int(x) for x in rng.integers(0, rm.n_nodes, 2))
+            assert k_shortest_paths(rm_k, u, v) == full_graph_yen(rm_k, u, v), (u, v, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_induced_subgraph_matches_scipy_indexing(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    pairs = list(itertools.combinations(range(n), 2))
+    present = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, keep in zip(pairs, present) if keep]
+    rm = graph_roadmap(n, edges, np.arange(1, len(edges) + 1))
+    keep = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    sub, want = _induced_subgraph(rm.graph, keep), rm.graph[keep][:, keep]
+    want.sort_indices()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(sub, name), getattr(want, name)), name
+
+
 def test_ksp_matches_reference_yen(pole_scene, arm):
     rm = build_roadmap(pole_scene, arm, RoadmapParams(n_nodes=300, k_paths=5, rng_seed=4))
     adj = adjacency_lists(rm.n_nodes, rm.edge_list, rm.edge_weights)
@@ -1048,6 +1145,20 @@ def test_arm_and_roadmap_arrays_are_read_only_in_a_pickled_copy_too(pole_scene, 
     binding["arm_fingerprint"][3][0][0] = 9.0
     assert np.array_equal(own.nodes, rm.nodes) and np.array_equal(own.edge_weights, rm.edge_weights)
     assert own.binding == rm.binding and own.arm == arm
+
+
+def test_an_edit_to_a_binding_copy_reaches_no_saved_file(pole_scene, arm, tmp_path):
+    # an edit to the returned binding used to leave check_binding passing
+    # and be written to the file, binding it to another scene and arm
+    rm = build_roadmap(pole_scene, arm, RoadmapParams(n_nodes=30))
+    save_roadmap(rm, tmp_path / "before.npz")
+    rm.check_binding(pole_scene, arm)
+    rm.binding["scene_sha256"] = "0" * 64
+    rm.binding["arm_fingerprint"][3][0][0] = 9.0
+    save_roadmap(rm, tmp_path / "after.npz")
+    assert (tmp_path / "after.npz").read_bytes() == (tmp_path / "before.npz").read_bytes()
+    assert load_roadmap(tmp_path / "after.npz").arm == arm
+    rm.check_binding(pole_scene, arm)
 
 
 def test_query_paths_validate(small_pole_roadmap, small_pole_suite, arm, pole_scene):
