@@ -23,7 +23,7 @@ from .baselines import rrt_plan, rrt_seed
 from .collision import Scene, trajectory_in_collision
 from .optimizer import optimize
 from .roadmap import Roadmap, query
-from .robot import ArmModel, _check_int
+from .robot import ArmModel, _check_config, _check_int
 from .scenarios import TestCase, TestSuite, build_scene, ik_goal_configs
 from .seedprep import path_length, resample_path, straight_line_seed
 
@@ -106,11 +106,15 @@ def run_case(
     plan (the start already reaches the goal) is the arm staying put: that
     waypoint twice, of length 0.0. Plain planners validate the seed with the
     independent trajectory check; ``+opt`` pipelines resample and optimize
-    it instead.
+    it instead. Raises ValueError, before any planning, for a planner
+    ``_check_planner`` rejects, a case of another scene than ``scene``, or a
+    start that is not one angle per joint of ``arm``.
     """
     _check_planner(planner, roadmap)
+    if case.scene_name != scene.name:
+        raise ValueError(f"case is for scene {case.scene_name!r}, not {scene.name!r}")
+    start = _check_config(arm, case.start_config)
     seed_planner, _, opt = planner.partition("+")
-    start = case.start_config
 
     def record(outcome, planner_time, opt_time=0.0, seed_len=None, final_len=None):
         return RunRecord(

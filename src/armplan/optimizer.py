@@ -15,7 +15,15 @@ box that step used, not from the one it was cut from, as in TrajOpt
 (Schulman et al., IJRR 2014), so the next search starts near a step that
 worked. The gradient is kept across rejected steps (they leave the iterate
 and the penalty coefficient unchanged), and the iterate's penalty and
-clearance bounds are carried from the batch that accepted it.
+clearance bounds come from the line search that accepted it.
+
+A clearance bound is a lower bound on a waypoint's clearance, the smallest
+signed distance over its (link, obstacle) pairs, up to rounding far below
+``collision._CERTIFY_MARGIN``: the smallest distance a signed-distance
+batch reported for the waypoint, or, for a trial waypoint the line search
+certifies with the arm's motion bound (Schwarzer, Saha & Latombe, T-RO
+2005), its iterate's bound less the motion. Both the gradient screen and
+the next search's certificate rest only on that.
 
 The penalty gradient is central finite differences, computed only for the
 waypoints the hinge can reach (``_merit_gradient``), and bitwise that of
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import Scene, _check_free, pair_signed_distances, trajectory_in_collision
+from .collision import _CERTIFY_MARGIN, Scene, _check_free, pair_signed_distances, trajectory_in_collision
 from .robot import ArmModel
 
 _FD_STEP = 1e-6
@@ -81,18 +89,17 @@ def _smoothness_gradient_interior(traj: np.ndarray) -> np.ndarray:
 
 def _merit_gradient(arm, scene, traj, mu, bounds) -> np.ndarray:
     """Gradient of smoothness + mu * collision penalty w.r.t. the interior
-    waypoints of ``traj``, whose clearance bounds from ``_hinge_sums`` are ``bounds``.
+    waypoints of ``traj``, whose clearance lower bounds are ``bounds``.
 
     The penalty part is central finite differences of the per-waypoint hinge
     sums. Turning one joint by ``_FD_STEP`` moves no arm point farther than
     ``motion = arm.joint_reach[0] * _FD_STEP`` (``ArmModel.joint_reach``,
     the motion bound of the certified segment check). A waypoint goes into
     the one signed-distance batch, with its 2 * K perturbed rows, only when
-    its bound (the smallest signed distance reported for it, never above a
-    pair's distance) is below ``D_SAFE + 2 * motion``. So every pair of
-    another waypoint's rows is reported at or beyond ``D_SAFE``, with a
-    hinge sum of exactly 0.0, and its penalty rows are 0.0 without a
-    signed-distance call.
+    its bound (never above any of its pairs' distances) is below
+    ``D_SAFE + 2 * motion``. So every pair of another waypoint's rows is
+    reported at or beyond ``D_SAFE``, with a hinge sum of exactly 0.0, and
+    its penalty rows are 0.0 without a signed-distance call.
     """
     interior = traj[1:-1]
     grad = np.zeros(interior.shape)
@@ -117,16 +124,24 @@ def merit_gradient(traj, arm: ArmModel, scene: Scene, mu: float) -> np.ndarray:
     return _merit_gradient(arm, scene, t, mu, _hinge_sums(arm, scene, t[1:-1])[1])
 
 
-def _line_search(arm, scene, X, g, trust, mu, m_cur):
+def _line_search(arm, scene, X, g, trust, mu, m_cur, bounds):
     """The first of six trial steps from ``X`` along ``-g`` whose merit is
     strictly below ``m_cur``, as (iterate, penalty, clearance bounds, merit,
-    halvings), or None when none is.
+    halvings), or None when none is. ``bounds`` are the clearance bounds of
+    ``X``'s interior waypoints.
 
     The longest step moves the largest component of ``g`` by ``trust``, each
     next one is half the last, and each is clipped to the trust box and to
-    the joint limits. The steps are evaluated in two signed-distance
-    batches, the first two, then the last four only when neither of the
-    first two lowers the merit. Accepting only a strict decrease keeps the
+    the joint limits. The steps are evaluated in two batches, the first two,
+    then the last four only when neither of the first two lowers the merit.
+    By the arm's motion bound (``ArmModel.joint_reach``), no arm point of a
+    trial waypoint is farther than ``motion = sum_j R_j |cand_j - X_j|``
+    from where it was in ``X``, so ``bound - motion`` bounds its clearance.
+    A waypoint where that exceeds ``D_SAFE`` + ``_CERTIFY_MARGIN`` has a
+    hinge sum of exactly 0.0 and that bound without a signed-distance call;
+    only the other rows of a batch go to ``_hinge_sums``, so a batch sends
+    at most 2 * n or 4 * n rows for n interior waypoints, and none when
+    every row is certified. Accepting only a strict decrease keeps the
     accepted merits non-increasing within a round.
     """
     alpha = np.ldexp(trust / float(np.abs(g).max()), -np.arange(6))
@@ -134,8 +149,11 @@ def _line_search(arm, scene, X, g, trust, mu, m_cur):
     for lo, hi in ((0, 2), (2, 6)):
         cands = np.repeat(X[None], hi - lo, axis=0)
         cands[:, 1:-1] = np.clip(X[1:-1] + step[lo:hi], arm.lower, arm.upper)
-        batch = _hinge_sums(arm, scene, cands[:, 1:-1].reshape(-1, arm.dof))
-        sums, lows = (a.reshape(hi - lo, -1) for a in batch)
+        lows = bounds - np.abs(cands[:, 1:-1] - X[1:-1]) @ arm.joint_reach
+        sums = np.zeros(lows.shape)
+        rest = lows <= D_SAFE + _CERTIFY_MARGIN
+        if rest.any():
+            sums[rest], lows[rest] = _hinge_sums(arm, scene, cands[:, 1:-1][rest])
         for j in range(hi - lo):
             penalty = float(sums[j].sum())
             merit = smoothness_cost(cands[j]) + mu * penalty
@@ -195,7 +213,7 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
                 if np.abs(g).max() < 1e-12:
                     stalled = True
                     break
-                accepted = _line_search(arm, scene, X, g, trust, mu, m_cur)
+                accepted = _line_search(arm, scene, X, g, trust, mu, m_cur, bounds)
                 if accepted is None:
                     trust *= _TRUST_SHRINK
                     if trust < _TRUST_MIN:

@@ -197,6 +197,24 @@ def test_roadmap_planner_requires_roadmap(tiny_suite, arm):
             bench.run_case(arm, scene, tiny_suite.cases[0], 0, planner, BenchParams())
 
 
+@pytest.mark.parametrize("planner", bench.PLANNERS)
+def test_run_case_rejects_a_case_of_another_scene_or_arm(small_pole_roadmap, pole_scene, arm, planner, monkeypatch):
+    """A start with 2 angles for the 4-joint arm used to raise numpy's
+    broadcast error under straightline+opt, and a kitchen case ran on the
+    pole scene unchecked; both now fail before any planning."""
+    for name in ("query", "ik_goal_configs", "rrt_plan", "optimize"):
+        monkeypatch.setattr(bench, name, lambda *a: pytest.fail("a planner ran"))
+    good = small_pole_roadmap.nodes[5]
+    _, ee = forward_kinematics(arm, good)
+    goal = EEPose(ee.x, ee.y, ee.heading)
+    short = scenarios.TestCase("short", (0.1, 0.2), goal, pole_scene.name)
+    with pytest.raises(ValueError, match=r"configuration must have 4 joint angles, got shape \(2,\)"):
+        bench.run_case(arm, pole_scene, short, 0, planner, BenchParams(), small_pole_roadmap)
+    kitchen = scenarios.TestCase("kitchen", tuple(good), goal, "kitchen")
+    with pytest.raises(ValueError, match="case is for scene 'kitchen', not 'tabletop_pole'"):
+        bench.run_case(arm, pole_scene, kitchen, 0, planner, BenchParams(), small_pole_roadmap)
+
+
 @pytest.mark.parametrize("planner", ["roadmap", "roadmap+opt"])
 def test_one_waypoint_plan_is_the_arm_staying_put(small_pole_roadmap, pole_scene, arm, planner):
     """A start on a roadmap node whose own tip is the goal gets a one-waypoint

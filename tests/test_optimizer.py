@@ -2,21 +2,23 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import armplan.optimizer as opt
 from armplan.collision import (
-    Scene, config_in_collision, pair_signed_distances, trajectory_in_collision,
+    _CERTIFY_MARGIN, Scene, config_in_collision, pair_signed_distances, trajectory_in_collision,
 )
 from armplan.geometry import ConvexShape, Pose2
 from armplan.optimizer import (
     D_SAFE, _hinge_sums, _smoothness_gradient_interior, collision_penalty, merit_gradient, optimize,
     smoothness_cost,
 )
+from armplan.roadmap import RoadmapParams, build_roadmap, query
 from armplan.robot import ArmModel
-from armplan.scenarios import SCENE_NAMES
+from armplan.scenarios import SCENE_NAMES, generate_test_suite
 from armplan.seedprep import resample_path, straight_line_seed
 
-from test_collision import _dense_case_scene, five_link_offset_arm
+from test_collision import _DENSE_SCENES, _dense_case_scene, five_link_offset_arm
 
 
 def flat_arm():
@@ -25,6 +27,18 @@ def flat_arm():
         links=((0.5, 0.04), (0.4, 0.04), (0.3, 0.04), (0.2, 0.04)),
         joint_limits=((-2.9, 2.9),) + ((-2.5, 2.5),) * 3,
     )
+
+
+def trial_steps(arm, X, g, trust):
+    """The six trial iterates of a line search from ``X`` along ``-g``, each
+    step half the last, clipped to the trust box and the joint limits."""
+    alpha, cands = trust / float(np.abs(g).max()), []
+    for _ in range(6):
+        cand = X.copy()
+        cand[1:-1] = np.clip(X[1:-1] + np.clip(-alpha * g, -trust, trust), arm.lower, arm.upper)
+        cands.append(cand)
+        alpha *= 0.5
+    return np.array(cands)
 
 
 def sequential_optimize(seed, arm, scene):
@@ -51,20 +65,15 @@ def sequential_optimize(seed, arm, scene):
         for _ in range(opt._MAX_INNER_ITERS):
             iterations += 1
             g = merit_gradient(X, arm, scene, mu)
-            gmax = float(np.abs(g).max())
-            if gmax < 1e-12:
+            if np.abs(g).max() < 1e-12:
                 stalled = True
                 break
-            accepted, alpha = None, trust / gmax
-            for j in range(6):
-                cand = X.copy()
-                step = np.clip(-alpha * g, -trust, trust)
-                cand[1:-1] = np.clip(X[1:-1] + step, arm.lower, arm.upper)
+            accepted = None
+            for j, cand in enumerate(trial_steps(arm, X, g, trust)):
                 m_cand = merit(cand, mu)
                 if m_cand < m_cur - 1e-12:
                     accepted = (cand, m_cand, j)
                     break
-                alpha *= 0.5
             if accepted is None:
                 trust *= opt._TRUST_SHRINK
                 if trust < opt._TRUST_MIN:
@@ -100,6 +109,24 @@ def iter_straight_line_cases(arm, scene, rng_seed):
 def straight_line_cases(arm, scene, count, rng_seed):
     """The first ``count`` seeds of ``iter_straight_line_cases``."""
     return list(itertools.islice(iter_straight_line_cases(arm, scene, rng_seed), count))
+
+
+def roadmap_cases(arm, scene, count, rng_seed):
+    """Resampled roadmap paths, as ``roadmap+opt`` seeds the optimizer: the
+    queries of an RRT-validated suite on a 300-node roadmap, the first
+    ``count`` of them that the roadmap answers."""
+    rm = build_roadmap(scene, arm, RoadmapParams(n_nodes=300, rng_seed=rng_seed))
+    suite = generate_test_suite(scene, arm, 2 * count, rng_seed=rng_seed)
+    paths = (query(rm, arm, scene, case.start_config, case.goal).path for case in suite.cases)
+    seeds = [resample_path(p) for p in paths if p is not None and len(p) > 1]
+    assert len(seeds) >= count
+    return seeds[:count]
+
+
+def exact_clearances(arm, scene, Q):
+    """Smallest signed distance of each row of ``Q`` over its (link,
+    obstacle) pairs, with no far cutoff (inf without pairs)."""
+    return pair_signed_distances(arm, scene, Q).min(axis=(1, 2), initial=np.inf)
 
 
 def dense_penalty_gradient_interior(arm, scene, traj):
@@ -408,13 +435,43 @@ def test_two_waypoint_seed_passthrough(arm, empty_scene):
     assert res.converged and res.collision_free
 
 
-@pytest.mark.parametrize("scene_fixture", ["pole_scene", "shelf_scene"])
-def test_matches_sequential_reference(request, arm, scene_fixture):
-    scene = request.getfixturevalue(scene_fixture)
+@pytest.mark.parametrize("cases", ["pole_scene", "shelf_scene", "shelf_roadmap"])
+def test_matches_sequential_reference(request, arm, shelf_scene, cases, monkeypatch):
+    """``optimize`` gives the sequential reference's results: on straight-line
+    seeds in the pole and shelf scenes, with a case that escalates the
+    penalty coefficient, and on roadmap-seeded shelf cases, the traffic of
+    the benchmark's ``roadmap+opt``. The line searches certify some trial
+    rows, and on the roadmap cases some batch certifies all its rows and
+    makes no signed-distance call."""
+    if cases == "shelf_roadmap":
+        scene, seeds = shelf_scene, roadmap_cases(arm, shelf_scene, 4, rng_seed=3)
+    else:
+        scene = request.getfixturevalue(cases)
+        seeds = straight_line_cases(arm, scene, 6, rng_seed=32)
+    hinge_sums, line_search = opt._hinge_sums, opt._line_search
+    sent = []                # rows of each signed-distance call of the running search
+    certified = silent = 0   # trial rows certified; batches that made no call
+
+    def counting(arm_, scene_, Q):
+        sent.append(len(Q))
+        return hinge_sums(arm_, scene_, Q)
+
+    def search(arm_, scene_, X, *args):
+        nonlocal certified, silent
+        sent.clear()
+        found = line_search(arm_, scene_, X, *args)
+        steps = 2 if found is not None and found[4] < 2 else 6
+        certified += steps * (len(X) - 2) - sum(sent)
+        silent += (1 if steps == 2 else 2) - len(sent)
+        return found
+
     rounds = []
-    for seed in straight_line_cases(arm, scene, 6, rng_seed=32):
+    for seed in seeds:
         X, merit_log, iterations, final_cost, converged, free = sequential_optimize(seed, arm, scene)
-        res = optimize(seed, arm, scene)
+        with monkeypatch.context() as m:
+            m.setattr(opt, "_hinge_sums", counting)
+            m.setattr(opt, "_line_search", search)
+            res = optimize(seed, arm, scene)
         assert np.array_equal(res.trajectory, X)
         assert res.merit_log == merit_log
         assert res.iterations == iterations
@@ -422,38 +479,74 @@ def test_matches_sequential_reference(request, arm, scene_fixture):
         assert res.converged == converged
         assert res.collision_free == free
         rounds.append(len(merit_log))
-    assert max(rounds) > 1       # a case that escalates the penalty coefficient
+    assert certified > 0
+    if cases == "shelf_roadmap":
+        assert silent > 0
+    else:
+        assert max(rounds) > 1
 
 
 @pytest.mark.parametrize("scene_fixture", ["pole_scene", "shelf_scene"])
 def test_gradient_screens_with_its_iterates_bounds(request, arm, scene_fixture, monkeypatch):
     """Every gradient ``optimize`` takes screens with the clearance bounds of
-    its own iterate, bitwise those of a fresh batch, carried from the seed's
-    penalty call or the accepted line-search row, and is ``merit_gradient``."""
+    its own iterate, carried from the seed's penalty call or the line search
+    that accepted it, and is ``merit_gradient``. Each bound is a lower bound
+    on the waypoint's exact clearance, and bitwise the bound of a fresh
+    batch on every waypoint that search sent to ``_hinge_sums``; the others
+    were certified, and some of those carry a bound below the fresh one."""
     scene = request.getfixturevalue(scene_fixture)
-    gradient = opt._merit_gradient
+    gradient, hinge_sums, line_search = opt._merit_gradient, opt._hinge_sums, opt._line_search
     calls = []
+    searching = []           # True while a line search runs
+    sent = set()             # rows the running line search sent to _hinge_sums
+    computed = [None]        # rows of the iterate a batch computed; None for all of them
 
     def recording(arm_, scene_, X, mu, bounds):
         g = gradient(arm_, scene_, X, mu, bounds)
-        calls.append((X.copy(), bounds.copy(), mu, g))
+        fresh = np.ones(len(X) - 2, dtype=bool) if computed[0] is None else np.array(
+            [q.tobytes() in computed[0] for q in X[1:-1]], dtype=bool)
+        calls.append((X.copy(), bounds.copy(), mu, g, fresh))
         return g
+
+    def hinge(arm_, scene_, Q):
+        if searching:
+            sent.update(q.tobytes() for q in Q)
+        return hinge_sums(arm_, scene_, Q)
+
+    def search(*args):
+        searching.append(True)
+        sent.clear()
+        try:
+            found = line_search(*args)
+        finally:
+            searching.clear()
+        if found is not None:
+            computed[0] = set(sent)
+        return found
 
     # the first four cases, then more from the same stream until a run has
     # raised the penalty coefficient
     for count, seed in enumerate(itertools.islice(iter_straight_line_cases(arm, scene, 36), 40), 1):
+        computed[0] = None
         with monkeypatch.context() as m:
             m.setattr(opt, "_merit_gradient", recording)
+            m.setattr(opt, "_hinge_sums", hinge)
+            m.setattr(opt, "_line_search", search)
             optimize(seed, arm, scene)
-        if count >= 4 and len({mu for _, _, mu, _ in calls}) > 1:
+        if count >= 4 and len({mu for _, _, mu, _, _ in calls}) > 1:
             break
-    assert len(calls) > 8 and len({mu for _, _, mu, _ in calls}) > 1
-    near = 0
-    for X, bounds, mu, g in calls:
-        assert np.array_equal(bounds, _hinge_sums(arm, scene, X[1:-1])[1])
+    assert len(calls) > 8 and len({mu for _, _, mu, _, _ in calls}) > 1
+    near = carried = lowered = 0
+    for X, bounds, mu, g, fresh in calls:
         assert np.array_equal(g, merit_gradient(X, arm, scene, mu))
+        assert (bounds <= exact_clearances(arm, scene, X[1:-1]) + 1e-9).all()
+        new = _hinge_sums(arm, scene, X[1:-1])[1]
+        assert np.array_equal(bounds[fresh], new[fresh])
         near += int((bounds < screen_threshold(arm)).sum())
-    assert 0 < near < sum(len(bounds) for _, bounds, _, _ in calls)
+        carried += int((~fresh).sum())
+        lowered += int((bounds < new).sum())
+    assert 0 < near < sum(len(bounds) for _, bounds, _, _, _ in calls)
+    assert carried > 0 and lowered > 0
 
 
 def test_final_cost_is_the_last_logged_merit(arm, pole_scene, shelf_scene):
@@ -473,41 +566,65 @@ def test_final_cost_is_the_last_logged_merit(arm, pole_scene, shelf_scene):
         assert res.final_cost == res.merit_log[-1][-1]
 
 
+def is_subsequence(rows, of):
+    """Whether the rows of ``rows`` are rows of ``of``, in its order."""
+    remaining = iter([r.tobytes() for r in of])
+    return all(q.tobytes() in remaining for q in rows)
+
+
 @pytest.mark.parametrize("scene_fixture", ["pole_scene", "shelf_scene"])
 def test_signed_distance_calls_per_iteration(request, arm, scene_fixture, monkeypatch):
     """One call for the seed's penalty, at most one gradient per round start
     and per accepted step, and at most two line-search calls per iteration:
-    the two longest trial steps (2 * n rows for n interior waypoints), then
-    the other four (4 * n rows) right after, and only after, a 2 * n call
-    none of whose steps decreased the merit. A gradient sends the 2 * dof
-    perturbed rows of the m interior waypoints its screen keeps,
+    rows of the two longest trial steps (at most 2 * n rows for n interior
+    waypoints), then rows of the other four (at most 4 * n) right after,
+    and only after, a search whose two longest steps did not decrease the
+    merit. Each batch sends its rows in order, or makes no call; every row
+    it leaves out has a hinge sum of exactly 0.0. A gradient sends the
+    2 * dof perturbed rows of the m interior waypoints its screen keeps,
     1 <= m <= n, or makes no call."""
     scene = request.getfixturevalue(scene_fixture)
     rows = []
     from_gradient = []       # indices into rows of the calls a gradient made
-    decreased = {}           # index into rows of a line-search call: whether a step decreased the merit
-    searching = []           # the (X, mu, m_cur) of the line search running, if one is
+    searches = []            # per line search: the first step that decreases the merit, or None
+    searching = []           # the calls of the line search running, if one is
+    certified = [0]          # trial rows the line searches sent no call for
     line_search, merit_gradient_ = opt._line_search, opt._merit_gradient
 
     def counting(arm_, scene_, Q, far_cutoff=None):
-        sd = pair_signed_distances(arm_, scene_, Q, far_cutoff=far_cutoff)
         if searching:
-            X, mu, m_cur = searching[0]
-            n = len(X) - 2
-            sums = np.maximum(0.0, D_SAFE - sd).sum(axis=(1, 2)).reshape(-1, n)
-            interiors = np.asarray(Q).reshape(len(sums), n, -1)
-            merits = [smoothness_cost(np.concatenate([X[:1], q, X[-1:]])) + mu * float(s.sum())
-                      for q, s in zip(interiors, sums)]
-            decreased[len(rows)] = min(merits) < m_cur - 1e-12
+            searching[0].append(np.array(Q))
         rows.append(len(Q))
-        return sd
+        return pair_signed_distances(arm_, scene_, Q, far_cutoff=far_cutoff)
 
-    def search(arm_, scene_, X, g, trust, mu, m_cur):
-        searching.append((X.copy(), mu, m_cur))
+    def search(arm_, scene_, X, g, trust, mu, m_cur, bounds):
+        searching.append([])
         try:
-            return line_search(arm_, scene_, X, g, trust, mu, m_cur)
+            found = line_search(arm_, scene_, X, g, trust, mu, m_cur, bounds)
         finally:
-            searching.clear()
+            made = searching.pop()
+        cands = trial_steps(arm, X, g, trust)
+        sd = pair_signed_distances(arm, scene, cands[:, 1:-1].reshape(-1, arm.dof), far_cutoff=D_SAFE)
+        sums = np.maximum(0.0, D_SAFE - sd).sum(axis=(1, 2)).reshape(6, -1)
+        merits = [smoothness_cost(c) + mu * float(s.sum()) for c, s in zip(cands, sums)]
+        first = next((j for j, m_ in enumerate(merits) if m_ < m_cur - 1e-12), None)
+        assert (found is None) == (first is None)
+        if found is not None:
+            assert found[4] == first and np.array_equal(found[0], cands[first])
+        batches = [(0, 2)] if first is not None and first < 2 else [(0, 2), (2, 6)]
+        assert len(made) <= len(batches)
+        for lo, hi in batches:
+            rows_ = cands[lo:hi, 1:-1].reshape(-1, arm.dof)
+            call = made[0] if made and is_subsequence(made[0], rows_) else None
+            if call is not None:
+                made.pop(0)
+            kept = {q.tobytes() for q in (call if call is not None else ())}
+            left = np.array([q.tobytes() not in kept for q in rows_])
+            assert (sums[lo:hi].reshape(-1)[left] == 0.0).all()
+            certified[0] += int(left.sum())
+        assert made == []    # every call belonged to a batch, in order
+        searches.append(first)
+        return found
 
     def gradient(*args):
         start = len(rows)
@@ -525,29 +642,60 @@ def test_signed_distance_calls_per_iteration(request, arm, scene_fixture, monkey
     for count, seed in enumerate(itertools.islice(iter_straight_line_cases(arm, scene, 36), 40), 1):
         rows.clear()
         from_gradient.clear()
-        decreased.clear()
+        searches.clear()
         res = optimize(seed, arm, scene)
         n = len(seed) - 2
         gradient_rows = {2 * arm.dof * m for m in range(1, n + 1)}
         assert {rows[i] for i in from_gradient} <= gradient_rows
         others = [i for i in range(len(rows)) if i not in from_gradient]
         # the seed's penalty first, then only line searches
-        assert others[0] == 0 and rows[0] == n and sorted(decreased) == others[1:]
-        first = [i for i in decreased if rows[i] == 2 * n]
-        rest = [i for i in decreased if rows[i] != 2 * n]
-        assert all(rows[i] == 4 * n and i - 1 in first and not decreased[i - 1] for i in rest)
-        assert all(i + 1 in rest for i in first if not decreased[i])
+        assert others[0] == 0 and rows[0] == n
         rounds = len(res.merit_log)
         accepted = sum(len(r) - 1 for r in res.merit_log)
-        rejected = len(first) - accepted        # searches that accepted no step
+        rejected = len(searches) - accepted      # searches that accepted no step
+        rest = sum(first is None or first >= 2 for first in searches)
         gradients = len(from_gradient)
         # one search per iteration, but for one that stalls on a zero gradient
-        assert res.iterations - rounds <= len(first) <= res.iterations
-        assert sum(decreased.values()) == accepted
+        assert res.iterations - rounds <= len(searches) <= res.iterations
+        assert sum(first is not None for first in searches) == accepted
         assert gradients <= rounds + accepted
         assert len(rows) <= 3 * res.iterations + rounds + 1
         rejected_total += rejected
-        rest_total += len(rest)
+        rest_total += rest
         if count >= 4 and 0 < rejected_total < rest_total:
             break
-    assert rejected_total > 0 and rest_total > rejected_total
+    assert rejected_total > 0 and rest_total > rejected_total and certified[0] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from(_DENSE_SCENES),
+    five_links=st.booleans(),
+    scale=st.sampled_from([0.003, 0.03, 0.3]),
+)
+def test_line_search_certificate_is_sound(arm, seed, name, five_links, scale):
+    """A trial waypoint q + dq whose carried bound, the bound of q less the
+    arm's motion bound sum_j R_j |dq_j|, exceeds ``D_SAFE`` + 1e-9 has a
+    hinge sum of exactly 0.0, and every carried bound is at most the exact
+    clearance (plus 1e-9): random waypoints and steps, on the default arm and
+    a five-link arm on an offset base, in the dense reference scenes. The
+    line search's longest step is ``dq`` itself, and its penalty is that of
+    a fresh batch."""
+    if five_links:
+        arm = five_link_offset_arm(arm)
+    rng = np.random.default_rng(seed)
+    scene = _dense_case_scene(name, rng)
+    X = rng.uniform(arm.lower, arm.upper, size=(34, arm.dof))
+    g = -rng.normal(scale=scale, size=(32, arm.dof))    # the longest step: alpha = 1, so dq = -g
+    bounds = _hinge_sums(arm, scene, X[1:-1])[1]
+    cand, penalty, carried, _, halvings = opt._line_search(
+        arm, scene, X, g, float(np.abs(g).max()), 1.0, np.inf, bounds)
+    assert halvings == 0
+    sums = _hinge_sums(arm, scene, cand[1:-1])[0]
+    motion = np.abs(cand[1:-1] - X[1:-1]) @ arm.joint_reach
+    certified = bounds - motion > D_SAFE + _CERTIFY_MARGIN
+    assert (sums[certified] == 0.0).all()
+    assert penalty == float(sums.sum())
+    assert np.array_equal(carried[certified], (bounds - motion)[certified])
+    assert (exact_clearances(arm, scene, cand[1:-1]) >= carried - 1e-9).all()
