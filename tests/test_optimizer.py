@@ -586,6 +586,7 @@ def test_signed_distance_calls_per_iteration(request, arm, scene_fixture, monkey
     scene = request.getfixturevalue(scene_fixture)
     rows = []
     from_gradient = []       # indices into rows of the calls a gradient made
+    from_search = []         # indices into rows of the calls a line search made
     searches = []            # per line search: the first step that decreases the merit, or None
     searching = []           # the calls of the line search running, if one is
     certified = [0]          # trial rows the line searches sent no call for
@@ -598,11 +599,13 @@ def test_signed_distance_calls_per_iteration(request, arm, scene_fixture, monkey
         return pair_signed_distances(arm_, scene_, Q, far_cutoff=far_cutoff)
 
     def search(arm_, scene_, X, g, trust, mu, m_cur, bounds):
+        start = len(rows)
         searching.append([])
         try:
             found = line_search(arm_, scene_, X, g, trust, mu, m_cur, bounds)
         finally:
             made = searching.pop()
+        from_search.extend(range(start, len(rows)))
         cands = trial_steps(arm, X, g, trust)
         sd = pair_signed_distances(arm, scene, cands[:, 1:-1].reshape(-1, arm.dof), far_cutoff=D_SAFE)
         sums = np.maximum(0.0, D_SAFE - sd).sum(axis=(1, 2)).reshape(6, -1)
@@ -642,6 +645,7 @@ def test_signed_distance_calls_per_iteration(request, arm, scene_fixture, monkey
     for count, seed in enumerate(itertools.islice(iter_straight_line_cases(arm, scene, 36), 40), 1):
         rows.clear()
         from_gradient.clear()
+        from_search.clear()
         searches.clear()
         res = optimize(seed, arm, scene)
         n = len(seed) - 2
@@ -649,7 +653,7 @@ def test_signed_distance_calls_per_iteration(request, arm, scene_fixture, monkey
         assert {rows[i] for i in from_gradient} <= gradient_rows
         others = [i for i in range(len(rows)) if i not in from_gradient]
         # the seed's penalty first, then only line searches
-        assert others[0] == 0 and rows[0] == n
+        assert others[0] == 0 and rows[0] == n and sorted(from_search) == others[1:]
         rounds = len(res.merit_log)
         accepted = sum(len(r) - 1 for r in res.merit_log)
         rejected = len(searches) - accepted      # searches that accepted no step
