@@ -12,18 +12,22 @@ over obstacles and no branch on the scene. A configuration that is not
 finite raises ValueError.
 
 One AABB screen stands in front of the kernel. ``_gaps_margins`` makes,
-from one ``_link_aabbs`` pass, the AABB gap lower bound of every triple and
-the workspace margin of every configuration. ``_clear_or_hit``, the one
-collision check, sends to the kernel only the configurations whose
-clearance bound (smallest gap folded with the margin) is at most
+from one ``_link_aabbs`` pass, the x and y gaps between the link and
+obstacle boxes of every triple, whose norm bounds the pair's separation
+from below, and the workspace margin of every configuration.
+``_clear_or_hit``, the one collision check, reduces the squared gaps of a
+configuration to their smallest and takes one square root, so its
+clearance bound (that gap folded with the margin) costs no square root per
+pair; it sends to the kernel only the configurations whose bound is at most
 ``_CERTIFY_MARGIN`` (1e-9): a pair whose gap exceeds that margin is
 separated far above rounding, so the flags are those of the kernel on every
 configuration. Independent configurations (``configs_in_collision``:
 sampled nodes, IK goals, planner endpoints) and segment samples go through
-it alike. The signed-distance core, ``_signed_distances``, sends to the
-kernel and the exact distances only the configurations with a gap below its
-cutoff (every configuration with an obstacle when there is no cutoff) and
-reports every pair of the others as its bound.
+it alike. The signed-distance core, ``_signed_distances``, takes each
+pair's gap bound as the ``hypot`` of its gaps, sends to the kernel and the
+exact distances only the configurations with a bound below its cutoff
+(every configuration with an obstacle when there is no cutoff) and reports
+every pair of the others as its bound.
 
 One segment sampler, ``segments_in_collision``, checks straight joint-space
 segments; edge and trajectory checks are built on it. It certifies every
@@ -202,14 +206,14 @@ def _link_aabbs(rb: _RectBatch) -> tuple[np.ndarray, np.ndarray]:
 
 def _gaps_margins(geom: _SceneGeom, rb: _RectBatch) -> tuple[np.ndarray, np.ndarray]:
     """The AABB screen of a link batch, from one ``_link_aabbs`` pass: the
-    (M, K, O) lower bounds on the link-obstacle separation distances, and
-    the (M,) workspace containment margins, negative outside the bounds."""
+    (2, M, K, O) x and y gaps between the link and obstacle boxes, whose
+    norm bounds each link-obstacle separation distance from below, and the
+    (M,) workspace containment margins, negative outside the bounds."""
     lo, hi = _link_aabbs(rb)
     xmin, ymin, xmax, ymax = geom.bounds
     margin = np.minimum.reduce([lo[0] - xmin, xmax - hi[0], lo[1] - ymin, ymax - hi[1]]).min(axis=1)
     ob_lo, ob_hi = geom.aabbs.T.reshape(2, 2, 1, 1, geom.n_obstacles)   # (2, 1, 1, O) each
-    g = np.maximum(np.maximum(ob_lo - hi[..., None], lo[..., None] - ob_hi), 0.0)
-    return np.hypot(g[0], g[1]), margin
+    return np.maximum(np.maximum(ob_lo - hi[..., None], lo[..., None] - ob_hi), 0.0), margin
 
 
 def _sat(geom: _SceneGeom, rb: _RectBatch, penetration: bool = False):
@@ -298,7 +302,8 @@ def _signed_distances(geom: _SceneGeom, rb: _RectBatch, far_cutoff: float = np.i
     so a cutoff of any practical size never leaves it out. Every
     per-configuration quantity is computed alike in any batch, so a kept
     row gets the same bits as in a kernel pass over the whole batch."""
-    lower, margin = _gaps_margins(geom, rb)
+    gaps, margin = _gaps_margins(geom, rb)
+    lower = np.hypot(gaps[0], gaps[1])
     near = np.flatnonzero((lower < far_cutoff).any(axis=(1, 2)))
     if len(near) == 0:
         return lower, margin
@@ -410,10 +415,15 @@ def _clear_or_hit(arm: ArmModel, geom: _SceneGeom, Q: np.ndarray) -> tuple[np.nd
     ``Q`` (..., K). A row's bound is its smallest link-obstacle AABB gap,
     folded with its workspace margin; only rows whose bound is at most
     ``_CERTIFY_MARGIN`` go through the kernel, and every other row is
-    free."""
+    free. The gaps are compared squared, so a row takes one square root:
+    rounding moves the bound by a few ulps, far below the margin, and an
+    underflowing square only lowers it."""
     rb = _RectBatch(arm, Q.reshape(-1, Q.shape[-1]))
     gaps, margin = _gaps_margins(geom, rb)
-    bound = np.minimum(gaps.min(axis=(1, 2), initial=np.inf), margin)
+    gaps *= gaps
+    squared = gaps[0]
+    squared += gaps[1]
+    bound = np.minimum(np.sqrt(squared.min(axis=(1, 2), initial=np.inf)), margin)
     near = np.flatnonzero(bound <= _CERTIFY_MARGIN)
     hit = np.zeros(len(bound), dtype=bool)
     if len(near):

@@ -3,8 +3,9 @@
 Construction takes its nodes from ``scenarios._free_configs``, the one
 rejection sampler (uniform over the four most proximal joints, the others
 held at the midpoint of their limits), connects each node to its nearest
-neighbors through collision-free straight edges with ``_first_free_edges``,
-the one edge scan that queries use too, prunes everything outside the
+neighbors through collision-free straight edges with the windowed edge scan
+of ``_connect_knn`` (``_EdgeScan``), which a query runs as a window of one
+source (``_first_free_edges``), prunes everything outside the
 largest connected component, and caches the all-pairs shortest-path
 distances. A shortest path is read off those distances by walking from its
 source towards its target. The ``k_paths`` loopless alternate paths of a
@@ -67,6 +68,12 @@ _T_FINE = _sample_fractions(DEFAULT_EDGE_INTERP)
 _T_COARSE, _T_REST = (_T_FINE[idx] for idx in _coarse_split(len(_T_FINE)))
 # Fewest candidate edges prescreened in one batch.
 _CHUNK_MIN = 8
+# Nodes whose edge scans ``_connect_knn`` advances together, most samples
+# (edges times sample fractions) in one shared ``segments_in_collision``
+# call, and candidates a scan's walk converts to Python ints at a time.
+_WINDOW = 32
+_CALL_SAMPLES = 2048
+_WALK_BLOCK = 64
 
 
 class RoadmapBuildError(RuntimeError):
@@ -243,73 +250,194 @@ def _sample_nodes(scene: Scene, arm: ArmModel, params: RoadmapParams) -> np.ndar
         raise RoadmapBuildError(f"could not sample {params.n_nodes} nodes: {exc}") from None
 
 
+def _ints(row: np.ndarray, start: int):
+    """The entries of a numpy row from ``start`` on as Python ints,
+    converted a block at a time, so a walk converts only what it reads."""
+    for at in range(start, len(row), _WALK_BLOCK):
+        yield from row[at:at + _WALK_BLOCK].tolist()
+
+
+class _EdgeScan:
+    """The edge scan of one source configuration ``q`` over candidate nodes
+    in the order of the numpy row ``order``, nearest first, with a memo of
+    the verdicts of the edges from ``q`` it has had checked, and where its
+    last walk stopped."""
+
+    __slots__ = ("q", "order", "memo", "key", "at", "verdicts", "left")
+
+    def __init__(self, q: np.ndarray, order: np.ndarray):
+        self.q, self.order = q, order
+        self.memo: dict[int, bool] = {}
+        self.key = None
+
+    def walk(self, need: int, skip=frozenset()) -> tuple[list[tuple[int, bool]], list[int]]:
+        """The ``(j, free)`` verdicts of the candidates not in ``skip``, in
+        order up to and including the ``need``-th free one, read from the
+        memo, and the candidates the scan waits on: none when it reached the
+        ``need``-th free edge or ran dry, otherwise the next unchecked
+        candidates, the first ``need`` when nothing has been checked yet (a
+        dense batch) and ``max(2 * need, _CHUNK_MIN)`` later (a prescreened
+        one). The memo always covers a prefix of the candidates not in
+        ``skip``, so every candidate after the first unchecked one is
+        unchecked. The nearest candidates are mostly free, so a prescreen
+        would only add a second pass for them, while later ones are mostly
+        blocked, and the prescreen drops most of them at 18 of the 102
+        samples.
+
+        ``skip`` may only grow from walk to walk. A walk with the ``need``
+        and the size of ``skip`` of the last one goes on from where that one
+        stopped; any other starts again from the first candidate, over the
+        memo, so it re-checks nothing."""
+        key = (need, len(skip))
+        if self.key != key:
+            self.key, self.at, self.verdicts, self.left = key, 0, [], need
+        waiting: list[int] = []
+        left = self.left
+        if left <= 0:
+            return self.verdicts, waiting
+        memo, verdicts = self.memo, self.verdicts
+        size = 0
+        for at, j in enumerate(_ints(self.order, self.at), self.at):
+            if j in skip:
+                continue
+            if not waiting:
+                free = memo.get(j)
+                if free is not None:
+                    verdicts.append((j, free))
+                    left -= free
+                    if left == 0:
+                        break
+                    continue
+                self.at = at
+                size = max(2 * left, _CHUNK_MIN) if memo else left
+            waiting.append(j)
+            if len(waiting) == size:
+                break
+        self.left = left
+        if not waiting:
+            self.at = len(self.order)
+        return verdicts, waiting
+
+
+def _check_waiting(arm: ArmModel, scene: Scene, nodes: np.ndarray, waiting) -> None:
+    """Check the edges the ``(scan, candidates)`` pairs of ``waiting`` wait
+    on and add their verdicts to the scans' memos. The edges of every scan
+    that has checked nothing yet are checked at full density, and the others
+    prescreened on the coarse samples, their survivors then checked on the
+    rest; each stage shares its ``segments_in_collision`` calls among the
+    scans, at most ``_CALL_SAMPLES`` samples a call. An edge's verdict does
+    not depend on the call it is checked in."""
+    dense, screened = [], []
+    for scan, js in waiting:
+        (screened if scan.memo else dense).append((scan, js))
+    for group, t in ((dense, _T_FINE), (screened, _T_COARSE)):
+        if not group:
+            continue
+        single = len(group) == 1
+        if single:
+            (scan, js), = group
+            starts = scan.q                 # broadcast over the edges
+        else:
+            js = [j for _, scan_js in group for j in scan_js]
+            starts = np.repeat(np.array([scan.q for scan, _ in group]), [len(w) for _, w in group], axis=0)
+        ends = nodes[js]
+        free = ~_segments_in_calls(arm, scene, starts, ends, t)
+        if t is _T_COARSE:
+            survivors = free.nonzero()[0]
+            if len(survivors):
+                free[survivors] = ~_segments_in_calls(
+                    arm, scene, starts if single else starts[survivors], ends[survivors], _T_REST)
+        free = iter(free.tolist())
+        for scan, js in group:
+            scan.memo.update(zip(js, free))
+
+
+def _segments_in_calls(arm: ArmModel, scene: Scene, A: np.ndarray, B: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``segments_in_collision`` of the segments from ``A`` (one start, or
+    one per segment) to ``B``, in calls of at most ``_CALL_SAMPLES``
+    samples (at least one segment)."""
+    per_call = max(1, _CALL_SAMPLES // len(t))
+    if len(B) <= per_call:
+        return segments_in_collision(arm, scene, A, B, t)
+    A = np.broadcast_to(A, B.shape)
+    return np.concatenate([
+        segments_in_collision(arm, scene, A[s:s + per_call], B[s:s + per_call], t)
+        for s in range(0, len(B), per_call)
+    ])
+
+
 def _first_free_edges(arm: ArmModel, scene: Scene, q, nodes: np.ndarray, candidates, want: int):
     """``(j, free)`` verdicts of the straight edges from ``q`` to ``nodes[j]``
-    in ``candidates`` order, up to and including the ``want``-th free one.
-    The first ``want`` are checked at full density in one batch; each later
-    chunk is prescreened on the coarse samples, and its survivors are checked
-    on the rest in one batch.
-
-    The nearest candidates are mostly free, so a prescreen would only add a
-    second call for them, while later chunks are mostly blocked, so the
-    prescreen drops most edges at 18 of the 102 samples. Each policy was
-    timed against the other on default 1000-node builds (same roadmaps;
-    README, "Roadmap build and query"): one full-density call per chunk made
-    shelf builds 20-41% slower in CPU time, and prescreening the first batch
-    too made kitchen builds 10-35% and shelf builds 1-32% slower."""
-    candidates = iter(candidates)
-    chunk = list(itertools.islice(candidates, want))
-    if not chunk:
-        return []
-    free = ~segments_in_collision(arm, scene, q, nodes[chunk], _T_FINE)
-    verdicts = list(zip(chunk, free.tolist()))
-    need = want - int(free.sum())
-    while need > 0 and (chunk := list(itertools.islice(candidates, max(2 * need, _CHUNK_MIN)))):
-        free = ~segments_in_collision(arm, scene, q, nodes[chunk], _T_COARSE)
-        survivors = np.flatnonzero(free)
-        if len(survivors):
-            free[survivors] = ~segments_in_collision(arm, scene, q, nodes[np.take(chunk, survivors)], _T_REST)
-        found = np.flatnonzero(free)[:need]
-        cut = int(found[-1]) + 1 if len(found) == need else len(chunk)
-        verdicts += zip(chunk[:cut], free[:cut].tolist())
-        need -= len(found)
-    return verdicts
+    in ``candidates`` order, up to and including the ``want``-th free one:
+    the edge scan of ``_connect_knn`` over a window of one source, with
+    nothing to skip. Its first round checks the first ``want`` candidates at
+    full density in one batch; each later round prescreens a chunk on the
+    coarse samples and checks its survivors on the rest in one batch."""
+    scan = _EdgeScan(q, np.asarray(candidates, dtype=np.intp))
+    while True:
+        verdicts, waiting = scan.walk(want)
+        if not waiting:
+            return verdicts
+        _check_waiting(arm, scene, nodes, [(scan, waiting)])
 
 
 def _connect_knn(scene: Scene, arm: ArmModel, nodes: np.ndarray, k: int):
     """Connect each node to its k nearest neighbors reachable by a
     collision-free straight edge.
 
-    Nodes take turns in index order. Each scans the others nearest first,
-    skips pairs already decided from either side, and accepts free edges
-    until its degree reaches k, with the verdicts of
-    :func:`_first_free_edges`. Only the verdicts this scan reaches are kept,
-    so the edges and weights are those of checking each edge in turn with
-    ``edge_in_collision``: a verdict kept beyond that would spare the later
-    scan from ``j`` its own check of the edge, whose samples
-    ``j + t (i - j)`` can differ from ``i + t (j - i)`` in the last bit.
+    The edges and weights are those of nodes taking turns in index order,
+    each scanning the others nearest first, skipping pairs already decided
+    from either side and accepting free edges until its degree reaches k,
+    with each edge checked in turn by ``edge_in_collision``.
+
+    The scans of the ``_WINDOW`` nodes from the first uncommitted one on
+    advance together. Each round walks every scan over its memo
+    (``_EdgeScan.walk``) with the degrees and decided pairs of the nodes
+    committed so far, commits the first node while its walk waits on
+    nothing, and checks every edge the other walks wait on in shared calls
+    (``_check_waiting``). A commit keeps only the verdicts its walk read.
+    An edge is checked from the side of the scan that reads it, as in turn:
+    the samples ``j + t (i - j)`` can differ from ``i + t (j - i)`` in the
+    last bit. When a commit decides a pair a later scan has read, or adds an
+    edge to its node, that scan's next walk starts again over its memo and
+    re-checks nothing. A scan holds its candidate order as an int32 row, and
+    a committed node's scan and decided pairs are dropped; an edge's weight
+    is the norm the order was sorted by, made again for the accepted
+    neighbours only.
     """
     n = len(nodes)
-    status: dict[tuple[int, int], bool] = {}
-    degree = np.zeros(n, dtype=int)
+    degree = [0] * n
+    # the candidates the scan of each node not yet committed skips: the node
+    # itself and the pairs the scans of committed nodes decided
+    decided: dict[int, set[int]] = {}
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
-    for i in range(n):
-        if degree[i] >= k:
-            continue
-        dist = np.linalg.norm(nodes[i] - nodes, axis=1)
-        unknown = (
-            j for j in np.argsort(dist, kind="stable").tolist()
-            if j != i and _edge_key(i, j) not in status
-        )
-        for j, free in _first_free_edges(arm, scene, nodes[i], nodes, unknown, k - degree[i]):
-            key = _edge_key(i, j)
-            status[key] = free
-            if free:
-                edges.append(key)
-                weights.append(float(dist[j]))
-                degree[i] += 1
-                degree[j] += 1
+    window: dict[int, _EdgeScan] = {}
+    first = 0   # the first node not committed
+    while first < n:
+        waiting = []
+        for i in range(first, min(first + _WINDOW, n)):
+            scan = window.get(i)
+            if scan is None:
+                order = np.argsort(np.linalg.norm(nodes[i] - nodes, axis=1), kind="stable")
+                scan = window[i] = _EdgeScan(nodes[i], order.astype(np.int32))
+                decided.setdefault(i, set()).add(i)
+            verdicts, wait = scan.walk(k - degree[i], decided[i])
+            if wait:
+                waiting.append((scan, wait))
+            elif i == first:
+                accepted = [j for j, free in verdicts if free]
+                for j, _ in verdicts:
+                    if j > i:
+                        decided.setdefault(j, set()).add(i)
+                for j in accepted:
+                    edges.append(_edge_key(i, j))
+                    degree[j] += 1
+                degree[i] += len(accepted)
+                weights += np.linalg.norm(nodes[i] - nodes[accepted], axis=1).tolist()
+                del window[i], decided[i]
+                first += 1
+        _check_waiting(arm, scene, nodes, waiting)
     return edges, weights
 
 

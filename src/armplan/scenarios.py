@@ -102,12 +102,26 @@ def build_scene(name: str) -> Scene:
 @dataclass(frozen=True)
 class TestCase:
     """One planning query: a collision-free start configuration and a
-    kinematically feasible goal tip pose."""
+    kinematically feasible goal tip pose. Raises ValueError unless ``id``
+    and ``scene_name`` are strings, ``start`` is a sequence of numbers
+    (stored as a tuple of floats) and ``goal`` is an ``EEPose``; the width
+    and limits of the start are checked by the suite, which knows the arm."""
 
     id: str
     start: tuple[float, ...]
     goal: EEPose
     scene_name: str
+
+    def __post_init__(self):
+        for name in ("id", "scene_name"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"test case {name} must be a string, got {getattr(self, name)!r}")
+        try:
+            object.__setattr__(self, "start", tuple(float(x) for x in self.start))
+        except (TypeError, ValueError):
+            raise ValueError(f"case {self.id!r}: start must be a sequence of numbers, got {self.start!r}") from None
+        if not isinstance(self.goal, EEPose):
+            raise ValueError(f"case {self.id!r}: goal must be an EEPose, got {type(self.goal).__name__}")
 
     @property
     def start_config(self) -> np.ndarray:
@@ -116,10 +130,36 @@ class TestCase:
 
 @dataclass(frozen=True)
 class TestSuite:
+    """Test cases of one scene for one arm, under generation's rules: raises
+    ValueError unless ``arm`` is an ``ArmModel``, ``rng_seed`` an integer
+    >= 0 (stored as int), and ``cases`` one or more ``TestCase``s (stored as
+    a tuple) with unique ids, each of the suite's scene and with a start of
+    one angle per joint within the arm's limits."""
+
     scene_name: str
     rng_seed: int
     arm: ArmModel
     cases: tuple[TestCase, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.arm, ArmModel):
+            raise ValueError(f"suite arm must be an ArmModel, got {type(self.arm).__name__}")
+        object.__setattr__(self, "rng_seed", _check_int("rng_seed", self.rng_seed, 0))
+        object.__setattr__(self, "cases", tuple(self.cases))
+        if not self.cases:
+            raise ValueError("suite has no cases; generate_test_suite writes at least one")
+        for c in self.cases:
+            if not isinstance(c, TestCase):
+                raise ValueError(f"suite cases must be TestCases, got {type(c).__name__}")
+        ids = [c.id for c in self.cases]
+        if len(set(ids)) != len(ids):
+            raise ValueError("test case ids must be unique")
+        for c in self.cases:
+            if c.scene_name != self.scene_name:
+                raise ValueError(f"case {c.id!r} is for scene {c.scene_name!r}, not the suite's {self.scene_name!r}")
+            if len(c.start) != self.arm.dof or not within_limits(self.arm, c.start):
+                raise ValueError(f"case {c.id!r}: start must be {self.arm.dof} finite joint angles "
+                                 "within the arm's joint limits")
 
     def __len__(self) -> int:
         return len(self.cases)
@@ -287,23 +327,16 @@ def suite_from_dict(data: dict) -> TestSuite:
     if isinstance(data, dict) and data.get("format_version") != _SUITE_FORMAT_VERSION:
         raise ValueError(f"unsupported suite format version {data.get('format_version')!r}")
     _check_json_layout(data, _SUITE_LAYOUT, "suite")
-    rng_seed = _check_int("rng_seed", data["rng_seed"], 0)
-    if not data["cases"]:
-        raise ValueError("suite has no cases; generate_test_suite writes at least one")
-    arm = ArmModel(base=DEFAULT_BASE, **data["arm"])
     scene_name = data["scene_name"]
-    cases = tuple(
-        TestCase(id=c["id"], start=tuple(c["start"]), goal=EEPose(**c["goal"]), scene_name=scene_name)
-        for c in data["cases"]
+    return TestSuite(
+        scene_name=scene_name,
+        rng_seed=data["rng_seed"],
+        arm=ArmModel(base=DEFAULT_BASE, **data["arm"]),
+        cases=tuple(
+            TestCase(id=c["id"], start=c["start"], goal=EEPose(**c["goal"]), scene_name=scene_name)
+            for c in data["cases"]
+        ),
     )
-    ids = [c.id for c in cases]
-    if len(set(ids)) != len(ids):
-        raise ValueError("test case ids must be unique")
-    for c in cases:
-        if len(c.start) != arm.dof or not within_limits(arm, c.start):
-            raise ValueError(f"case {c.id!r}: start must be {arm.dof} finite joint angles "
-                             "within the arm's joint limits")
-    return TestSuite(scene_name=scene_name, rng_seed=rng_seed, arm=arm, cases=cases)
 
 
 def save_suite(suite: TestSuite, path) -> None:

@@ -9,7 +9,7 @@ from armplan.collision import (
     Scene, config_in_collision, configs_in_collision, edge_in_collision,
     min_clearance, pair_signed_distances,
     segments_in_collision, trajectory_in_collision,
-    _gaps_margins, _link_aabbs, _RectBatch, _sample_fractions, _sat,
+    _clear_or_hit, _gaps_margins, _link_aabbs, _RectBatch, _sample_fractions, _sat,
 )
 from armplan.geometry import ConvexShape, Pose2, _point_segment_distance, signed_distance
 from armplan.optimizer import D_SAFE, _hinge_sums
@@ -414,7 +414,7 @@ def dense_signed_distances(arm, scene, Q, far_cutoff=None):
     sd = np.where(pen > 0.0, -pen, 0.0)
     need_exact = ~hit
     if far_cutoff is not None:
-        lower = _gaps_margins(geom, rb)[0]
+        lower = np.hypot(*_gaps_margins(geom, rb)[0])
         far = need_exact & (lower >= far_cutoff)
         sd = np.where(far, lower, sd)
         need_exact &= ~far
@@ -500,7 +500,7 @@ def test_broad_phase_matches_dense_reference(arm, name, m):
 
 def test_rows_without_a_near_pair_skip_the_kernel(arm, shelf_scene, monkeypatch):
     Q = _rows_near_an_obstacle(arm, shelf_scene, np.random.default_rng(9), 40)
-    lower = _gaps_margins(shelf_scene._geom, _RectBatch(arm, Q))[0]
+    lower = np.hypot(*_gaps_margins(shelf_scene._geom, _RectBatch(arm, Q))[0])
     near = (lower < D_SAFE).any(axis=(1, 2))
     assert near.any() and not near.all()
     seen = []
@@ -592,8 +592,8 @@ def test_motion_bound_covers_link_and_screen_motion(seed, k, stretched, one_join
     (Schwarzer, Saha & Latombe): from fraction t_a to t_b of a joint-space
     step dq, no link-rectangle corner moves farther than
     ``|t_a - t_b| * sum_j R_j |dq_j|``, and a row's clearance bound (smallest
-    AABB gap folded with the workspace margin) by no more than sqrt(2) times
-    that. A fully stretched arm turning about one joint is the tight case:
+    AABB gap folded with the workspace margin, as ``_clear_or_hit`` reports
+    it) by no more than sqrt(2) times that. A fully stretched arm turning about one joint is the tight case:
     its far corners lie beyond the summed link lengths."""
     rng = np.random.default_rng(seed)
     arm = ArmModel(
@@ -615,8 +615,7 @@ def test_motion_bound_covers_link_and_screen_motion(seed, k, stretched, one_join
     corners = rb.corners()
     moved = np.linalg.norm(corners[:, None] - corners, axis=-1).max(axis=(2, 3))
     assert (moved <= allowed + slack).all(), (moved - allowed).max()
-    gaps, margin = _gaps_margins(_random_convex_scene(rng, int(rng.integers(1, 5)))._geom, rb)
-    bound = np.minimum(gaps.min(axis=(1, 2)), margin)
+    bound = _clear_or_hit(arm, _random_convex_scene(rng, int(rng.integers(1, 5)))._geom, q + t[:, None] * dq)[1]
     assert (np.abs(bound[:, None] - bound) <= math.sqrt(2.0) * allowed + slack).all()
 
 
@@ -837,6 +836,40 @@ def test_screened_configs_match_the_unscreened_kernel(arm, seed, kind, five_link
     Q[m // 2 + 1:] = Q[0] + rng.normal(scale=1e-9, size=(m - m // 2 - 1, arm.dof))
     scene = _certify_scene(arm, kind, rng, Q[0])
     assert np.array_equal(configs_in_collision(arm, scene, Q), unscreened_flags(arm, scene, Q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from([*SCENE_NAMES, "random_convex", "grazing_box"]),
+    five_links=st.booleans(),
+    m=st.sampled_from([1, 40, 224]),
+)
+def test_screen_bound_is_at_most_the_exact_clearance(arm, seed, name, five_links, m):
+    """The clearance bound of ``_clear_or_hit``, one square root of the
+    smallest squared AABB gap folded with the workspace margin, is at most
+    the exact clearance (``pair_signed_distances`` without a cutoff, folded
+    with the margin, a penetration counted as 0, where the gaps are 0), up
+    to 1e-12, and its flags are the unscreened kernel's: the four authored
+    scenes and random convex ones, half the rows near an obstacle, and a
+    box a known gap beside a link corner of the first row, where the bound
+    is the clearance."""
+    if five_links:
+        arm = five_link_offset_arm(arm)
+    rng = np.random.default_rng(seed)
+    if name == "grazing_box":
+        Q = rng.uniform(arm.lower, arm.upper, size=(m, arm.dof))
+        gap = float(rng.choice([1e-6, 1e-3, 0.05]))
+        scene = Scene(name, _grazing_scene(arm, name, Q[0], gap, rng).obstacles[:1])
+        assert _clear_or_hit(arm, scene._geom, Q[:1])[1][0] == pytest.approx(gap, rel=1e-9, abs=1e-15)
+    else:
+        scene = _random_convex_scene(rng, int(rng.integers(1, 5))) if name == "random_convex" else build_scene(name)
+        Q = _rows_near_an_obstacle(arm, scene, rng, m)
+    hit, bound = _clear_or_hit(arm, scene._geom, Q)
+    margin = _gaps_margins(scene._geom, _RectBatch(arm, Q))[1]
+    sd = pair_signed_distances(arm, scene, Q).min(axis=(1, 2), initial=np.inf)
+    assert (bound <= np.minimum(np.maximum(sd, 0.0), margin) + 1e-12).all()
+    assert np.array_equal(hit, unscreened_flags(arm, scene, Q))
 
 
 @pytest.mark.parametrize("n_t", [17, 22])

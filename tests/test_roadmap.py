@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from armplan.collision import config_in_collision, configs_in_collision, edge_in_collision
 from armplan.collision import Scene, segments_in_collision
@@ -29,7 +29,7 @@ from armplan.roadmap import (
 from armplan.scenarios import build_scene, default_arm, load_scene, save_scene, scene_to_dict
 from armplan.seedprep import path_length
 
-from conftest import dense_segment_flags
+from conftest import dense_segment_flags, random_convex_polygon
 
 
 def graph_roadmap(n, edges, weights, k_paths=3):
@@ -577,6 +577,45 @@ def test_connect_knn_matches_sequential_reference(request, arm, scene_fixture, n
         assert full_at_turn > 0  # some nodes are skipped, not scanned
     if k == 30:
         assert min(np.bincount(np.ravel(edges), minlength=n_nodes)) < k  # some scans run dry
+
+
+@functools.lru_cache(maxsize=None)
+def knn_scene(name):
+    """An authored scene, or four small random convex obstacles in the
+    authored workspace."""
+    if name != "random_convex":
+        return build_scene(name)
+    rng = np.random.default_rng(11)
+    obstacles = tuple(random_convex_polygon(rng, radius=0.15, center=rng.uniform([-1.2, 0.1], [1.2, 1.3]))
+                      for _ in range(4))
+    return Scene(name, obstacles, workspace_bounds=(-1.6, -0.6, 1.6, 1.6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["tabletop_pole", "shelf_boxes", "random_convex"]),
+    n=st.integers(20, 120),
+    k=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+    window=st.sampled_from([1, 3, 32, 200]),
+    call_samples=st.sampled_from([1, 300, roadmap_module._CALL_SAMPLES]),
+)
+@example(name="shelf_boxes", n=20, k=12, seed=0, window=32, call_samples=2048)     # window past n, dry scans
+@example(name="tabletop_pole", n=120, k=1, seed=1, window=32, call_samples=2048)   # nodes full at their turn
+@example(name="random_convex", n=60, k=6, seed=2, window=200, call_samples=1)
+def test_windowed_connect_knn_matches_sequential_reference(name, n, k, seed, window, call_samples):
+    """The windowed scan gives the edges and weights of the greedy scan that
+    checks one edge at a time, whatever the window (wider than n included)
+    and the size of its shared calls: nodes already at degree k when their
+    turn comes, scans that run dry and scans restarted by an earlier commit
+    change nothing."""
+    arm, scene = default_arm(), knn_scene(name)
+    nodes = _sample_nodes(scene, arm, RoadmapParams(n_nodes=n, rng_seed=seed))
+    want_edges, want_weights, _ = sequential_connect_knn(scene, arm, nodes, k)
+    with mock.patch.multiple(roadmap_module, _WINDOW=window, _CALL_SAMPLES=call_samples):
+        edges, weights = _connect_knn(scene, arm, nodes, k)
+    assert edges == want_edges
+    assert np.array_equal(np.array(weights), np.array(want_weights))
 
 
 def test_connect_knn_memory_is_per_row(unbounded_scene, arm):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from armplan import scenarios
 from armplan.baselines import rrt_plan
 from armplan.collision import Scene, config_in_collision, configs_in_collision
 from armplan.geometry import Pose2, signed_distance
@@ -323,6 +324,58 @@ def test_suite_load_rejects_what_generation_never_writes(small_pole_suite, tmp_p
     p.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=f"suite file {p}: {message}"):
         load_suite(p)
+
+
+# edit of (scene_name, rng_seed, arm, cases) -> message
+BAD_SUITES = {
+    "negative_rng_seed": (lambda s, a, c: (s, -1, a, c), "rng_seed must be an integer >= 0, got -1"),
+    "float_rng_seed": (lambda s, a, c: (s, 1.0, a, c), "rng_seed must be an integer >= 0, got 1.0"),
+    "arm_by_name": (lambda s, a, c: (s, 0, "arm", c), "suite arm must be an ArmModel, got str"),
+    "no_cases": (lambda s, a, c: (s, 0, a, ()), "suite has no cases"),
+    "not_a_case": (lambda s, a, c: (s, 0, a, c[:1] + ("case",)), "suite cases must be TestCases, got str"),
+    "duplicate_id": (lambda s, a, c: (s, 0, a, c[:2] + (dataclasses.replace(c[2], id=c[0].id),)),
+                     "test case ids must be unique"),
+    "short_start": (lambda s, a, c: (s, 0, a, (dataclasses.replace(c[0], start=c[0].start[:2]),)),
+                    r"start must be 4 finite joint angles within the arm's joint limits"),
+    "start_out_of_limits": (lambda s, a, c: (s, 0, a, (dataclasses.replace(c[0], start=(3.0, 0.0, 0.0, 0.0)),)),
+                            r"start must be 4 finite joint angles within the arm's joint limits"),
+    "nan_start": (lambda s, a, c: (s, 0, a, (dataclasses.replace(c[0], start=(np.nan, 0.0, 0.0, 0.0)),)),
+                  r"start must be 4 finite joint angles within the arm's joint limits"),
+    "case_of_another_scene": (lambda s, a, c: (s, 0, a, c[:1] + (dataclasses.replace(c[1], scene_name="kitchen"),)),
+                              "is for scene 'kitchen', not the suite's 'tabletop_pole'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SUITES))
+def test_suite_construction_enforces_generation_rules(small_pole_suite, case):
+    """A suite built in memory follows the rules a suite file loads under;
+    ``TestSuite("tabletop_pole", -1, "arm", ())`` used to construct."""
+    edit, message = BAD_SUITES[case]
+    s = small_pole_suite
+    with pytest.raises(ValueError, match=message):
+        scenarios.TestSuite(*edit(s.scene_name, s.arm, s.cases))
+    with pytest.raises(ValueError):
+        scenarios.TestSuite("tabletop_pole", -1, "arm", ())
+
+
+def test_suite_construction_stores_plain_values(small_pole_suite):
+    s = small_pole_suite
+    suite = scenarios.TestSuite(s.scene_name, np.int64(3), s.arm, list(s.cases))
+    assert type(suite.rng_seed) is int and isinstance(suite.cases, tuple)
+    case = scenarios.TestCase("c", np.array(s.cases[0].start), s.cases[0].goal, s.scene_name)
+    assert case.start == s.cases[0].start and all(type(x) is float for x in case.start)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("id", 7, "test case id must be a string, got 7"),
+    ("scene_name", None, "test case scene_name must be a string, got None"),
+    ("start", "abc", "start must be a sequence of numbers"),
+    ("start", 1.0, "start must be a sequence of numbers"),
+    ("goal", (0.5, 0.5), "goal must be an EEPose, got tuple"),
+])
+def test_case_construction_checks_its_fields(small_pole_suite, field, value, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(small_pole_suite.cases[0], **{field: value})
 
 
 def test_suite_file_schema(small_pole_suite, tmp_path):
