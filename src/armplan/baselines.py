@@ -8,7 +8,7 @@ import numpy as np
 
 from .collision import Scene, _check_free, edge_in_collision
 from .geometry import _vector_length
-from .robot import ArmModel, _check_int
+from .robot import ArmModel, _check_int, _check_kind
 
 
 # Iteration budget of every benchmark RRT: the suite feasibility check and
@@ -47,6 +47,8 @@ def rrt_plan(
     integer >= 0, or the start or a goal is outside the joint limits or in
     collision.
     """
+    _check_kind("scene", scene, Scene)
+    _check_kind("arm", arm, ArmModel)
     rng_seed = _check_int("rng_seed", rng_seed, 0)
     start = np.asarray(start, dtype=float)
     goals = [np.asarray(g, dtype=float) for g in goal_configs]

@@ -23,7 +23,7 @@ from .baselines import rrt_plan, rrt_seed
 from .collision import Scene, trajectory_in_collision
 from .optimizer import optimize
 from .roadmap import Roadmap, query
-from .robot import ArmModel, _check_config, _check_int
+from .robot import ArmModel, _check_config, _check_int, _check_kind
 from .scenarios import TestCase, TestSuite, build_scene, ik_goal_configs
 from .seedprep import path_length, resample_path, straight_line_seed
 
@@ -110,6 +110,8 @@ def run_case(
     ``_check_planner`` rejects, a case of another scene than ``scene``, or a
     start that is not one angle per joint of ``arm``.
     """
+    _check_kind("arm", arm, ArmModel)
+    _check_kind("scene", scene, Scene)
     _check_planner(planner, roadmap)
     if case.scene_name != scene.name:
         raise ValueError(f"case is for scene {case.scene_name!r}, not {scene.name!r}")
@@ -183,6 +185,8 @@ def run_benchmark(
     Raises ValueError unless ``parallelism`` is an integer >= 1.
     """
     parallelism = _check_int("parallelism", parallelism, 1)
+    if scene is not None:
+        _check_kind("scene", scene, Scene)
     _check_planner(planner_spec, roadmap)
     scene = scene or build_scene(suite.scene_name)
     if suite.scene_name != scene.name:

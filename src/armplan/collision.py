@@ -33,7 +33,9 @@ One segment sampler, ``segments_in_collision``, checks straight joint-space
 segments; edge and trajectory checks are built on it. It certifies every
 batch with the arm's motion bound (``ArmModel.joint_reach``): a checked
 sample's clearance bound proves the samples near it free, and only the
-others reach the screen.
+others reach the screen. The roadmap build's private path,
+``_segment_flags``, also takes the bounds of free endpoints, which certify
+the samples near them the same way.
 
 A batch's link rectangles (``_RectBatch``) come from the one chain pass of
 ``robot`` and hold only what every check reads: the proximal joints ``P``,
@@ -53,7 +55,8 @@ import numpy as np
 
 from .geometry import ConvexShape, _point_segment_distance
 from .robot import (
-    ArmModel, _check_batch, _check_config, _check_int, _joint_origins, _link_steps, _read_only, within_limits,
+    ArmModel, _check_batch, _check_config, _check_int, _check_kind, _joint_origins, _link_steps, _read_only,
+    within_limits,
 )
 
 DEFAULT_EDGE_INTERP = 100
@@ -270,10 +273,14 @@ def _sat(geom: _SceneGeom, rb: _RectBatch, penetration: bool = False):
 def configs_in_collision(arm: ArmModel, scene: Scene, Q) -> np.ndarray:
     """Boolean flags for a batch of configurations of shape (M, K), from the
     AABB screen and the kernel (``_clear_or_hit``)."""
+    _check_kind("arm", arm, ArmModel)
+    _check_kind("scene", scene, Scene)
     return _clear_or_hit(arm, scene._geom, _check_batch(arm, Q))[0]
 
 
 def config_in_collision(arm: ArmModel, scene: Scene, q) -> bool:
+    _check_kind("arm", arm, ArmModel)
+    _check_kind("scene", scene, Scene)
     return bool(configs_in_collision(arm, scene, _check_config(arm, q))[0])
 
 
@@ -336,6 +343,8 @@ def pair_signed_distances(
     ValueError unless ``far_cutoff`` is None or a number > 0 (not a bool;
     NaN fails).
     """
+    _check_kind("arm", arm, ArmModel)
+    _check_kind("scene", scene, Scene)
     if far_cutoff is not None and not (
         isinstance(far_cutoff, (int, float, np.integer, np.floating))
         and not isinstance(far_cutoff, bool) and far_cutoff > 0.0
@@ -349,6 +358,8 @@ def min_clearance(arm: ArmModel, scene: Scene, q) -> float:
     """Smallest signed distance over all (link, obstacle) pairs, folded with
     the workspace containment margin. Unconstrained configurations report a
     large sentinel (infinity)."""
+    _check_kind("arm", arm, ArmModel)
+    _check_kind("scene", scene, Scene)
     sd, margin = _signed_distances(scene._geom, _RectBatch(arm, _check_config(arm, q)))
     return min(float(sd.min(initial=NO_OBSTACLE_CLEARANCE)), float(margin[0]))
 
@@ -373,7 +384,17 @@ def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
     The flags are those of a check of every sample. Endpoints that are not
     finite raise ValueError before they are interpolated, and so does a
     ``t`` that is not a non-empty 1-D array of finite fractions.
+
+    The roadmap's edge checks take a private path, ``_segment_flags``, that
+    also knows the clearance bounds of free endpoints, and so certifies
+    from them as from checked samples. The ``t = 0`` sample is ``A`` bit for
+    bit and is not checked again. The ``t = 1`` sample ``A + (B - A)`` can
+    differ from ``B`` in the last bit, a motion far below the margin, so
+    ``B``'s bound covers it only when that bound exceeds ``_CERTIFY_MARGIN``;
+    otherwise it is checked. The flags are the same either way.
     """
+    _check_kind("arm", arm, ArmModel)
+    _check_kind("scene", scene, Scene)
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
@@ -383,6 +404,16 @@ def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
         raise ValueError(f"sample fractions t must be a non-empty 1-D array, got shape {t.shape}")
     if not np.isfinite(t).all():
         raise ValueError("sample fractions t must be finite")
+    return _segment_flags(arm, scene, A, B, t)
+
+
+def _segment_flags(arm: ArmModel, scene: Scene, A: np.ndarray, B: np.ndarray, t: np.ndarray,
+                   ends: np.ndarray | None = None) -> np.ndarray:
+    """``segments_in_collision`` of finite float endpoints and fractions.
+    ``ends`` (..., 2), when given, holds the clearance bounds
+    (``_clear_or_hit``) of ``A`` and ``B``, which must both be free: they
+    join the checked samples' bounds at fractions 0 and 1, no sample at
+    ``t = 0`` is checked, and the ``t = 1`` samples join the rest."""
     step = B - A
     samples = A[..., None, :] + t[:, None] * step[..., None, :]
     lead = samples.shape[:-2]
@@ -390,9 +421,17 @@ def segments_in_collision(arm: ArmModel, scene: Scene, A, B, t) -> np.ndarray:
     step = step.reshape(-1, step.shape[-1])
     geom = scene._geom
     checked, rest = _coarse_split(t.size)
+    if ends is not None:
+        last = t[checked] == 1.0
+        checked, rest = checked[~last], np.concatenate([rest, checked[last]])
+        checked, rest = checked[t[checked] != 0.0], rest[t[rest] != 0.0]
     hit, bound = _clear_or_hit(arm, geom, samples[:, checked])
     flags = hit.any(axis=1)
-    motion = _SQRT2 * (np.abs(step) @ arm.joint_reach)[:, None, None] * np.abs(t[rest, None] - t[checked])
+    at = t[checked]
+    if ends is not None:
+        bound = np.concatenate([bound, np.broadcast_to(ends, (*lead, 2)).reshape(-1, 2)], axis=1)
+        at = np.concatenate([at, (0.0, 1.0)])
+    motion = _SQRT2 * (np.abs(step) @ arm.joint_reach)[:, None, None] * np.abs(t[rest, None] - at)
     covered = (bound[:, None, :] > motion + _CERTIFY_MARGIN).any(axis=2)
     si, ri = np.nonzero(~covered & ~flags[:, None])
     if len(si):
@@ -442,6 +481,8 @@ def _sample_fractions(n_interp: int) -> np.ndarray:
 def edge_in_collision(arm: ArmModel, scene: Scene, q1, q2, n_interp: int = DEFAULT_EDGE_INTERP) -> bool:
     """True when any of the interpolated configurations along the straight
     joint-space segment (endpoints included) is in collision."""
+    _check_kind("arm", arm, ArmModel)
+    _check_kind("scene", scene, Scene)
     q1, q2 = _check_config(arm, q1), _check_config(arm, q2)
     return bool(segments_in_collision(arm, scene, q1, q2, _sample_fractions(n_interp)))
 
@@ -452,6 +493,8 @@ def trajectory_in_collision(arm: ArmModel, scene: Scene, traj) -> tuple[bool, in
     Every adjacent waypoint pair is checked with ``DEFAULT_EDGE_INTERP``
     intermediate configurations. Returns (flag, first offending segment).
     """
+    _check_kind("arm", arm, ArmModel)
+    _check_kind("scene", scene, Scene)
     traj = np.asarray(traj, dtype=float)
     if traj.ndim != 2 or traj.shape[0] < 2:
         raise ValueError("trajectory needs at least 2 waypoints")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import _CERTIFY_MARGIN, Scene, _check_free, pair_signed_distances, trajectory_in_collision
-from .robot import ArmModel
+from .robot import ArmModel, _check_kind
 
 _FD_STEP = 1e-6
 D_SAFE = 0.05               # clearance margin for the hinge penalty, meters
@@ -79,6 +79,8 @@ def _hinge_sums(arm: ArmModel, scene: Scene, Q: np.ndarray) -> tuple[np.ndarray,
 
 def collision_penalty(traj, arm: ArmModel, scene: Scene) -> float:
     """Sum over waypoints and (link, obstacle) pairs of max(0, D_SAFE - sd)."""
+    _check_kind("arm", arm, ArmModel)
+    _check_kind("scene", scene, Scene)
     t = np.atleast_2d(np.asarray(traj, dtype=float))
     return float(_hinge_sums(arm, scene, t)[0].sum())
 
@@ -120,6 +122,8 @@ def _merit_gradient(arm, scene, traj, mu, bounds) -> np.ndarray:
 def merit_gradient(traj, arm: ArmModel, scene: Scene, mu: float) -> np.ndarray:
     """Gradient of smoothness + mu * collision penalty w.r.t. the interior
     waypoints; the quantity the inner loop steps along."""
+    _check_kind("arm", arm, ArmModel)
+    _check_kind("scene", scene, Scene)
     t = np.asarray(traj, dtype=float)
     return _merit_gradient(arm, scene, t, mu, _hinge_sums(arm, scene, t[1:-1])[1])
 
@@ -179,6 +183,8 @@ def optimize(seed, arm: ArmModel, scene: Scene) -> OptResult:
     non-finite or in collision, or when an interior waypoint is not finite
     (checked before interior waypoints are clipped to the joint limits).
     """
+    _check_kind("arm", arm, ArmModel)
+    _check_kind("scene", scene, Scene)
     X = np.array(seed, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] != arm.dof:
         raise ValueError(f"seed must be a (T, {arm.dof}) waypoint matrix with T >= 2")

@@ -7,8 +7,11 @@ neighbors through collision-free straight edges with the windowed edge scan
 of ``_connect_knn`` (``_EdgeScan``), which a query runs as a window of one
 source (``_first_free_edges``), prunes everything outside the
 largest connected component, and caches the all-pairs shortest-path
-distances. A shortest path is read off those distances by walking from its
-source towards its target. The ``k_paths`` loopless alternate paths of a
+distances. The build computes every node's clearance bound once, and each
+edge check certifies samples from the bounds of its two end nodes as well
+as from its own checked samples; a scan sorts only the nearest part of its
+candidates until its walk reads past it. A shortest path is read off those
+distances by walking from its source towards its target. The ``k_paths`` loopless alternate paths of a
 node pair come from scipy's Yen (``scipy.sparse.csgraph.yen``) and are
 memoized, which is what edge invalidation falls back on. Every path
 search orders paths by length first and, among equal lengths, by the
@@ -50,9 +53,11 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as _sparse_dijkstra, yen as _sparse_yen
 
-from .collision import DEFAULT_EDGE_INTERP, Scene, _check_free, _coarse_split, _sample_fractions, segments_in_collision
+from .collision import (
+    DEFAULT_EDGE_INTERP, Scene, _check_free, _clear_or_hit, _coarse_split, _sample_fractions, _segment_flags,
+)
 from .geometry import Pose2, _vector_length
-from .robot import ArmModel, EEPose, _at_goal, _check_int, _is_integer, _read_only, chain_points
+from .robot import ArmModel, EEPose, _at_goal, _check_int, _check_kind, _is_integer, _read_only, chain_points
 from . import scenarios
 from .scenarios import _check_json_layout, ik_goal_configs, scene_to_dict
 
@@ -69,8 +74,9 @@ _T_COARSE, _T_REST = (_T_FINE[idx] for idx in _coarse_split(len(_T_FINE)))
 # Fewest candidate edges prescreened in one batch.
 _CHUNK_MIN = 8
 # Nodes whose edge scans ``_connect_knn`` advances together, most samples
-# (edges times sample fractions) in one shared ``segments_in_collision``
-# call, and candidates a scan's walk converts to Python ints at a time.
+# (edges times sample fractions) in one shared segment check, and
+# candidates a scan's walk converts to Python ints at a time (also the
+# length of the sorted prefix of a build scan's order).
 _WINDOW = 32
 _CALL_SAMPLES = 2048
 _WALK_BLOCK = 64
@@ -208,6 +214,8 @@ class Roadmap:
         """Raise ValueError unless the roadmap was built for this scene (name,
         bounds and obstacles) and an arm equal to this one. The scene is
         hashed only when it is not the scene this check last matched."""
+        _check_kind("scene", scene, Scene)
+        _check_kind("arm", arm, ArmModel)
         if self._matched_scene is None or self._matched_scene() is not scene:
             sha, have = _scene_sha256(scene), self._binding
             if sha != have["scene_sha256"]:
@@ -250,25 +258,44 @@ def _sample_nodes(scene: Scene, arm: ArmModel, params: RoadmapParams) -> np.ndar
         raise RoadmapBuildError(f"could not sample {params.n_nodes} nodes: {exc}") from None
 
 
-def _ints(row: np.ndarray, start: int):
-    """The entries of a numpy row from ``start`` on as Python ints,
-    converted a block at a time, so a walk converts only what it reads."""
-    for at in range(start, len(row), _WALK_BLOCK):
-        yield from row[at:at + _WALK_BLOCK].tolist()
+def _stable_prefix(dist: np.ndarray, count: int) -> np.ndarray:
+    """The first entries of ``np.argsort(dist, kind="stable")`` without
+    sorting the rest: every index no farther than the ``count``-th nearest
+    (all of them when there are fewer), ties kept in index order."""
+    kth = min(count, len(dist)) - 1
+    near = np.flatnonzero(dist <= np.partition(dist, kth)[kth])
+    return near[np.argsort(dist[near], kind="stable")]
 
 
 class _EdgeScan:
     """The edge scan of one source configuration ``q`` over candidate nodes
-    in the order of the numpy row ``order``, nearest first, with a memo of
-    the verdicts of the edges from ``q`` it has had checked, and where its
-    last walk stopped."""
+    in the order of a numpy row, nearest first, with a memo of the verdicts
+    of the edges from ``q`` it has had checked, and where its last walk
+    stopped. Given the distances ``dist`` the order is built lazily:
+    ``order`` is then a prefix of ``np.argsort(dist, kind="stable")``
+    (``_stable_prefix``), extended to the whole argsort when a walk runs
+    past it. ``bound`` is the clearance bound of ``q`` when it is a free
+    node whose edges may be certified from it, and None otherwise."""
 
-    __slots__ = ("q", "order", "memo", "key", "at", "verdicts", "left")
+    __slots__ = ("q", "order", "dist", "bound", "memo", "key", "at", "verdicts", "left")
 
-    def __init__(self, q: np.ndarray, order: np.ndarray):
-        self.q, self.order = q, order
+    def __init__(self, q: np.ndarray, order, dist: np.ndarray | None = None, bound: float | None = None):
+        self.q, self.order, self.bound = q, np.asarray(order, dtype=np.int32), bound
+        self.dist = None if dist is None or len(self.order) == len(dist) else dist
         self.memo: dict[int, bool] = {}
         self.key = None
+
+    def _candidates(self, start: int):
+        """The candidates from position ``start`` on as Python ints,
+        converted ``_WALK_BLOCK`` at a time, so a walk converts only what it
+        reads; passing the end of a prefix sorts the whole order once."""
+        while True:
+            for at in range(start, len(self.order), _WALK_BLOCK):
+                yield from self.order[at:at + _WALK_BLOCK].tolist()
+            if self.dist is None:
+                return
+            start = max(start, len(self.order))
+            self.order, self.dist = np.argsort(self.dist, kind="stable").astype(np.int32), None
 
     def walk(self, need: int, skip=frozenset()) -> tuple[list[tuple[int, bool]], list[int]]:
         """The ``(j, free)`` verdicts of the candidates not in ``skip``, in
@@ -276,13 +303,16 @@ class _EdgeScan:
         memo, and the candidates the scan waits on: none when it reached the
         ``need``-th free edge or ran dry, otherwise the next unchecked
         candidates, the first ``need`` when nothing has been checked yet (a
-        dense batch) and ``max(2 * need, _CHUNK_MIN)`` later (a prescreened
-        one). The memo always covers a prefix of the candidates not in
-        ``skip``, so every candidate after the first unchecked one is
+        dense batch) and ``max(2 * need, _CHUNK_MIN, len(memo))`` later (a
+        prescreened one). The memo always covers a prefix of the candidates
+        not in ``skip``, so every candidate after the first unchecked one is
         unchecked. The nearest candidates are mostly free, so a prescreen
         would only add a second pass for them, while later ones are mostly
         blocked, and the prescreen drops most of them at 18 of the 102
-        samples.
+        samples. A chunk grows with the memo, so a scan that stays deep
+        doubles what it has checked each round and reaches its end in
+        O(log n) rounds: one that runs dry reads every candidate anyway,
+        and one that stops checks at most one chunk past its last verdict.
 
         ``skip`` may only grow from walk to walk. A walk with the ``need``
         and the size of ``skip`` of the last one goes on from where that one
@@ -297,7 +327,7 @@ class _EdgeScan:
             return self.verdicts, waiting
         memo, verdicts = self.memo, self.verdicts
         size = 0
-        for at, j in enumerate(_ints(self.order, self.at), self.at):
+        for at, j in enumerate(self._candidates(self.at), self.at):
             if j in skip:
                 continue
             if not waiting:
@@ -309,7 +339,7 @@ class _EdgeScan:
                         break
                     continue
                 self.at = at
-                size = max(2 * left, _CHUNK_MIN) if memo else left
+                size = max(2 * left, _CHUNK_MIN, len(memo)) if memo else left
             waiting.append(j)
             if len(waiting) == size:
                 break
@@ -319,14 +349,17 @@ class _EdgeScan:
         return verdicts, waiting
 
 
-def _check_waiting(arm: ArmModel, scene: Scene, nodes: np.ndarray, waiting) -> None:
+def _check_waiting(arm: ArmModel, scene: Scene, nodes: np.ndarray, waiting, bounds: np.ndarray | None = None) -> None:
     """Check the edges the ``(scan, candidates)`` pairs of ``waiting`` wait
     on and add their verdicts to the scans' memos. The edges of every scan
     that has checked nothing yet are checked at full density, and the others
     prescreened on the coarse samples, their survivors then checked on the
-    rest; each stage shares its ``segments_in_collision`` calls among the
-    scans, at most ``_CALL_SAMPLES`` samples a call. An edge's verdict does
-    not depend on the call it is checked in."""
+    rest; each stage shares its segment checks among the scans, at most
+    ``_CALL_SAMPLES`` samples a call. Given the clearance bounds ``bounds``
+    of the nodes (all free) and each scan's ``bound``, every edge is also
+    certified from the bounds of its two ends (``_segment_flags``). An
+    edge's verdict does not depend on the call it is checked in, nor on the
+    samples certified."""
     dense, screened = [], []
     for scan, js in waiting:
         (screened if scan.memo else dense).append((scan, js))
@@ -334,34 +367,42 @@ def _check_waiting(arm: ArmModel, scene: Scene, nodes: np.ndarray, waiting) -> N
         if not group:
             continue
         single = len(group) == 1
+        counts = [len(w) for _, w in group]
         if single:
             (scan, js), = group
             starts = scan.q                 # broadcast over the edges
         else:
             js = [j for _, scan_js in group for j in scan_js]
-            starts = np.repeat(np.array([scan.q for scan, _ in group]), [len(w) for _, w in group], axis=0)
+            starts = np.repeat(np.array([scan.q for scan, _ in group]), counts, axis=0)
         ends = nodes[js]
-        free = ~_segments_in_calls(arm, scene, starts, ends, t)
+        known = None
+        if bounds is not None:
+            known = np.column_stack([np.repeat([scan.bound for scan, _ in group], counts), bounds[js]])
+        free = ~_segments_in_calls(arm, scene, starts, ends, t, known)
         if t is _T_COARSE:
             survivors = free.nonzero()[0]
             if len(survivors):
                 free[survivors] = ~_segments_in_calls(
-                    arm, scene, starts if single else starts[survivors], ends[survivors], _T_REST)
+                    arm, scene, starts if single else starts[survivors], ends[survivors], _T_REST,
+                    None if known is None else known[survivors])
         free = iter(free.tolist())
         for scan, js in group:
             scan.memo.update(zip(js, free))
 
 
-def _segments_in_calls(arm: ArmModel, scene: Scene, A: np.ndarray, B: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``segments_in_collision`` of the segments from ``A`` (one start, or
-    one per segment) to ``B``, in calls of at most ``_CALL_SAMPLES``
-    samples (at least one segment)."""
+def _segments_in_calls(arm: ArmModel, scene: Scene, A: np.ndarray, B: np.ndarray, t: np.ndarray,
+                       known: np.ndarray | None = None) -> np.ndarray:
+    """``_segment_flags`` of the segments from ``A`` (one start, or one per
+    segment) to ``B``, with the endpoint bounds ``known`` (one row per
+    segment) when given, in calls of at most ``_CALL_SAMPLES`` samples (at
+    least one segment)."""
     per_call = max(1, _CALL_SAMPLES // len(t))
     if len(B) <= per_call:
-        return segments_in_collision(arm, scene, A, B, t)
+        return _segment_flags(arm, scene, A, B, t, known)
     A = np.broadcast_to(A, B.shape)
     return np.concatenate([
-        segments_in_collision(arm, scene, A[s:s + per_call], B[s:s + per_call], t)
+        _segment_flags(arm, scene, A[s:s + per_call], B[s:s + per_call], t,
+                       None if known is None else known[s:s + per_call])
         for s in range(0, len(B), per_call)
     ])
 
@@ -373,7 +414,7 @@ def _first_free_edges(arm: ArmModel, scene: Scene, q, nodes: np.ndarray, candida
     nothing to skip. Its first round checks the first ``want`` candidates at
     full density in one batch; each later round prescreens a chunk on the
     coarse samples and checks its survivors on the rest in one batch."""
-    scan = _EdgeScan(q, np.asarray(candidates, dtype=np.intp))
+    scan = _EdgeScan(q, candidates)
     while True:
         verdicts, waiting = scan.walk(want)
         if not waiting:
@@ -400,10 +441,22 @@ def _connect_knn(scene: Scene, arm: ArmModel, nodes: np.ndarray, k: int):
     the samples ``j + t (i - j)`` can differ from ``i + t (j - i)`` in the
     last bit. When a commit decides a pair a later scan has read, or adds an
     edge to its node, that scan's next walk starts again over its memo and
-    re-checks nothing. A scan holds its candidate order as an int32 row, and
-    a committed node's scan and decided pairs are dropped; an edge's weight
-    is the norm the order was sorted by, made again for the accepted
-    neighbours only.
+    re-checks nothing. A scan that stays deep takes chunks that grow with
+    its memo, so it runs dry in O(log n) rounds.
+
+    Every node's clearance bound (``collision._clear_or_hit``) is computed
+    once, in one batch: the nodes were sampled free. Each edge check takes
+    the bounds of its two nodes (``collision._segment_flags``), so its
+    ``t = 0`` sample, the start node bit for bit, is not checked again, and
+    the other samples near either node are certified without the kernel.
+    An edge's verdict does not depend on which samples were certified.
+
+    A scan holds its candidate order as an int32 row: the stable partial
+    sort of its first ``_WALK_BLOCK`` candidates (``_stable_prefix``, ties
+    in index order), extended to the full stable argsort only when a walk
+    passes it. A committed node's scan and decided pairs are dropped; an
+    edge's weight is the norm the order was sorted by, made again for the
+    accepted neighbours only.
     """
     n = len(nodes)
     degree = [0] * n
@@ -413,14 +466,16 @@ def _connect_knn(scene: Scene, arm: ArmModel, nodes: np.ndarray, k: int):
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
     window: dict[int, _EdgeScan] = {}
+    # every node's clearance bound, from one batch: the nodes were sampled free
+    bounds = _clear_or_hit(arm, scene._geom, nodes)[1]
     first = 0   # the first node not committed
     while first < n:
         waiting = []
         for i in range(first, min(first + _WINDOW, n)):
             scan = window.get(i)
             if scan is None:
-                order = np.argsort(np.linalg.norm(nodes[i] - nodes, axis=1), kind="stable")
-                scan = window[i] = _EdgeScan(nodes[i], order.astype(np.int32))
+                dist = np.linalg.norm(nodes[i] - nodes, axis=1)
+                scan = window[i] = _EdgeScan(nodes[i], _stable_prefix(dist, _WALK_BLOCK), dist, bounds[i])
                 decided.setdefault(i, set()).add(i)
             verdicts, wait = scan.walk(k - degree[i], decided[i])
             if wait:
@@ -437,7 +492,7 @@ def _connect_knn(scene: Scene, arm: ArmModel, nodes: np.ndarray, k: int):
                 weights += np.linalg.norm(nodes[i] - nodes[accepted], axis=1).tolist()
                 del window[i], decided[i]
                 first += 1
-        _check_waiting(arm, scene, nodes, waiting)
+        _check_waiting(arm, scene, nodes, waiting, bounds)
     return edges, weights
 
 
@@ -480,6 +535,8 @@ def build_roadmap(scene: Scene, arm: ArmModel, params: RoadmapParams = RoadmapPa
     arm. Alternate-path entries are memoized on demand by
     :func:`k_shortest_paths` rather than precomputed for every pair.
     """
+    _check_kind("scene", scene, Scene)
+    _check_kind("arm", arm, ArmModel)
     nodes = _sample_nodes(scene, arm, params)
     edges, weights = _connect_knn(scene, arm, nodes, params.k_neighbors)
     keep = _largest_component(len(nodes), edges)
@@ -647,13 +704,9 @@ def _nearest_connectable(roadmap: Roadmap, arm: ArmModel, scene: Scene, q: np.nd
     """Nearest of the ``_CONNECT_SCAN_LIMIT`` nearest roadmap nodes (joint
     space) joined to ``q`` by a collision-free straight edge; ``dist`` holds
     the joint-space distances from ``q`` to every node."""
-    kth = min(_CONNECT_SCAN_LIMIT, len(dist)) - 1
-    if kth < 0:
+    if len(dist) == 0:
         return None     # a roadmap without nodes
-    # the stable argsort's first entries without sorting the rest: every node
-    # no farther than the (kth + 1)-th nearest, ties kept in index order
-    near = np.flatnonzero(dist <= np.partition(dist, kth)[kth])
-    order = near[np.argsort(dist[near], kind="stable")][:_CONNECT_SCAN_LIMIT]
+    order = _stable_prefix(dist, _CONNECT_SCAN_LIMIT)[:_CONNECT_SCAN_LIMIT]
     verdicts = _first_free_edges(arm, scene, q, roadmap.nodes, order, 1)
     return int(verdicts[-1][0]) if verdicts and verdicts[-1][1] else None
 
@@ -674,6 +727,7 @@ def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) ->
     the goal is matched against are the bound arm's, computed once per
     roadmap.
     """
+    _check_kind("roadmap", roadmap, Roadmap)
     roadmap.check_binding(scene, arm)
     start = np.asarray(start, dtype=float)
     _check_free(arm, scene, [("start configuration", start)])

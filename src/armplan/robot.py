@@ -130,6 +130,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_kind(name: str, value, kind: type) -> None:
+    """Raise ValueError naming the argument unless ``value`` is a ``kind``,
+    so that an argument of another kind (a scene passed as the arm, say)
+    fails at the public entry, not inside the package."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be an instance of {kind.__name__}, got {type(value).__name__}")
+
+
 def _check_config(arm: ArmModel, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (arm.dof,):
@@ -151,6 +159,7 @@ def _check_int(name: str, value, least: int) -> int:
 
 
 def within_limits(arm: ArmModel, q) -> bool:
+    _check_kind("arm", arm, ArmModel)
     q = _check_config(arm, q)
     return bool((q >= arm.lower).all() and (q <= arm.upper).all())
 
@@ -206,12 +215,14 @@ def chain_points(arm: ArmModel, Q) -> tuple[np.ndarray, np.ndarray]:
     K is the arm tip, and headings of shape (M, K). Headings are raw sums,
     not normalized.
     """
+    _check_kind("arm", arm, ArmModel)
     headings, _, steps = _link_steps(arm, _check_batch(arm, Q))
     return _joint_origins(arm, steps), headings
 
 
 def forward_kinematics(arm: ArmModel, q) -> tuple[list[Pose2], EEPose]:
     """Pose of each link frame (proximal joint, link heading) and the tip pose."""
+    _check_kind("arm", arm, ArmModel)
     q = _check_config(arm, q)
     origins, headings = chain_points(arm, q)
     link_poses = [
@@ -223,6 +234,7 @@ def forward_kinematics(arm: ArmModel, q) -> tuple[list[Pose2], EEPose]:
 
 def link_shapes(arm: ArmModel, q) -> list[ConvexShape]:
     """One world-frame rectangle per link, length x 2*half_width."""
+    _check_kind("arm", arm, ArmModel)
     link_poses, _ = forward_kinematics(arm, q)
     shapes = []
     for (length, hw), pose in zip(arm.links, link_poses):
@@ -233,6 +245,7 @@ def link_shapes(arm: ArmModel, q) -> list[ConvexShape]:
 
 def ee_jacobian(arm: ArmModel, q) -> np.ndarray:
     """Analytic 3xK Jacobian of the tip (x, y, heading) w.r.t. joint angles."""
+    _check_kind("arm", arm, ArmModel)
     _, _, steps = _link_steps(arm, _check_batch(arm, _check_config(arm, q)))
     return np.vstack([_tip_jacobian(steps)[:, 0], np.ones(arm.dof)])
 
@@ -263,6 +276,7 @@ def solve_ik(arm: ArmModel, target: EEPose, rng_seed: int = 0) -> list[np.ndarra
     unreachable targets are reported. Raises ValueError when rng_seed is not
     an integer >= 0.
     """
+    _check_kind("arm", arm, ArmModel)
     rng_seed = _check_int("rng_seed", rng_seed, 0)
     if math.hypot(target.x - arm.base.x, target.y - arm.base.y) > arm.reach + 1e-9:
         return []

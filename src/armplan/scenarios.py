@@ -23,7 +23,7 @@ import numpy as np
 from .baselines import rrt_plan, rrt_seed
 from .collision import Scene, configs_in_collision
 from .geometry import ConvexShape, Pose2
-from .robot import ArmModel, EEPose, _check_int, forward_kinematics, goal_seed, solve_ik, within_limits
+from .robot import ArmModel, EEPose, _check_int, _check_kind, forward_kinematics, goal_seed, solve_ik, within_limits
 
 # One version per file format: a roadmap binding hashes ``scene_to_dict``,
 # version included, so only a scene version bump rebinds saved roadmaps.
@@ -184,6 +184,8 @@ def _free_configs(scene: Scene, arm: ArmModel, rng: np.random.Generator, sampled
 def ik_goal_configs(arm: ArmModel, scene: Scene, goal: EEPose) -> list[np.ndarray]:
     """Collision-free IK solutions for a goal pose, with the package-wide
     deterministic seed convention and ``solve_ik``'s restarts."""
+    _check_kind("arm", arm, ArmModel)
+    _check_kind("scene", scene, Scene)
     sols = solve_ik(arm, goal, rng_seed=goal_seed(goal))
     if not sols:
         return []
@@ -208,6 +210,8 @@ def generate_test_suite(
     case is known to have a solution. Raises ValueError when count is not an
     integer >= 1 or rng_seed not an integer >= 0.
     """
+    _check_kind("scene", scene, Scene)
+    _check_kind("arm", arm, ArmModel)
     count = _check_int("count", count, 1)
     rng_seed = _check_int("rng_seed", rng_seed, 0)    # an int: the suite file's JSON stores no numpy int
     free = _free_configs(scene, arm, np.random.default_rng(rng_seed), arm.dof)
@@ -233,6 +237,7 @@ def generate_test_suite(
 # file formats
 
 def scene_to_dict(scene: Scene) -> dict:
+    _check_kind("scene", scene, Scene)
     return {
         "format_version": _SCENE_FORMAT_VERSION,
         "name": scene.name,

@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from armplan import collision
 from armplan.collision import (
     Scene, config_in_collision, configs_in_collision, edge_in_collision,
     min_clearance, pair_signed_distances,
     segments_in_collision, trajectory_in_collision,
-    _clear_or_hit, _gaps_margins, _link_aabbs, _RectBatch, _sample_fractions, _sat,
+    _CERTIFY_MARGIN, _clear_or_hit, _gaps_margins, _link_aabbs, _RectBatch, _sample_fractions, _sat,
+    _segment_flags,
 )
 from armplan.geometry import ConvexShape, Pose2, _point_segment_distance, signed_distance
 from armplan.optimizer import D_SAFE, _hinge_sums
+from armplan.roadmap import _T_COARSE, _T_FINE, _T_REST
 from armplan.robot import ArmModel, chain_points, link_shapes
 from armplan.scenarios import SCENE_NAMES, build_scene
 
@@ -870,6 +872,80 @@ def test_screen_bound_is_at_most_the_exact_clearance(arm, seed, name, five_links
     sd = pair_signed_distances(arm, scene, Q).min(axis=(1, 2), initial=np.inf)
     assert (bound <= np.minimum(np.maximum(sd, 0.0), margin) + 1e-12).all()
     assert np.array_equal(hit, unscreened_flags(arm, scene, Q))
+
+
+def _contact_segment(arm, scene, rng, free):
+    """A segment from a free configuration A to a free configuration B at a
+    contact, so that B's clearance bound is at most the margin, whose one
+    colliding sample is the last, ``A + (B - A)``: one joint of a row of
+    ``free`` is turned until it collides, bisected to two adjacent doubles,
+    free B and colliding C, and A is drawn on the free side until
+    ``A + (B - A)`` rounds to C and the other samples are free."""
+    def hit(Q):
+        return unscreened_flags(arm, scene, np.atleast_2d(Q))
+    while True:
+        q = free[rng.integers(len(free))]
+        j = int(rng.integers(arm.dof))
+        far = q.copy()
+        far[j] = arm.upper[j] if rng.random() < 0.5 else arm.lower[j]
+        sweep = q + np.linspace(0.0, 1.0, 200)[:, None] * (far - q)
+        flags = hit(sweep)
+        if not flags.any():
+            continue
+        first = int(np.argmax(flags))
+        B = sweep[first - 1].copy()
+        lo, hi = B[j], sweep[first, j]
+        while True:
+            B[j] = mid = lo + (hi - lo) / 2
+            if mid in (lo, hi):
+                break
+            lo, hi = (lo, mid) if hit(B)[0] else (mid, hi)
+        B[j] = lo
+        assert _clear_or_hit(arm, scene._geom, B[None])[1][0] <= _CERTIFY_MARGIN
+        for a in rng.uniform(min(q[j], lo), max(q[j], lo), 200):
+            A = B.copy()
+            A[j] = a
+            if a + (lo - a) == hi and not dense_segment_flags(arm, scene, A, B, _T_FINE[:-1]):
+                return A, B
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from([*SCENE_NAMES, "random_convex"]),
+    stage=st.sampled_from(["fine", "coarse", "rest", "ends"]),
+    scale=st.sampled_from([0.05, 0.3, 1.5]),
+    contact=st.booleans(),
+)
+@example(seed=0, name="shelf_boxes", stage="fine", scale=0.3, contact=True)
+@example(seed=1, name="kitchen", stage="coarse", scale=0.05, contact=True)
+def test_segments_certified_from_free_end_bounds_match_dense_oracle(arm, seed, name, stage, scale, contact):
+    """Segments between free configurations, checked with the clearance
+    bounds of both ends passed in as the roadmap build passes its nodes',
+    get the flags of the dense oracle over every sample: at the roadmap's
+    full, coarse and rest sample sets and at the two ends alone, on the
+    authored scenes and a random convex one. Among the ends are free ones
+    whose bound is at most the margin (link boxes overlapping an obstacle's
+    box), and, with ``contact``, a segment whose only colliding sample is
+    its last, ``A + (B - A)``, one ulp past its free end B, and the same
+    segment reversed."""
+    rng = np.random.default_rng(seed)
+    scene = _random_convex_scene(rng, 3) if name == "random_convex" else build_scene(name)
+    t = {"fine": _T_FINE, "coarse": _T_COARSE, "rest": _T_REST, "ends": _sample_fractions(0)}[stage]
+    Q = rng.uniform(arm.lower, arm.upper, size=(100, arm.dof))
+    free = Q[~unscreened_flags(arm, scene, Q)]
+    assume(len(free))   # a random obstacle can cover the arm's base
+    A = free[:int(rng.integers(1, 25))]
+    B = np.clip(A + rng.normal(scale=scale, size=A.shape), arm.lower, arm.upper)
+    A, B = A[~unscreened_flags(arm, scene, B)], B[~unscreened_flags(arm, scene, B)]
+    if contact:
+        a, b = _contact_segment(arm, scene, rng, free)
+        A, B = np.vstack([A, a, b]), np.vstack([B, b, a])
+    ends = np.column_stack([_clear_or_hit(arm, scene._geom, A)[1], _clear_or_hit(arm, scene._geom, B)[1]])
+    want = dense_segment_flags(arm, scene, A, B, t)
+    assert np.array_equal(_segment_flags(arm, scene, A, B, t, ends), want)
+    if contact and 1.0 in t:
+        assert want[-2] and not want[-1]
 
 
 @pytest.mark.parametrize("n_t", [17, 22])

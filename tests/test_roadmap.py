@@ -1,8 +1,10 @@
+import collections
 import contextlib
 import functools
 import heapq
 import itertools
 import json
+import math
 import pickle
 import re
 import signal
@@ -16,15 +18,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from armplan.collision import config_in_collision, configs_in_collision, edge_in_collision
-from armplan.collision import Scene, segments_in_collision
+from armplan.collision import Scene, _segment_flags
 from armplan.geometry import Pose2
 from armplan.robot import ArmModel, EEPose, chain_points, forward_kinematics
 from armplan import roadmap as roadmap_module
 from armplan.roadmap import (
     Roadmap, RoadmapBuildError, RoadmapParams, build_roadmap, invalidate_and_requery,
     k_shortest_paths, load_roadmap, query, save_roadmap, _connect_knn,
-    _edge_key, _first_free_edges, _induced_subgraph, _largest_component, _nearest_connectable,
-    _sample_nodes, _yen,
+    _edge_key, _EdgeScan, _first_free_edges, _induced_subgraph, _largest_component, _nearest_connectable,
+    _sample_nodes, _stable_prefix, _yen,
 )
 from armplan.scenarios import build_scene, default_arm, load_scene, save_scene, scene_to_dict
 from armplan.seedprep import path_length
@@ -634,12 +636,14 @@ def test_connect_knn_memory_is_per_row(unbounded_scene, arm):
 
 @pytest.mark.parametrize("scene_name", ["shelf_boxes", "kitchen"])
 def test_certified_build_matches_single_batch_build(arm, scene_name, monkeypatch):
-    """A build whose segment batches are certified has the nodes, edges and
-    weights of one whose every segment batch takes the unscreened kernel
-    over all of its samples (``dense_segment_flags``)."""
+    """A build whose segment batches are certified, from their samples and
+    the bounds of their end nodes, has the nodes, edges and weights of one
+    whose every segment batch takes the unscreened kernel over all of its
+    samples (``dense_segment_flags``), ignoring the end bounds."""
     scene, params = build_scene(scene_name), RoadmapParams(n_nodes=150)
     got = build_roadmap(scene, arm, params)
-    monkeypatch.setattr(roadmap_module, "segments_in_collision", dense_segment_flags)
+    monkeypatch.setattr(roadmap_module, "_segment_flags",
+                        lambda arm, scene, A, B, t, known=None: dense_segment_flags(arm, scene, A, B, t))
     want = build_roadmap(scene, arm, params)
     assert np.array_equal(got.nodes, want.nodes)
     assert got.edge_list == want.edge_list
@@ -680,12 +684,12 @@ def test_first_free_edges_checks_a_chunks_survivors_in_one_call(status, want):
     blocking = {"fine": ("coarse", "rest"), "coarse": ("coarse",), "rest": ("rest",)}
     stages = []
 
-    def stand_in(arm, scene, q, B, t):
+    def stand_in(arm, scene, q, B, t, known=None):
         stages.append(stage_of[id(t)])
         return np.array([status[int(j)] in blocking[stages[-1]] for j in B[:, 0]], dtype=bool)
 
     nodes = np.arange(len(status), dtype=float)[:, None]    # node j is edge j
-    with mock.patch.object(roadmap_module, "segments_in_collision", stand_in):
+    with mock.patch.object(roadmap_module, "_segment_flags", stand_in):
         got = _first_free_edges(None, None, None, nodes, range(len(status)), want)
     walk = []
     for j, edge in enumerate(status):
@@ -709,9 +713,9 @@ def test_first_free_edges_checks_a_free_nearest_edge_in_one_call(arm, pole_scene
 
     def counting(*args):
         calls.append(args)
-        return segments_in_collision(*args)
+        return _segment_flags(*args)
 
-    monkeypatch.setattr(roadmap_module, "segments_in_collision", counting)
+    monkeypatch.setattr(roadmap_module, "_segment_flags", counting)
     assert _first_free_edges(arm, pole_scene, q, nodes, order, 1) == [(order[0], True)]
     assert len(calls) == 1
 
@@ -734,6 +738,55 @@ def test_nearest_connectable_scans_the_stable_nearest_order(monkeypatch, n_nodes
         dist = rng.integers(0, 6, size=n_nodes).astype(float)   # many ties
         assert _nearest_connectable(rm, None, None, None, dist) is None
         assert scanned[-1] == np.argsort(dist, kind="stable")[:50].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    values=st.integers(1, 12),
+    block=st.sampled_from([1, 3, 64]),
+    seed=st.integers(0, 2**32 - 1),
+    start=st.integers(0, 320),
+)
+@example(n=130, values=2, block=64, seed=0, start=0)    # the 64th place falls in a tie group
+def test_lazy_scan_order_is_the_stable_argsort(n, values, block, seed, start):
+    """A scan built from integer distances with many ties, whose tie
+    groups straddle the prefix's ``block``-th place, reads the candidates
+    of ``np.argsort(dist, kind="stable")`` from any position, extending its
+    prefix to the whole order only when a walk passes it."""
+    dist = np.random.default_rng(seed).integers(0, values, size=n).astype(float)
+    want = np.argsort(dist, kind="stable").tolist()
+    prefix = _stable_prefix(dist, block)
+    assert prefix.tolist() == want[:len(prefix)]
+    assert len(prefix) >= min(block, n)
+    with mock.patch.object(roadmap_module, "_WALK_BLOCK", block):
+        scan = _EdgeScan(None, prefix, dist)
+        assert list(itertools.islice(scan._candidates(0), len(prefix))) == want[:len(prefix)]
+        assert len(scan.order) == len(prefix)        # not extended yet
+        assert list(scan._candidates(start)) == want[start:]
+        assert scan.order.tolist() == want and scan.dist is None
+
+
+def test_dry_scans_check_in_logarithmically_many_rounds():
+    """On a 120-node ``shelf_boxes`` build, a scan that runs dry (never
+    reaches degree k) reads every candidate in O(log n) check rounds, not
+    n / 8: each prescreened chunk is at least as large as what the scan has
+    already checked."""
+    rounds, scans = collections.Counter(), {}
+    check = roadmap_module._check_waiting
+
+    def counting(arm, scene, nodes, waiting, *args):
+        for scan, _ in waiting:
+            rounds[id(scan)] += 1
+            scans[id(scan)] = scan
+        return check(arm, scene, nodes, waiting, *args)
+
+    n = 120
+    with mock.patch.object(roadmap_module, "_check_waiting", counting):
+        build_roadmap(build_scene("shelf_boxes"), default_arm(), RoadmapParams(n_nodes=n))
+    dry = [rounds[key] for key, scan in scans.items() if scan.left > 0]
+    assert dry
+    assert max(dry) <= math.ceil(math.log2(n)), sorted(dry)
 
 
 def test_nearest_connectable_on_a_roadmap_without_nodes():

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from armplan import baselines, bench, collision, optimizer, roadmap, scenarios
 from armplan.geometry import Pose2, wrap_angles
 from armplan.robot import (
     IK_HEADING_TOL, IK_POSITION_TOL, _IK_DAMPING, _IK_MAX_ITERS, _IK_RESTARTS, ArmModel, EEPose,
@@ -459,3 +461,62 @@ def test_solve_ik_rejects_bad_rng_seed(bad):
     with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
         solve_ik(straight_arm(), EEPose(1.5, 1.0, 0.0), rng_seed=bad)
 
+
+
+# A call of every public entry that takes an arm and/or a scene (or a roadmap),
+# with the first of them given an argument of another kind, and the message
+# that names it.
+_ARM_GOT_SCENE = "arm must be an instance of ArmModel, got Scene"
+_SCENE_GOT_ARM = "scene must be an instance of Scene, got ArmModel"
+_SWAPPED_CALLS = {
+    "within_limits": (lambda a, s, rm, suite, p: within_limits(s, np.zeros(4)), _ARM_GOT_SCENE),
+    "chain_points": (lambda a, s, rm, suite, p: chain_points(s, np.zeros((1, 4))), _ARM_GOT_SCENE),
+    "forward_kinematics": (lambda a, s, rm, suite, p: forward_kinematics(s, np.zeros(4)), _ARM_GOT_SCENE),
+    "link_shapes": (lambda a, s, rm, suite, p: link_shapes(s, np.zeros(4)), _ARM_GOT_SCENE),
+    "ee_jacobian": (lambda a, s, rm, suite, p: ee_jacobian(s, np.zeros(4)), _ARM_GOT_SCENE),
+    "solve_ik": (lambda a, s, rm, suite, p: solve_ik(s, EEPose(0.5, 0.5, 0.0)), _ARM_GOT_SCENE),
+    "configs_in_collision": (lambda a, s, rm, suite, p: collision.configs_in_collision(s, a, np.zeros((1, 4))),
+                             _ARM_GOT_SCENE),
+    "config_in_collision": (lambda a, s, rm, suite, p: collision.config_in_collision(s, a, np.zeros(4)),
+                            _ARM_GOT_SCENE),
+    "pair_signed_distances": (lambda a, s, rm, suite, p: collision.pair_signed_distances(s, a, np.zeros((1, 4))),
+                              _ARM_GOT_SCENE),
+    "min_clearance": (lambda a, s, rm, suite, p: collision.min_clearance(s, a, np.zeros(4)), _ARM_GOT_SCENE),
+    "segments_in_collision": (lambda a, s, rm, suite, p: collision.segments_in_collision(
+        s, a, np.zeros(4), np.ones(4), np.linspace(0.0, 1.0, 5)), _ARM_GOT_SCENE),
+    "edge_in_collision": (lambda a, s, rm, suite, p: collision.edge_in_collision(s, a, np.zeros(4), np.ones(4)),
+                          _ARM_GOT_SCENE),
+    "trajectory_in_collision": (lambda a, s, rm, suite, p: collision.trajectory_in_collision(
+        s, a, np.zeros((2, 4))), _ARM_GOT_SCENE),
+    "ik_goal_configs": (lambda a, s, rm, suite, p: scenarios.ik_goal_configs(s, a, EEPose(0.5, 0.5, 0.0)),
+                        _ARM_GOT_SCENE),
+    "generate_test_suite": (lambda a, s, rm, suite, p: scenarios.generate_test_suite(a, s, 1, 0), _SCENE_GOT_ARM),
+    "scene_to_dict": (lambda a, s, rm, suite, p: scenarios.scene_to_dict(a), _SCENE_GOT_ARM),
+    "save_scene": (lambda a, s, rm, suite, p: scenarios.save_scene(a, p / "scene.json"), _SCENE_GOT_ARM),
+    "build_roadmap": (lambda a, s, rm, suite, p: roadmap.build_roadmap(a, s), _SCENE_GOT_ARM),
+    "Roadmap.check_binding": (lambda a, s, rm, suite, p: rm.check_binding(a, s), _SCENE_GOT_ARM),
+    "query": (lambda a, s, rm, suite, p: roadmap.query(rm, s, a, np.zeros(4), EEPose(0.5, 0.5, 0.0)),
+              _SCENE_GOT_ARM),
+    "query (roadmap)": (lambda a, s, rm, suite, p: roadmap.query(a, rm, s, np.zeros(4), EEPose(0.5, 0.5, 0.0)),
+                        "roadmap must be an instance of Roadmap, got ArmModel"),
+    "rrt_plan": (lambda a, s, rm, suite, p: baselines.rrt_plan(a, s, np.zeros(4), [np.ones(4)]), _SCENE_GOT_ARM),
+    "collision_penalty": (lambda a, s, rm, suite, p: optimizer.collision_penalty(np.zeros((3, 4)), s, a),
+                          _ARM_GOT_SCENE),
+    "merit_gradient": (lambda a, s, rm, suite, p: optimizer.merit_gradient(np.zeros((3, 4)), s, a, 1.0),
+                       _ARM_GOT_SCENE),
+    "optimize": (lambda a, s, rm, suite, p: optimizer.optimize(np.zeros((3, 4)), s, a), _ARM_GOT_SCENE),
+    "run_case": (lambda a, s, rm, suite, p: bench.run_case(s, a, suite.cases[0], 0, "rrt", bench.BenchParams()),
+                 _ARM_GOT_SCENE),
+    "run_benchmark": (lambda a, s, rm, suite, p: bench.run_benchmark(suite, "rrt", scene=a), _SCENE_GOT_ARM),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SWAPPED_CALLS))
+def test_public_entries_name_an_argument_of_another_kind(entry, arm, pole_scene, small_pole_roadmap,
+                                                         small_pole_suite, tmp_path):
+    """A public function given a scene for its arm, an arm for its scene
+    (the two swapped) or an arm for its roadmap raises ValueError naming the
+    parameter and the kind it got, before it reads the argument."""
+    call, message = _SWAPPED_CALLS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(arm, pole_scene, small_pole_roadmap, small_pole_suite, tmp_path)
