@@ -44,14 +44,19 @@ def rrt_plan(
     interpolation scaled to the segment length (at least 10 points). Returns
     the waypoint path on success, None after ``RRT_MAX_ITERS`` iterations
     without reaching a goal. Raises ValueError when rng_seed is not an
-    integer >= 0, or the start or a goal is outside the joint limits or in
-    collision.
+    integer >= 0, goal_configs is not iterable, or the start or a goal is
+    outside the joint limits or in collision.
     """
     _check_kind("scene", scene, Scene)
     _check_kind("arm", arm, ArmModel)
     rng_seed = _check_int("rng_seed", rng_seed, 0)
     start = np.asarray(start, dtype=float)
-    goals = [np.asarray(g, dtype=float) for g in goal_configs]
+    try:
+        goals = iter(goal_configs)
+    except TypeError:
+        raise ValueError(f"goal_configs must be an iterable of configurations, "
+                         f"got {type(goal_configs).__name__}") from None
+    goals = [np.asarray(g, dtype=float) for g in goals]
     if not goals:
         raise ValueError("at least one goal configuration is required")
     _check_free(arm, scene, [("start configuration", start), *(("goal configuration", g) for g in goals)])

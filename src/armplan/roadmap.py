@@ -9,19 +9,21 @@ source (``_first_free_edges``), prunes everything outside the
 largest connected component, and caches the all-pairs shortest-path
 distances. The build computes every node's clearance bound once, and each
 edge check certifies samples from the bounds of its two end nodes as well
-as from its own checked samples; a scan sorts only the nearest part of its
-candidates until its walk reads past it. A shortest path is read off those
-distances by walking from its source towards its target. The ``k_paths`` loopless alternate paths of a
-node pair come from scipy's Yen (``scipy.sparse.csgraph.yen``) and are
-memoized, which is what edge invalidation falls back on. Every path
-search orders paths by length first and, among equal lengths, by the
-lexicographically smallest node sequence; scipy returns equal-length
-paths in no set order, so ``_yen`` completes each tie group before it
-orders it. Yen runs on the subgraph of the nodes that the cached
-distances allow on a path no longer than a bound: a node w is on no
-u -> v path shorter than ``apsp_dist[u, w] + apsp_dist[v, w]``, so the
-subgraph holds every path within the bound, and when its k-th path is
-within the bound, its first k paths are the whole graph's, ties included
+as from its own checked samples; a scan is its candidate order and a memo
+of its verdicts, and sorts only the nearest part of its candidates until
+its walk reads past it. A shortest path is read off those distances by
+walking from its source towards its target. The ``k_paths`` loopless
+alternate paths of a node pair come from scipy's Yen
+(``scipy.sparse.csgraph.yen``) and are memoized, which is what edge
+invalidation falls back on. Every path search orders paths by length
+first and, among equal lengths, by the lexicographically smallest node
+sequence; scipy returns equal-length paths in no set order, so ``_yen``
+completes each tie group before it orders it. Yen runs on the subgraph
+(scipy's row and column slice) of the nodes that the cached distances
+allow on a path no longer than a bound: a node w is on no u -> v path
+shorter than ``apsp_dist[u, w] + apsp_dist[v, w]``, so the subgraph holds
+every path within the bound, and when its k-th path is within the bound,
+its first k paths are the whole graph's, ties included
 (``k_shortest_paths`` says how the bound grows until they are).
 
 A saved roadmap (format 3) holds only what the build decided: nodes, edges,
@@ -29,7 +31,8 @@ weights, the four ``RoadmapParams`` values, and the scene and arm it is
 bound to (a sha256 of the scene's JSON form and the arm's fingerprint). The
 path caches are not stored: every ``Roadmap`` rebuilds the APSP distances
 from its edges when it is constructed, and memoizes alternate paths again on
-demand. Files of formats 1 and 2 are rejected.
+demand. Files of formats 1 and 2 are rejected. A roadmap's edges are
+integer node pairs, in memory as in a file.
 
 A roadmap holds the arm it is bound to, rebuilt once from the fingerprint,
 and compares a query's arm with it by value; a query's scene is hashed only
@@ -74,9 +77,8 @@ _T_COARSE, _T_REST = (_T_FINE[idx] for idx in _coarse_split(len(_T_FINE)))
 # Fewest candidate edges prescreened in one batch.
 _CHUNK_MIN = 8
 # Nodes whose edge scans ``_connect_knn`` advances together, most samples
-# (edges times sample fractions) in one shared segment check, and
-# candidates a scan's walk converts to Python ints at a time (also the
-# length of the sorted prefix of a build scan's order).
+# (edges times sample fractions) in one shared segment check, and the
+# length of the sorted prefix of a build scan's order.
 _WINDOW = 32
 _CALL_SAMPLES = 2048
 _WALK_BLOCK = 64
@@ -124,19 +126,23 @@ def _binding(scene: Scene, arm: ArmModel) -> dict:
 class Roadmap:
     """Immutable-after-build roadmap: nodes, weighted edges and path caches,
     bound to the scene and arm it was built for. The APSP distances are
-    computed from the edges here, once; a malformed graph raises ValueError
-    first. ``nodes``, ``edge_weights`` and the binding are copies of the
-    values passed in; the arrays, ``graph``'s CSR arrays, ``apsp_dist`` and
-    the tip arrays of ``node_tip_poses`` are read-only, and ``binding``
-    returns a fresh copy of the binding. ``arm``, the bound arm, is rebuilt
-    from the binding on first use. A pickled copy is built again from the
-    same arguments."""
+    computed from the edges here, once; a malformed graph, edges that are
+    not integer node pairs included, raises ValueError first. ``nodes``,
+    ``edge_weights`` and the binding are copies of the values passed in,
+    ``edge_list`` a list of int pairs; the arrays, ``graph``'s CSR arrays,
+    ``apsp_dist`` and the tip arrays of ``node_tip_poses`` are read-only,
+    and ``binding`` returns a fresh copy of the binding. ``arm``, the bound
+    arm, is rebuilt from the binding on first use. A pickled copy is built
+    again from the same arguments."""
 
     def __init__(self, nodes, edge_list, edge_weights, params: RoadmapParams, binding: dict):
         self.nodes = _read_only(np.array(nodes, dtype=float))
-        self.edge_list = [(int(u), int(v)) for u, v in edge_list]
+        ends = np.asarray(edge_list)
+        if not ends.size:   # no edges: an empty list has no integer type
+            ends = np.zeros((0, 2), dtype=np.int64)
         self.edge_weights = _read_only(np.array(edge_weights, dtype=float))
-        _check_graph(self.nodes, self.edge_list, self.edge_weights)
+        _check_graph(self.nodes, ends, self.edge_weights)
+        self.edge_list = list(map(tuple, ends.tolist()))
         self.params = params
         self._binding = json.loads(json.dumps(binding))
         # Yen memo: (u, v) -> its paths
@@ -145,7 +151,7 @@ class Roadmap:
         # keeps no scene alive
         self._matched_scene: weakref.ref[Scene] | None = None
         # the edges as a symmetric CSR matrix, the alternate-path searches' graph
-        self.graph = _csr_graph(len(self.nodes), self.edge_list, self.edge_weights)
+        self.graph = _csr_graph(len(self.nodes), ends, self.edge_weights)
         for a in (self.graph.data, self.graph.indices, self.graph.indptr):
             _read_only(a)
         self.apsp_dist = _read_only(_sparse_dijkstra(self.graph, directed=True))
@@ -228,23 +234,26 @@ class Roadmap:
                              f"not {_arm_fingerprint(arm)}; rebuild it for this arm")
 
 
-def _check_graph(nodes: np.ndarray, edges: list[tuple[int, int]], weights: np.ndarray) -> None:
-    """Raise ValueError unless the nodes are a finite (n, dof) matrix, every
-    edge joins two distinct nodes at most once, and each edge has one finite,
-    positive weight, so that a shortest-path walk always gets closer to its
-    target."""
+def _check_graph(nodes: np.ndarray, ends: np.ndarray, weights: np.ndarray) -> None:
+    """Raise ValueError unless the nodes are a finite (n, dof) matrix, the
+    edges ``ends`` an (E, 2) integer array whose every edge joins two
+    distinct nodes at most once, and each edge has one finite, positive
+    weight, so that a shortest-path walk always gets closer to its target."""
     if nodes.ndim != 2:
         raise ValueError(f"roadmap nodes must be an (n, dof) matrix, got shape {nodes.shape}")
     n = len(nodes)
     if not np.isfinite(nodes).all():
         raise ValueError("roadmap nodes must be finite")
-    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ValueError(f"roadmap edges must be node pairs, got an array of shape {ends.shape}")
+    if ends.dtype.kind not in "iu":
+        raise ValueError(f"roadmap edges must be integers, not {ends.dtype}")
     if ((ends < 0) | (ends >= n)).any() or (ends[:, 0] == ends[:, 1]).any():
         raise ValueError(f"every roadmap edge must join two distinct nodes of 0..{n - 1}")
     if len(np.unique(np.sort(ends, axis=1), axis=0)) != len(ends):
         raise ValueError("a roadmap edge is listed twice")
-    if weights.shape != (len(edges),):
-        raise ValueError(f"{weights.size} edge weights for {len(edges)} edges")
+    if weights.shape != (len(ends),):
+        raise ValueError(f"{weights.size} edge weights for {len(ends)} edges")
     if not (np.isfinite(weights) & (weights > 0)).all():
         raise ValueError("roadmap edge weights must be finite and positive")
 
@@ -269,33 +278,29 @@ def _stable_prefix(dist: np.ndarray, count: int) -> np.ndarray:
 
 class _EdgeScan:
     """The edge scan of one source configuration ``q`` over candidate nodes
-    in the order of a numpy row, nearest first, with a memo of the verdicts
-    of the edges from ``q`` it has had checked, and where its last walk
-    stopped. Given the distances ``dist`` the order is built lazily:
-    ``order`` is then a prefix of ``np.argsort(dist, kind="stable")``
-    (``_stable_prefix``), extended to the whole argsort when a walk runs
-    past it. ``bound`` is the clearance bound of ``q`` when it is a free
-    node whose edges may be certified from it, and None otherwise."""
+    in ``order``, a list nearest first, with a memo of the verdicts of the
+    edges from ``q`` it has had checked. Given the distances ``dist`` the
+    order is built lazily: ``order`` is then a prefix of
+    ``np.argsort(dist, kind="stable")`` (``_stable_prefix``), extended to
+    the whole argsort when a walk runs past it. ``bound`` is the clearance
+    bound of ``q`` when it is a free node whose edges may be certified from
+    it, and None otherwise."""
 
-    __slots__ = ("q", "order", "dist", "bound", "memo", "key", "at", "verdicts", "left")
+    __slots__ = ("q", "order", "dist", "bound", "memo")
 
     def __init__(self, q: np.ndarray, order, dist: np.ndarray | None = None, bound: float | None = None):
-        self.q, self.order, self.bound = q, np.asarray(order, dtype=np.int32), bound
+        self.q, self.order, self.bound = q, np.asarray(order).tolist(), bound
         self.dist = None if dist is None or len(self.order) == len(dist) else dist
         self.memo: dict[int, bool] = {}
-        self.key = None
 
-    def _candidates(self, start: int):
-        """The candidates from position ``start`` on as Python ints,
-        converted ``_WALK_BLOCK`` at a time, so a walk converts only what it
-        reads; passing the end of a prefix sorts the whole order once."""
-        while True:
-            for at in range(start, len(self.order), _WALK_BLOCK):
-                yield from self.order[at:at + _WALK_BLOCK].tolist()
-            if self.dist is None:
-                return
-            start = max(start, len(self.order))
-            self.order, self.dist = np.argsort(self.dist, kind="stable").astype(np.int32), None
+    def _candidates(self):
+        """The candidates in order; passing the end of a prefix sorts the
+        whole order once."""
+        yield from self.order
+        if self.dist is not None:
+            at = len(self.order)
+            self.order, self.dist = np.argsort(self.dist, kind="stable").tolist(), None
+            yield from itertools.islice(self.order, at, None)
 
     def walk(self, need: int, skip=frozenset()) -> tuple[list[tuple[int, bool]], list[int]]:
         """The ``(j, free)`` verdicts of the candidates not in ``skip``, in
@@ -314,20 +319,14 @@ class _EdgeScan:
         O(log n) rounds: one that runs dry reads every candidate anyway,
         and one that stops checks at most one chunk past its last verdict.
 
-        ``skip`` may only grow from walk to walk. A walk with the ``need``
-        and the size of ``skip`` of the last one goes on from where that one
-        stopped; any other starts again from the first candidate, over the
-        memo, so it re-checks nothing."""
-        key = (need, len(skip))
-        if self.key != key:
-            self.key, self.at, self.verdicts, self.left = key, 0, [], need
+        Every walk reads from the first candidate over the memo, so it
+        re-checks nothing; ``skip`` may only grow from walk to walk."""
+        verdicts: list[tuple[int, bool]] = []
         waiting: list[int] = []
-        left = self.left
-        if left <= 0:
-            return self.verdicts, waiting
-        memo, verdicts = self.memo, self.verdicts
-        size = 0
-        for at, j in enumerate(self._candidates(self.at), self.at):
+        if need <= 0:
+            return verdicts, waiting
+        memo, left, size = self.memo, need, 0
+        for j in self._candidates():
             if j in skip:
                 continue
             if not waiting:
@@ -338,14 +337,10 @@ class _EdgeScan:
                     if left == 0:
                         break
                     continue
-                self.at = at
                 size = max(2 * left, _CHUNK_MIN, len(memo)) if memo else left
             waiting.append(j)
             if len(waiting) == size:
                 break
-        self.left = left
-        if not waiting:
-            self.at = len(self.order)
         return verdicts, waiting
 
 
@@ -366,14 +361,9 @@ def _check_waiting(arm: ArmModel, scene: Scene, nodes: np.ndarray, waiting, boun
     for group, t in ((dense, _T_FINE), (screened, _T_COARSE)):
         if not group:
             continue
-        single = len(group) == 1
         counts = [len(w) for _, w in group]
-        if single:
-            (scan, js), = group
-            starts = scan.q                 # broadcast over the edges
-        else:
-            js = [j for _, scan_js in group for j in scan_js]
-            starts = np.repeat(np.array([scan.q for scan, _ in group]), counts, axis=0)
+        js = [j for _, scan_js in group for j in scan_js]
+        starts = np.repeat(np.array([scan.q for scan, _ in group]), counts, axis=0)
         ends = nodes[js]
         known = None
         if bounds is not None:
@@ -383,7 +373,7 @@ def _check_waiting(arm: ArmModel, scene: Scene, nodes: np.ndarray, waiting, boun
             survivors = free.nonzero()[0]
             if len(survivors):
                 free[survivors] = ~_segments_in_calls(
-                    arm, scene, starts if single else starts[survivors], ends[survivors], _T_REST,
+                    arm, scene, starts[survivors], ends[survivors], _T_REST,
                     None if known is None else known[survivors])
         free = iter(free.tolist())
         for scan, js in group:
@@ -392,14 +382,12 @@ def _check_waiting(arm: ArmModel, scene: Scene, nodes: np.ndarray, waiting, boun
 
 def _segments_in_calls(arm: ArmModel, scene: Scene, A: np.ndarray, B: np.ndarray, t: np.ndarray,
                        known: np.ndarray | None = None) -> np.ndarray:
-    """``_segment_flags`` of the segments from ``A`` (one start, or one per
-    segment) to ``B``, with the endpoint bounds ``known`` (one row per
-    segment) when given, in calls of at most ``_CALL_SAMPLES`` samples (at
-    least one segment)."""
+    """``_segment_flags`` of the segments from ``A`` to ``B``, with the
+    endpoint bounds ``known`` (one row per segment) when given, in calls of
+    at most ``_CALL_SAMPLES`` samples (at least one segment)."""
     per_call = max(1, _CALL_SAMPLES // len(t))
     if len(B) <= per_call:
         return _segment_flags(arm, scene, A, B, t, known)
-    A = np.broadcast_to(A, B.shape)
     return np.concatenate([
         _segment_flags(arm, scene, A[s:s + per_call], B[s:s + per_call], t,
                        None if known is None else known[s:s + per_call])
@@ -439,10 +427,11 @@ def _connect_knn(scene: Scene, arm: ArmModel, nodes: np.ndarray, k: int):
     (``_check_waiting``). A commit keeps only the verdicts its walk read.
     An edge is checked from the side of the scan that reads it, as in turn:
     the samples ``j + t (i - j)`` can differ from ``i + t (j - i)`` in the
-    last bit. When a commit decides a pair a later scan has read, or adds an
-    edge to its node, that scan's next walk starts again over its memo and
-    re-checks nothing. A scan that stays deep takes chunks that grow with
-    its memo, so it runs dry in O(log n) rounds.
+    last bit. Every walk reads its scan from the first candidate over the
+    memo, so a pair a commit decided or an edge it added to the scan's node
+    is seen at once, and nothing is checked twice. A scan that stays deep
+    takes chunks that grow with its memo, so it runs dry in O(log n)
+    rounds.
 
     Every node's clearance bound (``collision._clear_or_hit``) is computed
     once, in one batch: the nodes were sampled free. Each edge check takes
@@ -451,10 +440,10 @@ def _connect_knn(scene: Scene, arm: ArmModel, nodes: np.ndarray, k: int):
     the other samples near either node are certified without the kernel.
     An edge's verdict does not depend on which samples were certified.
 
-    A scan holds its candidate order as an int32 row: the stable partial
-    sort of its first ``_WALK_BLOCK`` candidates (``_stable_prefix``, ties
-    in index order), extended to the full stable argsort only when a walk
-    passes it. A committed node's scan and decided pairs are dropped; an
+    A scan holds its candidate order as a list: the stable partial sort of
+    its first ``_WALK_BLOCK`` candidates (``_stable_prefix``, ties in index
+    order), extended to the full stable argsort only when a walk passes
+    it. A committed node's scan and decided pairs are dropped; an
     edge's weight is the norm the order was sorted by, made again for the
     accepted neighbours only.
     """
@@ -505,7 +494,7 @@ def _largest_component(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
 
 def _csr_graph(n: int, edges, weights) -> csr_matrix:
     """Symmetric weighted adjacency, each row's neighbours ascending."""
-    us, vs = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    us, vs = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
     ws = np.asarray(weights, dtype=float)
     graph = csr_matrix((np.concatenate([ws, ws]), (np.r_[us, vs], np.r_[vs, us])), shape=(n, n))
     graph.sort_indices()
@@ -539,10 +528,11 @@ def build_roadmap(scene: Scene, arm: ArmModel, params: RoadmapParams = RoadmapPa
     _check_kind("arm", arm, ArmModel)
     nodes = _sample_nodes(scene, arm, params)
     edges, weights = _connect_knn(scene, arm, nodes, params.k_neighbors)
-    keep = _largest_component(len(nodes), edges)
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    keep = _largest_component(len(nodes), ends)
     remap = np.full(len(nodes), -1)
     remap[keep] = np.arange(len(keep))  # increasing, so each edge stays (low, high)
-    ends = remap[np.array(edges, dtype=np.int64).reshape(-1, 2)]
+    ends = remap[ends]
     kept = ends[:, 0] >= 0  # an edge's ends share a component
     return Roadmap(nodes[keep], ends[kept], np.array(weights)[kept], params, _binding(scene, arm))
 
@@ -592,27 +582,14 @@ def _yen(graph: csr_matrix, src: int, dst: int, k: int) -> list[tuple[int, ...]]
     return [p for _, p in _ranked_yen(graph, src, dst, k)]
 
 
-def _induced_subgraph(graph: csr_matrix, keep: np.ndarray) -> csr_matrix:
-    """The subgraph of ``graph`` on the ascending node ids ``keep``, node
-    ``keep[i]`` numbered i; each row's neighbours stay ascending."""
-    indptr, indices = graph.indptr, graph.indices
-    starts, counts = indptr[keep], indptr[keep + 1] - indptr[keep]
-    # the positions of the kept rows' entries in graph.indices, row by row
-    pos = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-    number = np.full(graph.shape[0], -1)
-    number[keep] = np.arange(len(keep))
-    cols = number[indices[pos]]
-    inside = cols >= 0
-    rows = np.repeat(np.arange(len(keep)), counts)[inside]
-    sub_indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(keep)))]
-    return csr_matrix((graph.data[pos][inside], cols[inside], sub_indptr), shape=(len(keep), len(keep)))
-
-
 def _bounded_yen(graph: csr_matrix, apsp: np.ndarray, u: int, v: int, k: int) -> list[tuple[int, ...]]:
     """``_yen(graph, u, v, k)``, run on the subgraphs of the nodes w with
     ``apsp[u, w] + apsp[v, w]`` within a bound that grows from a little above
     the shortest length until the answer is exact (see
-    :func:`k_shortest_paths`). ``apsp`` holds ``graph``'s distances."""
+    :func:`k_shortest_paths`). ``apsp`` holds ``graph``'s distances. A
+    subgraph is scipy's slice ``graph[keep][:, keep]`` of the ascending
+    node ids ``keep``, node ``keep[i]`` numbered i, each row's neighbours
+    ascending."""
     if u == v:
         return [(u,)]
     via = apsp[u] + apsp[v]     # the graph is symmetric: apsp[v, w] is w's distance to v
@@ -626,7 +603,7 @@ def _bounded_yen(graph: csr_matrix, apsp: np.ndarray, u: int, v: int, k: int) ->
         if len(keep) > kept:    # otherwise the last pass's subgraph and paths stand
             kept, ids = len(keep), keep.tolist()
             src, dst = np.searchsorted(keep, [u, v]).tolist()
-            ranked = _ranked_yen(_induced_subgraph(graph, keep), src, dst, k)
+            ranked = _ranked_yen(graph[keep][:, keep], src, dst, k)
             paths = [tuple(ids[i] for i in p) for _, p in ranked]
         if kept == component or len(ranked) == k and ranked[-1][0] <= bound:
             return paths
@@ -663,10 +640,16 @@ def k_shortest_paths(roadmap: Roadmap, u: int, v: int) -> list[list[int]]:
 def invalidate_and_requery(roadmap: Roadmap, blocked_edges, u: int, v: int) -> list[int] | None:
     """First cached alternate path between two nodes that avoids every blocked
     edge, or None when all cached alternatives are blocked. The roadmap graph
-    itself is never modified. Raises ValueError, naming the edge, when a
-    blocked edge is not a pair of node indices."""
+    itself is never modified. Raises ValueError when ``blocked_edges`` is
+    not iterable, or, naming the edge, when a blocked edge is not a pair of
+    node indices."""
+    try:
+        edges = iter(blocked_edges)
+    except TypeError:
+        raise ValueError(f"blocked_edges must be an iterable of node pairs, "
+                         f"got {type(blocked_edges).__name__}") from None
     blocked = set()
-    for edge in blocked_edges:
+    for edge in edges:
         try:
             a, b = edge
             roadmap._check_nodes(a, b)
@@ -722,12 +705,13 @@ def query(roadmap: Roadmap, arm: ArmModel, scene: Scene, start, goal: EEPose) ->
     the smallest total length. A goal candidate whose node the start's node
     cannot reach (a roadmap of several components) is skipped; with none
     left the query fails with 'goal_connect'. Raises ValueError when the
-    roadmap was built for another scene or arm (``Roadmap.check_binding``),
-    or the start is outside the joint limits or in collision. The node tips
-    the goal is matched against are the bound arm's, computed once per
-    roadmap.
+    goal is no ``EEPose``, the roadmap was built for another scene or arm
+    (``Roadmap.check_binding``), or the start is outside the joint limits or
+    in collision. The node tips the goal is matched against are the bound
+    arm's, computed once per roadmap.
     """
     _check_kind("roadmap", roadmap, Roadmap)
+    _check_kind("goal", goal, EEPose)
     roadmap.check_binding(scene, arm)
     start = np.asarray(start, dtype=float)
     _check_free(arm, scene, [("start configuration", start)])
@@ -833,11 +817,9 @@ def load_roadmap(path) -> Roadmap:
             raise ValueError(f"format version {meta.get('format_version')!r}, not {FORMAT_VERSION}; "
                              "rebuild it with `armplan roadmap build`")
         _check_json_layout(meta, _META_LAYOUT, "meta")
-        if data["edges"].dtype.kind not in "iu":
-            raise ValueError(f"edges must be integers, not {data['edges'].dtype}")
         rm = Roadmap(
             nodes=data["nodes"],
-            edge_list=data["edges"].reshape(-1, 2).tolist(),
+            edge_list=data["edges"],
             edge_weights=data["edge_weights"],
             params=RoadmapParams(**meta["params"]),
             binding=meta["binding"],

@@ -273,10 +273,11 @@ def solve_ik(arm: ArmModel, target: EEPose, rng_seed: int = 0) -> list[np.ndarra
     Returns up to ``_IK_RESTARTS`` distinct in-limit configurations whose tip
     position error is below 1e-4 m (and heading error below 1e-3 rad when the
     target heading matters). Empty list when nothing converges, which is how
-    unreachable targets are reported. Raises ValueError when rng_seed is not
-    an integer >= 0.
+    unreachable targets are reported. Raises ValueError when target is no
+    ``EEPose`` or rng_seed is not an integer >= 0.
     """
     _check_kind("arm", arm, ArmModel)
+    _check_kind("target", target, EEPose)
     rng_seed = _check_int("rng_seed", rng_seed, 0)
     if math.hypot(target.x - arm.base.x, target.y - arm.base.y) > arm.reach + 1e-9:
         return []

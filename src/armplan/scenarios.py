@@ -186,6 +186,7 @@ def ik_goal_configs(arm: ArmModel, scene: Scene, goal: EEPose) -> list[np.ndarra
     deterministic seed convention and ``solve_ik``'s restarts."""
     _check_kind("arm", arm, ArmModel)
     _check_kind("scene", scene, Scene)
+    _check_kind("goal", goal, EEPose)
     sols = solve_ik(arm, goal, rng_seed=goal_seed(goal))
     if not sols:
         return []

@@ -63,6 +63,12 @@ def test_requires_goal(arm, empty_scene):
         rrt_plan(empty_scene, arm, np.zeros(arm.dof), [])
 
 
+def test_goal_configs_that_are_not_iterable_rejected(arm, empty_scene):
+    # used to raise TypeError: 'int' object is not iterable
+    with pytest.raises(ValueError, match="^goal_configs must be an iterable of configurations, got int$"):
+        rrt_plan(empty_scene, arm, np.zeros(arm.dof), 5)
+
+
 def test_quick_success_on_near_goals(arm, empty_scene, monkeypatch):
     # rrt_plan reads the budget on each call; near goals need far less than it
     monkeypatch.setattr(armplan.baselines, "RRT_MAX_ITERS", 1000)

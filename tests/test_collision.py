@@ -246,12 +246,16 @@ def test_collision_iff_nonpositive_clearance(arm, pole_scene):
 
 def _random_convex_scene(rng, n_obstacles):
     """Random convex polygons around the default arm's reach, inside the
-    authored scenes' workspace bounds."""
-    obstacles = tuple(
-        random_convex_polygon(rng, radius=0.25, center=rng.uniform((-1.0, -0.2), (1.0, 1.2)))
-        for _ in range(n_obstacles)
-    )
-    return Scene("random_convex", obstacles, workspace_bounds=(-1.6, -0.6, 1.6, 1.6))
+    authored scenes' workspace bounds. Their centres keep at least 0.29 m,
+    their radius plus the first link's half-width, from the arm's base at
+    the origin: an obstacle over the base would put every configuration in
+    collision."""
+    obstacles = []
+    while len(obstacles) < n_obstacles:
+        center = rng.uniform((-1.0, -0.2), (1.0, 1.2))
+        if np.hypot(*center) >= 0.29:
+            obstacles.append(random_convex_polygon(rng, radius=0.25, center=center))
+    return Scene("random_convex", tuple(obstacles), workspace_bounds=(-1.6, -0.6, 1.6, 1.6))
 
 
 def _assert_signed_distances_match_reference(arm, scene, Q, far_cutoff=0.05):

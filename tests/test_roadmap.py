@@ -25,7 +25,7 @@ from armplan import roadmap as roadmap_module
 from armplan.roadmap import (
     Roadmap, RoadmapBuildError, RoadmapParams, build_roadmap, invalidate_and_requery,
     k_shortest_paths, load_roadmap, query, save_roadmap, _connect_knn,
-    _edge_key, _EdgeScan, _first_free_edges, _induced_subgraph, _largest_component, _nearest_connectable,
+    _edge_key, _EdgeScan, _first_free_edges, _largest_component, _nearest_connectable,
     _sample_nodes, _stable_prefix, _yen,
 )
 from armplan.scenarios import build_scene, default_arm, load_scene, save_scene, scene_to_dict
@@ -483,7 +483,7 @@ MALFORMED_GRAPHS = {
     "endpoint_past_end": ("edges", lambda e, n: _replaced(e, 3, (0, n)), "two distinct nodes"),
     "negative_endpoint": ("edges", lambda e, n: _replaced(e, 3, (-1, 0)), "two distinct nodes"),
     "duplicate_edge": ("edges", lambda e, n: _replaced(e, 3, e[0, ::-1]), "listed twice"),
-    # the constructor's int() would truncate each id back to the saved graph
+    # the constructor rejects edges that are not integers, so the file names its error
     "edges_float": ("edges", lambda e, n: e + 0.7, "edges must be integers, not float64"),
 }
 
@@ -506,6 +506,19 @@ def forbid_dijkstra(monkeypatch):
         raise AssertionError("Dijkstra ran on a malformed graph")
 
     monkeypatch.setattr("armplan.roadmap._sparse_dijkstra", no_dijkstra)
+
+
+@pytest.mark.parametrize("edges", [[(0.5, 1)], np.array([[0.0, 1.0]]), [(0, 1.0)]])
+def test_constructor_rejects_edges_that_are_not_integers(edges):
+    # the constructor used to truncate each id: [(0.5, 1)] became the edge (0, 1)
+    with pytest.raises(ValueError, match="^roadmap edges must be integers, not float64$"):
+        Roadmap(np.zeros((2, 3)), edges, [1.0], RoadmapParams(), {})
+
+
+@pytest.mark.parametrize("edges", [[(0, 1, 1)], [0, 1], np.zeros((2, 3), dtype=int)])
+def test_constructor_rejects_edges_that_are_not_pairs(edges):
+    with pytest.raises(ValueError, match="^roadmap edges must be node pairs, got an array of shape"):
+        Roadmap(np.zeros((2, 3)), edges, [1.0], RoadmapParams(), {})
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
@@ -752,19 +765,20 @@ def test_nearest_connectable_scans_the_stable_nearest_order(monkeypatch, n_nodes
 def test_lazy_scan_order_is_the_stable_argsort(n, values, block, seed, start):
     """A scan built from integer distances with many ties, whose tie
     groups straddle the prefix's ``block``-th place, reads the candidates
-    of ``np.argsort(dist, kind="stable")`` from any position, extending its
-    prefix to the whole order only when a walk passes it."""
+    of ``np.argsort(dist, kind="stable")``, extending its prefix to the
+    whole order only when a walk that stops after ``start`` candidates
+    passes it; a later walk reads the whole order again."""
     dist = np.random.default_rng(seed).integers(0, values, size=n).astype(float)
     want = np.argsort(dist, kind="stable").tolist()
     prefix = _stable_prefix(dist, block)
     assert prefix.tolist() == want[:len(prefix)]
     assert len(prefix) >= min(block, n)
-    with mock.patch.object(roadmap_module, "_WALK_BLOCK", block):
-        scan = _EdgeScan(None, prefix, dist)
-        assert list(itertools.islice(scan._candidates(0), len(prefix))) == want[:len(prefix)]
-        assert len(scan.order) == len(prefix)        # not extended yet
-        assert list(scan._candidates(start)) == want[start:]
-        assert scan.order.tolist() == want and scan.dist is None
+    scan = _EdgeScan(None, prefix, dist)
+    assert list(itertools.islice(scan._candidates(), start)) == want[:start]
+    passed = start > len(prefix)
+    assert scan.order == (want if passed else want[:len(prefix)])
+    assert list(scan._candidates()) == want
+    assert scan.order == want and scan.dist is None
 
 
 def test_dry_scans_check_in_logarithmically_many_rounds():
@@ -772,8 +786,8 @@ def test_dry_scans_check_in_logarithmically_many_rounds():
     reaches degree k) reads every candidate in O(log n) check rounds, not
     n / 8: each prescreened chunk is at least as large as what the scan has
     already checked."""
-    rounds, scans = collections.Counter(), {}
-    check = roadmap_module._check_waiting
+    rounds, scans, built = collections.Counter(), {}, {}
+    check, connect = roadmap_module._check_waiting, roadmap_module._connect_knn
 
     def counting(arm, scene, nodes, waiting, *args):
         for scan, _ in waiting:
@@ -781,10 +795,20 @@ def test_dry_scans_check_in_logarithmically_many_rounds():
             scans[id(scan)] = scan
         return check(arm, scene, nodes, waiting, *args)
 
+    def connecting(scene, arm, nodes, k):
+        built.update(nodes=nodes, k=k)
+        built["edges"], weights = connect(scene, arm, nodes, k)
+        return built["edges"], weights
+
     n = 120
-    with mock.patch.object(roadmap_module, "_check_waiting", counting):
+    with mock.patch.object(roadmap_module, "_check_waiting", counting), \
+            mock.patch.object(roadmap_module, "_connect_knn", connecting):
         build_roadmap(build_scene("shelf_boxes"), default_arm(), RoadmapParams(n_nodes=n))
-    dry = [rounds[key] for key, scan in scans.items() if scan.left > 0]
+    # a scan ran dry exactly when its node ends below degree k: a scan that
+    # reached it keeps it, and one that ran dry decided all its node's pairs
+    degree = np.bincount(np.ravel(built["edges"]), minlength=n)
+    node_of = {key: np.flatnonzero((built["nodes"] == scan.q).all(axis=1))[0] for key, scan in scans.items()}
+    dry = [rounds[key] for key, i in node_of.items() if degree[i] < built["k"]]
     assert dry
     assert max(dry) <= math.ceil(math.log2(n)), sorted(dry)
 
@@ -947,21 +971,6 @@ def test_ksp_matches_full_graph_yen_on_a_kitchen_roadmap(arm):
             assert k_shortest_paths(rm_k, u, v) == full_graph_yen(rm_k, u, v), (u, v, k)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_induced_subgraph_matches_scipy_indexing(data):
-    n = data.draw(st.integers(1, 8), label="n")
-    pairs = list(itertools.combinations(range(n), 2))
-    present = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges = [e for e, keep in zip(pairs, present) if keep]
-    rm = graph_roadmap(n, edges, np.arange(1, len(edges) + 1))
-    keep = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    sub, want = _induced_subgraph(rm.graph, keep), rm.graph[keep][:, keep]
-    want.sort_indices()
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(sub, name), getattr(want, name)), name
-
-
 def test_ksp_matches_reference_yen(pole_scene, arm):
     rm = build_roadmap(pole_scene, arm, RoadmapParams(n_nodes=300, k_paths=5, rng_seed=4))
     adj = adjacency_lists(rm.n_nodes, rm.edge_list, rm.edge_weights)
@@ -1070,6 +1079,12 @@ def test_invalidate_rejects_malformed_blocked_edge(edge):
         with pytest.raises(ValueError, match=f"blocked edge {re.escape(repr(edge))} is not a pair"):
             invalidate_and_requery(rm, [(1, 2), edge], 0, 2)
     assert invalidate_and_requery(rm, [(1, 2), (np.int64(3), np.int64(0))], 0, 2) == [0, 4, 2]
+
+
+def test_invalidate_rejects_blocked_edges_that_are_not_iterable():
+    # used to raise TypeError: 'int' object is not iterable
+    with pytest.raises(ValueError, match="^blocked_edges must be an iterable of node pairs, got int$"):
+        invalidate_and_requery(three_route_roadmap(), 5, 0, 2)
 
 
 def test_roadmap_not_mutated_by_invalidate(small_pole_roadmap):

@@ -520,3 +520,19 @@ def test_public_entries_name_an_argument_of_another_kind(entry, arm, pole_scene,
     call, message = _SWAPPED_CALLS[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(arm, pole_scene, small_pole_roadmap, small_pole_suite, tmp_path)
+
+
+# entry -> a call of it with a tuple for its tip-pose goal, and the parameter's name
+_TUPLE_GOALS = {
+    "solve_ik": (lambda a, s, rm, goal: solve_ik(a, goal), "target"),
+    "ik_goal_configs": (lambda a, s, rm, goal: scenarios.ik_goal_configs(a, s, goal), "goal"),
+    "query": (lambda a, s, rm, goal: roadmap.query(rm, a, s, rm.nodes[0], goal), "goal"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TUPLE_GOALS))
+def test_public_entries_name_a_goal_that_is_no_pose(entry, arm, pole_scene, small_pole_roadmap):
+    # a tuple goal used to raise AttributeError: 'tuple' object has no attribute 'x'
+    call, name = _TUPLE_GOALS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an instance of EEPose, got tuple$"):
+        call(arm, pole_scene, small_pole_roadmap, (0.5, 0.5, 0.0))
